@@ -2,8 +2,8 @@
 
 Exit codes: 0 when the command's primary verdict holds (model valid, checks
 pass, problem solvable, oracle agreement clean), 1 when the verdict is
-negative, 2 on file or schema errors -- so CI scripts can tell model defects
-from negative verdicts.
+negative, 2 on file or schema errors and exceeded state budgets -- so CI
+scripts can tell model defects from negative verdicts.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from . import dot as dotmod
 from .automata import accessible, validate_timed_assumptions
 from .comm import build_comm_automaton, render_event
-from .errors import ModelError
+from .errors import ModelError, ResourceLimitError
 from .modelio import (
     automaton_to_dict,
     dump_json,
@@ -407,7 +407,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ModelError, FileNotFoundError, OSError, ValueError) as exc:
+    except (ModelError, ResourceLimitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,7 @@ reproducible across runs.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 from . import channels as ch
@@ -97,6 +97,9 @@ class CommAutomaton:
     spec_marked: list[bool]
     spec_reachable: list[bool]
     initial: int = 0
+    _observation_tables: dict[int, "ObservationTable"] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # -- basic accessors -------------------------------------------------
     @property
@@ -129,6 +132,14 @@ class CommAutomaton:
 
     def state_labels(self) -> list[str]:
         return [self.render_state(s) for s in range(self.num_states)]
+
+    def observation_table(self, i: int) -> "ObservationTable":
+        """Supervisor ``i``'s view of every transition, built on first use
+        and cached; the transitions must not change afterwards."""
+        table = self._observation_tables.get(i)
+        if table is None:
+            table = self._observation_tables[i] = build_observation_table(self, i)
+        return table
 
     def spec_view(self) -> "SpecView":
         return SpecView(self)
@@ -356,6 +367,48 @@ def observation_of(event: CommEvent, i: int, net: NetworkConfig) -> Optional[str
     if isinstance(event, Deliver) and event.receiver == i:
         return event.event
     return None
+
+
+Move = tuple[CommEvent, int]  # (event, target state)
+
+
+@dataclass(frozen=True)
+class ObservationTable:
+    """What one supervisor sees of each transition.
+
+    ``silent[s]`` holds the unobserved moves of state ``s`` and
+    ``observed[s]`` maps each symbol observed at ``s`` to its moves, symbols
+    ordered like ``net.observation_alphabet``; moves keep the order of
+    ``transitions[s]``.  ``symbols`` maps every event to its observed symbol,
+    or None.
+    """
+
+    silent: list[tuple[Move, ...]]
+    observed: list[dict[str, tuple[Move, ...]]]
+    symbols: dict[CommEvent, Optional[str]]
+
+
+def build_observation_table(comm: CommAutomaton, i: int) -> ObservationTable:
+    """Tabulate ``observation_of`` for supervisor ``i`` over ``comm``."""
+    net = comm.net
+    rank = {symbol: k for k, symbol in enumerate(net.observation_alphabet(i))}
+    symbols: dict[CommEvent, Optional[str]] = {}
+    silent: list[tuple[Move, ...]] = []
+    observed: list[dict[str, tuple[Move, ...]]] = []
+    for moves in comm.transitions:
+        quiet: list[Move] = []
+        grouped: dict[str, list[Move]] = {}
+        for event, dst in moves.items():
+            if event not in symbols:
+                symbols[event] = observation_of(event, i, net)
+            symbol = symbols[event]
+            if symbol is None:
+                quiet.append((event, dst))
+            else:
+                grouped.setdefault(symbol, []).append((event, dst))
+        silent.append(tuple(quiet))
+        observed.append({s: tuple(grouped[s]) for s in sorted(grouped, key=rank.__getitem__)})
+    return ObservationTable(silent, observed, symbols)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from .comm import (
     Plant,
     build_comm_automaton,
     event_key,
-    observation_of,
 )
 from .errors import ModelError, ResourceLimitError
 from .network import NetworkConfig
@@ -82,20 +81,19 @@ def build_observer(
     Unobserved moves are closed over silently; an element's flag survives a
     move only while the run stays within in_spec states.
     """
-    net = comm.net
-    obs_alphabet = net.observation_alphabet(supervisor)
+    obs_alphabet = comm.net.observation_alphabet(supervisor)
+    table = comm.observation_table(supervisor)
 
     def closure(elements: Iterable[ObserverElement]) -> frozenset[ObserverElement]:
         out = set(elements)
         queue = deque(out)
         while queue:
             sid, flag = queue.popleft()
-            for event, dst in comm.transitions[sid].items():
-                if observation_of(event, supervisor, net) is None:
-                    nxt = (dst, flag and comm.in_spec[dst])
-                    if nxt not in out:
-                        out.add(nxt)
-                        queue.append(nxt)
+            for _event, dst in table.silent[sid]:
+                nxt = (dst, flag and comm.in_spec[dst])
+                if nxt not in out:
+                    out.add(nxt)
+                    queue.append(nxt)
         return frozenset(out)
 
     initial = closure([(comm.initial, comm.in_spec[comm.initial])])
@@ -108,9 +106,8 @@ def build_observer(
         for symbol in obs_alphabet:
             moved = set()
             for sid, flag in elements[t]:
-                for event, dst in comm.transitions[sid].items():
-                    if observation_of(event, supervisor, net) == symbol:
-                        moved.add((dst, flag and comm.in_spec[dst]))
+                for _event, dst in table.observed[sid].get(symbol, ()):
+                    moved.add((dst, flag and comm.in_spec[dst]))
             if not moved:
                 continue
             closed = closure(moved)
@@ -203,11 +200,45 @@ class ClosedLoop:
         return self.keys[sid][0]
 
 
+Watchers = tuple[tuple[int, str], ...]  # (supervisor, observed symbol) per move
+
+
+def _watchers(comm: CommAutomaton) -> list[tuple[Watchers, ...]]:
+    """Per state, aligned with its transitions: which supervisors observe
+    each move, and as what symbol."""
+    tables = [comm.observation_table(i) for i in range(comm.net.n)]
+    return [
+        tuple(
+            tuple((i, t.symbols[event]) for i, t in enumerate(tables) if t.symbols[event] is not None)
+            for event in moves
+        )
+        for moves in comm.transitions
+    ]
+
+
+def _advance(
+    supervisors: Sequence[SupervisorMap], obs_states: tuple[int, ...], watchers: Watchers
+) -> tuple[int, ...]:
+    """Every observer's state after a move; raises ValueError when an
+    observer has no move for a symbol its supervisor observes."""
+    advanced = list(obs_states)
+    for i, symbol in watchers:
+        nxt = supervisors[i].observer.step(obs_states[i], symbol)
+        if nxt is None:
+            raise ValueError(
+                f"observer of supervisor {i + 1} does not cover every run:"
+                f" no move on {symbol!r} from its state {obs_states[i]}"
+            )
+        advanced[i] = nxt
+    return tuple(advanced)
+
+
 def closed_loop(comm: CommAutomaton, supervisors: Sequence[SupervisorMap]) -> ClosedLoop:
     """Build the controlled behavior under a supervisor set."""
     net = comm.net
     if len(supervisors) != net.n:
         raise ValueError(f"expected {net.n} supervisors, got {len(supervisors)}")
+    watch = _watchers(comm)
     controllable = net.globally_controllable
     initial_key = (comm.initial, tuple(s.observer.initial for s in supervisors))
     index = {initial_key: 0}
@@ -217,23 +248,15 @@ def closed_loop(comm: CommAutomaton, supervisors: Sequence[SupervisorMap]) -> Cl
     while queue:
         sid = queue.popleft()
         x, obs_states = keys[sid]
-        for event, dst in comm.transitions[x].items():
+        for (event, dst), watchers in zip(comm.transitions[x].items(), watch[x]):
             if isinstance(event, Plant) and event.event in controllable:
                 controllers = net.controllers(event.event)
                 if not all(
                     event.event in supervisors[i].enable[obs_states[i]] for i in controllers
                 ):
                     continue
-            advanced = []
-            for i, sup in enumerate(supervisors):
-                symbol = observation_of(event, i, net)
-                if symbol is None:
-                    advanced.append(obs_states[i])
-                else:
-                    nxt = sup.observer.step(obs_states[i], symbol)
-                    assert nxt is not None, "observer must cover every generated run"
-                    advanced.append(nxt)
-            key = (dst, tuple(advanced))
+            advanced = _advance(supervisors, obs_states, watchers) if watchers else obs_states
+            key = (dst, advanced)
             tid = index.get(key)
             if tid is None:
                 tid = len(keys)
@@ -311,6 +334,7 @@ def check_admissibility(
        specification, every supervisor keeps tick enabled.
     """
     net = comm.net
+    watch = _watchers(comm)
     strings = comm.shortest_strings(within_spec=True)
     initial_key = (comm.initial, tuple(s.observer.initial for s in supervisors))
     index = {initial_key: 0}
@@ -345,19 +369,11 @@ def check_admissibility(
                         " event available",
                     )
         # explore in-spec runs only
-        for event, dst in comm.transitions[x].items():
+        for dst, watchers in zip(comm.transitions[x].values(), watch[x]):
             if not comm.in_spec[dst]:
                 continue
-            advanced = []
-            for i, sup in enumerate(supervisors):
-                symbol = observation_of(event, i, net)
-                if symbol is None:
-                    advanced.append(obs_states[i])
-                else:
-                    nxt = sup.observer.step(obs_states[i], symbol)
-                    assert nxt is not None
-                    advanced.append(nxt)
-            key = (dst, tuple(advanced))
+            advanced = _advance(supervisors, obs_states, watchers) if watchers else obs_states
+            key = (dst, advanced)
             if key not in index:
                 index[key] = len(keys)
                 keys.append(key)
@@ -440,7 +456,7 @@ def solve_control_problem(
         raise ModelError(f"plant violates timed assumption {assumptions.condition}: {assumptions.message}")
     comm = build_comm_automaton(plant, spec, net, max_states=max_states)
     controllability = check_network_controllability(comm)
-    observability = check_network_joint_observability(comm)
+    observability = check_network_joint_observability(comm, max_states=max_states)
     closure = check_lm_closure(comm)
     solvable = controllability.holds and observability.holds and closure.holds
     sizes = {

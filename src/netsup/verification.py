@@ -7,13 +7,13 @@ states reachable through in_spec states only (``spec_reachable``).
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .automata import TICK
-from .comm import CommAutomaton, CommEvent, Plant, observation_of
+from .comm import CommAutomaton, CommEvent, Plant
+from .errors import ModelError, ResourceLimitError
 
 
 class Condition(Enum):
@@ -92,126 +92,135 @@ def check_network_controllability(comm: CommAutomaton) -> Verdict:
     return Verdict(Condition.NET_CTRL_1, True)
 
 
-@dataclass(frozen=True)
-class TwinState:
-    """A pair of states reached by two runs with identical observations for
-    one supervisor, each tagged with whether its run stayed in the
-    specification."""
+class TwinState(NamedTuple):
+    """A pair of states reached by two in-spec runs with identical
+    observations for one supervisor."""
 
     x: int
     y: int
-    x_in_spec: bool
-    y_in_spec: bool
 
 
 @dataclass
 class TwinProduct:
-    """Reachable observation-synchronized state pairs for one supervisor.
+    """Reachable observation-synchronized state pairs for one supervisor,
+    restricted to pairs whose two runs both stayed in the specification.
 
     Unobserved moves interleave (left copy first, then right); observed
-    symbols advance both copies together.  Parent links reconstruct the two
-    generating runs of any reachable pair.
+    symbols advance both copies together.  Every pair is made of
+    specification states, so the product has at most |spec states|² states.
+    ``parent[t]`` is the pair ``t`` was discovered from (-1 for the initial
+    pair) and ``left[t]`` / ``right[t]`` the events each copy took (None for
+    a copy that stayed put); they reconstruct the two generating runs.
     """
 
     supervisor: int
-    states: list[TwinState]
-    parents: list[Optional[tuple[int, Optional[CommEvent], Optional[CommEvent]]]]
+    states: list[TwinState] = field(default_factory=list)
+    parent: list[int] = field(default_factory=list)
+    left: list[Optional[CommEvent]] = field(default_factory=list)
+    right: list[Optional[CommEvent]] = field(default_factory=list)
 
     def strings_to(self, tid: int) -> tuple[tuple[CommEvent, ...], tuple[CommEvent, ...]]:
         left: list[CommEvent] = []
         right: list[CommEvent] = []
-        while self.parents[tid] is not None:
-            prev, ev_left, ev_right = self.parents[tid]
-            if ev_left is not None:
-                left.append(ev_left)
-            if ev_right is not None:
-                right.append(ev_right)
-            tid = prev
+        while self.parent[tid] >= 0:
+            if self.left[tid] is not None:
+                left.append(self.left[tid])
+            if self.right[tid] is not None:
+                right.append(self.right[tid])
+            tid = self.parent[tid]
         return tuple(reversed(left)), tuple(reversed(right))
 
 
-def build_twin_product(comm: CommAutomaton, supervisor: int) -> TwinProduct:
-    net = comm.net
-    init = TwinState(comm.initial, comm.initial, comm.in_spec[comm.initial], comm.in_spec[comm.initial])
-    index: dict[TwinState, int] = {init: 0}
-    states = [init]
-    parents: list[Optional[tuple[int, Optional[CommEvent], Optional[CommEvent]]]] = [None]
-    queue = deque([0])
-    obs_alphabet = net.observation_alphabet(supervisor)
+def build_twin_product(
+    comm: CommAutomaton, supervisor: int, *, max_states: int = 500_000
+) -> TwinProduct:
+    """Breadth-first twin product of ``comm`` with itself for one supervisor,
+    over specification states only.
 
-    def intern(ts: TwinState, src: int, ev_left: Optional[CommEvent], ev_right: Optional[CommEvent]) -> None:
-        if ts not in index:
-            index[ts] = len(states)
-            states.append(ts)
-            parents.append((src, ev_left, ev_right))
-            queue.append(index[ts])
+    Raises ResourceLimitError when it would exceed ``max_states`` pairs.
+    """
+    table = comm.observation_table(supervisor)
+    silent, observed = table.silent, table.observed
+    in_spec = comm.in_spec
+    n = comm.num_states
+    twin = TwinProduct(supervisor)
+    states, parent, left, right = twin.states, twin.parent, twin.left, twin.right
+    index: dict[int, int] = {}
 
-    while queue:
-        tid = queue.popleft()
-        ts = states[tid]
-        # left copy moves silently
-        for event, dst in comm.transitions[ts.x].items():
-            if observation_of(event, supervisor, net) is None:
-                intern(
-                    TwinState(dst, ts.y, ts.x_in_spec and comm.in_spec[dst], ts.y_in_spec),
-                    tid, event, None,
+    def add(x: int, y: int, src: int, ev_left: Optional[CommEvent], ev_right: Optional[CommEvent]) -> None:
+        key = x * n + y
+        if key not in index:
+            if len(states) >= max_states:
+                raise ResourceLimitError(
+                    f"twin product for supervisor {supervisor + 1} exceeds {max_states} states"
                 )
-        # right copy moves silently
-        for event, dst in comm.transitions[ts.y].items():
-            if observation_of(event, supervisor, net) is None:
-                intern(
-                    TwinState(ts.x, dst, ts.x_in_spec, ts.y_in_spec and comm.in_spec[dst]),
-                    tid, None, event,
-                )
-        # both copies move on the same observed symbol
-        for symbol in obs_alphabet:
-            moves_x = [
-                (e, t) for e, t in comm.transitions[ts.x].items()
-                if observation_of(e, supervisor, net) == symbol
-            ]
-            moves_y = [
-                (e, t) for e, t in comm.transitions[ts.y].items()
-                if observation_of(e, supervisor, net) == symbol
-            ]
+            index[key] = len(states)
+            states.append(TwinState(x, y))
+            parent.append(src)
+            left.append(ev_left)
+            right.append(ev_right)
+
+    if in_spec[comm.initial]:
+        add(comm.initial, comm.initial, -1, None, None)
+    tid = 0
+    while tid < len(states):
+        x, y = states[tid]
+        for event, dst in silent[x]:
+            if in_spec[dst]:
+                add(dst, y, tid, event, None)
+        for event, dst in silent[y]:
+            if in_spec[dst]:
+                add(x, dst, tid, None, event)
+        observed_y = observed[y]
+        for symbol, moves_x in observed[x].items():
+            moves_y = observed_y.get(symbol)
+            if moves_y is None:
+                continue
             for ev_x, dst_x in moves_x:
-                for ev_y, dst_y in moves_y:
-                    intern(
-                        TwinState(
-                            dst_x, dst_y,
-                            ts.x_in_spec and comm.in_spec[dst_x],
-                            ts.y_in_spec and comm.in_spec[dst_y],
-                        ),
-                        tid, ev_x, ev_y,
-                    )
-    return TwinProduct(supervisor, states, parents)
+                if in_spec[dst_x]:
+                    for ev_y, dst_y in moves_y:
+                        if in_spec[dst_y]:
+                            add(dst_x, dst_y, tid, ev_x, ev_y)
+        tid += 1
+    return twin
 
 
-def check_network_joint_observability(comm: CommAutomaton) -> Verdict:
+def check_network_joint_observability(
+    comm: CommAutomaton, *, max_states: int = 500_000
+) -> Verdict:
     """Every controllable event that must be disabled after some in-spec run
     must be observationally distinguishable, by each supervisor controlling
     it, from every in-spec run after which that event must stay enabled.
 
-    A violation is a twin-product state whose two runs both stayed in the
-    specification, where the event exits the specification on one side and
-    stays inside on the other.  Verdicts aggregate deterministically in
-    (event, supervisor) order; per pair the witness is BFS-shortest.
+    A violation is a pair of the supervisor's twin product (which holds only
+    pairs whose two runs both stayed in the specification) where the event
+    exits the specification on the left and stays inside on the right.
+    Events that exit nowhere, or stay inside nowhere, are skipped, and a
+    twin product is built only for a supervisor some remaining event needs;
+    ``max_states`` bounds each twin product.  Verdicts aggregate
+    deterministically in (event, supervisor) order; per pair the witness is
+    BFS-shortest.
     """
     net = comm.net
     controllable = sorted(net.globally_controllable, key=lambda e: (e != TICK, e))
+    reachable = [sid for sid in range(comm.num_states) if comm.spec_reachable[sid]]
     twins: dict[int, TwinProduct] = {}
     for event in controllable:
+        move = Plant(event)
+        exits: set[int] = set()
+        stays: set[int] = set()
+        for sid in reachable:
+            dst = comm.transitions[sid].get(move)
+            if dst is not None:
+                (stays if comm.in_spec[dst] else exits).add(sid)
+        if not (exits and stays):
+            continue
         for supervisor in net.controllers(event):
             if supervisor not in twins:
-                twins[supervisor] = build_twin_product(comm, supervisor)
+                twins[supervisor] = build_twin_product(comm, supervisor, max_states=max_states)
             twin = twins[supervisor]
-            for tid, ts in enumerate(twin.states):
-                if not (ts.x_in_spec and ts.y_in_spec):
-                    continue
-                dst_x = comm.target(ts.x, Plant(event))
-                dst_y = comm.target(ts.y, Plant(event))
-                if dst_x is None or dst_y is None:
-                    continue
-                if not comm.in_spec[dst_x] and comm.in_spec[dst_y]:
+            for tid, (x, y) in enumerate(twin.states):
+                if x in exits and y in stays:
                     mu, nu = twin.strings_to(tid)
                     return Verdict(
                         Condition.NET_JOINT_OBS,
@@ -244,5 +253,9 @@ def check_lm_closure(comm: CommAutomaton) -> Verdict:
                 " but not in the specification",
             )
         # the file format forbids marking beyond the inherited set
-        assert not (comm.spec_marked[sid] and not comm.marked[sid])
+        if comm.spec_marked[sid] and not comm.marked[sid]:
+            raise ModelError(
+                f"state {comm.render_state(sid)} is marked in the specification"
+                " but not in the plant"
+            )
     return Verdict(Condition.LM_CLOSURE, True)

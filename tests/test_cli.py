@@ -2,7 +2,9 @@
 
 import json
 
+from netsup import cli
 from netsup.cli import main
+from netsup.errors import ResourceLimitError
 
 
 def run(capsys, *argv):
@@ -43,6 +45,16 @@ class TestExitCodes:
         bad.write_text('{"automata": []}')
         code, _, err = run(capsys, "check", str(bad))
         assert code == 2
+
+    def test_budget_overflow_exits_two(self, capsys, models_dir, monkeypatch):
+        def overflow(*args, **kwargs):
+            raise ResourceLimitError("twin product for supervisor 1 exceeds 5 states")
+
+        monkeypatch.setattr(cli, "solve_control_problem", overflow)
+        code, out, err = run(capsys, "solve", fixture_path(models_dir))
+        assert code == 2
+        assert out == ""
+        assert err == "error: twin product for supervisor 1 exceeds 5 states\n"
 
 
 class TestJsonOutputs:

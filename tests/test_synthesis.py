@@ -1,6 +1,7 @@
 """Observers, enable-set synthesis, admissibility, closed loop and the full
 pipeline, cross-checked against string-level evaluation."""
 
+import copy
 import random
 
 import pytest
@@ -220,6 +221,15 @@ class TestClosedLoop:
         loop = closed_loop(line_comm, sups)
         verdict = language_equal(loop, line_comm)
         assert verdict.generated_equal and verdict.marked_equal
+
+    def test_observer_missing_a_move_is_rejected(self, line_report):
+        # without its first tick move the observer no longer covers every run
+        sups = copy.deepcopy(line_report.supervisors)
+        del sups[0].observer.transitions[0][TICK]
+        with pytest.raises(ValueError, match="supervisor 1 does not cover"):
+            closed_loop(line_report.comm, sups)
+        with pytest.raises(ValueError, match="supervisor 1 does not cover"):
+            check_admissibility(sups, line_report.comm)
 
     def test_fixture_loop_equals_specification(self, line_report):
         assert line_report.language.generated_equal

@@ -1,15 +1,24 @@
 """The three existence checks: fixture verdicts, planted violations, witness
 replay, and agreement with the brute-force oracle."""
 
+import dataclasses
 import json
 
 import pytest
 
 from netsup.automata import TICK
-from netsup.comm import Plant, build_comm_automaton, project_observation
+from netsup.comm import (
+    Plant,
+    build_comm_automaton,
+    observation_of,
+    project_observation,
+    render_event,
+)
+from netsup.errors import ModelError, ResourceLimitError
 from netsup.modelio import parse_model
 from netsup.oracle import brute_check
 from netsup.randgen import random_instance
+from netsup.synthesis import solve_control_problem
 from netsup.verification import (
     Condition,
     build_twin_product,
@@ -122,18 +131,95 @@ class TestJointObservability:
         assert not brute_check(Condition.NET_JOINT_OBS, comm, 11).holds
 
     def test_twin_states_are_realizable(self, line_comm):
-        """Soundness: every reachable twin state is realized by an actual
-        string pair with equal observations and matching in-spec flags."""
+        """Soundness: every reachable twin pair is realized by an actual
+        string pair with equal observations, both staying in the
+        specification."""
         for supervisor in range(line_comm.net.n):
             twin = build_twin_product(line_comm, supervisor)
             for tid, ts in enumerate(twin.states):
                 mu, nu = twin.strings_to(tid)
                 assert line_comm.run(mu) == ts.x
                 assert line_comm.run(nu) == ts.y
-                assert line_comm.string_in_spec(mu) == ts.x_in_spec
-                assert line_comm.string_in_spec(nu) == ts.y_in_spec
+                assert line_comm.string_in_spec(mu)
+                assert line_comm.string_in_spec(nu)
                 assert project_observation(mu, supervisor, line_comm.net) == \
                     project_observation(nu, supervisor, line_comm.net)
+
+    @pytest.mark.parametrize("source", ["line", "no_feedback", *range(50)])
+    def test_twin_states_are_complete(self, source, line_comm, no_feedback_comm):
+        """Completeness: the twin product holds exactly the pairs a plain
+        pair search over in-spec moves reaches, each once."""
+        comm = {"line": line_comm, "no_feedback": no_feedback_comm}.get(source)
+        if comm is None:
+            comm = random_instance(source).comm
+        for supervisor in range(comm.net.n):
+            states = build_twin_product(comm, supervisor).states
+            assert len(set(states)) == len(states)
+            assert set(states) == reference_twin_pairs(comm, supervisor)
+
+    def test_twin_product_budget(self, line_model, line_comm):
+        with pytest.raises(ResourceLimitError, match="supervisor 2"):
+            build_twin_product(line_comm, 1, max_states=5)
+        with pytest.raises(ResourceLimitError, match="twin product for supervisor 1"):
+            check_network_joint_observability(line_comm, max_states=5)
+        # a budget that fits the channel-augmented automaton but not the
+        # twin products reaches the joint-observability stage and stops there
+        with pytest.raises(ResourceLimitError, match="twin product"):
+            solve_control_problem(
+                line_model.plant, line_model.spec, line_model.network,
+                max_states=line_comm.num_states,
+            )
+
+    def test_line_unsolvable_witness(self, models_dir):
+        """Delays 1->2 = 1 and 2->1 = 6: the BFS-shortest violating pair,
+        with its tie-breaks, is pinned."""
+        def mutate(doc):
+            for channel in doc["network"]["channels"]:
+                channel["delay_bound"] = {(1, 2): 1, (2, 1): 6}[(channel["from"], channel["to"])]
+
+        comm = build(load_variant(models_dir, mutate))
+        verdict = check_network_joint_observability(comm)
+        assert not verdict.holds
+        w = verdict.witness
+        assert (w.sigma, w.supervisor) == ("a1", 0)
+        assert [render_event(e) for e in w.mu] == [
+            "a1", "f12(a1)", "tick", "b1", "f12(b1)", "tick", "tick", "tick",
+        ]
+        assert [render_event(e) for e in w.nu] == [
+            "a1", "f12(a1)", "tick", "b1", "f12(b1)", "tick", "a2", "tick", "b2", "tick",
+        ]
+
+
+def reference_twin_pairs(comm, supervisor):
+    """Pairs of states reached by two in-spec runs that supervisor
+    ``supervisor`` observes alike: a plain breadth-first pair search."""
+    net = comm.net
+
+    def moves(sid):
+        return [
+            (observation_of(e, supervisor, net), t)
+            for e, t in comm.transitions[sid].items()
+            if comm.in_spec[t]
+        ]
+
+    if not comm.in_spec[comm.initial]:
+        return set()
+    start = (comm.initial, comm.initial)
+    seen = {start}
+    queue = [start]
+    for x, y in queue:
+        successors = [(t, y) for symbol, t in moves(x) if symbol is None]
+        successors += [(x, t) for symbol, t in moves(y) if symbol is None]
+        successors += [
+            (tx, ty)
+            for sx, tx in moves(x) if sx is not None
+            for sy, ty in moves(y) if sy == sx
+        ]
+        for pair in successors:
+            if pair not in seen:
+                seen.add(pair)
+                queue.append(pair)
+    return seen
 
 
 class TestLmClosure:
@@ -154,6 +240,18 @@ class TestLmClosure:
         assert comm.string_in_spec(verdict.witness.mu)
         assert comm.marked[end] and not comm.spec_marked[end]
         assert not brute_check(Condition.LM_CLOSURE, comm, 8).holds
+
+    def test_marking_beyond_plant_is_a_model_error(self, line_comm):
+        # model files cannot express this; a hand-made automaton can
+        sid = next(
+            s for s in range(line_comm.num_states)
+            if line_comm.spec_reachable[s] and not line_comm.marked[s]
+        )
+        spec_marked = list(line_comm.spec_marked)
+        spec_marked[sid] = True
+        comm = dataclasses.replace(line_comm, spec_marked=spec_marked)
+        with pytest.raises(ModelError, match="marked in the specification"):
+            check_lm_closure(comm)
 
 
 class TestOracleAgreement:
