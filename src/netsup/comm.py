@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from . import channels as ch
 from .automata import TICK, TimedAutomaton, is_structural_subautomaton
@@ -48,7 +48,9 @@ class Lose:
     position: int
 
 
-CommEvent = Union[Plant, Deliver, Lose]
+# A PEP 604 union: typing.Union caches its arguments, which would pin every
+# imported copy of this module (and all it references) for good.
+CommEvent = Plant | Deliver | Lose
 
 PLANT_TICK = Plant(TICK)
 
@@ -97,9 +99,17 @@ class CommAutomaton:
     spec_marked: list[bool]
     spec_reachable: list[bool]
     initial: int = 0
+    _event_table: Optional["EventTable"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
     _observation_tables: dict[int, "ObservationTable"] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+
+    def __getstate__(self) -> dict:
+        # a copy (a deep one included) rebuilds the derived tables from its
+        # own transitions, so editing the copy's transitions is safe
+        return {**self.__dict__, "_event_table": None, "_observation_tables": {}}
 
     # -- basic accessors -------------------------------------------------
     @property
@@ -133,9 +143,16 @@ class CommAutomaton:
     def state_labels(self) -> list[str]:
         return [self.render_state(s) for s in range(self.num_states)]
 
+    def event_table(self) -> "EventTable":
+        """The transitions over dense event ids, built on first use and
+        cached; the transitions must not change afterwards."""
+        if self._event_table is None:
+            self._event_table = build_event_table(self.transitions)
+        return self._event_table
+
     def observation_table(self, i: int) -> "ObservationTable":
         """Supervisor ``i``'s view of every transition, built on first use
-        and cached; the transitions must not change afterwards."""
+        and cached like ``event_table``."""
         table = self._observation_tables.get(i)
         if table is None:
             table = self._observation_tables[i] = build_observation_table(self, i)
@@ -216,6 +233,56 @@ class SpecView:
 
     def is_marked(self, sid: int) -> bool:
         return self.comm.spec_marked[sid]
+
+    def event_table(self) -> "EventTable":
+        """The automaton's event table without the moves that leave the
+        specification."""
+        table = self.comm.event_table()
+        in_spec = self.comm.in_spec
+        return EventTable.of(table.events, [
+            [(e, t) for e, t in zip(row, dsts) if in_spec[t]]
+            for row, dsts in zip(table.ids, table.targets)
+        ])
+
+
+@dataclass(frozen=True)
+class EventTable:
+    """Moves over dense event ids.
+
+    ``events[k]`` is the event with id ``k``.  Ids follow ``event_key``, the
+    order in which ``build_comm_automaton`` explores a state's moves, so a
+    walk over a state's moves by id breaks BFS ties as a walk over its
+    ``transitions`` does.  ``ids[s]`` and ``targets[s]`` hold the moves of
+    state ``s`` in id order.  A closed loop and a specification restriction
+    share their automaton's ``events``.
+    """
+
+    events: tuple[CommEvent, ...]
+    ids: list[tuple[int, ...]]
+    targets: list[tuple[int, ...]]
+
+    @classmethod
+    def of(cls, events: tuple[CommEvent, ...], moves: list[list[tuple[int, int]]]) -> "EventTable":
+        """From each state's (event id, target) pairs in id order."""
+        return cls(events, [tuple(e for e, _ in m) for m in moves], [tuple(t for _, t in m) for m in moves])
+
+    def over(self, events: tuple[CommEvent, ...]) -> "EventTable":
+        """The same moves with ids into ``events``, a superset of this
+        table's events in ``event_key`` order."""
+        index = {event: k for k, event in enumerate(events)}
+        rename = [index[event] for event in self.events]
+        return EventTable(events, [tuple(rename[e] for e in row) for row in self.ids], self.targets)
+
+
+def build_event_table(transitions: list[dict[CommEvent, int]]) -> EventTable:
+    """Intern the events of ``transitions`` in ``event_key`` order."""
+    found: dict[CommEvent, int] = {}  # event -> order of first occurrence
+    moves = [[(found.setdefault(e, len(found)), t) for e, t in m.items()] for m in transitions]
+    events = tuple(sorted(found, key=event_key))
+    rank = [0] * len(events)
+    for k, event in enumerate(events):
+        rank[found[event]] = k
+    return EventTable.of(events, [sorted((rank[e], t) for e, t in m) for m in moves])
 
 
 def build_comm_automaton(
@@ -378,37 +445,34 @@ class ObservationTable:
 
     ``silent[s]`` holds the unobserved moves of state ``s`` and
     ``observed[s]`` maps each symbol observed at ``s`` to its moves, symbols
-    ordered like ``net.observation_alphabet``; moves keep the order of
-    ``transitions[s]``.  ``symbols`` maps every event to its observed symbol,
-    or None.
+    ordered like ``net.observation_alphabet``; moves are in event id order.
     """
 
     silent: list[tuple[Move, ...]]
     observed: list[dict[str, tuple[Move, ...]]]
-    symbols: dict[CommEvent, Optional[str]]
 
 
 def build_observation_table(comm: CommAutomaton, i: int) -> ObservationTable:
     """Tabulate ``observation_of`` for supervisor ``i`` over ``comm``."""
     net = comm.net
+    table = comm.event_table()
+    events = table.events
+    symbols = [observation_of(event, i, net) for event in events]
     rank = {symbol: k for k, symbol in enumerate(net.observation_alphabet(i))}
-    symbols: dict[CommEvent, Optional[str]] = {}
     silent: list[tuple[Move, ...]] = []
     observed: list[dict[str, tuple[Move, ...]]] = []
-    for moves in comm.transitions:
+    for row, dsts in zip(table.ids, table.targets):
         quiet: list[Move] = []
         grouped: dict[str, list[Move]] = {}
-        for event, dst in moves.items():
-            if event not in symbols:
-                symbols[event] = observation_of(event, i, net)
-            symbol = symbols[event]
+        for e, dst in zip(row, dsts):
+            symbol = symbols[e]
             if symbol is None:
-                quiet.append((event, dst))
+                quiet.append((events[e], dst))
             else:
-                grouped.setdefault(symbol, []).append((event, dst))
+                grouped.setdefault(symbol, []).append((events[e], dst))
         silent.append(tuple(quiet))
         observed.append({s: tuple(grouped[s]) for s in sorted(grouped, key=rank.__getitem__)})
-    return ObservationTable(silent, observed, symbols)
+    return ObservationTable(silent, observed)
 
 
 @dataclass(frozen=True)

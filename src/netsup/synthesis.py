@@ -11,7 +11,8 @@ the specification on it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .automata import (
@@ -22,11 +23,14 @@ from .automata import (
     validate_timed_assumptions,
 )
 from .comm import (
+    PLANT_TICK,
     CommAutomaton,
     CommEvent,
+    EventTable,
     Plant,
     build_comm_automaton,
     event_key,
+    observation_of,
 )
 from .errors import ModelError, ResourceLimitError
 from .network import NetworkConfig
@@ -144,26 +148,34 @@ class SupervisorMap:
         return self.enable[state]
 
 
-def synthesize_supervisor(comm: CommAutomaton, supervisor: int) -> SupervisorMap:
+def synthesize_supervisor(
+    comm: CommAutomaton, supervisor: int, *, max_states: int = 100_000
+) -> SupervisorMap:
     """Enable-sets from the observer: disable a controllable event exactly
     where some in-spec element of the observer state can exit the
-    specification on it."""
+    specification on it.  ``max_states`` bounds the observer."""
     net = comm.net
-    observer = build_observer(comm, supervisor)
-    own = net.alphabets[supervisor]
-    uncontrollable = own - net.controllable[supervisor]
+    observer = build_observer(comm, supervisor, max_states=max_states)
+    controllable = net.controllable[supervisor]
+    uncontrollable = net.alphabets[supervisor] - controllable
+    # per comm state, the controllable events whose move leaves the specification
+    table = comm.event_table()
+    names = [
+        event.event if isinstance(event, Plant) and event.event in controllable else None
+        for event in table.events
+    ]
+    exits: dict[int, set[str]] = {}
+    for sid, (row, dsts) in enumerate(zip(table.ids, table.targets)):
+        for e, dst in zip(row, dsts):
+            if names[e] is not None and not comm.in_spec[dst]:
+                exits.setdefault(sid, set()).add(names[e])
     enable: list[frozenset[str]] = []
     for element_set in observer.elements:
-        disabled = set()
-        for event in net.controllable[supervisor]:
-            for sid, flag in element_set:
-                if not flag:
-                    continue
-                dst = comm.target(sid, Plant(event))
-                if dst is not None and not comm.in_spec[dst]:
-                    disabled.add(event)
-                    break
-        enable.append(frozenset(uncontrollable | (net.controllable[supervisor] - disabled)))
+        disabled: set[str] = set()
+        for sid, flag in element_set:
+            if flag and sid in exits:
+                disabled |= exits[sid]
+        enable.append(frozenset(uncontrollable | (controllable - disabled)))
     return SupervisorMap(supervisor, observer, tuple(enable))
 
 
@@ -171,13 +183,22 @@ def synthesize_supervisor(comm: CommAutomaton, supervisor: int) -> SupervisorMap
 class ClosedLoop:
     """Synchronous product of the channel-augmented automaton with all
     observers; a controllable event needs every controlling supervisor's
-    enable, deliveries and losses always pass."""
+    enable, deliveries and losses always pass.
+
+    ``table`` holds the moves over the channel-augmented automaton's event
+    ids; ``transitions``, ``events_at`` and ``target`` key a state's moves by
+    event, built on first use of that state.
+    """
 
     comm: CommAutomaton
     supervisors: Sequence[SupervisorMap]
     keys: list[tuple[int, tuple[int, ...]]]
-    transitions: list[dict[CommEvent, int]]
+    table: EventTable
     initial: int = 0
+    _moves: list[Optional[dict[CommEvent, int]]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._moves = [None] * len(self.keys)  # filled by _moves_at
 
     @property
     def num_states(self) -> int:
@@ -187,11 +208,28 @@ class ClosedLoop:
     def initial_state(self) -> int:
         return self.initial
 
+    @cached_property
+    def transitions(self) -> list[dict[CommEvent, int]]:
+        return [self._moves_at(sid) for sid in range(self.num_states)]
+
+    def _moves_at(self, sid: int) -> dict[CommEvent, int]:
+        """The moves of state ``sid`` keyed by event, built on first use."""
+        moves = self._moves[sid]
+        if moves is None:
+            events = self.table.events
+            moves = self._moves[sid] = {
+                events[e]: t for e, t in zip(self.table.ids[sid], self.table.targets[sid])
+            }
+        return moves
+
+    def event_table(self) -> EventTable:
+        return self.table
+
     def events_at(self, sid: int) -> tuple[CommEvent, ...]:
-        return tuple(self.transitions[sid])
+        return tuple(self._moves[sid] or self._moves_at(sid))
 
     def target(self, sid: int, event: CommEvent) -> Optional[int]:
-        return self.transitions[sid].get(event)
+        return (self._moves[sid] or self._moves_at(sid)).get(event)
 
     def is_marked(self, sid: int) -> bool:
         return self.comm.marked[self.keys[sid][0]]
@@ -200,30 +238,26 @@ class ClosedLoop:
         return self.keys[sid][0]
 
 
-Watchers = tuple[tuple[int, str], ...]  # (supervisor, observed symbol) per move
+Watchers = tuple[tuple[int, str], ...]  # (supervisor, observed symbol) pairs
 
 
-def _watchers(comm: CommAutomaton) -> list[tuple[Watchers, ...]]:
-    """Per state, aligned with its transitions: which supervisors observe
-    each move, and as what symbol."""
-    tables = [comm.observation_table(i) for i in range(comm.net.n)]
+def _watchers(events: tuple[CommEvent, ...], net: NetworkConfig) -> list[Watchers]:
+    """Per event id, the supervisors that observe the event and as what."""
     return [
-        tuple(
-            tuple((i, t.symbols[event]) for i, t in enumerate(tables) if t.symbols[event] is not None)
-            for event in moves
-        )
-        for moves in comm.transitions
+        tuple((i, s) for i in range(net.n) if (s := observation_of(event, i, net)) is not None)
+        for event in events
     ]
 
 
-def _advance(
-    supervisors: Sequence[SupervisorMap], obs_states: tuple[int, ...], watchers: Watchers
+def _step(
+    steps: list[list[dict[str, int]]], obs_states: tuple[int, ...], watchers: Watchers
 ) -> tuple[int, ...]:
-    """Every observer's state after a move; raises ValueError when an
-    observer has no move for a symbol its supervisor observes."""
+    """Every observer's state after a move, ``steps[i]`` being observer
+    ``i``'s transitions; raises ValueError when an observer has no move for
+    a symbol its supervisor observes."""
     advanced = list(obs_states)
     for i, symbol in watchers:
-        nxt = supervisors[i].observer.step(obs_states[i], symbol)
+        nxt = steps[i][obs_states[i]].get(symbol)
         if nxt is None:
             raise ValueError(
                 f"observer of supervisor {i + 1} does not cover every run:"
@@ -233,39 +267,59 @@ def _advance(
     return tuple(advanced)
 
 
-def closed_loop(comm: CommAutomaton, supervisors: Sequence[SupervisorMap]) -> ClosedLoop:
-    """Build the controlled behavior under a supervisor set."""
+def closed_loop(
+    comm: CommAutomaton, supervisors: Sequence[SupervisorMap], *, max_states: int = 500_000
+) -> ClosedLoop:
+    """Build the controlled behavior under a supervisor set; ``max_states``
+    bounds it."""
     net = comm.net
     if len(supervisors) != net.n:
         raise ValueError(f"expected {net.n} supervisors, got {len(supervisors)}")
-    watch = _watchers(comm)
-    controllable = net.globally_controllable
-    initial_key = (comm.initial, tuple(s.observer.initial for s in supervisors))
+    table = comm.event_table()
+    ids, targets = table.ids, table.targets
+    watch = _watchers(table.events, net)
+    steps = [sup.observer.transitions for sup in supervisors]
+    # for each supervisor that disables something: per observer state, the
+    # ids of the events it must enable (controllable plant events it
+    # controls) but does not
+    disabling = []
+    for i, sup in enumerate(supervisors):
+        own = [
+            (e, event.event) for e, event in enumerate(table.events)
+            if isinstance(event, Plant) and event.event in net.globally_controllable
+            and i in net.controllers(event.event)
+        ]
+        disabled = [frozenset(e for e, name in own if name not in enable) for enable in sup.enable]
+        if any(disabled):
+            disabling.append((i, disabled))
+    initial_key = (comm.initial, tuple(sup.observer.initial for sup in supervisors))
     index = {initial_key: 0}
     keys = [initial_key]
-    transitions: list[dict[CommEvent, int]] = [{}]
-    queue = deque([0])
-    while queue:
-        sid = queue.popleft()
-        x, obs_states = keys[sid]
-        for (event, dst), watchers in zip(comm.transitions[x].items(), watch[x]):
-            if isinstance(event, Plant) and event.event in controllable:
-                controllers = net.controllers(event.event)
-                if not all(
-                    event.event in supervisors[i].enable[obs_states[i]] for i in controllers
-                ):
-                    continue
-            advanced = _advance(supervisors, obs_states, watchers) if watchers else obs_states
-            key = (dst, advanced)
+    loop_ids: list[tuple[int, ...]] = []
+    loop_targets: list[tuple[int, ...]] = []
+    for x, obs_states in keys:  # keys grows while it is walked: breadth-first
+        blocked: frozenset[int] = frozenset()
+        for i, disabled in disabling:
+            blocked = blocked | disabled[obs_states[i]]
+        row: list[int] = []
+        dsts: list[int] = []
+        for e, dst in zip(ids[x], targets[x]):
+            if e in blocked:
+                continue
+            watchers = watch[e]
+            key = (dst, _step(steps, obs_states, watchers) if watchers else obs_states)
             tid = index.get(key)
             if tid is None:
                 tid = len(keys)
+                if tid >= max_states:
+                    raise ResourceLimitError(f"closed loop exceeds {max_states} states")
                 index[key] = tid
                 keys.append(key)
-                transitions.append({})
-                queue.append(tid)
-            transitions[sid][event] = tid
-    return ClosedLoop(comm, list(supervisors), keys, transitions)
+            row.append(e)
+            dsts.append(tid)
+        loop_ids.append(tuple(row))
+        loop_targets.append(tuple(dsts))
+    return ClosedLoop(comm, list(supervisors), keys, EventTable(table.events, loop_ids, loop_targets))
 
 
 @dataclass(frozen=True)
@@ -282,102 +336,149 @@ class LanguageVerdict:
         return self.generated_equal and self.marked_equal
 
 
-def language_equal(a, b) -> LanguageVerdict:
+def language_equal(a, b, *, max_states: int = 500_000) -> LanguageVerdict:
     """Exact equality of generated and marked languages of two deterministic
-    structures sharing a label universe.
+    structures over channel-augmented events: a CommAutomaton, its
+    SpecView or a ClosedLoop (anything with ``event_table``,
+    ``initial_state`` and ``is_marked``).
 
     Walks the synchronized product, following one-sided continuations so a
     generated-language difference cannot mask a marked-language difference.
-    Distinguishing strings are shortest (BFS).
+    Distinguishing strings are shortest (BFS, ties broken by event id);
+    ``max_states`` bounds the product.
     """
-    DEAD = -1
-    start = (a.initial_state, b.initial_state)
-    seen = {start}
-    queue: deque[tuple[tuple[int, int], tuple[CommEvent, ...]]] = deque([(start, ())])
-    diff_generated: Optional[tuple[CommEvent, ...]] = None
-    diff_marked: Optional[tuple[CommEvent, ...]] = None
-    while queue:
-        (sa, sb), string = queue.popleft()
-        marked_a = sa != DEAD and a.is_marked(sa)
-        marked_b = sb != DEAD and b.is_marked(sb)
-        if marked_a != marked_b and diff_marked is None:
-            diff_marked = string
-        events_a = set(a.events_at(sa)) if sa != DEAD else set()
-        events_b = set(b.events_at(sb)) if sb != DEAD else set()
-        for event in sorted(events_a | events_b, key=event_key):
-            ta = a.target(sa, event) if sa != DEAD else None
-            tb = b.target(sb, event) if sb != DEAD else None
-            if (ta is None) != (tb is None) and diff_generated is None and DEAD not in (sa, sb):
+    table_a, table_b = a.event_table(), b.event_table()
+    events = table_a.events
+    if table_b.events is not events and table_b.events != events:
+        events = tuple(sorted(set(events) | set(table_b.events), key=event_key))
+        table_a, table_b = table_a.over(events), table_b.over(events)
+    ids_a, targets_a, ids_b, targets_b = table_a.ids, table_a.targets, table_b.ids, table_b.targets
+    # a pair (sa, sb) with -1 for a side that has left its language
+    width = len(ids_b) + 1
+    pairs = [(a.initial_state, b.initial_state)]
+    seen = {(a.initial_state + 1) * width + b.initial_state + 1}
+    parent = [-1]
+    via = [-1]  # event id the pair was discovered on
+    diff_generated: Optional[tuple[int, int]] = None  # (pair, event id)
+    diff_marked: Optional[int] = None  # pair
+    for k, (sa, sb) in enumerate(pairs):  # pairs grows while it is walked
+        if diff_marked is None and (sa >= 0 and a.is_marked(sa)) != (sb >= 0 and b.is_marked(sb)):
+            diff_marked = k
+        row_a, dsts_a = (ids_a[sa], targets_a[sa]) if sa >= 0 else ((), ())
+        row_b, dsts_b = (ids_b[sb], targets_b[sb]) if sb >= 0 else ((), ())
+        if row_a == row_b:
+            moves: Iterable[tuple[int, int, int]] = zip(row_a, dsts_a, dsts_b)
+        else:
+            to_a, to_b = dict(zip(row_a, dsts_a)), dict(zip(row_b, dsts_b))
+            moves = [(e, to_a.get(e, -1), to_b.get(e, -1)) for e in sorted(to_a.keys() | to_b.keys())]
+            if diff_generated is None and sa >= 0 and sb >= 0:
                 # one-sided definedness seen from a common prefix
-                pass_string = string + (event,)
-                diff_generated = pass_string
-            nxt = (ta if ta is not None else DEAD, tb if tb is not None else DEAD)
-            if nxt == (DEAD, DEAD):
-                continue
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, string + (event,)))
+                diff_generated = next((k, e) for e, ta, tb in moves if ta < 0 or tb < 0)
+        for e, ta, tb in moves:
+            key = (ta + 1) * width + tb + 1
+            if key not in seen:
+                if len(pairs) >= max_states:
+                    raise ResourceLimitError(
+                        f"language comparison product exceeds {max_states} states"
+                    )
+                seen.add(key)
+                pairs.append((ta, tb))
+                parent.append(k)
+                via.append(e)
         if diff_generated is not None and diff_marked is not None:
             break
+
+    def string_to(k: int) -> tuple[CommEvent, ...]:
+        out: list[CommEvent] = []
+        while parent[k] >= 0:
+            out.append(events[via[k]])
+            k = parent[k]
+        return tuple(reversed(out))
+
     return LanguageVerdict(
-        diff_generated is None, diff_marked is None, diff_generated, diff_marked
+        diff_generated is None,
+        diff_marked is None,
+        None if diff_generated is None
+        else string_to(diff_generated[0]) + (events[diff_generated[1]],),
+        None if diff_marked is None else string_to(diff_marked),
     )
 
 
 def check_admissibility(
-    supervisors: Sequence[SupervisorMap], comm: CommAutomaton
+    supervisors: Sequence[SupervisorMap], comm: CommAutomaton, *, max_states: int = 500_000
 ) -> Verdict:
     """A supervisor set is admissible iff, along every in-spec run:
 
     1. no supervisor ever disables one of its uncontrollable events;
     2. when tick is possible and no enforceable event is active inside the
        specification, every supervisor keeps tick enabled.
+
+    ``max_states`` bounds the product of in-spec runs with the observers.
     """
     net = comm.net
-    watch = _watchers(comm)
-    strings = comm.shortest_strings(within_spec=True)
-    initial_key = (comm.initial, tuple(s.observer.initial for s in supervisors))
-    index = {initial_key: 0}
+    table = comm.event_table()
+    ids, targets, in_spec = table.ids, table.targets, comm.in_spec
+    watch = _watchers(table.events, net)
+    steps = [sup.observer.transitions for sup in supervisors]
+    # per observer state, for each supervisor that violates a condition
+    # somewhere: the first uncontrollable event it disables there, and
+    # whether it disables tick there
+    first_disabled = []
+    drops_tick = []
+    for i, sup in enumerate(supervisors):
+        first = [min(net.alphabets[i] - net.controllable[i] - enable, default=None) for enable in sup.enable]
+        drops = [TICK not in enable for enable in sup.enable]
+        if any(event is not None for event in first):
+            first_disabled.append((i, first))
+        if any(drops):
+            drops_tick.append((i, drops))
+    # per comm state: tick possible, and no enforceable event active in the spec
+    tick_critical: list[bool] = []
+    if drops_tick:
+        tick = 0 if table.events and table.events[0] == PLANT_TICK else -1
+        enforcing = {
+            e for e, event in enumerate(table.events)
+            if isinstance(event, Plant) and event.event in net.enforceable
+        }
+        tick_critical = [
+            bool(row) and row[0] == tick
+            and not any(e in enforcing and in_spec[t] for e, t in zip(row, dsts))
+            for row, dsts in zip(ids, targets)
+        ]
+
+    def violation(condition: Condition, x: int, event: str, i: int, detail: str) -> Verdict:
+        mu = comm.shortest_strings(within_spec=True)[x]
+        return Verdict(condition, False, Witness(mu=mu, sigma=event, supervisor=i), detail=detail)
+
+    initial_key = (comm.initial, tuple(sup.observer.initial for sup in supervisors))
+    seen = {initial_key}
     keys = [initial_key]
-    queue = deque([0])
-    while queue:
-        sid = queue.popleft()
-        x, obs_states = keys[sid]
-        for i, sup in enumerate(supervisors):
-            missing = (net.alphabets[i] - net.controllable[i]) - sup.enable[obs_states[i]]
-            if missing:
-                event = sorted(missing)[0]
-                return Verdict(
-                    Condition.ADM_UNCONTROLLABLE,
-                    False,
-                    Witness(mu=strings[x], sigma=event, supervisor=i),
-                    detail=f"supervisor {i + 1} disables uncontrollable {event!r}",
+    for x, obs_states in keys:  # keys grows while it is walked: breadth-first
+        for i, first in first_disabled:
+            event = first[obs_states[i]]
+            if event is not None:
+                return violation(
+                    Condition.ADM_UNCONTROLLABLE, x, event, i,
+                    f"supervisor {i + 1} disables uncontrollable {event!r}",
                 )
-        tick_possible = comm.target(x, Plant(TICK)) is not None
-        enforceable_active = any(
-            isinstance(ev, Plant) and ev.event in net.enforceable and comm.in_spec[t]
-            for ev, t in comm.transitions[x].items()
-        )
-        if tick_possible and not enforceable_active:
-            for i, sup in enumerate(supervisors):
-                if TICK not in sup.enable[obs_states[i]]:
-                    return Verdict(
-                        Condition.ADM_TICK,
-                        False,
-                        Witness(mu=strings[x], sigma=TICK, supervisor=i),
-                        detail=f"supervisor {i + 1} disables tick with no enforceable"
-                        " event available",
+        if drops_tick and tick_critical[x]:
+            for i, drops in drops_tick:
+                if drops[obs_states[i]]:
+                    return violation(
+                        Condition.ADM_TICK, x, TICK, i,
+                        f"supervisor {i + 1} disables tick with no enforceable event available",
                     )
         # explore in-spec runs only
-        for dst, watchers in zip(comm.transitions[x].values(), watch[x]):
-            if not comm.in_spec[dst]:
+        for e, dst in zip(ids[x], targets[x]):
+            if not in_spec[dst]:
                 continue
-            advanced = _advance(supervisors, obs_states, watchers) if watchers else obs_states
-            key = (dst, advanced)
-            if key not in index:
-                index[key] = len(keys)
+            watchers = watch[e]
+            key = (dst, _step(steps, obs_states, watchers) if watchers else obs_states)
+            if key not in seen:
+                if len(keys) >= max_states:
+                    raise ResourceLimitError(f"admissibility product exceeds {max_states} states")
+                seen.add(key)
                 keys.append(key)
-                queue.append(index[key])
     return Verdict(Condition.ADM_UNCONTROLLABLE, True)
 
 
@@ -473,11 +574,13 @@ def solve_control_problem(
         diagnostic=diagnostic and not solvable,
     )
     if solvable or diagnostic:
-        supervisors = [synthesize_supervisor(comm, i) for i in range(net.n)]
-        loop = closed_loop(comm, supervisors)
+        supervisors = [
+            synthesize_supervisor(comm, i, max_states=max_states) for i in range(net.n)
+        ]
+        loop = closed_loop(comm, supervisors, max_states=max_states)
         report.supervisors = supervisors
-        report.admissibility = check_admissibility(supervisors, comm)
-        report.language = language_equal(loop, comm.spec_view())
+        report.admissibility = check_admissibility(supervisors, comm, max_states=max_states)
+        report.language = language_equal(loop, comm.spec_view(), max_states=max_states)
         report.loop = loop
         report.nonblocking = spec_nonblocking(comm)
         for i, sup in enumerate(supervisors):

@@ -58,7 +58,6 @@ def check_network_controllability(comm: CommAutomaton) -> Verdict:
     """
     net = comm.net
     uncontrollable = sorted(net.uncontrollable, key=lambda e: (e != TICK, e))
-    strings = comm.shortest_strings(within_spec=True)
     for sid in range(comm.num_states):
         if not comm.spec_reachable[sid]:
             continue
@@ -68,7 +67,7 @@ def check_network_controllability(comm: CommAutomaton) -> Verdict:
                 return Verdict(
                     Condition.NET_CTRL_1,
                     False,
-                    Witness(mu=strings[sid], sigma=event),
+                    Witness(mu=comm.shortest_strings(within_spec=True)[sid], sigma=event),
                     detail=f"uncontrollable {event!r} exits the specification at {comm.render_state(sid)}",
                 )
     for sid in range(comm.num_states):
@@ -85,7 +84,7 @@ def check_network_controllability(comm: CommAutomaton) -> Verdict:
             return Verdict(
                 Condition.NET_CTRL_2,
                 False,
-                Witness(mu=strings[sid], sigma=TICK),
+                Witness(mu=comm.shortest_strings(within_spec=True)[sid], sigma=TICK),
                 detail=f"tick exits the specification at {comm.render_state(sid)}"
                 " and no enforceable event can preempt it",
             )
@@ -238,17 +237,14 @@ def check_lm_closure(comm: CommAutomaton) -> Verdict:
     """The specification's marked language must equal its language intersected
     with the full marked language.  With inherited marking this holds by
     construction; an explicit marking override can break it."""
-    strings = None
     for sid in range(comm.num_states):
         if not comm.spec_reachable[sid]:
             continue
         if comm.marked[sid] and not comm.spec_marked[sid]:
-            if strings is None:
-                strings = comm.shortest_strings(within_spec=True)
             return Verdict(
                 Condition.LM_CLOSURE,
                 False,
-                Witness(mu=strings[sid]),
+                Witness(mu=comm.shortest_strings(within_spec=True)[sid]),
                 detail=f"state {comm.render_state(sid)} is marked in the full automaton"
                 " but not in the specification",
             )

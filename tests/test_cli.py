@@ -2,7 +2,7 @@
 
 import json
 
-from netsup import cli
+from netsup import cli, synthesis
 from netsup.cli import main
 from netsup.errors import ResourceLimitError
 
@@ -57,6 +57,19 @@ class TestExitCodes:
         assert err == "error: twin product for supervisor 1 exceeds 5 states\n"
 
 
+    def test_synthesis_budget_overflow_exits_two(self, capsys, models_dir, monkeypatch):
+        real = synthesis.closed_loop
+
+        def small_budget(*args, **kwargs):
+            return real(*args, **{**kwargs, "max_states": 5})
+
+        monkeypatch.setattr(synthesis, "closed_loop", small_budget)
+        code, out, err = run(capsys, "solve", fixture_path(models_dir))
+        assert code == 2
+        assert out == ""
+        assert err == "error: closed loop exceeds 5 states\n"
+
+
 class TestJsonOutputs:
     def test_solve_json_shape(self, capsys, models_dir):
         code, out, _ = run(capsys, "solve", fixture_path(models_dir), "--format", "json")
@@ -106,6 +119,29 @@ class TestJsonOutputs:
         assert payload["states"] == 28
         assert payload["spec_states"] == 23
         assert payload["initial"] == "(0,ε,ε)"
+
+
+    def test_diagnostic_language_witnesses(self, capsys, models_dir, tmp_path):
+        """Delays 1->2 = 1 and 2->1 = 6 with --diagnostic: the synthesized
+        set is admissible, but its closed loop differs from the
+        specification; both BFS-shortest witnesses are pinned."""
+        doc = json.loads((models_dir / "production_line.json").read_text())
+        for channel in doc["network"]["channels"]:
+            channel["delay_bound"] = {(1, 2): 1, (2, 1): 6}[(channel["from"], channel["to"])]
+        path = tmp_path / "line_unsolvable.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "solve", str(path), "--format", "json", "--diagnostic")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["admissibility"]["holds"]
+        assert payload["sizes"]["closed_loop_states"] == 3408
+        cycle = ["a1", "tick", "b1", "f12(a1)", "tick", "a2", "f12(b1)", "tick", "b2", "tick"]
+        assert payload["language_equal"] == {
+            "generated": False,
+            "marked": False,
+            "distinguishing_generated": cycle + ["a1"],
+            "distinguishing_marked": cycle + cycle,
+        }
 
 
 class TestDeterminism:

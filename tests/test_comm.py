@@ -1,5 +1,6 @@
 """Channel-augmented automaton: construction, projections, equivalence."""
 
+import copy
 import random
 
 import pytest
@@ -270,6 +271,28 @@ class TestEventOrderAndRendering:
         for sid in range(line_comm.num_states):
             events = list(line_comm.events_at(sid))
             assert events == sorted(events, key=event_key)
+
+
+    def test_event_table_lists_moves_in_exploration_order(self, line_comm):
+        """Ids follow event_key, and each state's moves by id are its
+        transitions in exploration order."""
+        for comm in [line_comm] + [random_instance(seed).comm for seed in range(20)]:
+            table = comm.event_table()
+            assert list(table.events) == sorted(set(table.events), key=event_key)
+            for sid, moves in enumerate(comm.transitions):
+                by_id = [(table.events[e], t) for e, t in zip(table.ids[sid], table.targets[sid])]
+                assert by_id == list(moves.items())
+
+    def test_copies_rebuild_derived_tables(self, line_model):
+        comm = build_comm_automaton(line_model.plant, line_model.spec, line_model.network)
+        table = comm.event_table()
+        observed = comm.observation_table(0)
+        clone = copy.deepcopy(comm)
+        event = next(iter(clone.transitions[0]))
+        del clone.transitions[0][event]
+        assert len(clone.event_table().ids[0]) == len(table.ids[0]) - 1
+        assert clone.observation_table(0) is not observed
+        assert comm.event_table() is table
 
 
 class TestResourceGuards:

@@ -6,11 +6,13 @@ import random
 
 import pytest
 
+from netsup import synthesis
 from netsup.automata import TICK
 from netsup.comm import Plant, build_comm_automaton, project_observation
+from netsup.errors import ResourceLimitError
 from netsup.network import NetworkConfig
 from netsup.oracle import brute_closed_loop, enumerate_language
-from netsup.randgen import random_instance
+from netsup.randgen import GeneratorParams, random_instance
 from netsup.synthesis import (
     SupervisorMap,
     build_observer,
@@ -264,6 +266,43 @@ class TestClosedLoop:
             assert direct.strings == recursive.strings
             assert direct.marked == recursive.marked
 
+    def test_loop_agrees_with_recursive_definition_three_supervisors(self):
+        params = GeneratorParams(n=3, max_comm_states=150)
+        for seed in range(20):
+            inst = random_instance(seed, params)
+            sups = [synthesize_supervisor(inst.comm, i) for i in range(3)]
+            loop = closed_loop(inst.comm, sups)
+            direct = enumerate_language(loop, 5)
+            recursive = brute_closed_loop(inst.comm, sups, 5)
+            assert direct.strings == recursive.strings
+            assert direct.marked == recursive.marked
+
+    def test_language_witnesses_are_shortest(self):
+        """Each distinguishing string separates the two languages, and the
+        languages agree on every shorter string (bounded enumeration)."""
+        checked = 0
+        for seed in range(80):
+            inst = random_instance(seed)
+            comm = inst.comm
+            sups = [synthesize_supervisor(comm, i) for i in range(inst.net.n)]
+            loop = closed_loop(comm, sups)
+            for a, b in ((loop, comm.spec_view()), (comm, loop)):
+                verdict = language_equal(a, b)
+                for witness, kind in (
+                    (verdict.diff_generated, "strings"), (verdict.diff_marked, "marked")
+                ):
+                    if witness is None:
+                        continue
+                    checked += 1
+                    n = len(witness)
+                    in_a = witness in getattr(enumerate_language(a, n), kind)
+                    in_b = witness in getattr(enumerate_language(b, n), kind)
+                    assert in_a != in_b
+                    if n:
+                        shorter_a = getattr(enumerate_language(a, n - 1), kind)
+                        assert shorter_a == getattr(enumerate_language(b, n - 1), kind)
+        assert checked >= 50
+
     def test_no_out_of_spec_states_when_conditions_hold(self):
         checked = 0
         for seed in range(60):
@@ -281,6 +320,54 @@ class TestClosedLoop:
             for sid in range(loop.num_states):
                 assert comm.in_spec[loop.comm_state(sid)]
         assert checked >= 10
+
+
+class TestBudgets:
+    """Every synthesis-stage construction stops at its state budget and
+    names itself; a budget that fits exactly passes."""
+
+    def test_observer_budget(self, line_report):
+        comm = line_report.comm
+        size = line_report.sizes["observer_1_states"]
+        with pytest.raises(ResourceLimitError, match=f"observer for supervisor 1 exceeds {size - 1} states"):
+            synthesize_supervisor(comm, 0, max_states=size - 1)
+        assert synthesize_supervisor(comm, 0, max_states=size).observer.num_states == size
+
+    def test_closed_loop_budget(self, line_report):
+        comm, sups = line_report.comm, line_report.supervisors
+        size = line_report.loop.num_states
+        with pytest.raises(ResourceLimitError, match=f"closed loop exceeds {size - 1} states"):
+            closed_loop(comm, sups, max_states=size - 1)
+        assert closed_loop(comm, sups, max_states=size).num_states == size
+
+    def test_admissibility_budget(self, line_report):
+        comm, sups = line_report.comm, line_report.supervisors
+        with pytest.raises(ResourceLimitError, match="admissibility product exceeds 5 states"):
+            check_admissibility(sups, comm, max_states=5)
+        assert check_admissibility(sups, comm, max_states=line_report.loop.num_states).holds
+
+    def test_language_budget(self, line_report):
+        loop, spec = line_report.loop, line_report.comm.spec_view()
+        with pytest.raises(ResourceLimitError, match="language comparison product exceeds 5 states"):
+            language_equal(loop, spec, max_states=5)
+        assert language_equal(loop, spec, max_states=loop.num_states).equal
+
+    def test_solve_passes_its_budget_to_every_stage(self, line_model, monkeypatch):
+        budgets = {}
+        for name in ("synthesize_supervisor", "closed_loop", "check_admissibility", "language_equal"):
+            def spy(*args, _real=getattr(synthesis, name), _name=name, **kwargs):
+                budgets.setdefault(_name, set()).add(kwargs.get("max_states"))
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(synthesis, name, spy)
+        report = solve_control_problem(
+            line_model.plant, line_model.spec, line_model.network, max_states=1234
+        )
+        assert report.verified
+        assert budgets == {
+            name: {1234}
+            for name in ("synthesize_supervisor", "closed_loop", "check_admissibility", "language_equal")
+        }
 
 
 class TestSolvePipeline:
