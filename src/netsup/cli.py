@@ -9,6 +9,7 @@ scripts can tell model defects from negative verdicts.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -24,7 +25,7 @@ from .modelio import (
     load_model,
     model_to_dict,
 )
-from .oracle import brute_check, brute_closed_loop, enumerate_language
+from .oracle import agreement_for_seed
 from .randgen import random_instance
 from .simulation import render_trace, simulate
 from .synthesis import (
@@ -34,7 +35,6 @@ from .synthesis import (
     synthesize_supervisor,
 )
 from .verification import (
-    Condition,
     Verdict,
     check_lm_closure,
     check_network_controllability,
@@ -281,49 +281,15 @@ def cmd_export_dot(args) -> int:
     return 0
 
 
-def _agreement_for_seed(payload: tuple[int, int]) -> dict:
-    """Compare engine verdicts and closed-loop language against the brute
-    oracle for one seeded instance."""
-    seed, bound = payload
-    inst = random_instance(seed)
-    comm = inst.comm
-    oracle_ctrl = (
-        brute_check(Condition.NET_CTRL_1, comm, bound).holds
-        and brute_check(Condition.NET_CTRL_2, comm, bound).holds
-    )
-    engine = [
-        ("NetworkControllability", check_network_controllability(comm).holds, oracle_ctrl),
-        (
-            "NetworkJointObservability",
-            check_network_joint_observability(comm).holds,
-            brute_check(Condition.NET_JOINT_OBS, comm, bound).holds,
-        ),
-        (
-            "LmClosure",
-            check_lm_closure(comm).holds,
-            brute_check(Condition.LM_CLOSURE, comm, bound).holds,
-        ),
-    ]
-    disagreements = [name for name, engine_holds, oracle_holds in engine
-                     if engine_holds != oracle_holds]
-    sups = [synthesize_supervisor(comm, i) for i in range(inst.net.n)]
-    loop_language = enumerate_language(closed_loop(comm, sups), bound)
-    brute_language = brute_closed_loop(comm, sups, bound)
-    if (
-        loop_language.strings != brute_language.strings
-        or loop_language.marked != brute_language.marked
-    ):
-        disagreements.append("ClosedLoopLanguage")
-    return {"seed": seed, "disagreements": disagreements, "comm_states": comm.num_states}
-
-
 def cmd_oracle(args) -> int:
-    seeds = [(args.seed + k, args.bound) for k in range(args.instances)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_agreement_for_seed, seeds))
+    seeds = range(args.seed, args.seed + args.instances)
+    bounds = [args.bound] * args.instances
+    jobs = min(args.jobs, os.cpu_count() or 1)
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(agreement_for_seed, seeds, bounds))
     else:
-        results = [_agreement_for_seed(s) for s in seeds]
+        results = list(map(agreement_for_seed, seeds, bounds))
     failures = [r for r in results if r["disagreements"]]
     for failure in failures:
         inst = random_instance(failure["seed"])
@@ -396,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--instances", type=int, default=20)
     p.add_argument("--bound", type=int, default=8)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at most the number of CPUs")
     p.add_argument("--artifacts", default="oracle-failures",
                    help="directory for disagreement model dumps")
     return parser

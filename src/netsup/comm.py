@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import channels as ch
 from .automata import TICK, TimedAutomaton, is_structural_subautomaton
@@ -23,25 +23,32 @@ from .errors import ChannelOverflowError, ModelError, ResourceLimitError
 from .network import NetworkConfig
 
 
-@dataclass(frozen=True)
-class Plant:
-    """A plant event occurring in the system (tick included)."""
+class Plant(NamedTuple):
+    """A plant event occurring in the system (tick included).
+
+    Events are named tuples, so hashing and equality run in C; like any
+    tuple, an event equals a plain tuple with the same fields.
+    """
 
     event: str
 
 
-@dataclass(frozen=True)
-class Deliver:
-    """Channel (sender, receiver) hands its front event to the receiver."""
+class Deliver(NamedTuple):
+    """Channel (sender, receiver) hands its front event to the receiver.
+
+    Equals a plain tuple with the same fields, like every event.
+    """
 
     sender: int
     receiver: int
     event: str
 
 
-@dataclass(frozen=True)
-class Lose:
-    """The ``position``-th entry (1-based) of channel (sender, receiver) is lost."""
+class Lose(NamedTuple):
+    """The ``position``-th entry (1-based) of channel (sender, receiver) is lost.
+
+    Equals a plain tuple with the same fields, like every event.
+    """
 
     sender: int
     receiver: int

@@ -14,8 +14,16 @@ from typing import Sequence
 
 from .automata import TICK
 from .comm import CommAutomaton, CommEvent, Plant, project_observation
-from .synthesis import SupervisorMap
-from .verification import Condition, Verdict, Witness
+from .randgen import random_instance
+from .synthesis import SupervisorMap, closed_loop, synthesize_supervisor
+from .verification import (
+    Condition,
+    Verdict,
+    Witness,
+    check_lm_closure,
+    check_network_controllability,
+    check_network_joint_observability,
+)
 
 
 @dataclass(frozen=True)
@@ -165,11 +173,24 @@ def brute_closed_loop(
     event at a time, admitting a controllable event only when every
     controlling supervisor's command after its own observation enables it.
 
-    Commands are recomputed per string by projecting the observation and
-    running the observer on it, independently of the closed-loop product.
+    Commands come from projecting the string's observation and running the
+    observer on it, independently of the closed-loop product.  A string's
+    observation and command are computed at most once per supervisor, when a
+    controllable move first needs them, and each distinct observation is
+    run through a supervisor's observer at most once per call.
     """
     net = comm.net
-    controllable = net.globally_controllable
+    controllers = {e: net.controllers(e) for e in net.globally_controllable}
+    commands: list[dict[tuple[str, ...], frozenset[str]]] = [{} for _ in supervisors]
+
+    def command(mu: tuple[CommEvent, ...], i: int) -> frozenset[str]:
+        """Supervisor ``i``'s command after ``mu``, memoised by observation."""
+        observation = project_observation(mu, i, net)
+        enabled = commands[i].get(observation)
+        if enabled is None:
+            enabled = commands[i][observation] = supervisors[i].command(observation)
+        return enabled
+
     strings = set()
     marked = set()
     frontier: list[tuple[tuple[CommEvent, ...], int]] = [((), comm.initial)]
@@ -181,15 +202,52 @@ def brute_closed_loop(
                 marked.add(mu)
             if length == bound:
                 continue
+            issued: dict[int, frozenset[str]] = {}
             for event, dst in comm.transitions[sid].items():
-                if isinstance(event, Plant) and event.event in controllable:
-                    allowed = all(
-                        event.event
-                        in supervisors[i].command(project_observation(mu, i, net))
-                        for i in net.controllers(event.event)
-                    )
-                    if not allowed:
-                        continue
-                nxt.append((mu + (event,), dst))
+                if isinstance(event, Plant) and event.event in controllers:
+                    for i in controllers[event.event]:
+                        if i not in issued:
+                            issued[i] = command(mu, i)
+                        if event.event not in issued[i]:
+                            break
+                    else:
+                        nxt.append((mu + (event,), dst))
+                else:
+                    nxt.append((mu + (event,), dst))
         frontier = nxt
     return BoundedLanguage(frozenset(strings), frozenset(marked), bound)
+
+
+def agreement_for_seed(seed: int, bound: int) -> dict:
+    """Compare the engine's verdicts and closed-loop language with the
+    oracle's at ``bound`` on the seeded random instance ``seed``; lists the
+    names of the properties they disagree on."""
+    comm = random_instance(seed).comm
+    oracle_ctrl = (
+        brute_check(Condition.NET_CTRL_1, comm, bound).holds
+        and brute_check(Condition.NET_CTRL_2, comm, bound).holds
+    )
+    engine = [
+        ("NetworkControllability", check_network_controllability(comm).holds, oracle_ctrl),
+        (
+            "NetworkJointObservability",
+            check_network_joint_observability(comm).holds,
+            brute_check(Condition.NET_JOINT_OBS, comm, bound).holds,
+        ),
+        (
+            "LmClosure",
+            check_lm_closure(comm).holds,
+            brute_check(Condition.LM_CLOSURE, comm, bound).holds,
+        ),
+    ]
+    disagreements = [name for name, engine_holds, oracle_holds in engine
+                     if engine_holds != oracle_holds]
+    sups = [synthesize_supervisor(comm, i) for i in range(comm.net.n)]
+    loop_language = enumerate_language(closed_loop(comm, sups), bound)
+    brute_language = brute_closed_loop(comm, sups, bound)
+    if (
+        loop_language.strings != brute_language.strings
+        or loop_language.marked != brute_language.marked
+    ):
+        disagreements.append("ClosedLoopLanguage")
+    return {"seed": seed, "disagreements": disagreements, "comm_states": comm.num_states}

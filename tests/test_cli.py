@@ -228,6 +228,34 @@ class TestParallelOracle:
         assert code_serial == code_par == 0
         assert out_serial == out_par
 
+    def test_jobs_capped_at_cpu_count(self, capsys, tmp_path, monkeypatch):
+        """--jobs asks for at most one worker per CPU; an in-process stub
+        stands in for the pool, so no process starts."""
+        workers = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        argv = ["oracle", "--instances", "2", "--bound", "4", "--jobs", "10000",
+                "--artifacts", str(tmp_path)]
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        assert run(capsys, *argv)[0] == 0
+        assert workers == [3]
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert run(capsys, *argv)[0] == 0
+        assert workers == [3]  # an unknown CPU count runs serially
+
 
 class TestFileOutputs:
     def test_output_flag_writes_file(self, capsys, models_dir, tmp_path):

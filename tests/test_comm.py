@@ -1,6 +1,7 @@
 """Channel-augmented automaton: construction, projections, equivalence."""
 
 import copy
+import pickle
 import random
 
 import pytest
@@ -293,6 +294,56 @@ class TestEventOrderAndRendering:
         assert len(clone.event_table().ids[0]) == len(table.ids[0]) - 1
         assert clone.observation_table(0) is not observed
         assert comm.event_table() is table
+
+
+EVENTS = [
+    (Plant(event="a1"), ("event",), "Plant(event='a1')", "a1"),
+    (
+        Deliver(sender=1, receiver=0, event="a2"),
+        ("sender", "receiver", "event"),
+        "Deliver(sender=1, receiver=0, event='a2')",
+        "f21(a2)",
+    ),
+    (
+        Lose(sender=0, receiver=1, position=2),
+        ("sender", "receiver", "position"),
+        "Lose(sender=0, receiver=1, position=2)",
+        "g12(2)",
+    ),
+]
+
+
+@pytest.mark.parametrize("event, fields, text, rendered", EVENTS)
+class TestEventValues:
+    def test_repr_and_rendering(self, event, fields, text, rendered):
+        assert repr(event) == text
+        assert render_event(event) == rendered
+
+    def test_hash_is_the_hash_of_its_fields(self, event, fields, text, rendered):
+        """Pins set and dict iteration order: an event hashes like the tuple
+        of its fields in declaration order."""
+        values = tuple(getattr(event, name) for name in fields)
+        assert tuple(event) == values
+        assert hash(event) == hash(tuple(event)) == hash(values)
+        assert event == values
+
+    def test_equal_after_pickle_and_deepcopy(self, event, fields, text, rendered):
+        for clone in (pickle.loads(pickle.dumps(event)), copy.deepcopy(event)):
+            assert clone == event and type(clone) is type(event)
+            assert hash(clone) == hash(event)
+
+    def test_immutable(self, event, fields, text, rendered):
+        with pytest.raises(AttributeError):
+            setattr(event, fields[0], getattr(event, fields[0]))
+        with pytest.raises(AttributeError):
+            event.extra = 1
+
+    def test_never_equal_to_another_class(self, event, fields, text, rendered):
+        others = [Plant("a1"), Plant(TICK), Deliver(0, 1, "a1"), Deliver(1, 0, "a2"),
+                  Lose(0, 1, 1), Lose(0, 1, 2), Lose(1, 0, 1)]
+        for other in others:
+            if type(other) is not type(event):
+                assert event != other
 
 
 class TestResourceGuards:

@@ -1,12 +1,14 @@
 """The brute-force oracle itself: enumeration, bounded semantics, planted
 defects."""
 
+from collections import Counter
+
 from netsup.automata import TICK, TimedAutomaton
 from netsup.comm import build_comm_automaton
 from netsup.network import ChannelLink, NetworkConfig
 from netsup.oracle import brute_check, brute_closed_loop, enumerate_language
 from netsup.randgen import random_instance
-from netsup.synthesis import SupervisorMap, synthesize_supervisor
+from netsup.synthesis import SupervisorMap, closed_loop, synthesize_supervisor
 from netsup.verification import Condition
 
 
@@ -135,6 +137,43 @@ class TestBruteClosedLoop:
         gagged = SupervisorMap(0, sup.observer, tuple(frozenset() for _ in sup.enable))
         lang = brute_closed_loop(comm, [gagged], 5)
         assert lang.strings == {()}
+
+
+class CommandSpy:
+    """A supervisor that counts the observations it is asked about."""
+
+    def __init__(self, supervisor):
+        self.supervisor = supervisor
+        self.calls = Counter()
+
+    def command(self, observation):
+        self.calls[tuple(observation)] += 1
+        return self.supervisor.command(observation)
+
+
+class TestBruteClosedLoopQueries:
+    def cases(self, line_report):
+        yield line_report.comm, line_report.supervisors
+        for seed in range(20):
+            comm = random_instance(seed).comm
+            yield comm, [synthesize_supervisor(comm, i) for i in range(comm.net.n)]
+
+    def test_each_observation_queried_once_per_supervisor(self, line_report):
+        total = 0
+        for comm, sups in self.cases(line_report):
+            spies = [CommandSpy(sup) for sup in sups]
+            brute_closed_loop(comm, spies, 6)
+            for spy in spies:
+                assert max(spy.calls.values(), default=0) <= 1
+                total += len(spy.calls)
+        assert total > 0
+
+    def test_language_equals_closed_loop_enumeration(self, line_report):
+        for comm, sups in self.cases(line_report):
+            brute = brute_closed_loop(comm, [CommandSpy(sup) for sup in sups], 6)
+            loop = enumerate_language(closed_loop(comm, sups), 6)
+            assert brute.strings == loop.strings
+            assert brute.marked == loop.marked
 
 
 class TestGenerator:
