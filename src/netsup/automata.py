@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
-from .errors import CompositionError, DeterminismError, SchemaError, UnknownNameError
+from .errors import CompositionError, DeterminismError, ModelError, SchemaError, UnknownNameError
 
 TICK = "tick"
 
@@ -223,41 +223,37 @@ def parallel_compose(a: TimedAutomaton, b: TimedAutomaton) -> TimedAutomaton:
     )
 
 
-def is_subautomaton(sub: TimedAutomaton, auto: TimedAutomaton) -> bool:
-    """True iff ``sub`` is ``auto`` with some states (and incident transitions) removed.
+def subautomaton_defect(sub: TimedAutomaton, auto: TimedAutomaton) -> Optional[str]:
+    """Why ``sub`` is not ``auto`` with some states (and incident transitions)
+    removed, or None when it is.
 
     Requires the same alphabet and initial state, transitions exactly induced
-    by the retained states, and marking inherited (marked = parent marked
-    restricted to retained states).
+    by the retained states, and a marking within the inherited one (the
+    parent's marking restricted to the retained states).
     """
     keep = set(sub.states)
     if not keep <= set(auto.states):
-        return False
-    if sub.initial != auto.initial or sub.alphabet != auto.alphabet:
-        return False
-    if sub.marked != auto.marked & keep:
-        return False
+        return "states must be a subset of the plant's states"
+    if sub.initial != auto.initial:
+        return "initial state must match the plant's"
+    if sub.alphabet != auto.alphabet:
+        return "alphabet must match the plant's"
     for q in sub.states:
         induced = {e: t for e, t in auto.transitions[q].items() if t in keep}
         if dict(sub.transitions[q]) != induced:
-            return False
-    return True
-
-
-def is_structural_subautomaton(sub: TimedAutomaton, auto: TimedAutomaton) -> bool:
-    """Like is_subautomaton but allowing the marking to be a subset of the inherited one."""
-    keep = set(sub.states)
-    if not keep <= set(auto.states):
-        return False
-    if sub.initial != auto.initial or sub.alphabet != auto.alphabet:
-        return False
+            return (
+                f"transitions at state {q!r} must be exactly the plant's,"
+                " restricted to the retained states"
+            )
     if not sub.marked <= auto.marked & keep:
-        return False
-    for q in sub.states:
-        induced = {e: t for e, t in auto.transitions[q].items() if t in keep}
-        if dict(sub.transitions[q]) != induced:
-            return False
-    return True
+        return "marked set must be a subset of the inherited one"
+    return None
+
+
+def is_subautomaton(sub: TimedAutomaton, auto: TimedAutomaton) -> bool:
+    """True iff ``sub`` is ``auto`` with some states (and incident transitions)
+    removed and the marking inherited (see ``subautomaton_defect``)."""
+    return subautomaton_defect(sub, auto) is None and sub.marked == auto.marked & set(sub.states)
 
 
 def is_nonblocking(auto: TimedAutomaton) -> bool:
@@ -371,3 +367,17 @@ def validate_timed_assumptions(auto: TimedAutomaton, net) -> AssumptionVerdict:
                 message=f"state {q!r} disables tick but activates no enforceable event",
             )
     return AssumptionVerdict(True)
+
+
+def prepare(plant: TimedAutomaton, spec: TimedAutomaton, net) -> tuple[TimedAutomaton, TimedAutomaton]:
+    """The control problem every pipeline solves: the plant's accessible
+    part, the specification restricted to the states it kept, after the
+    plant passed ``validate_timed_assumptions`` (ModelError otherwise)."""
+    plant = accessible(plant)
+    unreachable = set(spec.states) - set(plant.states)
+    if unreachable:
+        spec = remove_states(spec, unreachable, name=spec.name)
+    assumptions = validate_timed_assumptions(plant, net)
+    if not assumptions.ok:
+        raise ModelError(f"plant violates timed assumption {assumptions.condition}: {assumptions.message}")
+    return plant, spec

@@ -16,8 +16,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import dot as dotmod
-from .automata import accessible, validate_timed_assumptions
-from .comm import build_comm_automaton, render_event
+from .automata import accessible, prepare, validate_timed_assumptions
+from .comm import CommAutomaton, build_comm_automaton, render_event
 from .errors import ModelError, ResourceLimitError
 from .modelio import (
     automaton_to_dict,
@@ -139,6 +139,13 @@ def _report_dict(report: SolveReport) -> dict:
     return out
 
 
+def _comm(model) -> CommAutomaton:
+    """The channel-augmented automaton of the model's prepared problem, the
+    one ``solve`` builds."""
+    plant, spec = prepare(model.plant, model.spec, model.network)
+    return build_comm_automaton(plant, spec, model.network)
+
+
 def cmd_validate(args) -> int:
     model = load_model(args.model)
     verdict = validate_timed_assumptions(accessible(model.plant), model.network)
@@ -171,7 +178,7 @@ def cmd_compose(args) -> int:
 
 def cmd_build_comm(args) -> int:
     model = load_model(args.model)
-    comm = build_comm_automaton(model.plant, model.spec, model.network)
+    comm = _comm(model)
     payload = {
         "spec_version": SPEC_VERSION,
         "states": comm.num_states,
@@ -187,7 +194,7 @@ def cmd_build_comm(args) -> int:
 
 def cmd_check(args) -> int:
     model = load_model(args.model)
-    comm = build_comm_automaton(model.plant, model.spec, model.network)
+    comm = _comm(model)
     verdicts = [
         ("network controllability", check_network_controllability(comm)),
         ("network joint observability", check_network_joint_observability(comm)),
@@ -208,7 +215,7 @@ def cmd_check(args) -> int:
 
 def cmd_synthesize(args) -> int:
     model = load_model(args.model)
-    comm = build_comm_automaton(model.plant, model.spec, model.network)
+    comm = _comm(model)
     sups = [synthesize_supervisor(comm, i) for i in range(model.network.n)]
     payload = {
         "spec_version": SPEC_VERSION,
@@ -263,18 +270,16 @@ def cmd_export_dot(args) -> int:
         text = dotmod.timed_automaton_dot(model.plant)
     elif target == "spec":
         text = dotmod.timed_automaton_dot(model.spec)
-    elif target == "comm":
-        comm = build_comm_automaton(model.plant, model.spec, model.network)
-        text = dotmod.comm_automaton_dot(comm)
-    elif target.startswith("observer:"):
-        i = int(target.split(":", 1)[1]) - 1
-        comm = build_comm_automaton(model.plant, model.spec, model.network)
-        sup = synthesize_supervisor(comm, i)
-        text = dotmod.observer_dot(sup.observer, comm)
-    elif target == "closed-loop":
-        comm = build_comm_automaton(model.plant, model.spec, model.network)
-        sups = [synthesize_supervisor(comm, i) for i in range(model.network.n)]
-        text = dotmod.closed_loop_dot(closed_loop(comm, sups))
+    elif target == "comm" or target == "closed-loop" or target.startswith("observer:"):
+        comm = _comm(model)
+        if target == "comm":
+            text = dotmod.comm_automaton_dot(comm)
+        elif target == "closed-loop":
+            sups = [synthesize_supervisor(comm, i) for i in range(model.network.n)]
+            text = dotmod.closed_loop_dot(closed_loop(comm, sups))
+        else:
+            i = int(target.split(":", 1)[1]) - 1
+            text = dotmod.observer_dot(synthesize_supervisor(comm, i).observer, comm)
     else:
         raise ModelError(f"unknown export target {target!r}")
     _write(text, args.output)

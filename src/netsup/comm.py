@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
 from . import channels as ch
-from .automata import TICK, TimedAutomaton, is_structural_subautomaton
+from .automata import TICK, TimedAutomaton, subautomaton_defect
 from .channels import ChannelState
-from .errors import ChannelOverflowError, ModelError, ResourceLimitError
+from .errors import ChannelOverflowError, ModelError
+from .explore import PathSpace
 from .network import NetworkConfig
 
 
@@ -96,6 +97,8 @@ class CommAutomaton:
     ``marked`` / ``spec_marked`` the plant-level markings, and
     ``spec_reachable`` whether the state is reachable through in_spec states
     only (i.e. belongs to the specification's channel-augmented automaton).
+    ``spec_tree`` is the breadth-first walk that found those states, keyed by
+    state id; ``spec_path`` reads its links.
     """
 
     net: NetworkConfig
@@ -105,6 +108,7 @@ class CommAutomaton:
     marked: list[bool]
     spec_marked: list[bool]
     spec_reachable: list[bool]
+    spec_tree: PathSpace = field(repr=False, compare=False)
     initial: int = 0
     _event_table: Optional["EventTable"] = field(
         default=None, init=False, repr=False, compare=False
@@ -189,30 +193,10 @@ class CommAutomaton:
             sid = nxt
         return True
 
-    def shortest_strings(self, within_spec: bool = False) -> list[Optional[tuple[CommEvent, ...]]]:
-        """BFS-shortest string to every state; restricted to in_spec paths if asked.
-
-        Ties break by exploration order, so witnesses are stable.
-        """
-        parent: list[Optional[tuple[int, CommEvent]]] = [None] * self.num_states
-        seen = [False] * self.num_states
-        out: list[Optional[tuple[CommEvent, ...]]] = [None] * self.num_states
-        if within_spec and not self.in_spec[self.initial]:
-            return out
-        seen[self.initial] = True
-        out[self.initial] = ()
-        queue = deque([self.initial])
-        while queue:
-            sid = queue.popleft()
-            for event, dst in self.transitions[sid].items():
-                if within_spec and not self.in_spec[dst]:
-                    continue
-                if not seen[dst]:
-                    seen[dst] = True
-                    parent[dst] = (sid, event)
-                    out[dst] = out[sid] + (event,)
-                    queue.append(dst)
-        return out
+    def spec_path(self, sid: int) -> tuple[CommEvent, ...]:
+        """A shortest string to ``sid`` through in_spec states only, ties
+        broken by exploration order; ``sid`` must be spec_reachable."""
+        return tuple(self.spec_tree.path(self.spec_tree.index[sid]))
 
 
 @dataclass
@@ -308,11 +292,9 @@ def build_comm_automaton(
     well-formed timed plant never gets near the cap, so exceeding it reports a
     model error with the offending trace.
     """
-    if not is_structural_subautomaton(spec, plant):
-        raise ModelError(
-            f"{spec.name!r} is not a subautomaton of {plant.name!r} (induced transitions,"
-            " same initial state, marking within the inherited set)"
-        )
+    defect = subautomaton_defect(spec, plant)
+    if defect is not None:
+        raise ModelError(f"{spec.name!r} is not a subautomaton of {plant.name!r}: {defect}")
     spec_states = set(spec.states)
     spec_marked_states = set(spec.marked)
     caps = {
@@ -320,46 +302,26 @@ def build_comm_automaton(
         for key, link in net.channels.items()
     }
 
-    initial_key = (plant.initial, ChannelState.empty(net))
-    index: dict[tuple[str, ChannelState], int] = {initial_key: 0}
-    keys = [initial_key]
-    transitions: list[dict[CommEvent, int]] = [{}]
-    parent: list[Optional[tuple[int, CommEvent]]] = [None]
-
-    def trace_to(sid: int) -> list[str]:
-        events: list[str] = []
-        while parent[sid] is not None:
-            prev, event = parent[sid]
-            events.append(render_event(event))
-            sid = prev
-        return list(reversed(events))
+    space = PathSpace("channel-augmented automaton", max_states)
+    space.add((plant.initial, ChannelState.empty(net)))
+    keys, index = space.keys, space.index
+    transitions: list[dict[CommEvent, int]] = []
 
     def intern(key: tuple[str, ChannelState], src: int, event: CommEvent) -> int:
         sid = index.get(key)
         if sid is None:
-            sid = len(keys)
-            if sid >= max_states:
-                raise ResourceLimitError(
-                    f"channel-augmented automaton exceeds {max_states} states"
-                )
-            index[key] = sid
-            keys.append(key)
-            transitions.append({})
-            parent.append((src, event))
+            sid = space.add(key, src, event)
             for (i, j), queue in key[1].queues:
                 if len(queue) > caps[(i, j)]:
                     raise ChannelOverflowError(
                         f"channel ({i + 1},{j + 1}) exceeded its queue cap {caps[(i, j)]}",
-                        trace=trace_to(sid),
+                        trace=[render_event(e) for e in space.path(sid)],
                     )
-            queue_bfs.append(sid)
         return sid
 
-    queue_bfs: deque[int] = deque([0])
-    while queue_bfs:
-        sid = queue_bfs.popleft()
-        q, theta = keys[sid]
-        here = transitions[sid]
+    for sid, (q, theta) in enumerate(keys):  # keys grows while it is walked: breadth-first
+        here: dict[CommEvent, int] = {}
+        transitions.append(here)
         # tick: plant and every channel must both allow it
         tick_target = plant.target(q, TICK)
         if tick_target is not None:
@@ -394,16 +356,16 @@ def build_comm_automaton(
     marked = [k[0] in plant.marked for k in keys]
     spec_marked = [k[0] in spec_marked_states for k in keys]
 
+    # the specification shares the plant's initial state, so the walk starts at 0
+    spec_tree = PathSpace("specification restriction", max_states)
+    spec_tree.add(0)
+    for tid, sid in enumerate(spec_tree.keys):
+        for event, dst in transitions[sid].items():
+            if in_spec[dst] and dst not in spec_tree.index:
+                spec_tree.add(dst, tid, event)
     spec_reachable = [False] * len(keys)
-    if in_spec[0]:
-        spec_reachable[0] = True
-        walk = deque([0])
-        while walk:
-            sid = walk.popleft()
-            for dst in transitions[sid].values():
-                if in_spec[dst] and not spec_reachable[dst]:
-                    spec_reachable[dst] = True
-                    walk.append(dst)
+    for sid in spec_tree.keys:
+        spec_reachable[sid] = True
 
     return CommAutomaton(
         net=net,
@@ -413,6 +375,7 @@ def build_comm_automaton(
         marked=marked,
         spec_marked=spec_marked,
         spec_reachable=spec_reachable,
+        spec_tree=spec_tree,
     )
 
 
@@ -510,11 +473,9 @@ def check_projection_equivalence(plant: TimedAutomaton, comm: CommAutomaton) -> 
         return frozenset(out)
 
     alphabet = sorted(plant.alphabet)
-    start = (closure(frozenset([comm.initial])), plant.initial)
-    seen = {start}
-    queue: deque[tuple[tuple[frozenset[int], str], tuple[str, ...]]] = deque([(start, ())])
-    while queue:
-        (subset, q), string = queue.popleft()
+    space = PathSpace("projection check", 500_000)
+    space.add((closure(frozenset([comm.initial])), plant.initial))
+    for k, (subset, q) in enumerate(space.keys):  # space.keys grows: breadth-first
         for event in alphabet:
             move = {
                 comm.transitions[sid][Plant(event)]
@@ -523,12 +484,11 @@ def check_projection_equivalence(plant: TimedAutomaton, comm: CommAutomaton) -> 
             }
             plant_next = plant.target(q, event)
             if move and plant_next is None:
-                return ProjectionVerdict(False, string + (event,), only_in="projection")
+                return ProjectionVerdict(False, tuple(space.path(k)) + (event,), only_in="projection")
             if not move and plant_next is not None:
-                return ProjectionVerdict(False, string + (event,), only_in="plant")
+                return ProjectionVerdict(False, tuple(space.path(k)) + (event,), only_in="plant")
             if move:
                 nxt = (closure(frozenset(move)), plant_next)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append((nxt, string + (event,)))
+                if nxt not in space.index:
+                    space.add(nxt, k, event)
     return ProjectionVerdict(True)

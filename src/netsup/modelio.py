@@ -15,7 +15,7 @@ from functools import reduce
 from pathlib import Path
 from typing import Union
 
-from .automata import TimedAutomaton, accessible, parallel_compose, remove_states
+from .automata import TimedAutomaton, accessible, parallel_compose, remove_states, subautomaton_defect
 from .errors import SchemaError, UnknownNameError
 from .network import ChannelLink, NetworkConfig
 
@@ -118,42 +118,22 @@ def _resolve_spec(raw, plant: TimedAutomaton) -> tuple[TimedAutomaton, bool]:
     the inherited one (explicit strict subset)."""
     if isinstance(raw, dict) and "remove_states" in raw:
         spec = remove_states(plant, raw["remove_states"], name="spec")
-        overridden = False
         if "marked" in raw:
-            explicit = frozenset(raw["marked"])
-            if not explicit <= spec.marked:
-                raise SchemaError(
-                    "spec: explicit marked set must be a subset of the inherited one"
-                )
-            overridden = explicit != spec.marked
             spec = TimedAutomaton(
-                spec.name, spec.states, spec.alphabet, spec.transitions, spec.initial, explicit
+                spec.name, spec.states, spec.alphabet, spec.transitions, spec.initial,
+                frozenset(raw["marked"]),
             )
-        return spec, overridden
-    if isinstance(raw, dict):
+    elif isinstance(raw, dict):
         entry = dict(raw)
         entry.setdefault("name", "spec")
         entry.setdefault("alphabet", sorted(plant.alphabet))
         spec = _parse_automaton(entry)
-        keep = set(spec.states)
-        if not keep <= set(plant.states):
-            raise SchemaError("spec: states must be a subset of the plant's states")
-        if spec.initial != plant.initial:
-            raise SchemaError("spec: initial state must match the plant's")
-        if spec.alphabet != plant.alphabet:
-            raise SchemaError("spec: alphabet must match the plant's")
-        for q in spec.states:
-            induced = {e: t for e, t in plant.transitions[q].items() if t in keep}
-            if dict(spec.transitions[q]) != induced:
-                raise SchemaError(
-                    f"spec: transitions at state {q!r} must be exactly the plant's,"
-                    " restricted to the retained states"
-                )
-        inherited = plant.marked & keep
-        if not spec.marked <= inherited:
-            raise SchemaError("spec: marked set must be a subset of the inherited one")
-        return spec, spec.marked != inherited
-    raise SchemaError("spec must be an object ({'remove_states': [...]} or an automaton)")
+    else:
+        raise SchemaError("spec must be an object ({'remove_states': [...]} or an automaton)")
+    defect = subautomaton_defect(spec, plant)
+    if defect is not None:
+        raise SchemaError(f"spec: {defect}")
+    return spec, spec.marked != plant.marked & set(spec.states)
 
 
 def parse_model(document: Union[str, dict]) -> Model:

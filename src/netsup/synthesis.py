@@ -15,13 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .automata import (
-    TICK,
-    TimedAutomaton,
-    accessible,
-    remove_states,
-    validate_timed_assumptions,
-)
+from .automata import TICK, TimedAutomaton, prepare
 from .comm import (
     PLANT_TICK,
     CommAutomaton,
@@ -32,7 +26,7 @@ from .comm import (
     event_key,
     observation_of,
 )
-from .errors import ModelError, ResourceLimitError
+from .explore import PathSpace, StateSpace
 from .network import NetworkConfig
 from .verification import (
     Condition,
@@ -100,34 +94,24 @@ def build_observer(
                     queue.append(nxt)
         return frozenset(out)
 
-    initial = closure([(comm.initial, comm.in_spec[comm.initial])])
-    index: dict[frozenset[ObserverElement], int] = {initial: 0}
-    elements = [initial]
-    transitions: list[dict[str, int]] = [{}]
-    queue = deque([0])
-    while queue:
-        t = queue.popleft()
+    space = StateSpace(f"observer for supervisor {supervisor + 1}", max_states)
+    space.add(closure([(comm.initial, comm.in_spec[comm.initial])]))
+    index = space.index
+    transitions: list[dict[str, int]] = []
+    for element_set in space.keys:  # space.keys grows: breadth-first
+        here: dict[str, int] = {}
+        transitions.append(here)
         for symbol in obs_alphabet:
             moved = set()
-            for sid, flag in elements[t]:
+            for sid, flag in element_set:
                 for _event, dst in table.observed[sid].get(symbol, ()):
                     moved.add((dst, flag and comm.in_spec[dst]))
             if not moved:
                 continue
             closed = closure(moved)
             nxt = index.get(closed)
-            if nxt is None:
-                nxt = len(elements)
-                if nxt >= max_states:
-                    raise ResourceLimitError(
-                        f"observer for supervisor {supervisor + 1} exceeds {max_states} states"
-                    )
-                index[closed] = nxt
-                elements.append(closed)
-                transitions.append({})
-                queue.append(nxt)
-            transitions[t][symbol] = nxt
-    return Observer(supervisor, obs_alphabet, elements, transitions)
+            here[symbol] = space.add(closed) if nxt is None else nxt
+    return Observer(supervisor, obs_alphabet, space.keys, transitions)
 
 
 @dataclass
@@ -292,9 +276,9 @@ def closed_loop(
         disabled = [frozenset(e for e, name in own if name not in enable) for enable in sup.enable]
         if any(disabled):
             disabling.append((i, disabled))
-    initial_key = (comm.initial, tuple(sup.observer.initial for sup in supervisors))
-    index = {initial_key: 0}
-    keys = [initial_key]
+    space = StateSpace("closed loop", max_states)
+    space.add((comm.initial, tuple(sup.observer.initial for sup in supervisors)))
+    index, keys = space.index, space.keys
     loop_ids: list[tuple[int, ...]] = []
     loop_targets: list[tuple[int, ...]] = []
     for x, obs_states in keys:  # keys grows while it is walked: breadth-first
@@ -309,14 +293,8 @@ def closed_loop(
             watchers = watch[e]
             key = (dst, _step(steps, obs_states, watchers) if watchers else obs_states)
             tid = index.get(key)
-            if tid is None:
-                tid = len(keys)
-                if tid >= max_states:
-                    raise ResourceLimitError(f"closed loop exceeds {max_states} states")
-                index[key] = tid
-                keys.append(key)
             row.append(e)
-            dsts.append(tid)
+            dsts.append(space.add(key) if tid is None else tid)
         loop_ids.append(tuple(row))
         loop_targets.append(tuple(dsts))
     return ClosedLoop(comm, list(supervisors), keys, EventTable(table.events, loop_ids, loop_targets))
@@ -353,15 +331,17 @@ def language_equal(a, b, *, max_states: int = 500_000) -> LanguageVerdict:
         events = tuple(sorted(set(events) | set(table_b.events), key=event_key))
         table_a, table_b = table_a.over(events), table_b.over(events)
     ids_a, targets_a, ids_b, targets_b = table_a.ids, table_a.targets, table_b.ids, table_b.targets
-    # a pair (sa, sb) with -1 for a side that has left its language
+    # a pair (sa, sb), -1 for a side that has left its language, has the key
+    # (sa + 1) * width + sb + 1 and is labelled with the event id it was
+    # discovered on
     width = len(ids_b) + 1
-    pairs = [(a.initial_state, b.initial_state)]
-    seen = {(a.initial_state + 1) * width + b.initial_state + 1}
-    parent = [-1]
-    via = [-1]  # event id the pair was discovered on
+    space = PathSpace("language comparison product", max_states)
+    space.add((a.initial_state + 1) * width + b.initial_state + 1)
+    index = space.index
     diff_generated: Optional[tuple[int, int]] = None  # (pair, event id)
     diff_marked: Optional[int] = None  # pair
-    for k, (sa, sb) in enumerate(pairs):  # pairs grows while it is walked
+    for k, key in enumerate(space.keys):  # space.keys grows: breadth-first
+        sa, sb = key // width - 1, key % width - 1
         if diff_marked is None and (sa >= 0 and a.is_marked(sa)) != (sb >= 0 and b.is_marked(sb)):
             diff_marked = k
         row_a, dsts_a = (ids_a[sa], targets_a[sa]) if sa >= 0 else ((), ())
@@ -375,32 +355,17 @@ def language_equal(a, b, *, max_states: int = 500_000) -> LanguageVerdict:
                 # one-sided definedness seen from a common prefix
                 diff_generated = next((k, e) for e, ta, tb in moves if ta < 0 or tb < 0)
         for e, ta, tb in moves:
-            key = (ta + 1) * width + tb + 1
-            if key not in seen:
-                if len(pairs) >= max_states:
-                    raise ResourceLimitError(
-                        f"language comparison product exceeds {max_states} states"
-                    )
-                seen.add(key)
-                pairs.append((ta, tb))
-                parent.append(k)
-                via.append(e)
+            pair = (ta + 1) * width + tb + 1
+            if pair not in index:
+                space.add(pair, k, e)
         if diff_generated is not None and diff_marked is not None:
             break
-
-    def string_to(k: int) -> tuple[CommEvent, ...]:
-        out: list[CommEvent] = []
-        while parent[k] >= 0:
-            out.append(events[via[k]])
-            k = parent[k]
-        return tuple(reversed(out))
-
     return LanguageVerdict(
         diff_generated is None,
         diff_marked is None,
         None if diff_generated is None
-        else string_to(diff_generated[0]) + (events[diff_generated[1]],),
-        None if diff_marked is None else string_to(diff_marked),
+        else tuple(events[e] for e in space.path(diff_generated[0]) + [diff_generated[1]]),
+        None if diff_marked is None else tuple(events[e] for e in space.path(diff_marked)),
     )
 
 
@@ -447,13 +412,13 @@ def check_admissibility(
         ]
 
     def violation(condition: Condition, x: int, event: str, i: int, detail: str) -> Verdict:
-        mu = comm.shortest_strings(within_spec=True)[x]
-        return Verdict(condition, False, Witness(mu=mu, sigma=event, supervisor=i), detail=detail)
+        witness = Witness(mu=comm.spec_path(x), sigma=event, supervisor=i)
+        return Verdict(condition, False, witness, detail=detail)
 
-    initial_key = (comm.initial, tuple(sup.observer.initial for sup in supervisors))
-    seen = {initial_key}
-    keys = [initial_key]
-    for x, obs_states in keys:  # keys grows while it is walked: breadth-first
+    space = StateSpace("admissibility product", max_states)
+    space.add((comm.initial, tuple(sup.observer.initial for sup in supervisors)))
+    index = space.index
+    for x, obs_states in space.keys:  # space.keys grows: breadth-first
         for i, first in first_disabled:
             event = first[obs_states[i]]
             if event is not None:
@@ -474,11 +439,8 @@ def check_admissibility(
                 continue
             watchers = watch[e]
             key = (dst, _step(steps, obs_states, watchers) if watchers else obs_states)
-            if key not in seen:
-                if len(keys) >= max_states:
-                    raise ResourceLimitError(f"admissibility product exceeds {max_states} states")
-                seen.add(key)
-                keys.append(key)
+            if key not in index:
+                space.add(key)
     return Verdict(Condition.ADM_UNCONTROLLABLE, True)
 
 
@@ -548,13 +510,7 @@ def solve_control_problem(
     With ``diagnostic`` the supervisors are synthesized and compared even when
     a condition fails (their enable-sets carry no guarantee then).
     """
-    plant = accessible(plant)
-    unreachable = set(spec.states) - set(plant.states)
-    if unreachable:
-        spec = remove_states(spec, unreachable, name=spec.name)
-    assumptions = validate_timed_assumptions(plant, net)
-    if not assumptions.ok:
-        raise ModelError(f"plant violates timed assumption {assumptions.condition}: {assumptions.message}")
+    plant, spec = prepare(plant, spec, net)
     comm = build_comm_automaton(plant, spec, net, max_states=max_states)
     controllability = check_network_controllability(comm)
     observability = check_network_joint_observability(comm, max_states=max_states)

@@ -7,13 +7,15 @@ states reachable through in_spec states only (``spec_reachable``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .automata import TICK
 from .comm import CommAutomaton, CommEvent, Plant
-from .errors import ModelError, ResourceLimitError
+from .errors import ModelError
+from .explore import PathSpace
 
 
 class Condition(Enum):
@@ -67,7 +69,7 @@ def check_network_controllability(comm: CommAutomaton) -> Verdict:
                 return Verdict(
                     Condition.NET_CTRL_1,
                     False,
-                    Witness(mu=comm.shortest_strings(within_spec=True)[sid], sigma=event),
+                    Witness(mu=comm.spec_path(sid), sigma=event),
                     detail=f"uncontrollable {event!r} exits the specification at {comm.render_state(sid)}",
                 )
     for sid in range(comm.num_states):
@@ -84,7 +86,7 @@ def check_network_controllability(comm: CommAutomaton) -> Verdict:
             return Verdict(
                 Condition.NET_CTRL_2,
                 False,
-                Witness(mu=comm.shortest_strings(within_spec=True)[sid], sigma=TICK),
+                Witness(mu=comm.spec_path(sid), sigma=TICK),
                 detail=f"tick exits the specification at {comm.render_state(sid)}"
                 " and no enforceable event can preempt it",
             )
@@ -107,27 +109,26 @@ class TwinProduct:
     Unobserved moves interleave (left copy first, then right); observed
     symbols advance both copies together.  Every pair is made of
     specification states, so the product has at most |spec states|² states.
-    ``parent[t]`` is the pair ``t`` was discovered from (-1 for the initial
-    pair) and ``left[t]`` / ``right[t]`` the events each copy took (None for
-    a copy that stayed put); they reconstruct the two generating runs.
+    ``space`` numbers the pairs ``(x, y)`` under the keys ``x * width + y``;
+    its links lead to the pair each pair was discovered from, labelled with
+    the events (left, right) the copies took (None for a copy that stayed
+    put), and reconstruct the two generating runs.
     """
 
     supervisor: int
-    states: list[TwinState] = field(default_factory=list)
-    parent: list[int] = field(default_factory=list)
-    left: list[Optional[CommEvent]] = field(default_factory=list)
-    right: list[Optional[CommEvent]] = field(default_factory=list)
+    width: int
+    space: PathSpace
+
+    @cached_property
+    def states(self) -> list[TwinState]:
+        return [TwinState(*divmod(key, self.width)) for key in self.space.keys]
 
     def strings_to(self, tid: int) -> tuple[tuple[CommEvent, ...], tuple[CommEvent, ...]]:
-        left: list[CommEvent] = []
-        right: list[CommEvent] = []
-        while self.parent[tid] >= 0:
-            if self.left[tid] is not None:
-                left.append(self.left[tid])
-            if self.right[tid] is not None:
-                right.append(self.right[tid])
-            tid = self.parent[tid]
-        return tuple(reversed(left)), tuple(reversed(right))
+        steps = self.space.path(tid)
+        return (
+            tuple(left for left, _ in steps if left is not None),
+            tuple(right for _, right in steps if right is not None),
+        )
 
 
 def build_twin_product(
@@ -142,34 +143,21 @@ def build_twin_product(
     silent, observed = table.silent, table.observed
     in_spec = comm.in_spec
     n = comm.num_states
-    twin = TwinProduct(supervisor)
-    states, parent, left, right = twin.states, twin.parent, twin.left, twin.right
-    index: dict[int, int] = {}
-
-    def add(x: int, y: int, src: int, ev_left: Optional[CommEvent], ev_right: Optional[CommEvent]) -> None:
-        key = x * n + y
-        if key not in index:
-            if len(states) >= max_states:
-                raise ResourceLimitError(
-                    f"twin product for supervisor {supervisor + 1} exceeds {max_states} states"
-                )
-            index[key] = len(states)
-            states.append(TwinState(x, y))
-            parent.append(src)
-            left.append(ev_left)
-            right.append(ev_right)
-
-    if in_spec[comm.initial]:
-        add(comm.initial, comm.initial, -1, None, None)
-    tid = 0
-    while tid < len(states):
-        x, y = states[tid]
+    space = PathSpace(f"twin product for supervisor {supervisor + 1}", max_states)
+    index, add = space.index, space.add
+    add(comm.initial * n + comm.initial)  # the initial state is a specification state
+    for tid, key in enumerate(space.keys):  # space.keys grows: breadth-first
+        x, y = divmod(key, n)
         for event, dst in silent[x]:
             if in_spec[dst]:
-                add(dst, y, tid, event, None)
+                pair = dst * n + y
+                if pair not in index:
+                    add(pair, tid, (event, None))
         for event, dst in silent[y]:
             if in_spec[dst]:
-                add(x, dst, tid, None, event)
+                pair = x * n + dst
+                if pair not in index:
+                    add(pair, tid, (None, event))
         observed_y = observed[y]
         for symbol, moves_x in observed[x].items():
             moves_y = observed_y.get(symbol)
@@ -179,9 +167,10 @@ def build_twin_product(
                 if in_spec[dst_x]:
                     for ev_y, dst_y in moves_y:
                         if in_spec[dst_y]:
-                            add(dst_x, dst_y, tid, ev_x, ev_y)
-        tid += 1
-    return twin
+                            pair = dst_x * n + dst_y
+                            if pair not in index:
+                                add(pair, tid, (ev_x, ev_y))
+    return TwinProduct(supervisor, n, space)
 
 
 def check_network_joint_observability(
@@ -218,7 +207,8 @@ def check_network_joint_observability(
             if supervisor not in twins:
                 twins[supervisor] = build_twin_product(comm, supervisor, max_states=max_states)
             twin = twins[supervisor]
-            for tid, (x, y) in enumerate(twin.states):
+            for tid, key in enumerate(twin.space.keys):
+                x, y = divmod(key, twin.width)
                 if x in exits and y in stays:
                     mu, nu = twin.strings_to(tid)
                     return Verdict(
@@ -244,7 +234,7 @@ def check_lm_closure(comm: CommAutomaton) -> Verdict:
             return Verdict(
                 Condition.LM_CLOSURE,
                 False,
-                Witness(mu=comm.shortest_strings(within_spec=True)[sid]),
+                Witness(mu=comm.spec_path(sid)),
                 detail=f"state {comm.render_state(sid)} is marked in the full automaton"
                 " but not in the specification",
             )

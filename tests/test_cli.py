@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from netsup import cli, synthesis
 from netsup.cli import main
 from netsup.errors import ResourceLimitError
@@ -68,6 +70,27 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err == "error: closed loop exceeds 5 states\n"
+
+
+    @pytest.mark.parametrize("argv", [
+        ["check"],
+        ["synthesize"],
+        ["build-comm"],
+        ["export-dot", "--target", "comm"],
+        ["export-dot", "--target", "observer:1"],
+        ["export-dot", "--target", "closed-loop"],
+    ], ids=" ".join)
+    def test_every_command_rejects_what_solve_rejects(self, capsys, models_dir, tmp_path, argv):
+        doc = json.loads((models_dir / "production_line.json").read_text(encoding="utf-8"))
+        line = next(a for a in doc["automata"] if a["name"] == "LINE")
+        line["states"].append("dead")
+        line["transitions"][-1]["to"] = "dead"  # 8 -tick-> dead, which has no move
+        model = tmp_path / "dead_end.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        solve = run(capsys, "solve", str(model))
+        assert solve == (2, "", "error: plant violates timed assumption 2:"
+                         " state 'dead' has no active event\n")
+        assert run(capsys, argv[0], str(model), *argv[1:]) == solve
 
 
 class TestJsonOutputs:
