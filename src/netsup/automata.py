@@ -105,13 +105,14 @@ class TimedAutomaton:
         state = self.run(string)
         return state is not None and state in self.marked
 
-    # duck interface shared with the channel-level structures
+    # the moves protocol shared with the channel-level structures
     @property
     def initial_state(self) -> str:
         return self.initial
 
-    def events_at(self, state: str) -> tuple[str, ...]:
-        return self.active(state)
+    def moves(self, state: str) -> Iterable[tuple[str, str]]:
+        """The (event, target) pairs of ``state``, in canonical order."""
+        return self.transitions[state].items()
 
     def is_marked(self, state: str) -> bool:
         return state in self.marked
@@ -256,20 +257,30 @@ def is_subautomaton(sub: TimedAutomaton, auto: TimedAutomaton) -> bool:
     return subautomaton_defect(sub, auto) is None and sub.marked == auto.marked & set(sub.states)
 
 
-def is_nonblocking(auto: TimedAutomaton) -> bool:
-    """True iff every reachable state can reach a marked state."""
-    reach = accessible(auto)
-    co = set(reach.marked)
-    grew = True
-    while grew:
-        grew = False
-        for q in reach.states:
-            if q in co:
-                continue
-            if any(t in co for t in reach.transitions[q].values()):
-                co.add(q)
-                grew = True
-    return all(q in co for q in reach.states)
+def is_nonblocking(machine) -> bool:
+    """True iff every reachable state of ``machine`` can reach a marked state.
+
+    ``machine`` is anything with ``initial_state``, ``moves`` and
+    ``is_marked``: a TimedAutomaton, a CommAutomaton, a SpecView or a
+    ClosedLoop.  A forward walk records each state's sources, then a backward
+    walk from the marked states finds the coreachable ones.
+    """
+    sources = {machine.initial_state: []}
+    reached = list(sources)
+    for state in reached:  # reached grows while it is walked
+        for _event, dst in machine.moves(state):
+            if dst not in sources:
+                sources[dst] = []
+                reached.append(dst)
+            sources[dst].append(state)
+    coreach = {state for state in reached if machine.is_marked(state)}
+    stack = list(coreach)
+    while stack:
+        for src in sources[stack.pop()]:
+            if src not in coreach:
+                coreach.add(src)
+                stack.append(src)
+    return len(coreach) == len(reached)
 
 
 @dataclass(frozen=True)

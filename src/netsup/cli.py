@@ -263,6 +263,17 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _supervisor_index(text: str, n: int) -> int:
+    """The 0-based index of the supervisor that ``text`` numbers 1..n."""
+    try:
+        number = int(text)
+    except ValueError:
+        number = 0
+    if not 1 <= number <= n:
+        raise ModelError(f"observer:<i> needs a supervisor number from 1 to {n}, got {text!r}")
+    return number - 1
+
+
 def cmd_export_dot(args) -> int:
     model = load_model(args.model)
     target = args.target
@@ -271,6 +282,8 @@ def cmd_export_dot(args) -> int:
     elif target == "spec":
         text = dotmod.timed_automaton_dot(model.spec)
     elif target == "comm" or target == "closed-loop" or target.startswith("observer:"):
+        if target.startswith("observer:"):
+            i = _supervisor_index(target.split(":", 1)[1], model.network.n)
         comm = _comm(model)
         if target == "comm":
             text = dotmod.comm_automaton_dot(comm)
@@ -278,7 +291,6 @@ def cmd_export_dot(args) -> int:
             sups = [synthesize_supervisor(comm, i) for i in range(model.network.n)]
             text = dotmod.closed_loop_dot(closed_loop(comm, sups))
         else:
-            i = int(target.split(":", 1)[1]) - 1
             text = dotmod.observer_dot(synthesize_supervisor(comm, i).observer, comm)
     else:
         raise ModelError(f"unknown export target {target!r}")

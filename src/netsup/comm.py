@@ -133,8 +133,9 @@ class CommAutomaton:
     def channels_of(self, sid: int) -> ChannelState:
         return self.keys[sid][1]
 
-    def events_at(self, sid: int) -> tuple[CommEvent, ...]:
-        return tuple(self.transitions[sid])
+    def moves(self, sid: int) -> Iterable[tuple[CommEvent, int]]:
+        """The (event, target) pairs of ``sid``, in event id order."""
+        return self.transitions[sid].items()
 
     def target(self, sid: int, event: CommEvent) -> Optional[int]:
         return self.transitions[sid].get(event)
@@ -211,16 +212,10 @@ class SpecView:
     def initial_state(self) -> int:
         return self.comm.initial
 
-    def events_at(self, sid: int) -> tuple[CommEvent, ...]:
-        return tuple(
-            e for e, t in self.comm.transitions[sid].items() if self.comm.in_spec[t]
-        )
-
-    def target(self, sid: int, event: CommEvent) -> Optional[int]:
-        dst = self.comm.transitions[sid].get(event)
-        if dst is None or not self.comm.in_spec[dst]:
-            return None
-        return dst
+    def moves(self, sid: int) -> list[tuple[CommEvent, int]]:
+        """The automaton's moves of ``sid`` that stay in the specification."""
+        in_spec = self.comm.in_spec
+        return [(e, t) for e, t in self.comm.transitions[sid].items() if in_spec[t]]
 
     def is_marked(self, sid: int) -> bool:
         return self.comm.spec_marked[sid]

@@ -74,7 +74,7 @@ def closed_loop_dot(loop: ClosedLoop) -> str:
         lines.append(f"  n{sid} [label={_quote(label)} shape={shape}];")
     lines.append(f"  init [shape=point]; init -> n{loop.initial};")
     for sid in range(loop.num_states):
-        for event, target in loop.transitions[sid].items():
+        for event, target in loop.moves(sid):
             lines.append(
                 f"  n{sid} -> n{target} [label={_quote(render_event(event))}];"
             )

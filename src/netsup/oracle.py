@@ -10,7 +10,7 @@ string is longer than the bound goes unseen).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .automata import TICK
 from .comm import CommAutomaton, CommEvent, Plant, project_observation
@@ -36,43 +36,46 @@ class BoundedLanguage:
     bound: int
 
 
-def enumerate_language(machine, bound: int) -> BoundedLanguage:
-    """Breadth-first enumeration of every generated string up to ``bound``."""
+def _bounded_walk(machine, bound: int) -> Iterator[dict]:
+    """Every string of length <= ``bound`` that ``machine`` (anything with
+    ``initial_state`` and ``moves``) generates: one dict per length, shortest
+    first, from each state reached to the strings that reach it.  Each
+    state's moves are read once per length."""
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    strings = set()
-    marked = set()
-    frontier: list[tuple[tuple, object]] = [((), machine.initial_state)]
-    for length in range(bound + 1):
-        nxt = []
-        for string, state in frontier:
-            strings.add(string)
+    level: dict = {machine.initial_state: [()]}
+    yield level
+    for _ in range(bound):
+        nxt: dict = {}
+        for state, strings in level.items():
+            for event, dst in machine.moves(state):
+                nxt.setdefault(dst, []).extend([string + (event,) for string in strings])
+        level = nxt
+        yield level
+
+
+def enumerate_language(machine, bound: int) -> BoundedLanguage:
+    """Every string of length <= ``bound`` that ``machine`` generates, and
+    the marked ones (``machine`` also needs ``is_marked``)."""
+    strings: list[tuple] = []
+    marked: list[tuple] = []
+    for level in _bounded_walk(machine, bound):
+        for state, group in level.items():
+            strings += group
             if machine.is_marked(state):
-                marked.add(string)
-            if length < bound:
-                for event in machine.events_at(state):
-                    nxt.append((string + (event,), machine.target(state, event)))
-        frontier = nxt
+                marked += group
     return BoundedLanguage(frozenset(strings), frozenset(marked), bound)
 
 
 def _spec_strings(comm: CommAutomaton, bound: int) -> list[tuple[tuple[CommEvent, ...], int]]:
-    """All in-spec strings up to ``bound`` with their end states, in
-    breadth-first order."""
-    out: list[tuple[tuple[CommEvent, ...], int]] = []
-    if not comm.in_spec[comm.initial]:
-        return out
-    frontier = [((), comm.initial)]
-    for length in range(bound + 1):
-        nxt = []
-        for string, sid in frontier:
-            out.append((string, sid))
-            if length < bound:
-                for event, dst in comm.transitions[sid].items():
-                    if comm.in_spec[dst]:
-                        nxt.append((string + (event,), dst))
-        frontier = nxt
-    return out
+    """All in-spec strings up to ``bound`` with their end states, shortest
+    first."""
+    return [
+        (string, sid)
+        for level in _bounded_walk(comm.spec_view(), bound)
+        for sid, group in level.items()
+        for string in group
+    ]
 
 
 def brute_check(condition: Condition, comm: CommAutomaton, bound: int) -> Verdict:

@@ -54,7 +54,7 @@ def simulate(
     state = loop.initial
     steps: list[TraceStep] = []
     for _ in range(max_steps):
-        enabled = loop.events_at(state)
+        enabled = loop.moves(state)
         if not enabled:
             reason = (
                 Termination.DEADLOCK_MARKED
@@ -62,8 +62,7 @@ def simulate(
                 else Termination.DEADLOCK_UNMARKED
             )
             return Trace(seed, tuple(steps), reason)
-        event = rng.choice(enabled)
-        state = loop.target(state, event)
+        event, state = rng.choice(enabled)
         observations = tuple(
             observation_of(event, i, net) for i in range(net.n)
         )

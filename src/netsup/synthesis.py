@@ -11,11 +11,10 @@ the specification on it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .automata import TICK, TimedAutomaton, prepare
+from .automata import TICK, TimedAutomaton, is_nonblocking, prepare
 from .comm import (
     PLANT_TICK,
     CommAutomaton,
@@ -57,9 +56,6 @@ class Observer:
     @property
     def num_states(self) -> int:
         return len(self.elements)
-
-    def step(self, state: int, symbol: str) -> Optional[int]:
-        return self.transitions[state].get(symbol)
 
     def run(self, symbols: Iterable[str]) -> Optional[int]:
         state = self.initial
@@ -170,8 +166,7 @@ class ClosedLoop:
     enable, deliveries and losses always pass.
 
     ``table`` holds the moves over the channel-augmented automaton's event
-    ids; ``transitions``, ``events_at`` and ``target`` key a state's moves by
-    event, built on first use of that state.
+    ids; ``moves`` reads one state's row as events.
     """
 
     comm: CommAutomaton
@@ -179,10 +174,6 @@ class ClosedLoop:
     keys: list[tuple[int, tuple[int, ...]]]
     table: EventTable
     initial: int = 0
-    _moves: list[Optional[dict[CommEvent, int]]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self._moves = [None] * len(self.keys)  # filled by _moves_at
 
     @property
     def num_states(self) -> int:
@@ -192,28 +183,13 @@ class ClosedLoop:
     def initial_state(self) -> int:
         return self.initial
 
-    @cached_property
-    def transitions(self) -> list[dict[CommEvent, int]]:
-        return [self._moves_at(sid) for sid in range(self.num_states)]
-
-    def _moves_at(self, sid: int) -> dict[CommEvent, int]:
-        """The moves of state ``sid`` keyed by event, built on first use."""
-        moves = self._moves[sid]
-        if moves is None:
-            events = self.table.events
-            moves = self._moves[sid] = {
-                events[e]: t for e, t in zip(self.table.ids[sid], self.table.targets[sid])
-            }
-        return moves
-
     def event_table(self) -> EventTable:
         return self.table
 
-    def events_at(self, sid: int) -> tuple[CommEvent, ...]:
-        return tuple(self._moves[sid] or self._moves_at(sid))
-
-    def target(self, sid: int, event: CommEvent) -> Optional[int]:
-        return (self._moves[sid] or self._moves_at(sid)).get(event)
+    def moves(self, sid: int) -> list[tuple[CommEvent, int]]:
+        """The (event, target) pairs of ``sid``, in event id order."""
+        events = self.table.events
+        return [(events[e], t) for e, t in zip(self.table.ids[sid], self.table.targets[sid])]
 
     def is_marked(self, sid: int) -> bool:
         return self.comm.marked[self.keys[sid][0]]
@@ -447,20 +423,7 @@ def check_admissibility(
 def spec_nonblocking(comm: CommAutomaton) -> bool:
     """True iff every state of the specification restriction can reach a
     specification-marked state inside the restriction."""
-    spec_states = [s for s in range(comm.num_states) if comm.spec_reachable[s]]
-    co = {s for s in spec_states if comm.spec_marked[s]}
-    grew = True
-    while grew:
-        grew = False
-        for s in spec_states:
-            if s in co:
-                continue
-            for event, t in comm.transitions[s].items():
-                if comm.in_spec[t] and t in co:
-                    co.add(s)
-                    grew = True
-                    break
-    return all(s in co for s in spec_states)
+    return is_nonblocking(comm.spec_view())
 
 
 @dataclass

@@ -11,7 +11,7 @@ from netsup.channels import ChannelEntry, ChannelState, deliver, lose, max_delay
 from netsup.comm import check_projection_equivalence
 from netsup.network import ChannelLink, NetworkConfig
 from netsup.oracle import brute_check, brute_closed_loop, enumerate_language
-from netsup.randgen import random_instance
+from netsup.randgen import GeneratorParams, random_instance
 from netsup.simulation import Termination, simulate
 from netsup.synthesis import (
     check_admissibility,
@@ -148,34 +148,62 @@ def test_c4_conditions_necessary():
     )
 
 
+def _oracle_agreement(seed, inst):
+    """The engine's three verdicts and closed-loop language on one instance
+    against the brute oracle at bound 8: the (seed, property) pairs they
+    disagree on, and whether the engine found the instance solvable."""
+    comm = inst.comm
+    ctrl, obs, clos = _three_checks(comm)
+    disagreements = []
+    oracle_ctrl = (
+        brute_check(Condition.NET_CTRL_1, comm, 8).holds
+        and brute_check(Condition.NET_CTRL_2, comm, 8).holds
+    )
+    if ctrl.holds != oracle_ctrl:
+        disagreements.append((seed, "controllability"))
+    if obs.holds != brute_check(Condition.NET_JOINT_OBS, comm, 8).holds:
+        disagreements.append((seed, "joint observability"))
+    if clos.holds != brute_check(Condition.LM_CLOSURE, comm, 8).holds:
+        disagreements.append((seed, "closure"))
+    sups = [synthesize_supervisor(comm, i) for i in range(inst.net.n)]
+    loop_lang = enumerate_language(closed_loop(comm, sups), 8)
+    brute_lang = brute_closed_loop(comm, sups, 8)
+    if loop_lang.strings != brute_lang.strings or loop_lang.marked != brute_lang.marked:
+        disagreements.append((seed, "closed-loop language"))
+    return disagreements, ctrl.holds and obs.holds and clos.holds
+
+
 def test_c5_oracle_agreement_200_instances():
     """Engine verdicts and closed-loop language agree with the brute oracle
     at bound 8 on 200 seeded instances, zero disagreements.  Budget: 300 s."""
     start = time.monotonic()
     disagreements = []
     for seed in range(200):
-        inst = random_instance(seed)
-        comm = inst.comm
-        ctrl, obs, clos = _three_checks(comm)
-        oracle_ctrl = (
-            brute_check(Condition.NET_CTRL_1, comm, 8).holds
-            and brute_check(Condition.NET_CTRL_2, comm, 8).holds
-        )
-        if ctrl.holds != oracle_ctrl:
-            disagreements.append((seed, "controllability"))
-        if obs.holds != brute_check(Condition.NET_JOINT_OBS, comm, 8).holds:
-            disagreements.append((seed, "joint observability"))
-        if clos.holds != brute_check(Condition.LM_CLOSURE, comm, 8).holds:
-            disagreements.append((seed, "closure"))
-        sups = [synthesize_supervisor(comm, i) for i in range(inst.net.n)]
-        loop_lang = enumerate_language(closed_loop(comm, sups), 8)
-        brute_lang = brute_closed_loop(comm, sups, 8)
-        if loop_lang.strings != brute_lang.strings or loop_lang.marked != brute_lang.marked:
-            disagreements.append((seed, "closed-loop language"))
+        disagreements += _oracle_agreement(seed, random_instance(seed))[0]
     elapsed = time.monotonic() - start
     assert disagreements == []
     assert elapsed < 300.0
     report_line("5 oracle agreement", f"200 instances in {elapsed:.1f}s, 0 disagreements")
+
+
+def test_c5_oracle_agreement_three_supervisors_delay_three():
+    """C5 on 40 instances with three supervisors and channel delays up to 3,
+    where the channels hold more entries per run."""
+    params = GeneratorParams(n=3, max_delay=3, max_comm_states=150)
+    start = time.monotonic()
+    disagreements = []
+    negative = 0
+    for seed in range(40):
+        found, solvable = _oracle_agreement(seed, random_instance(seed, params))
+        disagreements += found
+        negative += not solvable
+    elapsed = time.monotonic() - start
+    assert disagreements == []
+    assert 0 < negative < 40
+    report_line(
+        "5 oracle agreement (n = 3, delay <= 3)",
+        f"40 instances in {elapsed:.1f}s, {negative} negative, 0 disagreements",
+    )
 
 
 def test_c6_channel_calculus():

@@ -212,6 +212,18 @@ class TestExports:
         assert code == 0
         assert out.startswith("digraph {")
 
+    @pytest.mark.parametrize("index", ["0", "3", "-1", "x"])
+    def test_export_observer_rejects_bad_index(self, capsys, models_dir, monkeypatch, index):
+        """The fixture has two supervisors: any other index is a model error,
+        reported before the channel-augmented automaton is built."""
+        monkeypatch.setattr(cli, "_comm", lambda model: pytest.fail("built the automaton"))
+        code, out, err = run(
+            capsys, "export-dot", fixture_path(models_dir), "--target", f"observer:{index}"
+        )
+        assert code == 2
+        assert out == ""
+        assert f"from 1 to 2, got {index!r}" in err
+
     def test_export_closed_loop(self, capsys, models_dir):
         code, out, _ = run(
             capsys, "export-dot", fixture_path(models_dir), "--target", "closed-loop"

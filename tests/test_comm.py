@@ -49,9 +49,9 @@ class TestDegenerateNetwork:
         for sid in range(comm.num_states):
             q, theta = comm.keys[sid]
             assert theta.queues == ()
-            got = {e.event for e in comm.events_at(sid)}
+            got = {e.event for e in tuple(comm.transitions[sid])}
             assert got == set(plant.active(q))
-            assert not any(isinstance(e, (Deliver, Lose)) for e in comm.events_at(sid))
+            assert not any(isinstance(e, (Deliver, Lose)) for e in tuple(comm.transitions[sid]))
 
 
 class TestFixtureStates:
@@ -173,7 +173,7 @@ class TestStructuralInvariants:
             sid = line_comm.initial
             string = []
             for _ in range(rng.randint(0, 12)):
-                options = line_comm.events_at(sid)
+                options = tuple(line_comm.transitions[sid])
                 if not options:
                     break
                 event = rng.choice(options)
@@ -212,7 +212,7 @@ class TestProjections:
             sid = line_comm.initial
             string = []
             for _ in range(rng.randint(0, 10)):
-                options = line_comm.events_at(sid)
+                options = tuple(line_comm.transitions[sid])
                 if not options:
                     break
                 event = rng.choice(options)
@@ -248,7 +248,7 @@ class TestProjectionEquivalence:
                 sid = comm.initial
                 string = []
                 for _ in range(rng.randint(0, 10)):
-                    options = comm.events_at(sid)
+                    options = tuple(comm.transitions[sid])
                     if not options:
                         break
                     event = rng.choice(options)
@@ -270,7 +270,7 @@ class TestEventOrderAndRendering:
 
     def test_exploration_order_is_canonical(self, line_comm):
         for sid in range(line_comm.num_states):
-            events = list(line_comm.events_at(sid))
+            events = list(tuple(line_comm.transitions[sid]))
             assert events == sorted(events, key=event_key)
 
 

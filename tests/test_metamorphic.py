@@ -12,7 +12,9 @@ import random
 import pytest
 
 from netsup import load_model, parse_model, solve_control_problem
+from netsup.automata import prepare
 from netsup.cli import main
+from netsup.comm import build_comm_automaton, render_event
 from netsup.modelio import dump_json, model_to_dict
 from netsup.randgen import GeneratorParams, random_instance
 
@@ -84,6 +86,18 @@ def solve_json(tmp_path, doc, *flags):
     return code, out.read_text(encoding="utf-8")
 
 
+def spec_paths(doc):
+    """The rendered ``spec_path`` of every specification-reachable state,
+    by state id."""
+    model = parse_model(doc)
+    plant, spec = prepare(model.plant, model.spec, model.network)
+    comm = build_comm_automaton(plant, spec, model.network)
+    return [
+        [render_event(e) for e in comm.spec_path(sid)]
+        for sid in range(comm.num_states) if comm.spec_reachable[sid]
+    ]
+
+
 def summary(doc):
     """What supervisor numbering must not change."""
     model = parse_model(doc)
@@ -121,6 +135,8 @@ def test_state_names_and_declaration_order_do_not_change_solve_json(
     moved = rename_and_shuffle(doc, random.Random(f"{kind}-{which}"))
     for flags in ((), ("--diagnostic",)):
         assert solve_json(tmp_path, moved, *flags) == solve_json(tmp_path, doc, *flags)
+    # every tie-break of the specification walk, not only those a witness shows
+    assert spec_paths(moved) == spec_paths(doc)
 
 
 @pytest.mark.parametrize("kind,which", numbering_cases())

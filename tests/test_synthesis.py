@@ -433,6 +433,37 @@ class TestSolvePipeline:
     def test_spec_nonblocking_on_fixture(self, line_comm):
         assert spec_nonblocking(line_comm)
 
+    @pytest.mark.parametrize("params,count", [
+        (GeneratorParams(), 300),
+        (GeneratorParams(n=3, max_comm_states=150), 100),
+    ])
+    def test_spec_nonblocking_matches_definition(self, params, count):
+        """Every spec_reachable state has an in-spec path to a spec_marked
+        state, checked one state at a time."""
+
+        def reaches_marked(comm, start):
+            seen, stack = {start}, [start]
+            while stack:
+                sid = stack.pop()
+                if comm.spec_marked[sid]:
+                    return True
+                for dst in comm.transitions[sid].values():
+                    if comm.in_spec[dst] and dst not in seen:
+                        seen.add(dst)
+                        stack.append(dst)
+            return False
+
+        verdicts = []
+        for seed in range(count):
+            comm = random_instance(seed, params).comm
+            expected = all(
+                reaches_marked(comm, sid)
+                for sid in range(comm.num_states) if comm.spec_reachable[sid]
+            )
+            assert spec_nonblocking(comm) == expected, f"seed {seed}"
+            verdicts.append(expected)
+        assert True in verdicts and False in verdicts
+
 
 class TestThreeSupervisors:
     """The whole pipeline is n-ary; pin one three-supervisor sweep."""
