@@ -61,6 +61,7 @@ class Lose(NamedTuple):
 CommEvent = Plant | Deliver | Lose
 
 PLANT_TICK = Plant(TICK)
+QUEUE_CAP_FACTOR = 10  # see build_comm_automaton
 
 
 def event_key(event) -> tuple:
@@ -277,13 +278,12 @@ def build_comm_automaton(
     net: NetworkConfig,
     *,
     max_states: int = 500_000,
-    queue_cap_factor: int = 10,
 ) -> CommAutomaton:
     """Breadth-first construction of the channel-augmented automaton.
 
     ``spec`` must be a subautomaton of ``plant`` (same initial state; marking
     may be an explicit subset of the inherited one).  Queue lengths are capped
-    at queue_cap_factor * (delay_bound + 1) * |plant states| per channel; a
+    at QUEUE_CAP_FACTOR * (delay_bound + 1) * |plant states| per channel; a
     well-formed timed plant never gets near the cap, so exceeding it reports a
     model error with the offending trace.
     """
@@ -293,7 +293,7 @@ def build_comm_automaton(
     spec_states = set(spec.states)
     spec_marked_states = set(spec.marked)
     caps = {
-        key: queue_cap_factor * (link.delay_bound + 1) * len(plant.states)
+        key: QUEUE_CAP_FACTOR * (link.delay_bound + 1) * len(plant.states)
         for key, link in net.channels.items()
     }
 

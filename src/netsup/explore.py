@@ -53,7 +53,11 @@ class PathSpace(StateSpace):
         self.label: list = []
 
     def add(self, key: Hashable, parent: int = -1, label=None) -> int:
-        sid = StateSpace.add(self, key)
+        sid = len(self.keys)  # StateSpace.add inlined: one frame per state
+        if sid >= self.max_states:
+            raise ResourceLimitError(f"{self.stage} exceeds {self.max_states} states")
+        self.index[key] = sid
+        self.keys.append(key)
         self.parent.append(parent)
         self.label.append(label)
         return sid

@@ -15,7 +15,7 @@ from functools import reduce
 from pathlib import Path
 from typing import Union
 
-from .automata import TimedAutomaton, accessible, parallel_compose, remove_states, subautomaton_defect
+from .automata import TimedAutomaton, parallel_compose, remove_states, subautomaton_defect
 from .errors import SchemaError, UnknownNameError
 from .network import ChannelLink, NetworkConfig
 
@@ -110,7 +110,7 @@ def _resolve_plant(expr: str, by_name: dict[str, TimedAutomaton]) -> TimedAutoma
         parts.append(by_name[name])
     if len(parts) == 1:
         return parts[0]
-    return accessible(reduce(parallel_compose, parts))
+    return reduce(parallel_compose, parts)
 
 
 def _resolve_spec(raw, plant: TimedAutomaton) -> tuple[TimedAutomaton, bool]:

@@ -34,6 +34,7 @@ from .verification import (
     check_lm_closure,
     check_network_controllability,
     check_network_joint_observability,
+    tick_preemptable,
 )
 
 ObserverElement = tuple[int, bool]  # (state id, run stayed in spec)
@@ -219,12 +220,16 @@ def _step(
     for i, symbol in watchers:
         nxt = steps[i][obs_states[i]].get(symbol)
         if nxt is None:
-            raise ValueError(
-                f"observer of supervisor {i + 1} does not cover every run:"
-                f" no move on {symbol!r} from its state {obs_states[i]}"
-            )
+            raise _uncovered(i, symbol, obs_states[i])
         advanced[i] = nxt
     return tuple(advanced)
+
+
+def _uncovered(i: int, symbol: str, t: int) -> ValueError:
+    """Observer ``i`` has no move on ``symbol`` from its state ``t``."""
+    return ValueError(
+        f"observer of supervisor {i + 1} does not cover every run: no move on {symbol!r} from its state {t}"
+    )
 
 
 def closed_loop(
@@ -348,75 +353,52 @@ def language_equal(a, b, *, max_states: int = 500_000) -> LanguageVerdict:
 def check_admissibility(
     supervisors: Sequence[SupervisorMap], comm: CommAutomaton, *, max_states: int = 500_000
 ) -> Verdict:
-    """A supervisor set is admissible iff, along every in-spec run:
+    """A supervisor set is admissible iff, along every in-spec run, each
+    supervisor
 
-    1. no supervisor ever disables one of its uncontrollable events;
-    2. when tick is possible and no enforceable event is active inside the
-       specification, every supervisor keeps tick enabled.
+    1. never disables one of its uncontrollable events, and
+    2. keeps tick enabled where tick is possible and not ``tick_preemptable``.
 
-    ``max_states`` bounds the product of in-spec runs with the observers.
+    Both concern one supervisor at a time, so each supervisor's observer is
+    walked alone, in index order, breadth-first over the (state, observer
+    state) pairs in-spec runs reach: silent moves first, then observed
+    symbols in alphabet order.  The first violating pair gives the witness, a
+    shortest run reaching it.  ``max_states`` bounds each walk.
     """
-    net = comm.net
-    table = comm.event_table()
-    ids, targets, in_spec = table.ids, table.targets, comm.in_spec
-    watch = _watchers(table.events, net)
-    steps = [sup.observer.transitions for sup in supervisors]
-    # per observer state, for each supervisor that violates a condition
-    # somewhere: the first uncontrollable event it disables there, and
-    # whether it disables tick there
-    first_disabled = []
-    drops_tick = []
+    net, in_spec = comm.net, comm.in_spec
     for i, sup in enumerate(supervisors):
-        first = [min(net.alphabets[i] - net.controllable[i] - enable, default=None) for enable in sup.enable]
-        drops = [TICK not in enable for enable in sup.enable]
-        if any(event is not None for event in first):
-            first_disabled.append((i, first))
-        if any(drops):
-            drops_tick.append((i, drops))
-    # per comm state: tick possible, and no enforceable event active in the spec
-    tick_critical: list[bool] = []
-    if drops_tick:
-        tick = 0 if table.events and table.events[0] == PLANT_TICK else -1
-        enforcing = {
-            e for e, event in enumerate(table.events)
-            if isinstance(event, Plant) and event.event in net.enforceable
-        }
-        tick_critical = [
-            bool(row) and row[0] == tick
-            and not any(e in enforcing and in_spec[t] for e, t in zip(row, dsts))
-            for row, dsts in zip(ids, targets)
-        ]
-
-    def violation(condition: Condition, x: int, event: str, i: int, detail: str) -> Verdict:
-        witness = Witness(mu=comm.spec_path(x), sigma=event, supervisor=i)
-        return Verdict(condition, False, witness, detail=detail)
-
-    space = StateSpace("admissibility product", max_states)
-    space.add((comm.initial, tuple(sup.observer.initial for sup in supervisors)))
-    index = space.index
-    for x, obs_states in space.keys:  # space.keys grows: breadth-first
-        for i, first in first_disabled:
-            event = first[obs_states[i]]
-            if event is not None:
-                return violation(
-                    Condition.ADM_UNCONTROLLABLE, x, event, i,
-                    f"supervisor {i + 1} disables uncontrollable {event!r}",
-                )
-        if drops_tick and tick_critical[x]:
-            for i, drops in drops_tick:
-                if drops[obs_states[i]]:
-                    return violation(
-                        Condition.ADM_TICK, x, TICK, i,
-                        f"supervisor {i + 1} disables tick with no enforceable event available",
-                    )
-        # explore in-spec runs only
-        for e, dst in zip(ids[x], targets[x]):
-            if not in_spec[dst]:
-                continue
-            watchers = watch[e]
-            key = (dst, _step(steps, obs_states, watchers) if watchers else obs_states)
-            if key not in index:
-                space.add(key)
+        table = comm.observation_table(i)
+        steps, enable = sup.observer.transitions, sup.enable
+        uncontrollable = net.alphabets[i] - net.controllable[i]
+        # per observer state, the first uncontrollable event it disables
+        disabled = [min(uncontrollable - allowed, default=None) for allowed in enable]
+        width = sup.observer.num_states  # the pair (x, t) has the key x * width + t
+        space = PathSpace("admissibility product", max_states)
+        space.add(comm.initial * width + sup.observer.initial)
+        index, add = space.index, space.add
+        for k, key in enumerate(space.keys):  # space.keys grows: breadth-first
+            x, t = divmod(key, width)
+            if disabled[t] is not None:
+                witness = Witness(tuple(space.path(k)), disabled[t], supervisor=i)
+                detail = f"supervisor {i + 1} disables uncontrollable {disabled[t]!r}"
+                return Verdict(Condition.ADM_UNCONTROLLABLE, False, witness, detail)
+            if TICK not in enable[t] and PLANT_TICK in comm.transitions[x] and not tick_preemptable(comm, x):
+                witness = Witness(tuple(space.path(k)), TICK, supervisor=i)
+                detail = f"supervisor {i + 1} disables tick with no enforceable event available"
+                return Verdict(Condition.ADM_TICK, False, witness, detail)
+            for event, dst in table.silent[x]:
+                pair = dst * width + t
+                if in_spec[dst] and pair not in index:
+                    add(pair, k, event)
+            for symbol, moves in table.observed[x].items():
+                nxt = steps[t].get(symbol)
+                for event, dst in moves:
+                    if in_spec[dst]:
+                        if nxt is None:
+                            raise _uncovered(i, symbol, t)
+                        pair = dst * width + nxt
+                        if pair not in index:
+                            add(pair, k, event)
     return Verdict(Condition.ADM_UNCONTROLLABLE, True)
 
 

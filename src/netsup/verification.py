@@ -30,8 +30,9 @@ class Condition(Enum):
 @dataclass(frozen=True)
 class Witness:
     """Counterexample data.  ``mu`` leads to the violating state; ``sigma``
-    is the offending plant-level event where one applies; ``nu`` and
-    ``supervisor`` are set for observability violations only."""
+    is the offending plant-level event where one applies; ``nu`` is set for
+    observability violations only, ``supervisor`` for observability and
+    admissibility violations."""
 
     mu: tuple[CommEvent, ...]
     sigma: Optional[str] = None
@@ -45,6 +46,15 @@ class Verdict:
     holds: bool
     witness: Optional[Witness] = None
     detail: str = ""
+
+
+def tick_preemptable(comm: CommAutomaton, sid: int) -> bool:
+    """Some enforceable event is active at ``sid`` and stays in the
+    specification, so the supervisors can preempt tick there."""
+    return any(
+        isinstance(event, Plant) and event.event in comm.net.enforceable and comm.in_spec[dst]
+        for event, dst in comm.transitions[sid].items()
+    )
 
 
 def check_network_controllability(comm: CommAutomaton) -> Verdict:
@@ -78,11 +88,7 @@ def check_network_controllability(comm: CommAutomaton) -> Verdict:
         dst = comm.target(sid, Plant(TICK))
         if dst is None or comm.in_spec[dst]:
             continue
-        preemptable = any(
-            isinstance(ev, Plant) and ev.event in net.enforceable and comm.in_spec[t]
-            for ev, t in comm.transitions[sid].items()
-        )
-        if not preemptable:
+        if not tick_preemptable(comm, sid):
             return Verdict(
                 Condition.NET_CTRL_2,
                 False,

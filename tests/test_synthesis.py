@@ -208,6 +208,64 @@ class TestAdmissibility:
         assert not verdict.holds
         assert verdict.condition is Condition.ADM_TICK
 
+    @pytest.mark.parametrize("params,count", [
+        (GeneratorParams(), 200),
+        (GeneratorParams(n=3, max_comm_states=150), 100),
+    ])
+    def test_verdicts_match_definition_and_witnesses_replay(self, params, count):
+        """On the synthesized set and on a gagged copy (one supervisor drops
+        one event from every enable-set), the verdict equals the definition
+        read off the observers' elements, and every witness replays: an
+        in-spec run after which the named supervisor disables ``sigma``, at a
+        tick-critical state for AdmTick."""
+
+        def tick_critical(comm, x):
+            moves = comm.transitions[x]
+            return Plant(TICK) in moves and not any(
+                isinstance(ev, Plant) and ev.event in comm.net.enforceable and comm.in_spec[dst]
+                for ev, dst in moves.items()
+            )
+
+        def admissible(comm, sups):
+            net = comm.net
+            for i, sup in enumerate(sups):
+                uncontrollable = net.alphabets[i] - net.controllable[i]
+                for elements, enable in zip(sup.observer.elements, sup.enable):
+                    reached = [x for x, flag in elements if flag]  # by in-spec runs
+                    if reached and not uncontrollable <= enable:
+                        return False
+                    if TICK not in enable and any(tick_critical(comm, x) for x in reached):
+                        return False
+            return True
+
+        negatives = 0
+        for seed in range(count):
+            inst = random_instance(seed, params)
+            comm, net = inst.comm, inst.net
+            sups = [synthesize_supervisor(comm, i) for i in range(net.n)]
+            rng = random.Random(seed)
+            gagged = rng.randrange(net.n)
+            event = rng.choice(sorted(net.alphabets[gagged]))
+            gag = list(sups)
+            gag[gagged] = SupervisorMap(
+                gagged, sups[gagged].observer, tuple(e - {event} for e in sups[gagged].enable)
+            )
+            for case in (sups, gag):
+                verdict = check_admissibility(case, comm)
+                assert verdict.holds == admissible(comm, case), f"seed {seed}"
+                if verdict.holds:
+                    continue
+                negatives += 1
+                mu, sigma, i = verdict.witness.mu, verdict.witness.sigma, verdict.witness.supervisor
+                assert comm.string_in_spec(mu), f"seed {seed}"
+                t = case[i].observer.run(project_observation(mu, i, net))
+                assert sigma not in case[i].enable[t], f"seed {seed}"
+                if verdict.condition is Condition.ADM_TICK:
+                    assert tick_critical(comm, comm.run(mu)), f"seed {seed}"
+                else:
+                    assert sigma in net.alphabets[i] - net.controllable[i], f"seed {seed}"
+        assert negatives > count // 2
+
 
 class TestClosedLoop:
     def test_enable_everything_gives_full_language(self, line_comm):
