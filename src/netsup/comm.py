@@ -8,6 +8,10 @@ Both leave the plant component untouched.
 Exploration order is fixed -- tick, plant events lexicographically, deliveries
 by channel, losses by (channel, position) -- so state numbering is
 reproducible across runs.
+
+Each supervisor's observer, the subset construction over what it observes of
+the automaton, is built here too and cached on the automaton, so the
+joint-observability check and synthesis share it.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from . import channels as ch
 from .automata import TICK, TimedAutomaton, subautomaton_defect
 from .channels import ChannelState
 from .errors import ChannelOverflowError, ModelError
-from .explore import PathSpace
+from .explore import MAX_STATES, PathSpace, StateSpace, budget_error
 from .network import NetworkConfig
 
 
@@ -117,11 +121,14 @@ class CommAutomaton:
     _observation_tables: dict[int, "ObservationTable"] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _observers: dict[int, "Observer"] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __getstate__(self) -> dict:
         # a copy (a deep one included) rebuilds the derived tables from its
         # own transitions, so editing the copy's transitions is safe
-        return {**self.__dict__, "_event_table": None, "_observation_tables": {}}
+        return {**self.__dict__, "_event_table": None, "_observation_tables": {}, "_observers": {}}
 
     # -- basic accessors -------------------------------------------------
     @property
@@ -170,6 +177,19 @@ class CommAutomaton:
         if table is None:
             table = self._observation_tables[i] = build_observation_table(self, i)
         return table
+
+    def observer(self, i: int, max_states: int = MAX_STATES) -> "Observer":
+        """Supervisor ``i``'s observer, built on first use and cached like
+        ``event_table``; every caller gets the same object, which must not
+        change.  A cached observer with more than ``max_states`` states
+        raises the ResourceLimitError a fresh build would; a build that
+        breaks its budget caches nothing."""
+        observer = self._observers.get(i)
+        if observer is None:
+            observer = self._observers[i] = build_observer(self, i, max_states=max_states)
+        elif observer.num_states > max_states:
+            raise budget_error(_observer_stage(i), max_states)
+        return observer
 
     def spec_view(self) -> "SpecView":
         return SpecView(self)
@@ -277,7 +297,7 @@ def build_comm_automaton(
     spec: TimedAutomaton,
     net: NetworkConfig,
     *,
-    max_states: int = 500_000,
+    max_states: int = MAX_STATES,
 ) -> CommAutomaton:
     """Breadth-first construction of the channel-augmented automaton.
 
@@ -440,6 +460,84 @@ def build_observation_table(comm: CommAutomaton, i: int) -> ObservationTable:
     return ObservationTable(silent, observed)
 
 
+ObserverElement = tuple[int, bool]  # (state id, run stayed in spec)
+
+
+@dataclass
+class Observer:
+    """Deterministic observer for one supervisor.
+
+    ``elements[t]`` is the set of (state, in-spec) pairs compatible with the
+    observation string leading to observer state ``t``.
+    """
+
+    supervisor: int
+    obs_alphabet: tuple[str, ...]
+    elements: list[frozenset[ObserverElement]]
+    transitions: list[dict[str, int]]
+    initial: int = 0
+
+    @property
+    def num_states(self) -> int:
+        return len(self.elements)
+
+    def run(self, symbols: Iterable[str]) -> Optional[int]:
+        state = self.initial
+        for symbol in symbols:
+            nxt = self.transitions[state].get(symbol)
+            if nxt is None:
+                return None
+            state = nxt
+        return state
+
+
+def _observer_stage(supervisor: int) -> str:
+    return f"observer for supervisor {supervisor + 1}"
+
+
+def build_observer(
+    comm: CommAutomaton, supervisor: int, *, max_states: int = MAX_STATES
+) -> Observer:
+    """Subset construction over one supervisor's observation mapping.
+
+    Unobserved moves are closed over silently; an element's flag survives a
+    move only while the run stays within in_spec states.
+    """
+    obs_alphabet = comm.net.observation_alphabet(supervisor)
+    table = comm.observation_table(supervisor)
+
+    def closure(elements: Iterable[ObserverElement]) -> frozenset[ObserverElement]:
+        out = set(elements)
+        queue = deque(out)
+        while queue:
+            sid, flag = queue.popleft()
+            for _event, dst in table.silent[sid]:
+                nxt = (dst, flag and comm.in_spec[dst])
+                if nxt not in out:
+                    out.add(nxt)
+                    queue.append(nxt)
+        return frozenset(out)
+
+    space = StateSpace(_observer_stage(supervisor), max_states)
+    space.add(closure([(comm.initial, comm.in_spec[comm.initial])]))
+    index = space.index
+    transitions: list[dict[str, int]] = []
+    for element_set in space.keys:  # space.keys grows: breadth-first
+        here: dict[str, int] = {}
+        transitions.append(here)
+        for symbol in obs_alphabet:
+            moved = set()
+            for sid, flag in element_set:
+                for _event, dst in table.observed[sid].get(symbol, ()):
+                    moved.add((dst, flag and comm.in_spec[dst]))
+            if not moved:
+                continue
+            closed = closure(moved)
+            nxt = index.get(closed)
+            here[symbol] = space.add(closed) if nxt is None else nxt
+    return Observer(supervisor, obs_alphabet, space.keys, transitions)
+
+
 @dataclass(frozen=True)
 class ProjectionVerdict:
     equal: bool
@@ -468,7 +566,7 @@ def check_projection_equivalence(plant: TimedAutomaton, comm: CommAutomaton) -> 
         return frozenset(out)
 
     alphabet = sorted(plant.alphabet)
-    space = PathSpace("projection check", 500_000)
+    space = PathSpace("projection check", MAX_STATES)
     space.add((closure(frozenset([comm.initial])), plant.initial))
     for k, (subset, q) in enumerate(space.keys):  # space.keys grows: breadth-first
         for event in alphabet:

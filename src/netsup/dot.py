@@ -7,8 +7,8 @@ order and edges in each state's canonical event order.
 from __future__ import annotations
 
 from .automata import TimedAutomaton
-from .comm import CommAutomaton, render_event
-from .synthesis import ClosedLoop, Observer
+from .comm import CommAutomaton, Observer, render_event
+from .synthesis import ClosedLoop
 
 
 def _quote(label: str) -> str:

@@ -13,6 +13,13 @@ from typing import Hashable
 
 from .errors import ResourceLimitError
 
+MAX_STATES = 500_000  # the default state budget of every construction
+
+
+def budget_error(stage: str, max_states: int) -> ResourceLimitError:
+    """The error a construction named ``stage`` raises past ``max_states``."""
+    return ResourceLimitError(f"{stage} exceeds {max_states} states")
+
 
 class StateSpace:
     """States in discovery order under a state budget.
@@ -34,7 +41,7 @@ class StateSpace:
         raises ResourceLimitError when that would exceed ``max_states``."""
         sid = len(self.keys)
         if sid >= self.max_states:
-            raise ResourceLimitError(f"{self.stage} exceeds {self.max_states} states")
+            raise budget_error(self.stage, self.max_states)
         self.index[key] = sid
         self.keys.append(key)
         return sid
@@ -55,7 +62,7 @@ class PathSpace(StateSpace):
     def add(self, key: Hashable, parent: int = -1, label=None) -> int:
         sid = len(self.keys)  # StateSpace.add inlined: one frame per state
         if sid >= self.max_states:
-            raise ResourceLimitError(f"{self.stage} exceeds {self.max_states} states")
+            raise budget_error(self.stage, self.max_states)
         self.index[key] = sid
         self.keys.append(key)
         self.parent.append(parent)

@@ -40,16 +40,24 @@ def _bounded_walk(machine, bound: int) -> Iterator[dict]:
     """Every string of length <= ``bound`` that ``machine`` (anything with
     ``initial_state`` and ``moves``) generates: one dict per length, shortest
     first, from each state reached to the strings that reach it.  Each
-    state's moves are read once per length."""
+    state's moves are read once per walk."""
     if bound < 0:
         raise ValueError("bound must be >= 0")
     level: dict = {machine.initial_state: [()]}
     yield level
+    moves_of: dict = {}  # state -> its moves
     for _ in range(bound):
         nxt: dict = {}
         for state, strings in level.items():
-            for event, dst in machine.moves(state):
-                nxt.setdefault(dst, []).extend([string + (event,) for string in strings])
+            moves = moves_of.get(state)
+            if moves is None:
+                moves = moves_of[state] = machine.moves(state)
+            for event, dst in moves:
+                group = nxt.get(dst)
+                if group is None:
+                    group = nxt[dst] = []
+                for string in strings:
+                    group.append(string + (event,))
         level = nxt
         yield level
 

@@ -10,22 +10,23 @@ the specification on it.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .automata import TICK, TimedAutomaton, is_nonblocking, prepare
-from .comm import (
+from .comm import (  # Observer and build_observer are importable from here too
     PLANT_TICK,
     CommAutomaton,
     CommEvent,
     EventTable,
+    Observer,
     Plant,
     build_comm_automaton,
+    build_observer,
     event_key,
     observation_of,
 )
-from .explore import PathSpace, StateSpace
+from .explore import MAX_STATES, PathSpace, StateSpace
 from .network import NetworkConfig
 from .verification import (
     Condition,
@@ -36,80 +37,6 @@ from .verification import (
     check_network_joint_observability,
     tick_preemptable,
 )
-
-ObserverElement = tuple[int, bool]  # (state id, run stayed in spec)
-
-
-@dataclass
-class Observer:
-    """Deterministic observer for one supervisor.
-
-    ``elements[t]`` is the set of (state, in-spec) pairs compatible with the
-    observation string leading to observer state ``t``.
-    """
-
-    supervisor: int
-    obs_alphabet: tuple[str, ...]
-    elements: list[frozenset[ObserverElement]]
-    transitions: list[dict[str, int]]
-    initial: int = 0
-
-    @property
-    def num_states(self) -> int:
-        return len(self.elements)
-
-    def run(self, symbols: Iterable[str]) -> Optional[int]:
-        state = self.initial
-        for symbol in symbols:
-            nxt = self.transitions[state].get(symbol)
-            if nxt is None:
-                return None
-            state = nxt
-        return state
-
-
-def build_observer(
-    comm: CommAutomaton, supervisor: int, *, max_states: int = 100_000
-) -> Observer:
-    """Subset construction over one supervisor's observation mapping.
-
-    Unobserved moves are closed over silently; an element's flag survives a
-    move only while the run stays within in_spec states.
-    """
-    obs_alphabet = comm.net.observation_alphabet(supervisor)
-    table = comm.observation_table(supervisor)
-
-    def closure(elements: Iterable[ObserverElement]) -> frozenset[ObserverElement]:
-        out = set(elements)
-        queue = deque(out)
-        while queue:
-            sid, flag = queue.popleft()
-            for _event, dst in table.silent[sid]:
-                nxt = (dst, flag and comm.in_spec[dst])
-                if nxt not in out:
-                    out.add(nxt)
-                    queue.append(nxt)
-        return frozenset(out)
-
-    space = StateSpace(f"observer for supervisor {supervisor + 1}", max_states)
-    space.add(closure([(comm.initial, comm.in_spec[comm.initial])]))
-    index = space.index
-    transitions: list[dict[str, int]] = []
-    for element_set in space.keys:  # space.keys grows: breadth-first
-        here: dict[str, int] = {}
-        transitions.append(here)
-        for symbol in obs_alphabet:
-            moved = set()
-            for sid, flag in element_set:
-                for _event, dst in table.observed[sid].get(symbol, ()):
-                    moved.add((dst, flag and comm.in_spec[dst]))
-            if not moved:
-                continue
-            closed = closure(moved)
-            nxt = index.get(closed)
-            here[symbol] = space.add(closed) if nxt is None else nxt
-    return Observer(supervisor, obs_alphabet, space.keys, transitions)
-
 
 @dataclass
 class SupervisorMap:
@@ -130,13 +57,14 @@ class SupervisorMap:
 
 
 def synthesize_supervisor(
-    comm: CommAutomaton, supervisor: int, *, max_states: int = 100_000
+    comm: CommAutomaton, supervisor: int, *, max_states: int = MAX_STATES
 ) -> SupervisorMap:
     """Enable-sets from the observer: disable a controllable event exactly
     where some in-spec element of the observer state can exit the
-    specification on it.  ``max_states`` bounds the observer."""
+    specification on it.  The observer is ``comm``'s cached one;
+    ``max_states`` bounds it."""
     net = comm.net
-    observer = build_observer(comm, supervisor, max_states=max_states)
+    observer = comm.observer(supervisor, max_states)
     controllable = net.controllable[supervisor]
     uncontrollable = net.alphabets[supervisor] - controllable
     # per comm state, the controllable events whose move leaves the specification
@@ -233,7 +161,7 @@ def _uncovered(i: int, symbol: str, t: int) -> ValueError:
 
 
 def closed_loop(
-    comm: CommAutomaton, supervisors: Sequence[SupervisorMap], *, max_states: int = 500_000
+    comm: CommAutomaton, supervisors: Sequence[SupervisorMap], *, max_states: int = MAX_STATES
 ) -> ClosedLoop:
     """Build the controlled behavior under a supervisor set; ``max_states``
     bounds it."""
@@ -295,7 +223,7 @@ class LanguageVerdict:
         return self.generated_equal and self.marked_equal
 
 
-def language_equal(a, b, *, max_states: int = 500_000) -> LanguageVerdict:
+def language_equal(a, b, *, max_states: int = MAX_STATES) -> LanguageVerdict:
     """Exact equality of generated and marked languages of two deterministic
     structures over channel-augmented events: a CommAutomaton, its
     SpecView or a ClosedLoop (anything with ``event_table``,
@@ -351,7 +279,7 @@ def language_equal(a, b, *, max_states: int = 500_000) -> LanguageVerdict:
 
 
 def check_admissibility(
-    supervisors: Sequence[SupervisorMap], comm: CommAutomaton, *, max_states: int = 500_000
+    supervisors: Sequence[SupervisorMap], comm: CommAutomaton, *, max_states: int = MAX_STATES
 ) -> Verdict:
     """A supervisor set is admissible iff, along every in-spec run, each
     supervisor
@@ -446,7 +374,7 @@ def solve_control_problem(
     net: NetworkConfig,
     *,
     diagnostic: bool = False,
-    max_states: int = 500_000,
+    max_states: int = MAX_STATES,
 ) -> SolveReport:
     """Full pipeline: validate, build the channel-augmented automaton, decide
     the three existence conditions, and on success synthesize and verify the

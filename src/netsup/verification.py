@@ -10,12 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import AbstractSet, NamedTuple, Optional
 
 from .automata import TICK
-from .comm import CommAutomaton, CommEvent, Plant
-from .errors import ModelError
-from .explore import PathSpace
+from .comm import CommAutomaton, CommEvent, Observer, Plant
+from .errors import ModelError, ResourceLimitError
+from .explore import MAX_STATES, PathSpace
 
 
 class Condition(Enum):
@@ -138,13 +138,22 @@ class TwinProduct:
 
 
 def build_twin_product(
-    comm: CommAutomaton, supervisor: int, *, max_states: int = 500_000
+    comm: CommAutomaton,
+    supervisor: int,
+    *,
+    max_states: int = MAX_STATES,
+    until: tuple[AbstractSet[int], AbstractSet[int]] = ((), ()),
 ) -> TwinProduct:
     """Breadth-first twin product of ``comm`` with itself for one supervisor,
     over specification states only.
 
-    Raises ResourceLimitError when it would exceed ``max_states`` pairs.
+    With ``until=(exits, stays)`` the walk stops as soon as it discovers a
+    pair (x, y) with x in ``exits`` and y in ``stays``, which is then the
+    product's last pair; ids follow discovery order, so it is the lowest-id
+    such pair of the full product, with the same runs to it.  Raises
+    ResourceLimitError when it would exceed ``max_states`` pairs.
     """
+    exits, stays = until
     table = comm.observation_table(supervisor)
     silent, observed = table.silent, table.observed
     in_spec = comm.in_spec
@@ -159,11 +168,15 @@ def build_twin_product(
                 pair = dst * n + y
                 if pair not in index:
                     add(pair, tid, (event, None))
+                    if dst in exits and y in stays:
+                        return TwinProduct(supervisor, n, space)
         for event, dst in silent[y]:
             if in_spec[dst]:
                 pair = x * n + dst
                 if pair not in index:
                     add(pair, tid, (None, event))
+                    if x in exits and dst in stays:
+                        return TwinProduct(supervisor, n, space)
         observed_y = observed[y]
         for symbol, moves_x in observed[x].items():
             moves_y = observed_y.get(symbol)
@@ -176,11 +189,24 @@ def build_twin_product(
                             pair = dst_x * n + dst_y
                             if pair not in index:
                                 add(pair, tid, (ev_x, ev_y))
+                                if dst_x in exits and dst_y in stays:
+                                    return TwinProduct(supervisor, n, space)
     return TwinProduct(supervisor, n, space)
 
 
+def _confuses(observer: Observer, exits: set[int], stays: set[int]) -> bool:
+    """Some state of ``observer`` holds a flagged element in ``exits`` and
+    another in ``stays``."""
+    exit_elements = {(sid, True) for sid in exits}
+    stay_elements = {(sid, True) for sid in stays}
+    return any(
+        not elements.isdisjoint(exit_elements) and not elements.isdisjoint(stay_elements)
+        for elements in observer.elements
+    )
+
+
 def check_network_joint_observability(
-    comm: CommAutomaton, *, max_states: int = 500_000
+    comm: CommAutomaton, *, max_states: int = MAX_STATES
 ) -> Verdict:
     """Every controllable event that must be disabled after some in-spec run
     must be observationally distinguishable, by each supervisor controlling
@@ -188,17 +214,22 @@ def check_network_joint_observability(
 
     A violation is a pair of the supervisor's twin product (which holds only
     pairs whose two runs both stayed in the specification) where the event
-    exits the specification on the left and stays inside on the right.
-    Events that exit nowhere, or stay inside nowhere, are skipped, and a
-    twin product is built only for a supervisor some remaining event needs;
-    ``max_states`` bounds each twin product.  Verdicts aggregate
-    deterministically in (event, supervisor) order; per pair the witness is
-    BFS-shortest.
+    exits the specification on the left and stays inside on the right.  Such
+    a pair is reachable exactly when one state of the supervisor's observer
+    holds a flagged element where the event exits and another where it
+    stays, so the check reads the observers ``comm`` caches, which synthesis
+    reuses.  Only for the first violating (event, supervisor) is a twin
+    product built, and only up to its first violating pair, which gives the
+    BFS-shortest witness.  A supervisor whose observer breaks ``max_states``
+    is checked on its full twin product instead.  Events that exit nowhere,
+    or stay inside nowhere, are skipped; ``max_states`` bounds each observer
+    and twin product.  Verdicts aggregate deterministically in (event,
+    supervisor) order.
     """
     net = comm.net
     controllable = sorted(net.globally_controllable, key=lambda e: (e != TICK, e))
     reachable = [sid for sid in range(comm.num_states) if comm.spec_reachable[sid]]
-    twins: dict[int, TwinProduct] = {}
+    twins: dict[int, TwinProduct] = {}  # full twin products, where observers broke the budget
     for event in controllable:
         move = Plant(event)
         exits: set[int] = set()
@@ -210,9 +241,18 @@ def check_network_joint_observability(
         if not (exits and stays):
             continue
         for supervisor in net.controllers(event):
-            if supervisor not in twins:
-                twins[supervisor] = build_twin_product(comm, supervisor, max_states=max_states)
-            twin = twins[supervisor]
+            twin = twins.get(supervisor)
+            if twin is None:
+                try:
+                    observer = comm.observer(supervisor, max_states)
+                except ResourceLimitError:
+                    twin = twins[supervisor] = build_twin_product(comm, supervisor, max_states=max_states)
+                else:
+                    if not _confuses(observer, exits, stays):
+                        continue
+                    twin = build_twin_product(
+                        comm, supervisor, max_states=max_states, until=(exits, stays)
+                    )
             for tid, key in enumerate(twin.space.keys):
                 x, y = divmod(key, twin.width)
                 if x in exits and y in stays:

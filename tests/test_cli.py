@@ -126,6 +126,18 @@ class TestJsonOutputs:
         assert w["sigma"] == "a1" and w["supervisor"] == 1
         assert w["mu"] and w["nu"]
 
+    def test_check_decides_a_long_delay_under_the_default_budget(self, capsys, models_dir, tmp_path):
+        # delay bounds 1->2 = 14 and 2->1 = 1: 29,475 channel-augmented
+        # states, whose twin product for supervisor 1 exceeds 500,000 pairs
+        doc = json.loads((models_dir / "production_line.json").read_text())
+        for channel in doc["network"]["channels"]:
+            channel["delay_bound"] = {(1, 2): 14, (2, 1): 1}[(channel["from"], channel["to"])]
+        model = tmp_path / "line-14-1.json"
+        model.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", str(model), "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["all_hold"]
+
     def test_synthesize_emits_supervisors(self, capsys, models_dir):
         code, out, _ = run(capsys, "synthesize", fixture_path(models_dir))
         payload = json.loads(out)

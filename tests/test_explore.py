@@ -2,12 +2,16 @@
 enforces a state budget."""
 
 import ast
+import importlib
+import inspect
+import pkgutil
 from pathlib import Path
 
 import pytest
 
+import netsup
 from netsup.errors import ResourceLimitError
-from netsup.explore import PathSpace, StateSpace
+from netsup.explore import MAX_STATES, PathSpace, StateSpace
 
 SOURCES = Path(__file__).resolve().parent.parent / "src" / "netsup"
 
@@ -67,3 +71,33 @@ def test_only_the_kernel_raises_budget_errors():
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ResourceLimitError"
     ]
     assert found == []
+
+
+def test_every_budget_defaults_to_max_states():
+    """Every public function or method with a ``max_states`` default uses
+    the one default budget."""
+    defaults = {}
+    for info in pkgutil.iter_modules(netsup.__path__):
+        module = importlib.import_module(f"netsup.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                functions = {name: obj}
+            elif inspect.isclass(obj):
+                functions = {
+                    f"{name}.{attr}": value for attr, value in vars(obj).items()
+                    if inspect.isfunction(value) and not attr.startswith("_")
+                }
+            else:
+                continue
+            for qualname, function in functions.items():
+                param = inspect.signature(function).parameters.get("max_states")
+                if param is not None and param.default is not param.empty:
+                    defaults[qualname] = param.default
+    assert {
+        "build_comm_automaton", "CommAutomaton.observer", "build_observer",
+        "build_twin_product", "check_network_joint_observability", "synthesize_supervisor",
+        "closed_loop", "language_equal", "check_admissibility", "solve_control_problem",
+    } <= defaults.keys()
+    assert {name: default for name, default in defaults.items() if default != MAX_STATES} == {}

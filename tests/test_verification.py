@@ -1,6 +1,7 @@
 """The three existence checks: fixture verdicts, planted violations, witness
 replay, and agreement with the brute-force oracle."""
 
+import copy
 import dataclasses
 import json
 
@@ -17,8 +18,8 @@ from netsup.comm import (
 from netsup.errors import ModelError, ResourceLimitError
 from netsup.modelio import parse_model
 from netsup.oracle import brute_check
-from netsup.randgen import random_instance
-from netsup.synthesis import solve_control_problem
+from netsup.randgen import GeneratorParams, random_instance
+from netsup.synthesis import solve_control_problem, synthesize_supervisor
 from netsup.verification import (
     Condition,
     build_twin_product,
@@ -160,11 +161,14 @@ class TestJointObservability:
     def test_twin_product_budget(self, line_model, line_comm):
         with pytest.raises(ResourceLimitError, match="supervisor 2"):
             build_twin_product(line_comm, 1, max_states=5)
+        # every observer has more than 5 states: the check falls back to the
+        # full twin product
         with pytest.raises(ResourceLimitError, match="twin product for supervisor 1"):
             check_network_joint_observability(line_comm, max_states=5)
-        # a budget that fits the channel-augmented automaton but not the
-        # twin products reaches the joint-observability stage and stops there
-        with pytest.raises(ResourceLimitError, match="twin product"):
+        # a budget that fits the channel-augmented automaton and the observers
+        # passes the joint-observability stage, which builds no twin product
+        # on a positive verdict, and stops at the closed loop
+        with pytest.raises(ResourceLimitError, match="closed loop"):
             solve_control_problem(
                 line_model.plant, line_model.spec, line_model.network,
                 max_states=line_comm.num_states,
@@ -188,6 +192,64 @@ class TestJointObservability:
         assert [render_event(e) for e in w.nu] == [
             "a1", "f12(a1)", "tick", "b1", "f12(b1)", "tick", "a2", "tick", "b2", "tick",
         ]
+
+
+def full_twin_scan(comm):
+    """The joint-observability check as a scan of whole twin products:
+    (holds, sigma, supervisor, mu, nu) of the lowest-id violating pair, in
+    (event, supervisor) order."""
+    net = comm.net
+    twins = {}
+    for event in sorted(net.globally_controllable, key=lambda e: (e != TICK, e)):
+        exits, stays = set(), set()
+        for sid in range(comm.num_states):
+            dst = comm.target(sid, Plant(event))
+            if comm.spec_reachable[sid] and dst is not None:
+                (stays if comm.in_spec[dst] else exits).add(sid)
+        if not (exits and stays):
+            continue
+        for supervisor in net.controllers(event):
+            if supervisor not in twins:
+                twins[supervisor] = build_twin_product(comm, supervisor)
+            twin = twins[supervisor]
+            for tid, (x, y) in enumerate(twin.states):
+                if x in exits and y in stays:
+                    return (False, event, supervisor, *twin.strings_to(tid))
+    return (True, None, None, None, None)
+
+
+class TestObserverScan:
+    """The check reads the observers and builds a twin product only to
+    replay a witness; it must decide and witness exactly as a scan of the
+    full twin products does."""
+
+    @pytest.mark.parametrize("params", [
+        GeneratorParams(),
+        GeneratorParams(n=3, max_comm_states=150),
+        GeneratorParams(n=3, max_delay=3, max_comm_states=150),
+    ], ids=["n2", "n3", "n3-delay3"])
+    def test_equals_full_twin_scan(self, params):
+        negative = 0
+        for seed in range(300):
+            comm = random_instance(seed, params).comm
+            verdict = check_network_joint_observability(comm)
+            w = verdict.witness
+            got = (verdict.holds, None, None, None, None) if w is None else \
+                (verdict.holds, w.sigma, w.supervisor, w.mu, w.nu)
+            assert got == full_twin_scan(comm), seed
+            negative += not verdict.holds
+        assert negative >= 30  # 42, 46 and 31: the sweep exercises the witness search
+
+    def test_synthesis_reuses_the_checks_observer(self, line_model):
+        comm = build(line_model)
+        assert check_network_joint_observability(comm).holds
+        observer = comm._observers[0]  # built by the check
+        assert synthesize_supervisor(comm, 0).observer is observer
+
+    def test_copies_start_without_observers(self, line_report):
+        clone = copy.deepcopy(line_report.comm)
+        assert line_report.comm._observers and not clone._observers
+        assert clone.observer(0) is not line_report.supervisors[0].observer
 
 
 def reference_twin_pairs(comm, supervisor):
