@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
 from .errors import CompositionError, DeterminismError, ModelError, SchemaError, UnknownNameError
+from .explore import MAX_STATES, StateSpace
 
 TICK = "tick"
 
@@ -101,10 +102,6 @@ class TimedAutomaton:
             state = nxt
         return state
 
-    def accepts(self, string: Iterable[str]) -> bool:
-        state = self.run(string)
-        return state is not None and state in self.marked
-
     # the moves protocol shared with the channel-level structures
     @property
     def initial_state(self) -> str:
@@ -174,7 +171,9 @@ def parallel_compose(a: TimedAutomaton, b: TimedAutomaton) -> TimedAutomaton:
     """Synchronous product: tick synchronizes, private events interleave.
 
     The component alphabets must intersect exactly in {tick}.  The result is
-    accessible by construction; a pair is marked iff both components are.
+    accessible by construction, its states named ``(qa,qb)`` in breadth-first
+    discovery order; a pair is marked iff both components are.  Raises
+    ResourceLimitError past ``MAX_STATES`` pairs.
     """
     shared = a.alphabet & b.alphabet
     if shared != {TICK}:
@@ -182,44 +181,34 @@ def parallel_compose(a: TimedAutomaton, b: TimedAutomaton) -> TimedAutomaton:
         raise CompositionError(
             f"alphabets of {a.name!r} and {b.name!r} overlap beyond {TICK!r}: {extra}"
         )
-    alphabet = a.alphabet | b.alphabet
-    initial = (a.initial, b.initial)
-    index: dict[tuple[str, str], str] = {initial: f"({a.initial},{b.initial})"}
-    order = [initial]
+    space = StateSpace("plant composition", MAX_STATES)
+    space.add((a.initial, b.initial))
+    index = space.index
+    names: list[str] = []
     transitions: dict[str, dict[str, str]] = {}
-    queue = deque([initial])
-    while queue:
-        pa, pb = queue.popleft()
-        here: dict[str, str] = {}
+    for pa, pb in space.keys:  # space.keys grows: breadth-first
         moves: list[tuple[str, tuple[str, str]]] = []
         ta = a.transitions[pa].get(TICK)
         tb = b.transitions[pb].get(TICK)
         if ta is not None and tb is not None:
             moves.append((TICK, (ta, tb)))
-        private = []
-        for e, t in a.transitions[pa].items():
-            if e != TICK:
-                private.append((e, (t, pb)))
-        for e, t in b.transitions[pb].items():
-            if e != TICK:
-                private.append((e, (pa, t)))
+        private = [(e, (t, pb)) for e, t in a.transitions[pa].items() if e != TICK]
+        private += [(e, (pa, t)) for e, t in b.transitions[pb].items() if e != TICK]
         moves.extend(sorted(private, key=lambda m: m[0]))
-        for event, dst in moves:
+        for _event, dst in moves:
             if dst not in index:
-                index[dst] = f"({dst[0]},{dst[1]})"
-                order.append(dst)
-                queue.append(dst)
-            here[event] = index[dst]
-        transitions[index[(pa, pb)]] = here
+                space.add(dst)
+        names.append(f"({pa},{pb})")
+        transitions[names[-1]] = {event: f"({qa},{qb})" for event, (qa, qb) in moves}
     marked = frozenset(
-        index[p] for p in order if p[0] in a.marked and p[1] in b.marked
+        name for name, (pa, pb) in zip(names, space.keys) if pa in a.marked and pb in b.marked
     )
     return TimedAutomaton(
         f"({a.name}||{b.name})",
-        tuple(index[p] for p in order),
-        alphabet,
+        tuple(names),
+        a.alphabet | b.alphabet,
         transitions,
-        index[initial],
+        names[0],
         marked,
     )
 

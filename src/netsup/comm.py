@@ -68,14 +68,9 @@ PLANT_TICK = Plant(TICK)
 QUEUE_CAP_FACTOR = 10  # see build_comm_automaton
 
 
-def event_key(event) -> tuple:
-    """Total order over channel-automaton events; matches exploration order.
-
-    Plain strings (plant-level labels) order like their Plant counterparts,
-    so the same helper sorts both label universes.
-    """
-    if isinstance(event, str):
-        return (0, "") if event == TICK else (1, event)
+def event_key(event: CommEvent) -> tuple:
+    """Total order over channel-automaton events; matches exploration order:
+    tick, plant events lexicographically, deliveries, losses."""
     if isinstance(event, Plant):
         return (0, "") if event.event == TICK else (1, event.event)
     if isinstance(event, Deliver):
@@ -103,7 +98,11 @@ class CommAutomaton:
     ``spec_reachable`` whether the state is reachable through in_spec states
     only (i.e. belongs to the specification's channel-augmented automaton).
     ``spec_tree`` is the breadth-first walk that found those states, keyed by
-    state id; ``spec_path`` reads its links.
+    state id; ``spec_path`` reads its links.  ``exits`` / ``stays`` hold the
+    exit table: the plant event names (tick included) whose move from the
+    state leaves the specification, and those whose move stays inside it.
+    Controllability, joint observability, synthesis and admissibility all
+    read it.
     """
 
     net: NetworkConfig
@@ -113,6 +112,8 @@ class CommAutomaton:
     marked: list[bool]
     spec_marked: list[bool]
     spec_reachable: list[bool]
+    exits: list[frozenset[str]]
+    stays: list[frozenset[str]]
     spec_tree: PathSpace = field(repr=False, compare=False)
     initial: int = 0
     _event_table: Optional["EventTable"] = field(
@@ -321,6 +322,18 @@ def build_comm_automaton(
     space.add((plant.initial, ChannelState.empty(net)))
     keys, index = space.keys, space.index
     transitions: list[dict[CommEvent, int]] = []
+    # a state's exit table depends only on its plant state and on whether
+    # the channels let tick pass, so each plant state is split both ways once
+    splits: dict[tuple[str, bool], tuple[frozenset[str], frozenset[str]]] = {}
+    for q in plant.states:
+        for tick in (False, True):
+            moves = [(e, dst) for e, dst in plant.moves(q) if tick or e != TICK]
+            splits[q, tick] = (
+                frozenset(e for e, dst in moves if dst not in spec_states),
+                frozenset(e for e, dst in moves if dst in spec_states),
+            )
+    exits: list[frozenset[str]] = []
+    stays: list[frozenset[str]] = []
 
     def intern(key: tuple[str, ChannelState], src: int, event: CommEvent) -> int:
         sid = index.get(key)
@@ -366,6 +379,9 @@ def build_comm_automaton(
                 if lost is not None:
                     event = Lose(i, j, d)
                     here[event] = intern((q, lost), sid, event)
+        leaving, staying = splits[q, PLANT_TICK in here]
+        exits.append(leaving)
+        stays.append(staying)
 
     in_spec = [k[0] in spec_states for k in keys]
     marked = [k[0] in plant.marked for k in keys]
@@ -390,6 +406,8 @@ def build_comm_automaton(
         marked=marked,
         spec_marked=spec_marked,
         spec_reachable=spec_reachable,
+        exits=exits,
+        stays=stays,
         spec_tree=spec_tree,
     )
 

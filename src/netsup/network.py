@@ -130,13 +130,6 @@ class NetworkConfig:
             return tuple(range(self.n))
         return tuple(i for i in range(self.n) if event in self.controllable[i])
 
-    def owner(self, event: str) -> int:
-        """The unique supervisor whose alphabet carries a non-tick event."""
-        for i in range(self.n):
-            if event in self.alphabets[i]:
-                return i
-        raise SchemaError(f"event {event!r} belongs to no supervisor")
-
     def observation_alphabet(self, i: int) -> tuple[str, ...]:
         """Symbols supervisor ``i`` can observe: own observables plus events
         delivered over incoming channels.  Tick first, then lexicographic."""

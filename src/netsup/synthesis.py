@@ -61,29 +61,18 @@ def synthesize_supervisor(
 ) -> SupervisorMap:
     """Enable-sets from the observer: disable a controllable event exactly
     where some in-spec element of the observer state can exit the
-    specification on it.  The observer is ``comm``'s cached one;
-    ``max_states`` bounds it."""
+    specification on it, as the exit table ``comm.exits`` says.  The
+    observer is ``comm``'s cached one; ``max_states`` bounds it."""
     net = comm.net
     observer = comm.observer(supervisor, max_states)
     controllable = net.controllable[supervisor]
     uncontrollable = net.alphabets[supervisor] - controllable
-    # per comm state, the controllable events whose move leaves the specification
-    table = comm.event_table()
-    names = [
-        event.event if isinstance(event, Plant) and event.event in controllable else None
-        for event in table.events
-    ]
-    exits: dict[int, set[str]] = {}
-    for sid, (row, dsts) in enumerate(zip(table.ids, table.targets)):
-        for e, dst in zip(row, dsts):
-            if names[e] is not None and not comm.in_spec[dst]:
-                exits.setdefault(sid, set()).add(names[e])
     enable: list[frozenset[str]] = []
     for element_set in observer.elements:
         disabled: set[str] = set()
         for sid, flag in element_set:
-            if flag and sid in exits:
-                disabled |= exits[sid]
+            if flag:
+                disabled |= comm.exits[sid]
         enable.append(frozenset(uncontrollable | (controllable - disabled)))
     return SupervisorMap(supervisor, observer, tuple(enable))
 

@@ -12,8 +12,8 @@ from enum import Enum
 from functools import cached_property
 from typing import AbstractSet, NamedTuple, Optional
 
-from .automata import TICK
-from .comm import CommAutomaton, CommEvent, Observer, Plant
+from .automata import TICK, event_order
+from .comm import CommAutomaton, CommEvent, Observer
 from .errors import ModelError, ResourceLimitError
 from .explore import MAX_STATES, PathSpace
 
@@ -49,16 +49,15 @@ class Verdict:
 
 
 def tick_preemptable(comm: CommAutomaton, sid: int) -> bool:
-    """Some enforceable event is active at ``sid`` and stays in the
-    specification, so the supervisors can preempt tick there."""
-    return any(
-        isinstance(event, Plant) and event.event in comm.net.enforceable and comm.in_spec[dst]
-        for event, dst in comm.transitions[sid].items()
-    )
+    """Some enforceable event's move from ``sid`` stays in the
+    specification (read off the exit table), so the supervisors can preempt
+    tick there."""
+    return not comm.stays[sid].isdisjoint(comm.net.enforceable)
 
 
 def check_network_controllability(comm: CommAutomaton) -> Verdict:
-    """Two statewise conditions over the specification restriction:
+    """Two statewise conditions over the specification restriction, read
+    off the exit table:
 
     1. no uncontrollable event leads from a specification state out of the
        specification;
@@ -66,29 +65,23 @@ def check_network_controllability(comm: CommAutomaton) -> Verdict:
        specification, some enforceable event must be active inside the
        specification (so the supervisors can preempt the tick).
 
-    Returns the first violation with a shortest in-spec string witness.
+    Returns the first violation, at the lowest state id and the least event,
+    with a shortest in-spec string witness.
     """
-    net = comm.net
-    uncontrollable = sorted(net.uncontrollable, key=lambda e: (e != TICK, e))
-    for sid in range(comm.num_states):
-        if not comm.spec_reachable[sid]:
-            continue
-        for event in uncontrollable:
-            dst = comm.target(sid, Plant(event))
-            if dst is not None and not comm.in_spec[dst]:
-                return Verdict(
-                    Condition.NET_CTRL_1,
-                    False,
-                    Witness(mu=comm.spec_path(sid), sigma=event),
-                    detail=f"uncontrollable {event!r} exits the specification at {comm.render_state(sid)}",
-                )
-    for sid in range(comm.num_states):
-        if not comm.spec_reachable[sid]:
-            continue
-        dst = comm.target(sid, Plant(TICK))
-        if dst is None or comm.in_spec[dst]:
-            continue
-        if not tick_preemptable(comm, sid):
+    uncontrollable = comm.net.uncontrollable
+    reachable = [sid for sid in range(comm.num_states) if comm.spec_reachable[sid]]
+    for sid in reachable:
+        escaping = comm.exits[sid] & uncontrollable
+        if escaping:
+            event = min(escaping, key=event_order)
+            return Verdict(
+                Condition.NET_CTRL_1,
+                False,
+                Witness(mu=comm.spec_path(sid), sigma=event),
+                detail=f"uncontrollable {event!r} exits the specification at {comm.render_state(sid)}",
+            )
+    for sid in reachable:
+        if TICK in comm.exits[sid] and not tick_preemptable(comm, sid):
             return Verdict(
                 Condition.NET_CTRL_2,
                 False,
@@ -212,60 +205,49 @@ def check_network_joint_observability(
     must be observationally distinguishable, by each supervisor controlling
     it, from every in-spec run after which that event must stay enabled.
 
-    A violation is a pair of the supervisor's twin product (which holds only
-    pairs whose two runs both stayed in the specification) where the event
-    exits the specification on the left and stays inside on the right.  Such
-    a pair is reachable exactly when one state of the supervisor's observer
-    holds a flagged element where the event exits and another where it
-    stays, so the check reads the observers ``comm`` caches, which synthesis
-    reuses.  Only for the first violating (event, supervisor) is a twin
-    product built, and only up to its first violating pair, which gives the
-    BFS-shortest witness.  A supervisor whose observer breaks ``max_states``
-    is checked on its full twin product instead.  Events that exit nowhere,
-    or stay inside nowhere, are skipped; ``max_states`` bounds each observer
-    and twin product.  Verdicts aggregate deterministically in (event,
-    supervisor) order.
+    For an event, the exit table splits the specification states into
+    ``exits`` and ``stays``.  A violation is a pair of the supervisor's twin
+    product (which holds only pairs whose two runs both stayed in the
+    specification) with the left state in ``exits`` and the right one in
+    ``stays``.  Such a pair is reachable exactly when one state of the
+    supervisor's observer holds a flagged element in ``exits`` and another
+    in ``stays``, so the check reads the observers ``comm`` caches, which
+    synthesis reuses.  Only for a confused (event, supervisor), or one whose
+    observer breaks ``max_states``, is a twin product built, and only up to
+    its first violating pair, which gives the BFS-shortest witness.  Events
+    that exit nowhere, or stay inside nowhere, are skipped; ``max_states``
+    bounds each observer and twin product.  Verdicts aggregate
+    deterministically in (event, supervisor) order.
     """
     net = comm.net
-    controllable = sorted(net.globally_controllable, key=lambda e: (e != TICK, e))
     reachable = [sid for sid in range(comm.num_states) if comm.spec_reachable[sid]]
-    twins: dict[int, TwinProduct] = {}  # full twin products, where observers broke the budget
-    for event in controllable:
-        move = Plant(event)
-        exits: set[int] = set()
-        stays: set[int] = set()
-        for sid in reachable:
-            dst = comm.transitions[sid].get(move)
-            if dst is not None:
-                (stays if comm.in_spec[dst] else exits).add(sid)
+    for event in sorted(net.globally_controllable, key=event_order):
+        exits = {sid for sid in reachable if event in comm.exits[sid]}
+        stays = {sid for sid in reachable if event in comm.stays[sid]}
         if not (exits and stays):
             continue
         for supervisor in net.controllers(event):
-            twin = twins.get(supervisor)
-            if twin is None:
-                try:
-                    observer = comm.observer(supervisor, max_states)
-                except ResourceLimitError:
-                    twin = twins[supervisor] = build_twin_product(comm, supervisor, max_states=max_states)
-                else:
-                    if not _confuses(observer, exits, stays):
-                        continue
-                    twin = build_twin_product(
-                        comm, supervisor, max_states=max_states, until=(exits, stays)
-                    )
-            for tid, key in enumerate(twin.space.keys):
-                x, y = divmod(key, twin.width)
-                if x in exits and y in stays:
-                    mu, nu = twin.strings_to(tid)
-                    return Verdict(
-                        Condition.NET_JOINT_OBS,
-                        False,
-                        Witness(mu=mu, sigma=event, nu=nu, supervisor=supervisor),
-                        detail=(
-                            f"supervisor {supervisor + 1} cannot distinguish a run where"
-                            f" {event!r} must be disabled from one where it must stay enabled"
-                        ),
-                    )
+            try:
+                observer = comm.observer(supervisor, max_states)
+            except ResourceLimitError:
+                pass  # too large to read: the twin product decides
+            else:
+                if not _confuses(observer, exits, stays):
+                    continue
+            twin = build_twin_product(comm, supervisor, max_states=max_states, until=(exits, stays))
+            last = len(twin.space.keys) - 1
+            x, y = divmod(twin.space.keys[last], twin.width)
+            if x in exits and y in stays:
+                mu, nu = twin.strings_to(last)
+                return Verdict(
+                    Condition.NET_JOINT_OBS,
+                    False,
+                    Witness(mu=mu, sigma=event, nu=nu, supervisor=supervisor),
+                    detail=(
+                        f"supervisor {supervisor + 1} cannot distinguish a run where"
+                        f" {event!r} must be disabled from one where it must stay enabled"
+                    ),
+                )
     return Verdict(Condition.NET_JOINT_OBS, True)
 
 

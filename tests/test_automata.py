@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from netsup import automata
 from netsup.automata import (
     TICK,
     TimedAutomaton,
@@ -14,7 +15,7 @@ from netsup.automata import (
     remove_states,
     validate_timed_assumptions,
 )
-from netsup.errors import CompositionError, DeterminismError, UnknownNameError
+from netsup.errors import CompositionError, DeterminismError, ResourceLimitError, UnknownNameError
 from netsup.oracle import enumerate_language
 
 
@@ -114,6 +115,14 @@ class TestParallelCompose:
         left = parallel_compose(parallel_compose(a, b), c)
         right = parallel_compose(a, parallel_compose(b, c))
         assert enumerate_language(left, 5).strings == enumerate_language(right, 5).strings
+
+    def test_budget(self, monkeypatch):
+        a = tick_cycle("A", "a1")
+        b = tick_cycle("B", "a2")
+        assert len(parallel_compose(a, b).states) == 4
+        monkeypatch.setattr(automata, "MAX_STATES", 3)
+        with pytest.raises(ResourceLimitError, match="^plant composition exceeds 3 states$"):
+            parallel_compose(a, b)
 
     def test_fixture_components_cover_refined_plant(self, line_model):
         # the refined plant only removes behavior from the free product

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from netsup import cli, synthesis
+from netsup import automata, cli, synthesis
 from netsup.cli import main
 from netsup.errors import ResourceLimitError
 
@@ -71,6 +71,19 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: closed loop exceeds 5 states\n"
 
+
+    def test_composition_budget_overflow_exits_two(self, capsys, models_dir, tmp_path, monkeypatch):
+        # the fixture's plant is the single automaton LINE; its components
+        # R1 || R2 compose to 9 states
+        doc = json.loads((models_dir / "production_line.json").read_text(encoding="utf-8"))
+        doc["plant"] = "R1 || R2"
+        doc["spec"] = {"remove_states": []}
+        model = tmp_path / "free_line.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, _ = run(capsys, "compose", str(model))
+        assert code == 0 and json.loads(out)["states"] == 9
+        monkeypatch.setattr(automata, "MAX_STATES", 8)
+        assert run(capsys, "compose", str(model)) == (2, "", "error: plant composition exceeds 8 states\n")
 
     @pytest.mark.parametrize("argv", [
         ["check"],

@@ -161,8 +161,8 @@ class TestJointObservability:
     def test_twin_product_budget(self, line_model, line_comm):
         with pytest.raises(ResourceLimitError, match="supervisor 2"):
             build_twin_product(line_comm, 1, max_states=5)
-        # every observer has more than 5 states: the check falls back to the
-        # full twin product
+        # every observer has more than 5 states: the check walks the twin
+        # product instead, which breaks the budget before it ends
         with pytest.raises(ResourceLimitError, match="twin product for supervisor 1"):
             check_network_joint_observability(line_comm, max_states=5)
         # a budget that fits the channel-augmented automaton and the observers
@@ -192,6 +192,23 @@ class TestJointObservability:
         assert [render_event(e) for e in w.nu] == [
             "a1", "f12(a1)", "tick", "b1", "f12(b1)", "tick", "a2", "tick", "b2", "tick",
         ]
+
+
+    @pytest.mark.parametrize("budget", [100, 150])
+    def test_observer_over_budget_reads_the_witness_walk(self, models_dir, budget):
+        """Delays 1->2 = 1 and 2->1 = 6: supervisor 1's observer has 169
+        states, but the twin product reaches its first violating pair at 64,
+        so a budget between the two still gives the default verdict."""
+        def mutate(doc):
+            for channel in doc["network"]["channels"]:
+                channel["delay_bound"] = {(1, 2): 1, (2, 1): 6}[(channel["from"], channel["to"])]
+
+        model = load_variant(models_dir, mutate)
+        expected = check_network_joint_observability(build(model))
+        comm = build(model)
+        assert check_network_joint_observability(comm, max_states=budget) == expected
+        assert budget < comm.observer(0).num_states == 169
+        assert not expected.holds and expected.witness.sigma == "a1"
 
 
 def full_twin_scan(comm):
@@ -229,7 +246,10 @@ class TestObserverScan:
         GeneratorParams(n=3, max_delay=3, max_comm_states=150),
     ], ids=["n2", "n3", "n3-delay3"])
     def test_equals_full_twin_scan(self, params):
-        negative = 0
+        """Also under a budget one below the larger observer, where the
+        check walks that supervisor's twin product instead of reading its
+        observer: whenever the walk fits, the verdict is the default one."""
+        negative = fits = 0
         for seed in range(300):
             comm = random_instance(seed, params).comm
             verdict = check_network_joint_observability(comm)
@@ -238,7 +258,15 @@ class TestObserverScan:
                 (verdict.holds, w.sigma, w.supervisor, w.mu, w.nu)
             assert got == full_twin_scan(comm), seed
             negative += not verdict.holds
+            budget = max(comm.observer(i).num_states for i in range(comm.net.n)) - 1
+            try:
+                tight = check_network_joint_observability(comm, max_states=budget)
+            except ResourceLimitError:
+                continue
+            assert tight == verdict, seed
+            fits += 1
         assert negative >= 30  # 42, 46 and 31: the sweep exercises the witness search
+        assert fits >= 290  # 298, 297 and 297
 
     def test_synthesis_reuses_the_checks_observer(self, line_model):
         comm = build(line_model)
@@ -282,6 +310,69 @@ def reference_twin_pairs(comm, supervisor):
                 seen.add(pair)
                 queue.append(pair)
     return seen
+
+
+def statewise_controllability(comm):
+    """Both controllability conditions as a statewise scan of the moves:
+    (holds, condition, mu, sigma)."""
+    net = comm.net
+    reachable = [sid for sid in range(comm.num_states) if comm.spec_reachable[sid]]
+    for sid in reachable:
+        for event in sorted(net.uncontrollable, key=lambda e: (e != TICK, e)):
+            dst = comm.target(sid, Plant(event))
+            if dst is not None and not comm.in_spec[dst]:
+                return (False, Condition.NET_CTRL_1, comm.spec_path(sid), event)
+    for sid in reachable:
+        dst = comm.target(sid, Plant(TICK))
+        if dst is None or comm.in_spec[dst]:
+            continue
+        if not any(
+            isinstance(e, Plant) and e.event in net.enforceable and comm.in_spec[t]
+            for e, t in comm.transitions[sid].items()
+        ):
+            return (False, Condition.NET_CTRL_2, comm.spec_path(sid), TICK)
+    return (True, Condition.NET_CTRL_1, None, None)
+
+
+class TestExitTable:
+    """``exits``/``stays`` say which plant moves leave the specification;
+    controllability and the enable-sets read them and must agree with their
+    definitions over the moves themselves."""
+
+    @pytest.mark.parametrize("source", ["line", "n2", "n3"])
+    def test_readers_match_definitions(self, source, line_comm):
+        if source == "line":
+            comms = [line_comm]
+        else:
+            params = GeneratorParams() if source == "n2" else GeneratorParams(n=3, max_comm_states=150)
+            comms = [random_instance(seed, params).comm for seed in range(300)]
+        negatives = {Condition.NET_CTRL_1: 0, Condition.NET_CTRL_2: 0}
+        for seed, comm in enumerate(comms):
+            net = comm.net
+            for sid, moves in enumerate(comm.transitions):
+                plant = [(e.event, t) for e, t in moves.items() if isinstance(e, Plant)]
+                assert comm.exits[sid] == {e for e, t in plant if not comm.in_spec[t]}, seed
+                assert comm.stays[sid] == {e for e, t in plant if comm.in_spec[t]}, seed
+            verdict = check_network_controllability(comm)
+            w = verdict.witness
+            got = (verdict.holds, verdict.condition, None, None) if w is None else \
+                (verdict.holds, verdict.condition, w.mu, w.sigma)
+            assert got == statewise_controllability(comm), seed
+            if not verdict.holds:
+                negatives[verdict.condition] += 1
+            for i in range(net.n):
+                sup = synthesize_supervisor(comm, i)
+                for elements, enable in zip(sup.observer.elements, sup.enable):
+                    disabled = {
+                        e.event
+                        for x, flag in elements if flag
+                        for e, t in comm.transitions[x].items()
+                        if isinstance(e, Plant) and e.event in net.controllable[i] and not comm.in_spec[t]
+                    }
+                    assert enable == net.alphabets[i] - disabled, seed
+        if source != "line":  # 135 / 51 (n2) and 172 / 27 (n3)
+            assert negatives[Condition.NET_CTRL_1] >= 100
+            assert negatives[Condition.NET_CTRL_2] >= 20
 
 
 class TestLmClosure:
