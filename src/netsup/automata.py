@@ -173,7 +173,9 @@ def parallel_compose(a: TimedAutomaton, b: TimedAutomaton) -> TimedAutomaton:
     The component alphabets must intersect exactly in {tick}.  The result is
     accessible by construction, its states named ``(qa,qb)`` in breadth-first
     discovery order; a pair is marked iff both components are.  Raises
-    ResourceLimitError past ``MAX_STATES`` pairs.
+    CompositionError when two pairs get the same name (component state names
+    with commas can collide) and ResourceLimitError past ``MAX_STATES``
+    pairs.
     """
     shared = a.alphabet & b.alphabet
     if shared != {TICK}:
@@ -198,8 +200,14 @@ def parallel_compose(a: TimedAutomaton, b: TimedAutomaton) -> TimedAutomaton:
         for _event, dst in moves:
             if dst not in index:
                 space.add(dst)
-        names.append(f"({pa},{pb})")
-        transitions[names[-1]] = {event: f"({qa},{qb})" for event, (qa, qb) in moves}
+        name = f"({pa},{pb})"
+        if name in transitions:
+            first = space.keys[names.index(name)]
+            raise CompositionError(
+                f"composing {a.name!r} and {b.name!r}: state pairs {first} and {(pa, pb)} are both named {name!r}"
+            )
+        names.append(name)
+        transitions[name] = {event: f"({qa},{qb})" for event, (qa, qb) in moves}
     marked = frozenset(
         name for name, (pa, pb) in zip(names, space.keys) if pa in a.marked and pb in b.marked
     )

@@ -192,6 +192,12 @@ class CommAutomaton:
             raise budget_error(_observer_stage(i), max_states)
         return observer
 
+    def owns_observer(self, i: int, observer: "Observer") -> bool:
+        """True when ``observer`` is the one ``observer(i)`` built and
+        cached, so its elements and transitions are the subset construction
+        over this automaton."""
+        return self._observers.get(i) is observer
+
     def spec_view(self) -> "SpecView":
         return SpecView(self)
 

@@ -68,7 +68,7 @@ def observer_dot(observer: Observer, comm: CommAutomaton) -> str:
 def closed_loop_dot(loop: ClosedLoop) -> str:
     lines = ["digraph {", "  rankdir=LR;"]
     for sid in range(loop.num_states):
-        x, obs = loop.keys[sid]
+        x, obs = loop.state(sid)
         label = loop.comm.render_state(x) + "/" + ",".join(str(t) for t in obs)
         shape = "doublecircle" if loop.is_marked(sid) else "circle"
         lines.append(f"  n{sid} [label={_quote(label)} shape={shape}];")

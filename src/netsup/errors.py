@@ -18,7 +18,8 @@ class UnknownNameError(ModelError):
 
 
 class CompositionError(ModelError):
-    """Component alphabets overlap in more than the clock event."""
+    """Component alphabets overlap in more than the clock event, or two
+    state pairs of a composition get the same name."""
 
 
 class ChannelOverflowError(ModelError):

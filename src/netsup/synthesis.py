@@ -21,13 +21,13 @@ from .comm import (  # Observer and build_observer are importable from here too
     EventTable,
     Observer,
     Plant,
+    SpecView,
     build_comm_automaton,
     build_observer,
     event_key,
     observation_of,
 )
 from .explore import MAX_STATES, PathSpace, StateSpace
-from .network import NetworkConfig
 from .verification import (
     Condition,
     Verdict,
@@ -83,19 +83,27 @@ class ClosedLoop:
     observers; a controllable event needs every controlling supervisor's
     enable, deliveries and losses always pass.
 
+    A state is packed into one int, its code ``x * radix + sum(t_i * w_i)``:
+    ``x`` is the automaton's state, ``t_i`` observer ``i``'s state and
+    ``w_i`` the product of the sizes of the observers before ``i``, so
+    ``radix`` is the product of all their sizes.  ``codes[sid]`` is the
+    code of state ``sid``, ``comm_state`` and ``state`` unpack it.
     ``table`` holds the moves over the channel-augmented automaton's event
-    ids; ``moves`` reads one state's row as events.
+    ids; ``moves`` reads one state's row as events.  ``closed_loop`` builds
+    this product; ``language_equal`` and ``check_admissibility`` build no
+    other one unless a check fails.
     """
 
     comm: CommAutomaton
     supervisors: Sequence[SupervisorMap]
-    keys: list[tuple[int, tuple[int, ...]]]
+    codes: list[int]
+    radix: int
     table: EventTable
     initial: int = 0
 
     @property
     def num_states(self) -> int:
-        return len(self.keys)
+        return len(self.codes)
 
     @property
     def initial_state(self) -> int:
@@ -110,36 +118,19 @@ class ClosedLoop:
         return [(events[e], t) for e, t in zip(self.table.ids[sid], self.table.targets[sid])]
 
     def is_marked(self, sid: int) -> bool:
-        return self.comm.marked[self.keys[sid][0]]
+        return self.comm.marked[self.codes[sid] // self.radix]
 
     def comm_state(self, sid: int) -> int:
-        return self.keys[sid][0]
+        return self.codes[sid] // self.radix
 
-
-Watchers = tuple[tuple[int, str], ...]  # (supervisor, observed symbol) pairs
-
-
-def _watchers(events: tuple[CommEvent, ...], net: NetworkConfig) -> list[Watchers]:
-    """Per event id, the supervisors that observe the event and as what."""
-    return [
-        tuple((i, s) for i in range(net.n) if (s := observation_of(event, i, net)) is not None)
-        for event in events
-    ]
-
-
-def _step(
-    steps: list[list[dict[str, int]]], obs_states: tuple[int, ...], watchers: Watchers
-) -> tuple[int, ...]:
-    """Every observer's state after a move, ``steps[i]`` being observer
-    ``i``'s transitions; raises ValueError when an observer has no move for
-    a symbol its supervisor observes."""
-    advanced = list(obs_states)
-    for i, symbol in watchers:
-        nxt = steps[i][obs_states[i]].get(symbol)
-        if nxt is None:
-            raise _uncovered(i, symbol, obs_states[i])
-        advanced[i] = nxt
-    return tuple(advanced)
+    def state(self, sid: int) -> tuple[int, tuple[int, ...]]:
+        """The automaton's state and every observer's state at ``sid``."""
+        x, rest = divmod(self.codes[sid], self.radix)
+        obs = []
+        for sup in self.supervisors:
+            rest, t = divmod(rest, sup.observer.num_states)
+            obs.append(t)
+        return x, tuple(obs)
 
 
 def _uncovered(i: int, symbol: str, t: int) -> ValueError:
@@ -152,15 +143,35 @@ def _uncovered(i: int, symbol: str, t: int) -> ValueError:
 def closed_loop(
     comm: CommAutomaton, supervisors: Sequence[SupervisorMap], *, max_states: int = MAX_STATES
 ) -> ClosedLoop:
-    """Build the controlled behavior under a supervisor set; ``max_states``
-    bounds it."""
+    """Build the controlled behavior under a supervisor set, breadth-first
+    over packed state codes (see ``ClosedLoop``); ``max_states`` bounds it.
+    Raises ValueError when an observer has no move for a symbol its
+    supervisor observes."""
     net = comm.net
     if len(supervisors) != net.n:
         raise ValueError(f"expected {net.n} supervisors, got {len(supervisors)}")
     table = comm.event_table()
     ids, targets = table.ids, table.targets
-    watch = _watchers(table.events, net)
-    steps = [sup.observer.transitions for sup in supervisors]
+    weights = []
+    radix = 1
+    for sup in supervisors:
+        weights.append(radix)
+        radix *= sup.observer.num_states
+    # per event id, the observers that see it: (observer, symbol, weight,
+    # next state per observer state, None where the observer has no move);
+    # events observed as the same symbol share the list
+    nexts: list[dict[str, list[Optional[int]]]] = [{} for _ in supervisors]
+    watch: list[list[tuple[int, str, int, list[Optional[int]]]]] = []
+    for event in table.events:
+        watchers = []
+        for i, sup in enumerate(supervisors):
+            symbol = observation_of(event, i, net)
+            if symbol is not None:
+                nxt = nexts[i].get(symbol)
+                if nxt is None:
+                    nxt = nexts[i][symbol] = [step.get(symbol) for step in sup.observer.transitions]
+                watchers.append((i, symbol, weights[i], nxt))
+        watch.append(watchers)
     # for each supervisor that disables something: per observer state, the
     # ids of the events it must enable (controllable plant events it
     # controls) but does not
@@ -173,29 +184,36 @@ def closed_loop(
         ]
         disabled = [frozenset(e for e, name in own if name not in enable) for enable in sup.enable]
         if any(disabled):
-            disabling.append((i, disabled))
+            disabling.append((weights[i], sup.observer.num_states, disabled))
     space = StateSpace("closed loop", max_states)
-    space.add((comm.initial, tuple(sup.observer.initial for sup in supervisors)))
-    index, keys = space.index, space.keys
+    space.add(comm.initial * radix + sum(sup.observer.initial * w for sup, w in zip(supervisors, weights)))
+    index, codes = space.index, space.keys
     loop_ids: list[tuple[int, ...]] = []
     loop_targets: list[tuple[int, ...]] = []
-    for x, obs_states in keys:  # keys grows while it is walked: breadth-first
+    for code in codes:  # codes grows while it is walked: breadth-first
+        x, obs = divmod(code, radix)
         blocked: frozenset[int] = frozenset()
-        for i, disabled in disabling:
-            blocked = blocked | disabled[obs_states[i]]
-        row: list[int] = []
+        for w, size, disabled in disabling:
+            blocked = blocked | disabled[obs // w % size]
+        row = ids[x]  # shared with the automaton unless a move is blocked
+        if not blocked.isdisjoint(row):
+            row = tuple(e for e in row if e not in blocked)
         dsts: list[int] = []
         for e, dst in zip(ids[x], targets[x]):
             if e in blocked:
                 continue
-            watchers = watch[e]
-            key = (dst, _step(steps, obs_states, watchers) if watchers else obs_states)
+            key = dst * radix + obs
+            for i, symbol, w, nxt in watch[e]:
+                t = obs // w % len(nxt)
+                moved = nxt[t]
+                if moved is None:
+                    raise _uncovered(i, symbol, t)
+                key += (moved - t) * w
             tid = index.get(key)
-            row.append(e)
             dsts.append(space.add(key) if tid is None else tid)
-        loop_ids.append(tuple(row))
+        loop_ids.append(row)
         loop_targets.append(tuple(dsts))
-    return ClosedLoop(comm, list(supervisors), keys, EventTable(table.events, loop_ids, loop_targets))
+    return ClosedLoop(comm, list(supervisors), codes, radix, EventTable(table.events, loop_ids, loop_targets))
 
 
 @dataclass(frozen=True)
@@ -212,18 +230,44 @@ class LanguageVerdict:
         return self.generated_equal and self.marked_equal
 
 
+def _same_language(loop: ClosedLoop, b, rows: list[tuple[int, ...]]) -> bool:
+    """True when ``b`` is the loop's automaton or its SpecView and, at every
+    loop state, the loop's row and marking equal ``b``'s (``rows``, from
+    ``b``'s event table) at the automaton state the loop is in.  Every
+    string to a loop state leads ``b`` to that automaton state, so this
+    holds exactly when the languages are equal."""
+    comm = loop.comm
+    if b is comm:
+        marked = comm.marked
+    elif isinstance(b, SpecView) and b.comm is comm:
+        marked = comm.spec_marked
+    else:
+        return False
+    radix, loop_marked = loop.radix, comm.marked
+    for row, code in zip(loop.table.ids, loop.codes):
+        x = code // radix
+        if row != rows[x] or marked[x] != loop_marked[x]:
+            return False
+    return True
+
+
 def language_equal(a, b, *, max_states: int = MAX_STATES) -> LanguageVerdict:
     """Exact equality of generated and marked languages of two deterministic
     structures over channel-augmented events: a CommAutomaton, its
     SpecView or a ClosedLoop (anything with ``event_table``,
     ``initial_state`` and ``is_marked``).
 
-    Walks the synchronized product, following one-sided continuations so a
-    generated-language difference cannot mask a marked-language difference.
-    Distinguishing strings are shortest (BFS, ties broken by event id);
-    ``max_states`` bounds the product.
+    A ClosedLoop ``a`` compared with its own automaton or that automaton's
+    SpecView is decided in one pass over the loop (``_same_language``),
+    which builds nothing when the languages are equal.  Otherwise, and
+    whenever they differ, the synchronized product is walked, following
+    one-sided continuations so a generated-language difference cannot mask
+    a marked-language difference.  Distinguishing strings are shortest (BFS,
+    ties broken by event id); ``max_states`` bounds the product.
     """
     table_a, table_b = a.event_table(), b.event_table()
+    if isinstance(a, ClosedLoop) and _same_language(a, b, table_b.ids):
+        return LanguageVerdict(True, True)
     events = table_a.events
     if table_b.events is not events and table_b.events != events:
         events = tuple(sorted(set(events) | set(table_b.events), key=event_key))
@@ -267,6 +311,26 @@ def language_equal(a, b, *, max_states: int = MAX_STATES) -> LanguageVerdict:
     )
 
 
+def _admits(
+    comm: CommAutomaton, i: int, sup: SupervisorMap, disabled: list[Optional[str]], tick_critical: list[bool]
+) -> bool:
+    """True when supervisor ``i``'s observer is ``comm``'s own and no pair
+    ``(x, t)`` with ``(x, True)`` in its ``elements[t]`` violates
+    admissibility.  Those pairs are exactly the ones the in-spec walk of
+    ``check_admissibility`` visits, and that observer has a move for every
+    symbol the walk meets; any other observer (a copy, or an edited one) is
+    left to the walk."""
+    if not comm.owns_observer(i, sup.observer):
+        return False
+    for t, elements in enumerate(sup.observer.elements):
+        if disabled[t] is None and TICK in sup.enable[t]:
+            continue
+        for x, flag in elements:
+            if flag and (disabled[t] is not None or tick_critical[x]):
+                return False
+    return True
+
+
 def check_admissibility(
     supervisors: Sequence[SupervisorMap], comm: CommAutomaton, *, max_states: int = MAX_STATES
 ) -> Verdict:
@@ -276,19 +340,27 @@ def check_admissibility(
     1. never disables one of its uncontrollable events, and
     2. keeps tick enabled where tick is possible and not ``tick_preemptable``.
 
-    Both concern one supervisor at a time, so each supervisor's observer is
-    walked alone, in index order, breadth-first over the (state, observer
+    Both concern one supervisor at a time, so the supervisors are checked
+    alone, in index order.  A supervisor passes without a walk when the
+    in-spec elements of ``comm``'s observer show no violation (``_admits``).
+    Otherwise its observer is walked breadth-first over the (state, observer
     state) pairs in-spec runs reach: silent moves first, then observed
-    symbols in alphabet order.  The first violating pair gives the witness, a
-    shortest run reaching it.  ``max_states`` bounds each walk.
+    symbols in alphabet order.  The first violating pair gives the witness,
+    a shortest run reaching it.  ``max_states`` bounds each walk; a
+    supervisor that passes builds none.
     """
     net, in_spec = comm.net, comm.in_spec
+    tick_critical = [
+        PLANT_TICK in moves and not tick_preemptable(comm, x) for x, moves in enumerate(comm.transitions)
+    ]
     for i, sup in enumerate(supervisors):
-        table = comm.observation_table(i)
         steps, enable = sup.observer.transitions, sup.enable
         uncontrollable = net.alphabets[i] - net.controllable[i]
         # per observer state, the first uncontrollable event it disables
         disabled = [min(uncontrollable - allowed, default=None) for allowed in enable]
+        if _admits(comm, i, sup, disabled, tick_critical):
+            continue
+        table = comm.observation_table(i)
         width = sup.observer.num_states  # the pair (x, t) has the key x * width + t
         space = PathSpace("admissibility product", max_states)
         space.add(comm.initial * width + sup.observer.initial)
@@ -299,7 +371,7 @@ def check_admissibility(
                 witness = Witness(tuple(space.path(k)), disabled[t], supervisor=i)
                 detail = f"supervisor {i + 1} disables uncontrollable {disabled[t]!r}"
                 return Verdict(Condition.ADM_UNCONTROLLABLE, False, witness, detail)
-            if TICK not in enable[t] and PLANT_TICK in comm.transitions[x] and not tick_preemptable(comm, x):
+            if TICK not in enable[t] and tick_critical[x]:
                 witness = Witness(tuple(space.path(k)), TICK, supervisor=i)
                 detail = f"supervisor {i + 1} disables tick with no enforceable event available"
                 return Verdict(Condition.ADM_TICK, False, witness, detail)

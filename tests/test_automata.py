@@ -86,6 +86,17 @@ class TestParallelCompose:
         with pytest.raises(CompositionError):
             parallel_compose(a, b)
 
+    def test_colliding_pair_names_rejected(self):
+        # the pairs ("0,1", "0") and ("0", "1,0") would both be named "(0,1,0)"
+        a = ta("A", ["0", "0,1"], [TICK, "a"],
+               [("0", TICK, "0"), ("0", "a", "0,1"), ("0,1", TICK, "0,1")], "0", ["0"])
+        b = ta("B", ["0", "1,0"], [TICK, "b"],
+               [("0", TICK, "0"), ("0", "b", "1,0"), ("1,0", TICK, "1,0")], "0", ["0"])
+        message = "composing 'A' and 'B': state pairs ('0,1', '0') and ('0', '1,0') are both named '(0,1,0)'"
+        with pytest.raises(CompositionError) as info:
+            parallel_compose(a, b)
+        assert str(info.value) == message
+
     def test_two_tick_cycles_against_enumeration_oracle(self):
         # oracle: s is in the composed language iff each component accepts the
         # projection of s onto its own alphabet

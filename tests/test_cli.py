@@ -1,12 +1,15 @@
 """Command-line interface: exit codes, artifact shapes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from netsup import automata, cli, synthesis
 from netsup.cli import main
 from netsup.errors import ResourceLimitError
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(capsys, *argv):
@@ -84,6 +87,24 @@ class TestExitCodes:
         assert code == 0 and json.loads(out)["states"] == 9
         monkeypatch.setattr(automata, "MAX_STATES", 8)
         assert run(capsys, "compose", str(model)) == (2, "", "error: plant composition exceeds 8 states\n")
+
+    def test_colliding_composition_names_exit_two(self, capsys, models_dir, tmp_path):
+        # renaming R1's state 1 to "0,1" and R2's to "1,0" names both
+        # ("0,1", "0") and ("0", "1,0") "(0,1,0)" in R1 || R2
+        doc = json.loads((models_dir / "production_line.json").read_text(encoding="utf-8"))
+        for name, new in (("R1", "0,1"), ("R2", "1,0")):
+            auto = next(a for a in doc["automata"] if a["name"] == name)
+            auto["states"] = [new if q == "1" else q for q in auto["states"]]
+            for move in auto["transitions"]:
+                move["from"], move["to"] = (new if q == "1" else q for q in (move["from"], move["to"]))
+        doc["plant"] = "R1 || R2"
+        doc["spec"] = {"remove_states": []}
+        model = tmp_path / "comma_names.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        assert run(capsys, "compose", str(model)) == (
+            2, "", "error: composing 'R1' and 'R2': state pairs ('0,1', '0') and ('0', '1,0')"
+            " are both named '(0,1,0)'\n"
+        )
 
     @pytest.mark.parametrize("argv", [
         ["check"],
@@ -250,11 +271,13 @@ class TestExports:
         assert f"from 1 to 2, got {index!r}" in err
 
     def test_export_closed_loop(self, capsys, models_dir):
+        # pinned byte for byte: state ids, labels (automaton state / observer
+        # states), markings and edges
         code, out, _ = run(
             capsys, "export-dot", fixture_path(models_dir), "--target", "closed-loop"
         )
         assert code == 0
-        assert "digraph" in out
+        assert out == (DATA / "production_line_closed_loop.dot").read_text(encoding="utf-8")
 
     def test_compose_reports_plant(self, capsys, models_dir):
         code, out, _ = run(capsys, "compose", fixture_path(models_dir))

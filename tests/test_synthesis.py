@@ -2,6 +2,7 @@
 pipeline, cross-checked against string-level evaluation."""
 
 import copy
+import json
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from netsup import synthesis
 from netsup.automata import TICK
 from netsup.comm import Plant, build_comm_automaton, project_observation
 from netsup.errors import ResourceLimitError
+from netsup.modelio import parse_model
 from netsup.network import NetworkConfig
 from netsup.oracle import brute_closed_loop, enumerate_language
 from netsup.randgen import GeneratorParams, random_instance
@@ -167,6 +169,33 @@ class TestEnableSets:
                     assert sup.command(obs) == expected
 
 
+def a1_uncontrollable(line_model):
+    """The fixture's automaton with a1 declared uncontrollable."""
+    net = line_model.network
+    hacked_net = NetworkConfig.build(
+        net.n,
+        net.alphabets,
+        [net.controllable[0] - {"a1"}, net.controllable[1]],
+        net.observable,
+        net.enforceable,
+        [[1 if c else 0 for c in row] for row in net.com],
+        dict(net.channels),
+    )
+    return build_comm_automaton(line_model.plant, line_model.spec, hacked_net)
+
+
+@pytest.fixture(scope="module")
+def unsolvable_report(models_dir):
+    """``netsup solve --diagnostic`` on the fixture with delay bounds
+    1->2 = 1 and 2->1 = 6, where the closed loop's language is not the
+    specification's."""
+    doc = json.loads((models_dir / "production_line.json").read_text(encoding="utf-8"))
+    for channel in doc["network"]["channels"]:
+        channel["delay_bound"] = {(1, 2): 1, (2, 1): 6}[(channel["from"], channel["to"])]
+    model = parse_model(doc)
+    return solve_control_problem(model.plant, model.spec, model.network, diagnostic=True)
+
+
 class TestAdmissibility:
     def test_synthesized_supervisors_admissible_on_fixture(self, line_report):
         assert line_report.admissibility.holds
@@ -174,17 +203,7 @@ class TestAdmissibility:
     def test_hand_disabled_uncontrollable_fails(self, line_model):
         # declare a1 uncontrollable, then sabotage the supervisor so it still
         # disables it everywhere
-        net = line_model.network
-        hacked_net = NetworkConfig.build(
-            net.n,
-            net.alphabets,
-            [net.controllable[0] - {"a1"}, net.controllable[1]],
-            net.observable,
-            net.enforceable,
-            [[1 if c else 0 for c in row] for row in net.com],
-            dict(net.channels),
-        )
-        comm_u = build_comm_automaton(line_model.plant, line_model.spec, hacked_net)
+        comm_u = a1_uncontrollable(line_model)
         sups = [synthesize_supervisor(comm_u, i) for i in range(2)]
         bad = SupervisorMap(
             0,
@@ -207,6 +226,18 @@ class TestAdmissibility:
         verdict = check_admissibility([bad, sups[1]], comm)
         assert not verdict.holds
         assert verdict.condition is Condition.ADM_TICK
+
+    def test_edited_observer_is_walked(self, line_report):
+        # tick is disabled only at an observer state no in-spec run reaches,
+        # then the initial tick move is redirected there: the elements still
+        # show no violation, but the runs the observer follows do
+        sups = copy.deepcopy(line_report.supervisors)
+        observer = sups[0].observer
+        hidden = next(t for t, elements in enumerate(observer.elements) if not any(f for _, f in elements))
+        observer.transitions[0][TICK] = hidden
+        enable = tuple(e - {TICK} if t == hidden else e for t, e in enumerate(sups[0].enable))
+        verdict = check_admissibility([SupervisorMap(0, observer, enable), sups[1]], line_report.comm)
+        assert not verdict.holds and verdict.condition is Condition.ADM_TICK
 
     @pytest.mark.parametrize("params,count", [
         (GeneratorParams(), 200),
@@ -380,6 +411,51 @@ class TestClosedLoop:
         assert checked >= 10
 
 
+class Walked:
+    """A closed loop behind an object that is not a ClosedLoop, so
+    ``language_equal`` walks the product instead of its one pass."""
+
+    def __init__(self, loop):
+        self.loop = loop
+
+    def __getattr__(self, name):
+        return getattr(self.loop, name)
+
+
+class TestOnePassLanguage:
+    """``language_equal`` of a closed loop and its automaton, or that
+    automaton's SpecView, returns what the product walk returns."""
+
+    @pytest.mark.parametrize("params,count", [
+        (GeneratorParams(), 200),
+        (GeneratorParams(n=3, max_comm_states=150), 100),
+    ])
+    def test_agrees_with_the_product_walk(self, params, count):
+        verdicts = {True: 0, False: 0}
+        for seed in range(count):
+            comm = random_instance(seed, params).comm
+            loop = closed_loop(comm, [synthesize_supervisor(comm, i) for i in range(comm.net.n)])
+            for b in (comm.spec_view(), comm):
+                verdict = language_equal(loop, b)
+                assert verdict == language_equal(Walked(loop), b), f"seed {seed}"
+                verdicts[verdict.equal] += 1
+        assert min(verdicts.values()) >= count // 4, verdicts
+
+    def test_only_the_markings_differ(self, models_dir):
+        # the plant marks 0 and 4, the specification only 0
+        doc = json.loads((models_dir / "production_line.json").read_text(encoding="utf-8"))
+        next(a for a in doc["automata"] if a["name"] == "LINE")["marked"] = ["0", "4"]
+        doc["spec"]["marked"] = ["0"]
+        model = parse_model(doc)
+        comm = build_comm_automaton(model.plant, model.spec, model.network)
+        loop = closed_loop(comm, [synthesize_supervisor(comm, i) for i in range(comm.net.n)])
+        verdict = language_equal(loop, comm.spec_view())
+        assert verdict == language_equal(Walked(loop), comm.spec_view())
+        assert verdict.generated_equal and not verdict.marked_equal
+        assert comm.plant_of(comm.run(verdict.diff_marked)) == "4"
+        assert language_equal(loop, comm) == language_equal(Walked(loop), comm)
+
+
 class TestBudgets:
     """Every synthesis-stage construction stops at its state budget and
     names itself; a budget that fits exactly passes."""
@@ -398,17 +474,33 @@ class TestBudgets:
             closed_loop(comm, sups, max_states=size - 1)
         assert closed_loop(comm, sups, max_states=size).num_states == size
 
-    def test_admissibility_budget(self, line_report):
-        comm, sups = line_report.comm, line_report.supervisors
+    def test_admissibility_budget(self, line_model, line_report):
+        """A passing supervisor builds no product; the budget binds on the
+        walk that finds a violation."""
+        # a1 is uncontrollable, but supervisor 1 still disables it wherever
+        # it could leave the specification: its walk needs 13 pairs
+        comm_u = a1_uncontrollable(line_model)
+        sups = [synthesize_supervisor(comm_u, i) for i in range(2)]
+        observer = sups[0].observer
+        gagged = [SupervisorMap(0, observer, tuple(
+            enable - {"a1"} if any(flag and "a1" in comm_u.exits[x] for x, flag in elements) else enable
+            for enable, elements in zip(sups[0].enable, observer.elements)
+        )), sups[1]]
         with pytest.raises(ResourceLimitError, match="admissibility product exceeds 5 states"):
-            check_admissibility(sups, comm, max_states=5)
-        assert check_admissibility(sups, comm, max_states=line_report.loop.num_states).holds
+            check_admissibility(gagged, comm_u, max_states=5)
+        verdict = check_admissibility(gagged, comm_u, max_states=line_report.loop.num_states)
+        assert not verdict.holds and verdict.witness.sigma == "a1"
+        assert check_admissibility(line_report.supervisors, line_report.comm, max_states=5).holds
 
-    def test_language_budget(self, line_report):
-        loop, spec = line_report.loop, line_report.comm.spec_view()
+    def test_language_budget(self, line_report, unsolvable_report):
+        """Equal languages are decided without a product; the budget binds
+        on the walk that finds the distinguishing strings."""
+        loop, spec = unsolvable_report.loop, unsolvable_report.comm.spec_view()
         with pytest.raises(ResourceLimitError, match="language comparison product exceeds 5 states"):
             language_equal(loop, spec, max_states=5)
-        assert language_equal(loop, spec, max_states=loop.num_states).equal
+        assert language_equal(loop, spec, max_states=loop.num_states) == unsolvable_report.language
+        assert not unsolvable_report.language.equal
+        assert language_equal(line_report.loop, line_report.comm.spec_view(), max_states=5).equal
 
     def test_solve_passes_its_budget_to_every_stage(self, line_model, monkeypatch):
         budgets = {}
