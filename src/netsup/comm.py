@@ -100,9 +100,10 @@ class CommAutomaton:
     ``spec_tree`` is the breadth-first walk that found those states, keyed by
     state id; ``spec_path`` reads its links.  ``exits`` / ``stays`` hold the
     exit table: the plant event names (tick included) whose move from the
-    state leaves the specification, and those whose move stays inside it.
-    Controllability, joint observability, synthesis and admissibility all
-    read it.
+    state leaves the specification, and those whose move stays inside it;
+    ``tick_critical``, whether tick is possible there and no enforceable
+    event's move stays inside to preempt it.  The other checks read the
+    table through each observer's summary (see ``Observer``).
     """
 
     net: NetworkConfig
@@ -114,6 +115,7 @@ class CommAutomaton:
     spec_reachable: list[bool]
     exits: list[frozenset[str]]
     stays: list[frozenset[str]]
+    tick_critical: list[bool]
     spec_tree: PathSpace = field(repr=False, compare=False)
     initial: int = 0
     _event_table: Optional["EventTable"] = field(
@@ -330,16 +332,19 @@ def build_comm_automaton(
     transitions: list[dict[CommEvent, int]] = []
     # a state's exit table depends only on its plant state and on whether
     # the channels let tick pass, so each plant state is split both ways once
-    splits: dict[tuple[str, bool], tuple[frozenset[str], frozenset[str]]] = {}
+    splits: dict[tuple[str, bool], tuple[frozenset[str], frozenset[str], bool]] = {}
     for q in plant.states:
         for tick in (False, True):
             moves = [(e, dst) for e, dst in plant.moves(q) if tick or e != TICK]
+            staying = frozenset(e for e, dst in moves if dst in spec_states)
             splits[q, tick] = (
                 frozenset(e for e, dst in moves if dst not in spec_states),
-                frozenset(e for e, dst in moves if dst in spec_states),
+                staying,
+                tick and plant.target(q, TICK) is not None and staying.isdisjoint(net.enforceable),
             )
     exits: list[frozenset[str]] = []
     stays: list[frozenset[str]] = []
+    tick_critical: list[bool] = []
 
     def intern(key: tuple[str, ChannelState], src: int, event: CommEvent) -> int:
         sid = index.get(key)
@@ -385,9 +390,10 @@ def build_comm_automaton(
                 if lost is not None:
                     event = Lose(i, j, d)
                     here[event] = intern((q, lost), sid, event)
-        leaving, staying = splits[q, PLANT_TICK in here]
+        leaving, staying, critical = splits[q, PLANT_TICK in here]
         exits.append(leaving)
         stays.append(staying)
+        tick_critical.append(critical)
 
     in_spec = [k[0] in spec_states for k in keys]
     marked = [k[0] in plant.marked for k in keys]
@@ -414,6 +420,7 @@ def build_comm_automaton(
         spec_reachable=spec_reachable,
         exits=exits,
         stays=stays,
+        tick_critical=tick_critical,
         spec_tree=spec_tree,
     )
 
@@ -492,13 +499,20 @@ class Observer:
     """Deterministic observer for one supervisor.
 
     ``elements[t]`` is the set of (state, in-spec) pairs compatible with the
-    observation string leading to observer state ``t``.
+    observation string leading to observer state ``t``.  The other lists
+    summarize the automaton's exit table over its flagged elements (states
+    that in-spec runs reach): whether it has one, the unions of their
+    ``exits`` / ``stays``, and whether one is ``tick_critical``.
     """
 
     supervisor: int
     obs_alphabet: tuple[str, ...]
     elements: list[frozenset[ObserverElement]]
     transitions: list[dict[str, int]]
+    in_spec: list[bool]
+    exits: list[frozenset[str]]
+    stays: list[frozenset[str]]
+    tick_critical: list[bool]
     initial: int = 0
 
     @property
@@ -525,7 +539,8 @@ def build_observer(
     """Subset construction over one supervisor's observation mapping.
 
     Unobserved moves are closed over silently; an element's flag survives a
-    move only while the run stays within in_spec states.
+    move only while the run stays within in_spec states.  Each state's
+    flagged elements are then summarized once (see ``Observer``).
     """
     obs_alphabet = comm.net.observation_alphabet(supervisor)
     table = comm.observation_table(supervisor)
@@ -559,7 +574,27 @@ def build_observer(
             closed = closure(moved)
             nxt = index.get(closed)
             here[symbol] = space.add(closed) if nxt is None else nxt
-    return Observer(supervisor, obs_alphabet, space.keys, transitions)
+    # equal unions share one frozenset, as the exit table's rows do
+    unions: dict[frozenset[str], frozenset[str]] = {}
+    in_spec: list[bool] = []
+    exits: list[frozenset[str]] = []
+    stays: list[frozenset[str]] = []
+    tick_critical: list[bool] = []
+    for element_set in space.keys:
+        leaving, staying = set(), set()
+        reached = critical = False
+        for x, flag in element_set:
+            if flag:
+                reached = True
+                leaving |= comm.exits[x]
+                staying |= comm.stays[x]
+                critical = critical or comm.tick_critical[x]
+        out, inside = frozenset(leaving), frozenset(staying)
+        in_spec.append(reached)
+        exits.append(unions.setdefault(out, out))
+        stays.append(unions.setdefault(inside, inside))
+        tick_critical.append(critical)
+    return Observer(supervisor, obs_alphabet, space.keys, transitions, in_spec, exits, stays, tick_critical)
 
 
 @dataclass(frozen=True)

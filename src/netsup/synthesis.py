@@ -15,7 +15,6 @@ from typing import Iterable, Optional, Sequence
 
 from .automata import TICK, TimedAutomaton, is_nonblocking, prepare
 from .comm import (  # Observer and build_observer are importable from here too
-    PLANT_TICK,
     CommAutomaton,
     CommEvent,
     EventTable,
@@ -35,7 +34,6 @@ from .verification import (
     check_lm_closure,
     check_network_controllability,
     check_network_joint_observability,
-    tick_preemptable,
 )
 
 @dataclass
@@ -61,20 +59,15 @@ def synthesize_supervisor(
 ) -> SupervisorMap:
     """Enable-sets from the observer: disable a controllable event exactly
     where some in-spec element of the observer state can exit the
-    specification on it, as the exit table ``comm.exits`` says.  The
+    specification on it, as the state's ``exits`` summary says.  The
     observer is ``comm``'s cached one; ``max_states`` bounds it."""
     net = comm.net
     observer = comm.observer(supervisor, max_states)
     controllable = net.controllable[supervisor]
     uncontrollable = net.alphabets[supervisor] - controllable
-    enable: list[frozenset[str]] = []
-    for element_set in observer.elements:
-        disabled: set[str] = set()
-        for sid, flag in element_set:
-            if flag:
-                disabled |= comm.exits[sid]
-        enable.append(frozenset(uncontrollable | (controllable - disabled)))
-    return SupervisorMap(supervisor, observer, tuple(enable))
+    return SupervisorMap(
+        supervisor, observer, tuple(uncontrollable | (controllable - exits) for exits in observer.exits)
+    )
 
 
 @dataclass
@@ -133,6 +126,12 @@ class ClosedLoop:
         return x, tuple(obs)
 
 
+def _check_count(comm: CommAutomaton, supervisors: Sequence[SupervisorMap]) -> None:
+    """Raise ValueError unless there is one supervisor per ``comm.net.n``."""
+    if len(supervisors) != comm.net.n:
+        raise ValueError(f"expected {comm.net.n} supervisors, got {len(supervisors)}")
+
+
 def _uncovered(i: int, symbol: str, t: int) -> ValueError:
     """Observer ``i`` has no move on ``symbol`` from its state ``t``."""
     return ValueError(
@@ -147,9 +146,8 @@ def closed_loop(
     over packed state codes (see ``ClosedLoop``); ``max_states`` bounds it.
     Raises ValueError when an observer has no move for a symbol its
     supervisor observes."""
+    _check_count(comm, supervisors)
     net = comm.net
-    if len(supervisors) != net.n:
-        raise ValueError(f"expected {net.n} supervisors, got {len(supervisors)}")
     table = comm.event_table()
     ids, targets = table.ids, table.targets
     weights = []
@@ -311,26 +309,6 @@ def language_equal(a, b, *, max_states: int = MAX_STATES) -> LanguageVerdict:
     )
 
 
-def _admits(
-    comm: CommAutomaton, i: int, sup: SupervisorMap, disabled: list[Optional[str]], tick_critical: list[bool]
-) -> bool:
-    """True when supervisor ``i``'s observer is ``comm``'s own and no pair
-    ``(x, t)`` with ``(x, True)`` in its ``elements[t]`` violates
-    admissibility.  Those pairs are exactly the ones the in-spec walk of
-    ``check_admissibility`` visits, and that observer has a move for every
-    symbol the walk meets; any other observer (a copy, or an edited one) is
-    left to the walk."""
-    if not comm.owns_observer(i, sup.observer):
-        return False
-    for t, elements in enumerate(sup.observer.elements):
-        if disabled[t] is None and TICK in sup.enable[t]:
-            continue
-        for x, flag in elements:
-            if flag and (disabled[t] is not None or tick_critical[x]):
-                return False
-    return True
-
-
 def check_admissibility(
     supervisors: Sequence[SupervisorMap], comm: CommAutomaton, *, max_states: int = MAX_STATES
 ) -> Verdict:
@@ -338,32 +316,36 @@ def check_admissibility(
     supervisor
 
     1. never disables one of its uncontrollable events, and
-    2. keeps tick enabled where tick is possible and not ``tick_preemptable``.
+    2. keeps tick enabled where the exit table says ``tick_critical``.
 
-    Both concern one supervisor at a time, so the supervisors are checked
-    alone, in index order.  A supervisor passes without a walk when the
-    in-spec elements of ``comm``'s observer show no violation (``_admits``).
-    Otherwise its observer is walked breadth-first over the (state, observer
-    state) pairs in-spec runs reach: silent moves first, then observed
-    symbols in alphabet order.  The first violating pair gives the witness,
-    a shortest run reaching it.  ``max_states`` bounds each walk; a
-    supervisor that passes builds none.
+    Both concern one supervisor at a time, so the supervisors, one per
+    ``comm.net.n`` (else ValueError), are checked alone, in index order.  A
+    supervisor whose observer is ``comm``'s own passes without a walk when
+    no state ``t`` of it that in-spec runs reach shows a violation in its
+    summary: the walk visits exactly the pairs ``(x, t)`` with ``(x, True)``
+    in ``elements[t]``, and that observer moves on every symbol it meets.
+    Otherwise its observer (a copy or an edited one too) is walked
+    breadth-first over the (state, observer state) pairs in-spec runs reach:
+    silent moves first, then observed symbols in alphabet order.  The first
+    violating pair gives the witness, a shortest run reaching it.
+    ``max_states`` bounds each walk; a supervisor that passes builds none.
     """
-    net, in_spec = comm.net, comm.in_spec
-    tick_critical = [
-        PLANT_TICK in moves and not tick_preemptable(comm, x) for x, moves in enumerate(comm.transitions)
-    ]
+    _check_count(comm, supervisors)
+    net, in_spec, tick_critical = comm.net, comm.in_spec, comm.tick_critical
     for i, sup in enumerate(supervisors):
-        steps, enable = sup.observer.transitions, sup.enable
+        observer, enable = sup.observer, sup.enable
         uncontrollable = net.alphabets[i] - net.controllable[i]
         # per observer state, the first uncontrollable event it disables
         disabled = [min(uncontrollable - allowed, default=None) for allowed in enable]
-        if _admits(comm, i, sup, disabled, tick_critical):
+        if comm.owns_observer(i, observer) and not any(
+            reached and (bad is not None or (critical and TICK not in allowed))
+            for reached, critical, bad, allowed in zip(observer.in_spec, observer.tick_critical, disabled, enable)
+        ):
             continue
-        table = comm.observation_table(i)
-        width = sup.observer.num_states  # the pair (x, t) has the key x * width + t
+        table, steps = comm.observation_table(i), observer.transitions
+        width = observer.num_states  # the pair (x, t) has the key x * width + t
         space = PathSpace("admissibility product", max_states)
-        space.add(comm.initial * width + sup.observer.initial)
+        space.add(comm.initial * width + observer.initial)
         index, add = space.index, space.add
         for k, key in enumerate(space.keys):  # space.keys grows: breadth-first
             x, t = divmod(key, width)

@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import AbstractSet, NamedTuple, Optional
 
 from .automata import TICK, event_order
-from .comm import CommAutomaton, CommEvent, Observer
+from .comm import CommAutomaton, CommEvent
 from .errors import ModelError, ResourceLimitError
 from .explore import MAX_STATES, PathSpace
 
@@ -48,13 +48,6 @@ class Verdict:
     detail: str = ""
 
 
-def tick_preemptable(comm: CommAutomaton, sid: int) -> bool:
-    """Some enforceable event's move from ``sid`` stays in the
-    specification (read off the exit table), so the supervisors can preempt
-    tick there."""
-    return not comm.stays[sid].isdisjoint(comm.net.enforceable)
-
-
 def check_network_controllability(comm: CommAutomaton) -> Verdict:
     """Two statewise conditions over the specification restriction, read
     off the exit table:
@@ -81,7 +74,7 @@ def check_network_controllability(comm: CommAutomaton) -> Verdict:
                 detail=f"uncontrollable {event!r} exits the specification at {comm.render_state(sid)}",
             )
     for sid in reachable:
-        if TICK in comm.exits[sid] and not tick_preemptable(comm, sid):
+        if TICK in comm.exits[sid] and comm.tick_critical[sid]:
             return Verdict(
                 Condition.NET_CTRL_2,
                 False,
@@ -187,17 +180,6 @@ def build_twin_product(
     return TwinProduct(supervisor, n, space)
 
 
-def _confuses(observer: Observer, exits: set[int], stays: set[int]) -> bool:
-    """Some state of ``observer`` holds a flagged element in ``exits`` and
-    another in ``stays``."""
-    exit_elements = {(sid, True) for sid in exits}
-    stay_elements = {(sid, True) for sid in stays}
-    return any(
-        not elements.isdisjoint(exit_elements) and not elements.isdisjoint(stay_elements)
-        for elements in observer.elements
-    )
-
-
 def check_network_joint_observability(
     comm: CommAutomaton, *, max_states: int = MAX_STATES
 ) -> Verdict:
@@ -211,16 +193,16 @@ def check_network_joint_observability(
     specification) with the left state in ``exits`` and the right one in
     ``stays``.  Such a pair is reachable exactly when one state of the
     supervisor's observer holds a flagged element in ``exits`` and another
-    in ``stays``, so the check reads the observers ``comm`` caches, which
-    synthesis reuses.  Only for a confused (event, supervisor), or one whose
-    observer breaks ``max_states``, is a twin product built, and only up to
-    its first violating pair, which gives the BFS-shortest witness.  Events
-    that exit nowhere, or stay inside nowhere, are skipped; ``max_states``
-    bounds each observer and twin product.  Verdicts aggregate
-    deterministically in (event, supervisor) order.
+    in ``stays``: when the event is in both that state's ``exits`` and
+    ``stays`` summaries, which the check reads off the observers ``comm``
+    caches, as synthesis does.  Only for a confused (event, supervisor), or
+    one whose observer breaks ``max_states``, is a twin product built, and
+    only up to its first violating pair, which gives the BFS-shortest
+    witness.  Events that exit nowhere, or stay inside nowhere, are skipped;
+    ``max_states`` bounds each observer and twin product.  Verdicts
+    aggregate deterministically in (event, supervisor) order.
     """
-    net = comm.net
-    reachable = [sid for sid in range(comm.num_states) if comm.spec_reachable[sid]]
+    net, reachable = comm.net, comm.spec_tree.keys
     for event in sorted(net.globally_controllable, key=event_order):
         exits = {sid for sid in reachable if event in comm.exits[sid]}
         stays = {sid for sid in reachable if event in comm.stays[sid]}
@@ -232,7 +214,7 @@ def check_network_joint_observability(
             except ResourceLimitError:
                 pass  # too large to read: the twin product decides
             else:
-                if not _confuses(observer, exits, stays):
+                if not any(event in out and event in inside for out, inside in zip(observer.exits, observer.stays)):
                     continue
             twin = build_twin_product(comm, supervisor, max_states=max_states, until=(exits, stays))
             last = len(twin.space.keys) - 1

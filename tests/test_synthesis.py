@@ -239,6 +239,16 @@ class TestAdmissibility:
         verdict = check_admissibility([SupervisorMap(0, observer, enable), sups[1]], line_report.comm)
         assert not verdict.holds and verdict.condition is Condition.ADM_TICK
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_supervisor_count_is_checked(self, line_report, count):
+        # supervisor 2 disabling tick everywhere fails the full set, so a set
+        # that leaves it out must not pass
+        sups = line_report.supervisors
+        gagged = SupervisorMap(1, sups[1].observer, tuple(e - {TICK} for e in sups[1].enable))
+        assert check_admissibility([sups[0], gagged], line_report.comm).condition is Condition.ADM_TICK
+        with pytest.raises(ValueError, match=f"expected 2 supervisors, got {count}"):
+            check_admissibility([sups[0], gagged, sups[0]][:count], line_report.comm)
+
     @pytest.mark.parametrize("params,count", [
         (GeneratorParams(), 200),
         (GeneratorParams(n=3, max_comm_states=150), 100),
@@ -285,6 +295,8 @@ class TestAdmissibility:
                 verdict = check_admissibility(case, comm)
                 assert verdict.holds == admissible(comm, case), f"seed {seed}"
                 if verdict.holds:
+                    # passed on the observers' summaries: no walk was needed
+                    assert check_admissibility(case, comm, max_states=1).holds, f"seed {seed}"
                     continue
                 negatives += 1
                 mu, sigma, i = verdict.witness.mu, verdict.witness.sigma, verdict.witness.supervisor

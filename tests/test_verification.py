@@ -335,9 +335,11 @@ def statewise_controllability(comm):
 
 
 class TestExitTable:
-    """``exits``/``stays`` say which plant moves leave the specification;
-    controllability and the enable-sets read them and must agree with their
-    definitions over the moves themselves."""
+    """``exits``/``stays`` say which plant moves leave the specification and
+    ``tick_critical`` where tick cannot be preempted; each observer state
+    summarizes them over its flagged elements.  Controllability and the
+    enable-sets read them and must agree with their definitions over the
+    moves themselves."""
 
     @pytest.mark.parametrize("source", ["line", "n2", "n3"])
     def test_readers_match_definitions(self, source, line_comm):
@@ -353,6 +355,9 @@ class TestExitTable:
                 plant = [(e.event, t) for e, t in moves.items() if isinstance(e, Plant)]
                 assert comm.exits[sid] == {e for e, t in plant if not comm.in_spec[t]}, seed
                 assert comm.stays[sid] == {e for e, t in plant if comm.in_spec[t]}, seed
+                assert comm.tick_critical[sid] == (Plant(TICK) in moves and not any(
+                    e in net.enforceable and comm.in_spec[t] for e, t in plant
+                )), seed
             verdict = check_network_controllability(comm)
             w = verdict.witness
             got = (verdict.holds, verdict.condition, None, None) if w is None else \
@@ -362,6 +367,13 @@ class TestExitTable:
                 negatives[verdict.condition] += 1
             for i in range(net.n):
                 sup = synthesize_supervisor(comm, i)
+                observer = sup.observer
+                for t, elements in enumerate(observer.elements):
+                    reached = [x for x, flag in elements if flag]
+                    assert observer.in_spec[t] == bool(reached), seed
+                    assert observer.exits[t] == set().union(*(comm.exits[x] for x in reached)), seed
+                    assert observer.stays[t] == set().union(*(comm.stays[x] for x in reached)), seed
+                    assert observer.tick_critical[t] == any(comm.tick_critical[x] for x in reached), seed
                 for elements, enable in zip(sup.observer.elements, sup.enable):
                     disabled = {
                         e.event
