@@ -380,11 +380,15 @@ def validate_timed_assumptions(auto: TimedAutomaton, net) -> AssumptionVerdict:
 def prepare(plant: TimedAutomaton, spec: TimedAutomaton, net) -> tuple[TimedAutomaton, TimedAutomaton]:
     """The control problem every pipeline solves: the plant's accessible
     part, the specification restricted to the states it kept, after the
-    plant passed ``validate_timed_assumptions`` (ModelError otherwise)."""
-    plant = accessible(plant)
-    unreachable = set(spec.states) - set(plant.states)
+    plant passed ``validate_timed_assumptions`` (ModelError otherwise).
+    ``comm.build_comm_automaton`` runs it first, so no caller has to."""
+    reachable = accessible(plant)
+    # only states the plant lost: a state foreign to the plant stays, for the
+    # subautomaton check to reject
+    unreachable = set(spec.states).intersection(plant.states).difference(reachable.states)
     if unreachable:
         spec = remove_states(spec, unreachable, name=spec.name)
+    plant = reachable
     assumptions = validate_timed_assumptions(plant, net)
     if not assumptions.ok:
         raise ModelError(f"plant violates timed assumption {assumptions.condition}: {assumptions.message}")

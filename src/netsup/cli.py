@@ -16,8 +16,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import dot as dotmod
-from .automata import accessible, prepare, validate_timed_assumptions
-from .comm import CommAutomaton, build_comm_automaton, render_event
+from .automata import accessible, validate_timed_assumptions
+from .comm import build_comm_automaton, render_event
 from .errors import ModelError, ResourceLimitError
 from .modelio import (
     automaton_to_dict,
@@ -139,13 +139,6 @@ def _report_dict(report: SolveReport) -> dict:
     return out
 
 
-def _comm(model) -> CommAutomaton:
-    """The channel-augmented automaton of the model's prepared problem, the
-    one ``solve`` builds."""
-    plant, spec = prepare(model.plant, model.spec, model.network)
-    return build_comm_automaton(plant, spec, model.network)
-
-
 def cmd_validate(args) -> int:
     model = load_model(args.model)
     verdict = validate_timed_assumptions(accessible(model.plant), model.network)
@@ -178,7 +171,7 @@ def cmd_compose(args) -> int:
 
 def cmd_build_comm(args) -> int:
     model = load_model(args.model)
-    comm = _comm(model)
+    comm = build_comm_automaton(model.plant, model.spec, model.network)
     payload = {
         "spec_version": SPEC_VERSION,
         "states": comm.num_states,
@@ -194,7 +187,7 @@ def cmd_build_comm(args) -> int:
 
 def cmd_check(args) -> int:
     model = load_model(args.model)
-    comm = _comm(model)
+    comm = build_comm_automaton(model.plant, model.spec, model.network)
     verdicts = [
         ("network controllability", check_network_controllability(comm)),
         ("network joint observability", check_network_joint_observability(comm)),
@@ -215,7 +208,7 @@ def cmd_check(args) -> int:
 
 def cmd_synthesize(args) -> int:
     model = load_model(args.model)
-    comm = _comm(model)
+    comm = build_comm_automaton(model.plant, model.spec, model.network)
     sups = [synthesize_supervisor(comm, i) for i in range(model.network.n)]
     payload = {
         "spec_version": SPEC_VERSION,
@@ -284,7 +277,7 @@ def cmd_export_dot(args) -> int:
     elif target == "comm" or target == "closed-loop" or target.startswith("observer:"):
         if target.startswith("observer:"):
             i = _supervisor_index(target.split(":", 1)[1], model.network.n)
-        comm = _comm(model)
+        comm = build_comm_automaton(model.plant, model.spec, model.network)
         if target == "comm":
             text = dotmod.comm_automaton_dot(comm)
         elif target == "closed-loop":

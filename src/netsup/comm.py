@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
 from . import channels as ch
-from .automata import TICK, TimedAutomaton, subautomaton_defect
+from .automata import TICK, TimedAutomaton, prepare, subautomaton_defect
 from .channels import ChannelState
-from .errors import ChannelOverflowError, ModelError
+from .errors import ModelError
 from .explore import MAX_STATES, PathSpace, StateSpace, budget_error
 from .network import NetworkConfig
 
@@ -65,7 +65,6 @@ class Lose(NamedTuple):
 CommEvent = Plant | Deliver | Lose
 
 PLANT_TICK = Plant(TICK)
-QUEUE_CAP_FACTOR = 10  # see build_comm_automaton
 
 
 def event_key(event: CommEvent) -> tuple:
@@ -310,23 +309,23 @@ def build_comm_automaton(
 ) -> CommAutomaton:
     """Breadth-first construction of the channel-augmented automaton.
 
-    ``spec`` must be a subautomaton of ``plant`` (same initial state; marking
-    may be an explicit subset of the inherited one).  Queue lengths are capped
-    at QUEUE_CAP_FACTOR * (delay_bound + 1) * |plant states| per channel; a
-    well-formed timed plant never gets near the cap, so exceeding it reports a
-    model error with the offending trace.
+    The one gate to a validated problem: the plant is first reduced to its
+    accessible part and the specification to the states it kept, and the
+    plant must pass ``validate_timed_assumptions`` (``automata.prepare``;
+    ModelError otherwise).  ``spec`` must then be a subautomaton of the plant
+    (same initial state; marking may be an explicit subset of the inherited
+    one).  With no cycle of non-tick events, at most L <= |plant states| - 1
+    plant events fire between two ticks, so no channel queue holds more than
+    (delay_bound + 1) * L entries and the construction is finite.
     """
+    plant, spec = prepare(plant, spec, net)
     defect = subautomaton_defect(spec, plant)
     if defect is not None:
         raise ModelError(f"{spec.name!r} is not a subautomaton of {plant.name!r}: {defect}")
     spec_states = set(spec.states)
     spec_marked_states = set(spec.marked)
-    caps = {
-        key: QUEUE_CAP_FACTOR * (link.delay_bound + 1) * len(plant.states)
-        for key, link in net.channels.items()
-    }
 
-    space = PathSpace("channel-augmented automaton", max_states)
+    space = StateSpace("channel-augmented automaton", max_states)
     space.add((plant.initial, ChannelState.empty(net)))
     keys, index = space.keys, space.index
     transitions: list[dict[CommEvent, int]] = []
@@ -346,17 +345,9 @@ def build_comm_automaton(
     stays: list[frozenset[str]] = []
     tick_critical: list[bool] = []
 
-    def intern(key: tuple[str, ChannelState], src: int, event: CommEvent) -> int:
+    def intern(key: tuple[str, ChannelState]) -> int:
         sid = index.get(key)
-        if sid is None:
-            sid = space.add(key, src, event)
-            for (i, j), queue in key[1].queues:
-                if len(queue) > caps[(i, j)]:
-                    raise ChannelOverflowError(
-                        f"channel ({i + 1},{j + 1}) exceeded its queue cap {caps[(i, j)]}",
-                        trace=[render_event(e) for e in space.path(sid)],
-                    )
-        return sid
+        return space.add(key) if sid is None else sid
 
     for sid, (q, theta) in enumerate(keys):  # keys grows while it is walked: breadth-first
         here: dict[CommEvent, int] = {}
@@ -366,22 +357,20 @@ def build_comm_automaton(
         if tick_target is not None:
             aged = ch.time_step(theta, net)
             if aged is not None:
-                here[PLANT_TICK] = intern((tick_target, aged), sid, PLANT_TICK)
+                here[PLANT_TICK] = intern((tick_target, aged))
         # plant events, lexicographic
         for event in plant.active(q):
             if event == TICK:
                 continue
             dst = plant.transitions[q][event]
-            here[Plant(event)] = intern(
-                (dst, ch.push(theta, event, net)), sid, Plant(event)
-            )
+            here[Plant(event)] = intern((dst, ch.push(theta, event, net)))
         # deliveries: at most the front entry of each channel
         for i, j in net.channel_keys:
             queue = theta.get(i, j)
             if queue:
                 event = Deliver(i, j, queue[0].event)
                 delivered = ch.deliver(theta, i, j, queue[0].event)
-                here[event] = intern((q, delivered), sid, event)
+                here[event] = intern((q, delivered))
         # losses: every lossy position of each channel
         for i, j in net.channel_keys:
             queue = theta.get(i, j)
@@ -389,7 +378,7 @@ def build_comm_automaton(
                 lost = ch.lose(theta, i, j, d, net)
                 if lost is not None:
                     event = Lose(i, j, d)
-                    here[event] = intern((q, lost), sid, event)
+                    here[event] = intern((q, lost))
         leaving, staying, critical = splits[q, PLANT_TICK in here]
         exits.append(leaving)
         stays.append(staying)

@@ -22,13 +22,5 @@ class CompositionError(ModelError):
     state pairs of a composition get the same name."""
 
 
-class ChannelOverflowError(ModelError):
-    """A channel queue outgrew its hard cap; carries the offending trace."""
-
-    def __init__(self, message, trace=()):
-        super().__init__(message)
-        self.trace = tuple(trace)
-
-
 class ResourceLimitError(RuntimeError):
     """A construction exceeded its configured state budget."""

@@ -75,7 +75,12 @@ def enumerate_language(machine, bound: int) -> BoundedLanguage:
     return BoundedLanguage(frozenset(strings), frozenset(marked), bound)
 
 
-def _spec_strings(comm: CommAutomaton, bound: int) -> list[tuple[tuple[CommEvent, ...], int]]:
+# in-spec strings with their end states, shortest first: each _brute_* check
+# takes the ones it quantifies over
+SpecStrings = list[tuple[tuple[CommEvent, ...], int]]
+
+
+def _spec_strings(comm: CommAutomaton, bound: int) -> SpecStrings:
     """All in-spec strings up to ``bound`` with their end states, shortest
     first."""
     return [
@@ -91,20 +96,20 @@ def brute_check(condition: Condition, comm: CommAutomaton, bound: int) -> Verdic
     strings (pairs of strings for joint observability) whose total length,
     including the extending event, stays within ``bound``."""
     if condition is Condition.NET_CTRL_1:
-        return _brute_controllability_1(comm, bound)
+        return _brute_controllability_1(comm, _spec_strings(comm, bound - 1))
     if condition is Condition.NET_CTRL_2:
-        return _brute_controllability_2(comm, bound)
+        return _brute_controllability_2(comm, _spec_strings(comm, bound - 1))
     if condition is Condition.NET_JOINT_OBS:
-        return _brute_joint_observability(comm, bound)
+        return _brute_joint_observability(comm, _spec_strings(comm, bound - 1))
     if condition is Condition.LM_CLOSURE:
-        return _brute_lm_closure(comm, bound)
+        return _brute_lm_closure(comm, _spec_strings(comm, bound))
     raise ValueError(f"no brute-force check for {condition}")
 
 
-def _brute_controllability_1(comm: CommAutomaton, bound: int) -> Verdict:
+def _brute_controllability_1(comm: CommAutomaton, spec_strings: SpecStrings) -> Verdict:
     net = comm.net
     uncontrollable = sorted(net.uncontrollable, key=lambda e: (e != TICK, e))
-    for mu, sid in _spec_strings(comm, bound - 1):
+    for mu, sid in spec_strings:
         for event in uncontrollable:
             dst = comm.target(sid, Plant(event))
             if dst is not None and not comm.in_spec[dst]:
@@ -114,9 +119,9 @@ def _brute_controllability_1(comm: CommAutomaton, bound: int) -> Verdict:
     return Verdict(Condition.NET_CTRL_1, True)
 
 
-def _brute_controllability_2(comm: CommAutomaton, bound: int) -> Verdict:
+def _brute_controllability_2(comm: CommAutomaton, spec_strings: SpecStrings) -> Verdict:
     net = comm.net
-    for mu, sid in _spec_strings(comm, bound - 1):
+    for mu, sid in spec_strings:
         dst = comm.target(sid, Plant(TICK))
         if dst is None or comm.in_spec[dst]:
             continue
@@ -129,7 +134,7 @@ def _brute_controllability_2(comm: CommAutomaton, bound: int) -> Verdict:
     return Verdict(Condition.NET_CTRL_2, True)
 
 
-def _brute_joint_observability(comm: CommAutomaton, bound: int) -> Verdict:
+def _brute_joint_observability(comm: CommAutomaton, spec_strings: SpecStrings) -> Verdict:
     """For every controllable event and controlling supervisor, compare the
     observations of every run that must disable the event with those of every
     run that must keep it enabled; equal observations are a violation.
@@ -139,7 +144,6 @@ def _brute_joint_observability(comm: CommAutomaton, bound: int) -> Verdict:
     """
     net = comm.net
     controllable = sorted(net.globally_controllable, key=lambda e: (e != TICK, e))
-    spec_strings = _spec_strings(comm, bound - 1)
     for event in controllable:
         plant_event = Plant(event)
         must_disable: list[tuple[CommEvent, ...]] = []
@@ -170,8 +174,8 @@ def _brute_joint_observability(comm: CommAutomaton, bound: int) -> Verdict:
     return Verdict(Condition.NET_JOINT_OBS, True)
 
 
-def _brute_lm_closure(comm: CommAutomaton, bound: int) -> Verdict:
-    for mu, sid in _spec_strings(comm, bound):
+def _brute_lm_closure(comm: CommAutomaton, spec_strings: SpecStrings) -> Verdict:
+    for mu, sid in spec_strings:
         if comm.marked[sid] and not comm.spec_marked[sid]:
             return Verdict(Condition.LM_CLOSURE, False, Witness(mu=mu))
     return Verdict(Condition.LM_CLOSURE, True)
@@ -233,22 +237,28 @@ def agreement_for_seed(seed: int, bound: int) -> dict:
     """Compare the engine's verdicts and closed-loop language with the
     oracle's at ``bound`` on the seeded random instance ``seed``; lists the
     names of the properties they disagree on."""
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
     comm = random_instance(seed).comm
+    # one enumeration serves every condition: an extending event may follow
+    # only the strings shorter than the bound
+    spec_strings = _spec_strings(comm, bound)
+    shorter = [(mu, sid) for mu, sid in spec_strings if len(mu) < bound]
     oracle_ctrl = (
-        brute_check(Condition.NET_CTRL_1, comm, bound).holds
-        and brute_check(Condition.NET_CTRL_2, comm, bound).holds
+        _brute_controllability_1(comm, shorter).holds
+        and _brute_controllability_2(comm, shorter).holds
     )
     engine = [
         ("NetworkControllability", check_network_controllability(comm).holds, oracle_ctrl),
         (
             "NetworkJointObservability",
             check_network_joint_observability(comm).holds,
-            brute_check(Condition.NET_JOINT_OBS, comm, bound).holds,
+            _brute_joint_observability(comm, shorter).holds,
         ),
         (
             "LmClosure",
             check_lm_closure(comm).holds,
-            brute_check(Condition.LM_CLOSURE, comm, bound).holds,
+            _brute_lm_closure(comm, spec_strings).holds,
         ),
     ]
     disagreements = [name for name, engine_holds, oracle_holds in engine

@@ -4,7 +4,7 @@ network configuration, ready for engine-versus-oracle comparison runs.
 Non-tick transitions only ever point up a random state ranking, so no
 non-tick cycle can form; states either get a tick transition or an
 enforceable escape, which makes every instance satisfy the timed-model
-assumptions by construction (still re-validated before acceptance).
+assumptions by construction (``build_comm_automaton`` validates them again).
 Instances whose channel-augmented automaton would outgrow ``max_comm_states``
 are rejected and regenerated, keeping the bounded oracle affordable.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .automata import TimedAutomaton, TICK, accessible, remove_states, validate_timed_assumptions
+from .automata import TimedAutomaton, TICK, accessible, remove_states
 from .comm import CommAutomaton, build_comm_automaton
 from .errors import ResourceLimitError
 from .network import ChannelLink, NetworkConfig
@@ -130,8 +130,6 @@ def random_instance(seed: int, params: GeneratorParams = GeneratorParams()) -> I
         if len(plant.states) < 2:
             continue
         net = _random_network(rng, params, per_sup, enforceable & plant.alphabet)
-        if not validate_timed_assumptions(plant, net).ok:
-            continue
         removable = [q for q in plant.states if q != plant.initial]
         spec = plant
         if removable and rng.random() >= params.keep_spec_equal_probability:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .automata import TICK, TimedAutomaton, is_nonblocking, prepare
+from .automata import TICK, TimedAutomaton, is_nonblocking
 from .comm import (  # Observer and build_observer are importable from here too
     CommAutomaton,
     CommEvent,
@@ -127,9 +127,13 @@ class ClosedLoop:
 
 
 def _check_count(comm: CommAutomaton, supervisors: Sequence[SupervisorMap]) -> None:
-    """Raise ValueError unless there is one supervisor per ``comm.net.n``."""
+    """Raise ValueError unless there is one supervisor per ``comm.net.n``,
+    supervisor ``i`` at position ``i``."""
     if len(supervisors) != comm.net.n:
         raise ValueError(f"expected {comm.net.n} supervisors, got {len(supervisors)}")
+    for i, sup in enumerate(supervisors):
+        if sup.supervisor != i:
+            raise ValueError(f"supervisor {sup.supervisor + 1} is at position {i + 1}")
 
 
 def _uncovered(i: int, symbol: str, t: int) -> ValueError:
@@ -426,7 +430,6 @@ def solve_control_problem(
     With ``diagnostic`` the supervisors are synthesized and compared even when
     a condition fails (their enable-sets carry no guarantee then).
     """
-    plant, spec = prepare(plant, spec, net)
     comm = build_comm_automaton(plant, spec, net, max_states=max_states)
     controllability = check_network_controllability(comm)
     observability = check_network_joint_observability(comm, max_states=max_states)

@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from netsup import automata, cli, synthesis
+from netsup import automata, build_comm_automaton, cli, load_model, synthesis
 from netsup.cli import main
-from netsup.errors import ResourceLimitError
+from netsup.errors import ModelError, ResourceLimitError
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -20,6 +20,18 @@ def run(capsys, *argv):
 
 def fixture_path(models_dir, name="production_line.json"):
     return str(models_dir / name)
+
+
+def dead_end_model(models_dir, tmp_path):
+    """The production line with a reachable state that has no move, which
+    breaks timed assumption 2."""
+    doc = json.loads((models_dir / "production_line.json").read_text(encoding="utf-8"))
+    line = next(a for a in doc["automata"] if a["name"] == "LINE")
+    line["states"].append("dead")
+    line["transitions"][-1]["to"] = "dead"  # 8 -tick-> dead, which has no move
+    model = tmp_path / "dead_end.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    return model
 
 
 class TestExitCodes:
@@ -115,16 +127,20 @@ class TestExitCodes:
         ["export-dot", "--target", "closed-loop"],
     ], ids=" ".join)
     def test_every_command_rejects_what_solve_rejects(self, capsys, models_dir, tmp_path, argv):
-        doc = json.loads((models_dir / "production_line.json").read_text(encoding="utf-8"))
-        line = next(a for a in doc["automata"] if a["name"] == "LINE")
-        line["states"].append("dead")
-        line["transitions"][-1]["to"] = "dead"  # 8 -tick-> dead, which has no move
-        model = tmp_path / "dead_end.json"
-        model.write_text(json.dumps(doc), encoding="utf-8")
+        model = dead_end_model(models_dir, tmp_path)
         solve = run(capsys, "solve", str(model))
         assert solve == (2, "", "error: plant violates timed assumption 2:"
                          " state 'dead' has no active event\n")
         assert run(capsys, argv[0], str(model), *argv[1:]) == solve
+
+    def test_build_comm_automaton_rejects_what_solve_rejects(self, capsys, models_dir, tmp_path):
+        """The Python API gate is the one the commands go through."""
+        path = dead_end_model(models_dir, tmp_path)
+        _, _, printed = run(capsys, "solve", str(path))
+        model = load_model(path)
+        with pytest.raises(ModelError) as excinfo:
+            build_comm_automaton(model.plant, model.spec, model.network)
+        assert printed == f"error: {excinfo.value}\n"
 
 
 class TestJsonOutputs:
@@ -262,7 +278,7 @@ class TestExports:
     def test_export_observer_rejects_bad_index(self, capsys, models_dir, monkeypatch, index):
         """The fixture has two supervisors: any other index is a model error,
         reported before the channel-augmented automaton is built."""
-        monkeypatch.setattr(cli, "_comm", lambda model: pytest.fail("built the automaton"))
+        monkeypatch.setattr(cli, "build_comm_automaton", lambda *a, **k: pytest.fail("built the automaton"))
         code, out, err = run(
             capsys, "export-dot", fixture_path(models_dir), "--target", f"observer:{index}"
         )

@@ -1,11 +1,13 @@
 """Channel-augmented automaton: construction, projections, equivalence."""
 
 import copy
+import dataclasses
 import pickle
 import random
 
 import pytest
 
+from netsup import solve_control_problem
 from netsup.automata import TICK, TimedAutomaton
 from netsup.comm import (
     Deliver,
@@ -20,7 +22,7 @@ from netsup.comm import (
 )
 from netsup.errors import ModelError
 from netsup.network import ChannelLink, NetworkConfig
-from netsup.randgen import random_instance
+from netsup.randgen import GeneratorParams, random_instance
 
 
 def ta(name, states, alphabet, transitions, initial, marked):
@@ -128,6 +130,17 @@ class TestExhaustiveOracle:
         with pytest.raises(ModelError):
             build_comm_automaton(plant, other, no_com_net([TICK, "x"], [TICK]))
 
+    def test_rejects_spec_state_foreign_to_plant(self):
+        """Preparing the problem drops only the spec states the plant's
+        accessible part lost, never one the plant does not have."""
+        plant = ta("P", ["0", "1"], [TICK, "a"], [("0", TICK, "0"), ("0", "a", "1"), ("1", TICK, "1")], "0", ["0"])
+        other = ta("H", ["0", "z"], [TICK, "a"], [("0", TICK, "0"), ("0", "a", "z"), ("z", TICK, "z")], "0", ["0"])
+        net = no_com_net([TICK, "a"], [TICK])
+        with pytest.raises(ModelError, match="states must be a subset of the plant's states"):
+            build_comm_automaton(plant, other, net)
+        with pytest.raises(ModelError, match="states must be a subset of the plant's states"):
+            solve_control_problem(plant, other, net)
+
 
 class TestStructuralInvariants:
     def test_delivery_and_loss_keep_plant_component(self, line_comm):
@@ -180,6 +193,57 @@ class TestStructuralInvariants:
                 string.append(event)
                 sid = line_comm.target(sid, event)
             assert plant.run(project_plant(string)) == line_comm.plant_of(sid)
+
+
+def queue_fill(comm, plant):
+    """Every channel queue of every state as (length, (delay_bound + 1) * L),
+    where L is the most non-tick events ``plant`` can fire in a row."""
+    longest: dict[str, int] = {}
+
+    def run_from(q):
+        if q not in longest:
+            longest[q] = max((1 + run_from(dst) for e, dst in plant.moves(q) if e != TICK), default=0)
+        return longest[q]
+
+    most = max(run_from(q) for q in plant.states)
+    return [
+        (len(queue), (comm.net.channels[key].delay_bound + 1) * most)
+        for _, theta in comm.keys
+        for key, queue in theta.queues
+    ]
+
+
+class TestQueueBound:
+    """Between two ticks a plant with no cycle of non-tick events fires at
+    most L events, and no entry outlives its channel's delay bound, so no
+    queue holds more than (delay_bound + 1) * L entries: the construction is
+    finite without a queue cap."""
+
+    @pytest.mark.parametrize("delays", [(6, 1), (1, 6), (6, 6)], ids=lambda d: f"{d[0]}/{d[1]}")
+    def test_line_queues_within_bound(self, line_model, delays):
+        net = line_model.network
+        channels = {
+            key: dataclasses.replace(link, delay_bound=delays[key[0]])
+            for key, link in net.channels.items()
+        }
+        comm = build_comm_automaton(
+            line_model.plant, line_model.spec, dataclasses.replace(net, channels=channels)
+        )
+        fill = queue_fill(comm, line_model.plant)
+        assert fill and all(length <= bound for length, bound in fill)
+
+    @pytest.mark.parametrize("params", [
+        GeneratorParams(),
+        GeneratorParams(n=3, max_comm_states=150),
+        GeneratorParams(max_delay=3, max_comm_states=2000),
+    ], ids=["default", "n3", "delay3"])
+    def test_random_queues_within_bound(self, params):
+        fill = []
+        for seed in range(100):
+            inst = random_instance(seed, params)
+            fill += queue_fill(inst.comm, inst.plant)
+        assert all(length <= bound for length, bound in fill)
+        assert any(length == bound > 0 for length, bound in fill)  # the bound is reached
 
 
 class TestProjections:
@@ -348,10 +412,9 @@ class TestEventValues:
 
 class TestResourceGuards:
     def test_queue_overflow_reports_model_error_with_trace(self):
-        """A plant violating the no-non-tick-cycle assumption pumps a channel
-        queue past its cap; the builder reports the offending trace."""
-        from netsup.errors import ChannelOverflowError
-
+        """A plant violating the no-non-tick-cycle assumption would pump a
+        channel queue without bound; the builder validates the plant first
+        and reports the offending cycle instead of exploring."""
         plant = ta(
             "P", ["0"], ["a", TICK], [("0", "a", "0"), ("0", TICK, "0")], "0", ["0"],
         )
@@ -360,11 +423,9 @@ class TestResourceGuards:
             [], [[0, 1], [0, 0]],
             {(0, 1): ChannelLink(frozenset(["a"]), frozenset(), 1)},
         )
-        with pytest.raises(ChannelOverflowError) as excinfo:
+        with pytest.raises(ModelError, match="timed assumption 1") as excinfo:
             build_comm_automaton(plant, plant, net)
-        # cap is 10 * (delay_bound + 1) * |states| = 20 pushes, so the trace
-        # shows 21 consecutive occurrences of the pushed event
-        assert list(excinfo.value.trace) == ["a"] * 21
+        assert str(excinfo.value).endswith("cycle of non-tick events: 0 -a->")
 
     def test_state_cap_raises_resource_error(self, line_model):
         from netsup.errors import ResourceLimitError

@@ -12,7 +12,6 @@ import random
 import pytest
 
 from netsup import load_model, parse_model, solve_control_problem
-from netsup.automata import prepare
 from netsup.cli import main
 from netsup.comm import build_comm_automaton, render_event
 from netsup.modelio import dump_json, model_to_dict
@@ -90,8 +89,7 @@ def spec_paths(doc):
     """The rendered ``spec_path`` of every specification-reachable state,
     by state id."""
     model = parse_model(doc)
-    plant, spec = prepare(model.plant, model.spec, model.network)
-    comm = build_comm_automaton(plant, spec, model.network)
+    comm = build_comm_automaton(model.plant, model.spec, model.network)
     return [
         [render_event(e) for e in comm.spec_path(sid)]
         for sid in range(comm.num_states) if comm.spec_reachable[sid]

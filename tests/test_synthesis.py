@@ -249,6 +249,13 @@ class TestAdmissibility:
         with pytest.raises(ValueError, match=f"expected 2 supervisors, got {count}"):
             check_admissibility([sups[0], gagged, sups[0]][:count], line_report.comm)
 
+    def test_supervisor_position_is_checked(self, line_report):
+        swapped = line_report.supervisors[::-1]
+        with pytest.raises(ValueError, match="supervisor 2 is at position 1"):
+            closed_loop(line_report.comm, swapped)
+        with pytest.raises(ValueError, match="supervisor 2 is at position 1"):
+            check_admissibility(swapped, line_report.comm)
+
     @pytest.mark.parametrize("params,count", [
         (GeneratorParams(), 200),
         (GeneratorParams(n=3, max_comm_states=150), 100),
@@ -656,12 +663,13 @@ class TestThreeSupervisors:
 
 
 class TestUnreachablePlantStates:
-    def test_solve_prunes_before_validation(self, line_model):
+    @pytest.fixture
+    def padded(self, line_model):
         from netsup.automata import TimedAutomaton
 
         plant = line_model.plant
         # add an unreachable junk state that would fail the liveness check
-        padded = TimedAutomaton(
+        return TimedAutomaton(
             plant.name,
             plant.states + ("limbo",),
             plant.alphabet,
@@ -669,5 +677,11 @@ class TestUnreachablePlantStates:
             plant.initial,
             plant.marked,
         )
+
+    def test_solve_prunes_before_validation(self, padded, line_model):
         report = solve_control_problem(padded, line_model.spec, line_model.network)
         assert report.solvable
+
+    def test_build_comm_automaton_prunes_before_validation(self, padded, line_model, line_comm):
+        comm = build_comm_automaton(padded, line_model.spec, line_model.network)
+        assert comm.keys == line_comm.keys and comm.transitions == line_comm.transitions
