@@ -8,7 +8,6 @@ from .automata import (
     TimedAutomaton,
     accessible,
     is_nonblocking,
-    is_subautomaton,
     parallel_compose,
     remove_states,
     validate_timed_assumptions,

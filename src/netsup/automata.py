@@ -7,7 +7,6 @@ advances only on ticks.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
@@ -65,8 +64,8 @@ class TimedAutomaton:
             raise SchemaError(f"{name}: alphabet must contain {TICK!r}")
         if initial not in state_set:
             raise UnknownNameError(f"{name}: initial state {initial!r} not declared")
-        marked_set = frozenset(marked)
-        for m in marked_set:
+        marked_list = list(marked)
+        for m in marked_list:
             if m not in state_set:
                 raise UnknownNameError(f"{name}: marked state {m!r} not declared")
         raw: dict[str, dict[str, str]] = {q: {} for q in state_list}
@@ -83,11 +82,7 @@ class TimedAutomaton:
         normalized = {
             q: {e: raw[q][e] for e in sorted(raw[q], key=event_order)} for q in state_list
         }
-        return cls(name, tuple(state_list), alpha, normalized, initial, marked_set)
-
-    def active(self, state: str) -> tuple[str, ...]:
-        """Events with a transition at ``state``, in canonical order."""
-        return tuple(self.transitions[state])
+        return cls(name, tuple(state_list), alpha, normalized, initial, frozenset(marked_list))
 
     def target(self, state: str, event: str) -> Optional[str]:
         return self.transitions[state].get(event)
@@ -121,39 +116,24 @@ def accessible(auto: TimedAutomaton) -> TimedAutomaton:
     Declaration order of surviving states is preserved, so an already
     accessible automaton comes back unchanged.
     """
-    reached = {auto.initial}
-    queue = deque([auto.initial])
-    while queue:
-        q = queue.popleft()
-        for event in auto.transitions[q]:
-            dst = auto.transitions[q][event]
-            if dst not in reached:
-                reached.add(dst)
-                queue.append(dst)
+    reached = _reachable(auto)
     if len(reached) == len(auto.states):
         return auto
-    states = tuple(q for q in auto.states if q in reached)
-    transitions = {q: dict(auto.transitions[q]) for q in states}
-    return TimedAutomaton(
-        auto.name,
-        states,
-        auto.alphabet,
-        transitions,
-        auto.initial,
-        frozenset(m for m in auto.marked if m in reached),
-    )
+    return remove_states(auto, [q for q in auto.states if q not in reached])
 
 
 def remove_states(auto: TimedAutomaton, removed: Iterable[str], name: Optional[str] = None) -> TimedAutomaton:
-    """Induced automaton on the complement of ``removed`` (marking inherited)."""
-    gone = set(removed)
+    """Induced automaton on the complement of ``removed`` (marking inherited);
+    the first unknown state in ``removed`` raises UnknownNameError."""
+    gone = list(removed)
+    keep = set(auto.states)
     for q in gone:
-        if q not in set(auto.states):
+        if q not in keep:
             raise UnknownNameError(f"cannot remove unknown state {q!r}")
     if auto.initial in gone:
         raise SchemaError("cannot remove the initial state")
-    states = tuple(q for q in auto.states if q not in gone)
-    keep = set(states)
+    keep.difference_update(gone)
+    states = tuple(q for q in auto.states if q in keep)
     transitions = {
         q: {e: t for e, t in auto.transitions[q].items() if t in keep} for q in states
     }
@@ -248,10 +228,19 @@ def subautomaton_defect(sub: TimedAutomaton, auto: TimedAutomaton) -> Optional[s
     return None
 
 
-def is_subautomaton(sub: TimedAutomaton, auto: TimedAutomaton) -> bool:
-    """True iff ``sub`` is ``auto`` with some states (and incident transitions)
-    removed and the marking inherited (see ``subautomaton_defect``)."""
-    return subautomaton_defect(sub, auto) is None and sub.marked == auto.marked & set(sub.states)
+def _reachable(machine) -> dict:
+    """Each state reachable in ``machine`` (anything with ``initial_state``
+    and ``moves``), in breadth-first discovery order, mapped to the sources
+    of its incoming moves."""
+    sources = {machine.initial_state: []}
+    reached = list(sources)
+    for state in reached:  # reached grows while it is walked
+        for _event, dst in machine.moves(state):
+            if dst not in sources:
+                sources[dst] = []
+                reached.append(dst)
+            sources[dst].append(state)
+    return sources
 
 
 def is_nonblocking(machine) -> bool:
@@ -262,22 +251,15 @@ def is_nonblocking(machine) -> bool:
     ClosedLoop.  A forward walk records each state's sources, then a backward
     walk from the marked states finds the coreachable ones.
     """
-    sources = {machine.initial_state: []}
-    reached = list(sources)
-    for state in reached:  # reached grows while it is walked
-        for _event, dst in machine.moves(state):
-            if dst not in sources:
-                sources[dst] = []
-                reached.append(dst)
-            sources[dst].append(state)
-    coreach = {state for state in reached if machine.is_marked(state)}
+    sources = _reachable(machine)
+    coreach = {state for state in sources if machine.is_marked(state)}
     stack = list(coreach)
     while stack:
         for src in sources[stack.pop()]:
             if src not in coreach:
                 coreach.add(src)
                 stack.append(src)
-    return len(coreach) == len(reached)
+    return len(coreach) == len(sources)
 
 
 @dataclass(frozen=True)
@@ -297,46 +279,35 @@ class AssumptionVerdict:
 
 
 def _find_nontick_cycle(auto: TimedAutomaton) -> Optional[list[tuple[str, str]]]:
-    """A cycle using only non-tick events, or None. Iterative DFS, deterministic order."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {q: WHITE for q in auto.states}
+    """A cycle using only non-tick events, or None.  Iterative DFS, roots in
+    declaration order; ``path[k]`` is the move taken from the state at
+    ``stack[k]``, and ``depth`` maps each state on the stack to its ``k``."""
+
+    def nontick(q: str):
+        return ((e, t) for e, t in auto.transitions[q].items() if e != TICK)
+
+    done: set[str] = set()
     for root in auto.states:
-        if color[root] != WHITE:
+        if root in done:
             continue
-        # stack holds (state, iterator over (event, target)); path tracks the grey chain
-        stack = [(root, iter([(e, t) for e, t in auto.transitions[root].items() if e != TICK]))]
-        path: list[tuple[str, str]] = []  # (state, event taken from it)
-        color[root] = GREY
+        stack = [(root, nontick(root))]
+        path: list[tuple[str, str]] = []
+        depth = {root: 0}
         while stack:
             state, edges = stack[-1]
-            advanced = False
             for event, target in edges:
-                if color[target] == GREY:
-                    # close the cycle: suffix of path from target, plus this edge
-                    cycle = []
-                    seen = False
-                    for q, e in path:
-                        if q == target:
-                            seen = True
-                        if seen:
-                            cycle.append((q, e))
-                    cycle.append((state, event))
-                    if not seen:  # self-loop: path does not contain target yet
-                        cycle = [(state, event)]
-                    return cycle
-                if color[target] == WHITE:
-                    color[target] = GREY
+                if target in depth:
+                    return path[depth[target]:] + [(state, event)]
+                if target not in done:
+                    depth[target] = len(stack)
                     path.append((state, event))
-                    stack.append(
-                        (target, iter([(e, t) for e, t in auto.transitions[target].items() if e != TICK]))
-                    )
-                    advanced = True
+                    stack.append((target, nontick(target)))
                     break
-            if not advanced:
-                color[state] = BLACK
+            else:
                 stack.pop()
-                if path:
-                    path.pop()
+                del path[-1:]
+                del depth[state]
+                done.add(state)
     return None
 
 

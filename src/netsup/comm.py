@@ -359,11 +359,9 @@ def build_comm_automaton(
             if aged is not None:
                 here[PLANT_TICK] = intern((tick_target, aged))
         # plant events, lexicographic
-        for event in plant.active(q):
-            if event == TICK:
-                continue
-            dst = plant.transitions[q][event]
-            here[Plant(event)] = intern((dst, ch.push(theta, event, net)))
+        for event, dst in plant.moves(q):
+            if event != TICK:
+                here[Plant(event)] = intern((dst, ch.push(theta, event, net)))
         # deliveries: at most the front entry of each channel
         for i, j in net.channel_keys:
             queue = theta.get(i, j)

@@ -30,6 +30,8 @@ class Model:
 
 
 def _require(mapping: dict, key: str, kind, where: str):
+    if not isinstance(mapping, dict):
+        raise SchemaError(f"{where}: entry must be an object")
     if key not in mapping:
         raise SchemaError(f"{where}: missing field {key!r}")
     value = mapping[key]
@@ -38,15 +40,25 @@ def _require(mapping: dict, key: str, kind, where: str):
     return value
 
 
+def _require_names(mapping: dict, key: str, where: str, optional: bool = False) -> list[str]:
+    """A list-of-strings field; an ``optional`` one defaults to empty."""
+    if optional and key not in mapping:
+        return []
+    value = _require(mapping, key, list, where)
+    if not all(isinstance(v, str) for v in value):
+        raise SchemaError(f"{where}: field {key!r} must be a list of strings")
+    return value
+
+
 def _parse_automaton(entry: dict) -> TimedAutomaton:
     if not isinstance(entry, dict):
         raise SchemaError("automaton entry must be an object")
     name = _require(entry, "name", str, "automaton")
     where = f"automaton {name!r}"
-    states = _require(entry, "states", list, where)
+    states = _require_names(entry, "states", where)
     initial = _require(entry, "initial", str, where)
-    marked = _require(entry, "marked", list, where)
-    alphabet = _require(entry, "alphabet", list, where)
+    marked = _require_names(entry, "marked", where)
+    alphabet = _require_names(entry, "alphabet", where)
     raw_transitions = _require(entry, "transitions", list, where)
     transitions = []
     for t in raw_transitions:
@@ -71,12 +83,14 @@ def _parse_network(entry: dict) -> NetworkConfig:
     alphabets, controllable, observable = [], [], []
     for idx, sup in enumerate(supervisors):
         sw = f"supervisor {idx + 1}"
-        alphabets.append(_require(sup, "alphabet", list, sw))
-        controllable.append(_require(sup, "controllable", list, sw))
-        observable.append(_require(sup, "observable", list, sw))
+        alphabets.append(_require_names(sup, "alphabet", sw))
+        controllable.append(_require_names(sup, "controllable", sw))
+        observable.append(_require_names(sup, "observable", sw))
     com = _require(entry, "com", list, where)
+    if not all(isinstance(row, list) for row in com):
+        raise SchemaError(f"{where}: com matrix must be n x n")
     channels: dict[tuple[int, int], ChannelLink] = {}
-    for raw in entry.get("channels", []):
+    for raw in _require(entry, "channels", list, where) if "channels" in entry else []:
         cw = "channel"
         i = _require(raw, "from", int, cw)
         j = _require(raw, "to", int, cw)
@@ -86,8 +100,8 @@ def _parse_network(entry: dict) -> NetworkConfig:
         if key in channels:
             raise SchemaError(f"channel ({i},{j}): declared twice")
         channels[key] = ChannelLink(
-            frozenset(_require(raw, "events", list, cw)),
-            frozenset(raw.get("lossy", [])),
+            frozenset(_require_names(raw, "events", cw)),
+            frozenset(_require_names(raw, "lossy", cw, optional=True)),
             _require(raw, "delay_bound", int, cw),
         )
     return NetworkConfig.build(
@@ -95,7 +109,7 @@ def _parse_network(entry: dict) -> NetworkConfig:
         alphabets,
         controllable,
         observable,
-        entry.get("enforceable", []),
+        _require_names(entry, "enforceable", where, optional=True),
         com,
         channels,
     )
@@ -117,11 +131,11 @@ def _resolve_spec(raw, plant: TimedAutomaton) -> tuple[TimedAutomaton, bool]:
     """Returns the specification automaton and whether its marking overrides
     the inherited one (explicit strict subset)."""
     if isinstance(raw, dict) and "remove_states" in raw:
-        spec = remove_states(plant, raw["remove_states"], name="spec")
+        spec = remove_states(plant, _require_names(raw, "remove_states", "spec"), name="spec")
         if "marked" in raw:
             spec = TimedAutomaton(
                 spec.name, spec.states, spec.alphabet, spec.transitions, spec.initial,
-                frozenset(raw["marked"]),
+                frozenset(_require_names(raw, "marked", "spec")),
             )
     elif isinstance(raw, dict):
         entry = dict(raw)

@@ -10,9 +10,9 @@ from netsup.automata import (
     TimedAutomaton,
     accessible,
     is_nonblocking,
-    is_subautomaton,
     parallel_compose,
     remove_states,
+    subautomaton_defect,
     validate_timed_assumptions,
 )
 from netsup.errors import CompositionError, DeterminismError, ResourceLimitError, UnknownNameError
@@ -62,7 +62,7 @@ class TestBuild:
             [("0", "b", "0"), ("0", "a", "0"), ("0", TICK, "0")],
             "0", [],
         )
-        assert auto.active("0") == (TICK, "a", "b")
+        assert tuple(auto.transitions["0"]) == (TICK, "a", "b")
 
 
 class TestParallelCompose:
@@ -189,7 +189,9 @@ class TestAccessible:
 
 class TestSubautomaton:
     def test_reflexive(self, line_model):
-        assert is_subautomaton(line_model.plant, line_model.plant)
+        plant = line_model.plant
+        assert subautomaton_defect(plant, plant) is None
+        assert plant.marked == plant.marked & set(plant.states)
 
     def test_missing_induced_transition_rejected(self):
         g = ta(
@@ -202,10 +204,12 @@ class TestSubautomaton:
             {"0": {TICK: "0"}, "1": {TICK: "1"}},  # drops 0 -a-> 1 while keeping both states
             "0", g.marked,
         )
-        assert not is_subautomaton(h, g)
+        assert subautomaton_defect(h, g).startswith("transitions at state '0'")
 
     def test_fixture_spec_is_subautomaton(self, line_model):
-        assert is_subautomaton(line_model.spec, line_model.plant)
+        spec, plant = line_model.spec, line_model.plant
+        assert subautomaton_defect(spec, plant) is None
+        assert spec.marked == plant.marked & set(spec.states)
 
     def test_implies_language_inclusion(self):
         rng = random.Random(11)
@@ -222,7 +226,8 @@ class TestSubautomaton:
             if not removable:
                 continue
             h = remove_states(g, rng.sample(removable, rng.randint(1, len(removable))))
-            assert is_subautomaton(h, g)
+            assert subautomaton_defect(h, g) is None
+            assert h.marked == g.marked & set(h.states)
             assert enumerate_language(h, 5).strings <= enumerate_language(g, 5).strings
 
 
@@ -268,6 +273,43 @@ class TestTimedAssumptions:
         v = validate_timed_assumptions(auto, frozenset())
         assert not v.ok and v.condition == 1
         assert len(v.witness_cycle) == 2
+
+    def test_condition_1_iff_no_topological_order(self):
+        """Condition 1 fails exactly when Kahn's algorithm cannot order the
+        non-tick moves, and its witness is a cycle of non-tick moves."""
+        rng = random.Random(13)
+        events = [TICK, "a", "b", "c"]
+        cyclic = 0
+        for _ in range(400):
+            states = [str(i) for i in range(rng.randint(1, 7))]
+            transitions = [
+                (q, e, rng.choice(states)) for q in states for e in events if rng.random() < 0.3
+            ]
+            auto = ta("R", states, events, transitions, rng.choice(states), [])
+            successors = {
+                q: [t for e, t in auto.transitions[q].items() if e != TICK] for q in states
+            }
+            indegree = {q: 0 for q in states}
+            for targets in successors.values():
+                for t in targets:
+                    indegree[t] += 1
+            ready = [q for q in states if indegree[q] == 0]
+            ordered = 0
+            while ready:
+                ordered += 1
+                for t in successors[ready.pop()]:
+                    indegree[t] -= 1
+                    if indegree[t] == 0:
+                        ready.append(t)
+            v = validate_timed_assumptions(auto, frozenset(events[1:]))
+            assert (v.condition == 1) == (ordered < len(states))
+            if v.condition == 1:
+                cyclic += 1
+                cycle = v.witness_cycle
+                assert len({q for q, _ in cycle}) == len(cycle)
+                for (q, e), (nxt, _) in zip(cycle, cycle[1:] + cycle[:1]):
+                    assert e != TICK and auto.transitions[q][e] == nxt
+        assert 100 <= cyclic <= 350, cyclic
 
     def test_dead_state_violates_condition_2(self):
         auto = TimedAutomaton(

@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, artifact shapes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ from netsup.cli import main
 from netsup.errors import ModelError, ResourceLimitError
 
 DATA = Path(__file__).resolve().parent / "data"
+SRC = Path(cli.__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -34,7 +38,99 @@ def dead_end_model(models_dir, tmp_path):
     return model
 
 
+def edited_line_model(models_dir, tmp_path, edit):
+    """production_line.json after ``edit(document)``, written to a file."""
+    doc = json.loads((models_dir / "production_line.json").read_text(encoding="utf-8"))
+    edit(doc)
+    model = tmp_path / "edited.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    return model
+
+
+def set_field(*path):
+    """An edit that sets ``doc[path[0]]...[path[-2]]`` to ``path[-1]``."""
+    *keys, last, value = path
+
+    def edit(doc):
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+# each malformed document and the one error line `validate` prints for it
+MALFORMED = {
+    "automaton states": (
+        set_field("automata", 0, "states", [["0"], "1"]),
+        "automaton 'R1': field 'states' must be a list of strings"),
+    "automaton marked": (
+        set_field("automata", 0, "marked", [["0"]]),
+        "automaton 'R1': field 'marked' must be a list of strings"),
+    "automaton alphabet": (
+        set_field("automata", 0, "alphabet", ["tick", ["a1"]]),
+        "automaton 'R1': field 'alphabet' must be a list of strings"),
+    "supervisor alphabet": (
+        set_field("network", "supervisors", 0, "alphabet", ["tick", ["a1"]]),
+        "supervisor 1: field 'alphabet' must be a list of strings"),
+    "supervisor controllable": (
+        set_field("network", "supervisors", 0, "controllable", [1]),
+        "supervisor 1: field 'controllable' must be a list of strings"),
+    "supervisor observable": (
+        set_field("network", "supervisors", 0, "observable", [[]]),
+        "supervisor 1: field 'observable' must be a list of strings"),
+    "supervisor entry": (
+        set_field("network", "supervisors", 0, 5),
+        "supervisor 1: entry must be an object"),
+    "channel events": (
+        set_field("network", "channels", 0, "events", [["a1"]]),
+        "channel: field 'events' must be a list of strings"),
+    "channel lossy": (
+        set_field("network", "channels", 0, "lossy", "a1"),
+        "channel: field 'lossy' has the wrong type"),
+    "channel entry": (
+        set_field("network", "channels", 0, [1]),
+        "channel: entry must be an object"),
+    "channels": (
+        set_field("network", "channels", 3),
+        "network: field 'channels' has the wrong type"),
+    "com row": (
+        set_field("network", "com", [0, 0]),
+        "network: com matrix must be n x n"),
+    "enforceable": (
+        set_field("network", "enforceable", [["a1"]]),
+        "network: field 'enforceable' must be a list of strings"),
+    "remove_states nested": (
+        set_field("spec", "remove_states", [["8"]]),
+        "spec: field 'remove_states' must be a list of strings"),
+    "remove_states int": (
+        set_field("spec", "remove_states", 8),
+        "spec: field 'remove_states' has the wrong type"),
+    "remove_states string": (
+        set_field("spec", "remove_states", "8"),
+        "spec: field 'remove_states' has the wrong type"),
+    "spec marked nested": (
+        set_field("spec", "marked", [["0"]]),
+        "spec: field 'marked' must be a list of strings"),
+    "spec marked int": (
+        set_field("spec", "marked", 0),
+        "spec: field 'marked' has the wrong type"),
+    "unknown removed states": (
+        set_field("spec", "remove_states", ["zz1", "zz2", "zz3", "zz4"]),
+        "cannot remove unknown state 'zz1'"),
+    "undeclared marked states": (
+        set_field("automata", 0, "marked", ["m1", "m2", "m3", "m4"]),
+        "R1: marked state 'm1' not declared"),
+}
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("edit,message", MALFORMED.values(), ids=MALFORMED)
+    def test_malformed_document_exits_two(self, capsys, models_dir, tmp_path, edit, message):
+        """A malformed field is a schema error naming it (an exception
+        other than the model errors ``main`` catches would escape here)."""
+        model = edited_line_model(models_dir, tmp_path, edit)
+        assert run(capsys, "validate", str(model)) == (2, "", f"error: {message}\n")
+
     def test_solve_fixture_exits_zero(self, capsys, models_dir):
         code, out, _ = run(capsys, "solve", fixture_path(models_dir))
         assert code == 0
@@ -254,6 +350,34 @@ class TestDeterminism:
         assert "terminated: step-limit" in first
 
 
+class TestHashSeed:
+    """Outputs and error lines do not depend on Python's string hashing:
+    each command runs under two hash seeds and prints the same bytes."""
+
+    @pytest.mark.parametrize("argv,edit", [
+        (["solve", "production_line_no_ch21.json", "--format", "json", "--diagnostic"], None),
+        (["check", "production_line_no_ch21.json", "--format", "json"], None),
+        (["export-dot", "production_line.json", "--target", "closed-loop"], None),
+        (["validate"], MALFORMED["unknown removed states"][0]),
+        (["validate"], MALFORMED["undeclared marked states"][0]),
+    ], ids=["solve", "check", "export-dot", "remove_states", "marked"])
+    def test_same_bytes_under_two_hash_seeds(self, models_dir, tmp_path, argv, edit):
+        if edit is None:
+            argv = [argv[0], str(models_dir / argv[1]), *argv[2:]]
+        else:
+            argv = [*argv, str(edited_line_model(models_dir, tmp_path, edit))]
+        outputs = []
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+            done = subprocess.run(
+                [sys.executable, "-m", "netsup.cli", *argv], capture_output=True, env=env, timeout=120,
+            )
+            outputs.append((done.returncode, done.stdout, done.stderr))
+        assert outputs[0] == outputs[1]
+        assert b"Traceback" not in outputs[0][2]
+
+
 class TestOracleCommand:
     def test_agreement_run_exits_zero(self, capsys, tmp_path):
         code, out, _ = run(
@@ -285,6 +409,20 @@ class TestExports:
         assert code == 2
         assert out == ""
         assert f"from 1 to 2, got {index!r}" in err
+
+    @pytest.mark.parametrize("target", ["plant", "spec"])
+    def test_export_timed_automaton(self, capsys, models_dir, target):
+        # minimal.json's plant and specification are the same one-state loop
+        assert run(capsys, "export-dot", fixture_path(models_dir, "minimal.json"), "--target", target) == (
+            0,
+            "digraph {\n"
+            "  rankdir=LR;\n"
+            '  n0 [label="q0" shape=doublecircle];\n'
+            "  init [shape=point]; init -> n0;\n"
+            '  n0 -> n0 [label="tick"];\n'
+            "}\n",
+            "",
+        )
 
     def test_export_closed_loop(self, capsys, models_dir):
         # pinned byte for byte: state ids, labels (automaton state / observer

@@ -52,7 +52,7 @@ class TestDegenerateNetwork:
             q, theta = comm.keys[sid]
             assert theta.queues == ()
             got = {e.event for e in tuple(comm.transitions[sid])}
-            assert got == set(plant.active(q))
+            assert got == set(plant.transitions[q])
             assert not any(isinstance(e, (Deliver, Lose)) for e in tuple(comm.transitions[sid]))
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from netsup import synthesis
 from netsup.automata import TICK
-from netsup.comm import Plant, build_comm_automaton, project_observation
+from netsup.comm import Lose, Plant, build_comm_automaton, project_observation
 from netsup.errors import ResourceLimitError
 from netsup.modelio import parse_model
 from netsup.network import NetworkConfig
@@ -473,6 +473,24 @@ class TestOnePassLanguage:
         assert verdict.generated_equal and not verdict.marked_equal
         assert comm.plant_of(comm.run(verdict.diff_marked)) == "4"
         assert language_equal(loop, comm) == language_equal(Walked(loop), comm)
+
+    def test_event_universes_are_merged(self, line_comm):
+        """A copy without its one ``g12(2)`` move has one event fewer, so the
+        comparison first renumbers both tables over the union of events."""
+        g12 = Lose(0, 1, 2)  # losing the second entry of channel 1 -> 2
+        clone = copy.deepcopy(line_comm)
+        lost = [row for row in clone.transitions if g12 in row]
+        assert len(lost) == 1
+        del lost[0][g12]
+        assert len(clone.event_table().events) == len(line_comm.event_table().events) - 1
+        for a, b in ((line_comm, clone), (clone, line_comm)):
+            verdict = language_equal(a, b)
+            witness = verdict.diff_generated
+            assert not verdict.generated_equal and witness[-1] == g12
+            n = len(witness)
+            assert witness in enumerate_language(line_comm, n).strings
+            assert witness not in enumerate_language(clone, n).strings
+            assert enumerate_language(a, n - 1).strings == enumerate_language(b, n - 1).strings
 
 
 class TestBudgets:
