@@ -319,6 +319,14 @@ def cmd_oracle(args) -> int:
     return 0 if not failures else 1
 
 
+def _count(text: str) -> int:
+    """An argument that counts something: an int >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netsup",
@@ -360,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("simulate", cmd_simulate, "random closed-loop run")
     p.add_argument("model")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", type=int, default=50)
+    p.add_argument("--steps", type=_count, default=50)
     p.add_argument("--diagnostic", action="store_true")
 
     p = add("export-dot", cmd_export_dot, "DOT rendering of a structure")
@@ -370,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("oracle", cmd_oracle, "engine-versus-oracle agreement on random instances")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--instances", type=int, default=20)
+    p.add_argument("--instances", type=_count, default=20)
     p.add_argument("--bound", type=int, default=8)
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes, at most the number of CPUs")

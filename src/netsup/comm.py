@@ -531,32 +531,40 @@ def build_observer(
     """
     obs_alphabet = comm.net.observation_alphabet(supervisor)
     table = comm.observation_table(supervisor)
+    silent, observed, flags = table.silent, table.observed, comm.in_spec
 
     def closure(elements: Iterable[ObserverElement]) -> frozenset[ObserverElement]:
         out = set(elements)
         queue = deque(out)
         while queue:
             sid, flag = queue.popleft()
-            for _event, dst in table.silent[sid]:
-                nxt = (dst, flag and comm.in_spec[dst])
+            for _event, dst in silent[sid]:
+                nxt = (dst, flag and flags[dst])
                 if nxt not in out:
                     out.add(nxt)
                     queue.append(nxt)
         return frozenset(out)
 
     space = StateSpace(_observer_stage(supervisor), max_states)
-    space.add(closure([(comm.initial, comm.in_spec[comm.initial])]))
+    space.add(closure([(comm.initial, flags[comm.initial])]))
     index = space.index
     transitions: list[dict[str, int]] = []
     for element_set in space.keys:  # space.keys grows: breadth-first
         here: dict[str, int] = {}
         transitions.append(here)
+        # each element's observed moves are read once, bucketed by symbol;
+        # the buckets are then closed in alphabet order
+        buckets: dict[str, set[ObserverElement]] = {}
+        for sid, flag in element_set:
+            for symbol, moves in observed[sid].items():
+                moved = buckets.get(symbol)
+                if moved is None:
+                    moved = buckets[symbol] = set()
+                for _event, dst in moves:
+                    moved.add((dst, flag and flags[dst]))
         for symbol in obs_alphabet:
-            moved = set()
-            for sid, flag in element_set:
-                for _event, dst in table.observed[sid].get(symbol, ()):
-                    moved.add((dst, flag and comm.in_spec[dst]))
-            if not moved:
+            moved = buckets.get(symbol)
+            if moved is None:
                 continue
             closed = closure(moved)
             nxt = index.get(closed)

@@ -35,7 +35,8 @@ def _require(mapping: dict, key: str, kind, where: str):
     if key not in mapping:
         raise SchemaError(f"{where}: missing field {key!r}")
     value = mapping[key]
-    if kind is not None and not isinstance(value, kind):
+    # a JSON boolean is a Python bool, which is an int
+    if kind is not None and (not isinstance(value, kind) or (kind is int and isinstance(value, bool))):
         raise SchemaError(f"{where}: field {key!r} has the wrong type")
     return value
 
@@ -89,6 +90,8 @@ def _parse_network(entry: dict) -> NetworkConfig:
     com = _require(entry, "com", list, where)
     if not all(isinstance(row, list) for row in com):
         raise SchemaError(f"{where}: com matrix must be n x n")
+    if not all(type(x) is int and x in (0, 1) for row in com for x in row):
+        raise SchemaError(f"{where}: com entries must be 0 or 1")
     channels: dict[tuple[int, int], ChannelLink] = {}
     for raw in _require(entry, "channels", list, where) if "channels" in entry else []:
         cw = "channel"

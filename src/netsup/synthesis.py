@@ -143,15 +143,60 @@ def _uncovered(i: int, symbol: str, t: int) -> ValueError:
     )
 
 
+_BLOCKED = None  # step-table marker: the supervisor disables the event here
+_UNCOVERED = object()  # step-table marker: its observer has no move here
+
+
+def _step_tables(
+    comm: CommAutomaton, supervisors: Sequence[SupervisorMap], weights: list[int]
+) -> list[tuple[tuple, ...]]:
+    """Per event id, one entry ``(weight, size, steps, i, symbol)`` for each
+    supervisor ``i``, in index order, that observes the event (as
+    ``symbol``) or may disable it.  ``steps[t]`` is, at observer
+    state ``t``, the code delta ``(next(t) - t) * weight`` of the move,
+    ``_BLOCKED`` where the supervisor controls the event and ``enable[t]``
+    lacks it (this wins over a missing move), or ``_UNCOVERED`` where the
+    observer has no move.  Equal (supervisor, symbol, guarded event) share
+    one table."""
+    net = comm.net
+    shared: dict[tuple[int, Optional[str], Optional[str]], list] = {}
+    out = []
+    for event in comm.event_table().events:
+        entries = []
+        name = event.event if isinstance(event, Plant) and event.event in net.globally_controllable else None
+        for i, (sup, w) in enumerate(zip(supervisors, weights)):
+            symbol = observation_of(event, i, net)
+            # the event's name when this supervisor controls it and disables
+            # it somewhere
+            guard = (
+                name if name is not None and i in net.controllers(name) and any(name not in on for on in sup.enable)
+                else None
+            )
+            if symbol is None and guard is None:
+                continue
+            steps = shared.get((i, symbol, guard))
+            if steps is None:
+                steps = shared[i, symbol, guard] = [
+                    _BLOCKED if guard is not None and guard not in on
+                    else 0 if symbol is None
+                    else _UNCOVERED if symbol not in step
+                    else (step[symbol] - t) * w
+                    for t, (on, step) in enumerate(zip(sup.enable, sup.observer.transitions))
+                ]
+            entries.append((w, sup.observer.num_states, steps, i, symbol))
+        out.append(tuple(entries))
+    return out
+
+
 def closed_loop(
     comm: CommAutomaton, supervisors: Sequence[SupervisorMap], *, max_states: int = MAX_STATES
 ) -> ClosedLoop:
     """Build the controlled behavior under a supervisor set, breadth-first
-    over packed state codes (see ``ClosedLoop``); ``max_states`` bounds it.
-    Raises ValueError when an observer has no move for a symbol its
-    supervisor observes."""
+    over packed state codes (see ``ClosedLoop``) and per-event step tables
+    (see ``_step_tables``); ``max_states`` bounds it.  Raises ValueError
+    when an observer has no move for a symbol its supervisor observes, on a
+    move no supervisor disables; it names the lowest-index such observer."""
     _check_count(comm, supervisors)
-    net = comm.net
     table = comm.event_table()
     ids, targets = table.ids, table.targets
     weights = []
@@ -159,34 +204,10 @@ def closed_loop(
     for sup in supervisors:
         weights.append(radix)
         radix *= sup.observer.num_states
-    # per event id, the observers that see it: (observer, symbol, weight,
-    # next state per observer state, None where the observer has no move);
-    # events observed as the same symbol share the list
-    nexts: list[dict[str, list[Optional[int]]]] = [{} for _ in supervisors]
-    watch: list[list[tuple[int, str, int, list[Optional[int]]]]] = []
-    for event in table.events:
-        watchers = []
-        for i, sup in enumerate(supervisors):
-            symbol = observation_of(event, i, net)
-            if symbol is not None:
-                nxt = nexts[i].get(symbol)
-                if nxt is None:
-                    nxt = nexts[i][symbol] = [step.get(symbol) for step in sup.observer.transitions]
-                watchers.append((i, symbol, weights[i], nxt))
-        watch.append(watchers)
-    # for each supervisor that disables something: per observer state, the
-    # ids of the events it must enable (controllable plant events it
-    # controls) but does not
-    disabling = []
-    for i, sup in enumerate(supervisors):
-        own = [
-            (e, event.event) for e, event in enumerate(table.events)
-            if isinstance(event, Plant) and event.event in net.globally_controllable
-            and i in net.controllers(event.event)
-        ]
-        disabled = [frozenset(e for e, name in own if name not in enable) for enable in sup.enable]
-        if any(disabled):
-            disabling.append((weights[i], sup.observer.num_states, disabled))
+    steps_of = _step_tables(comm, supervisors, weights)
+    # per automaton state, built on first visit: (event id, target code
+    # with every observer at 0, entries) for each of its moves
+    moves: list[Optional[tuple]] = [None] * comm.num_states
     space = StateSpace("closed loop", max_states)
     space.add(comm.initial * radix + sum(sup.observer.initial * w for sup, w in zip(supervisors, weights)))
     index, codes = space.index, space.keys
@@ -194,26 +215,33 @@ def closed_loop(
     loop_targets: list[tuple[int, ...]] = []
     for code in codes:  # codes grows while it is walked: breadth-first
         x, obs = divmod(code, radix)
-        blocked: frozenset[int] = frozenset()
-        for w, size, disabled in disabling:
-            blocked = blocked | disabled[obs // w % size]
-        row = ids[x]  # shared with the automaton unless a move is blocked
-        if not blocked.isdisjoint(row):
-            row = tuple(e for e in row if e not in blocked)
+        here = moves[x]
+        if here is None:
+            here = moves[x] = tuple(
+                (e, dst * radix, steps_of[e]) for e, dst in zip(ids[x], targets[x])
+            )
+        blocked = []
         dsts: list[int] = []
-        for e, dst in zip(ids[x], targets[x]):
-            if e in blocked:
-                continue
-            key = dst * radix + obs
-            for i, symbol, w, nxt in watch[e]:
-                t = obs // w % len(nxt)
-                moved = nxt[t]
-                if moved is None:
-                    raise _uncovered(i, symbol, t)
-                key += (moved - t) * w
-            tid = index.get(key)
-            dsts.append(space.add(key) if tid is None else tid)
-        loop_ids.append(row)
+        for e, key, entries in here:
+            key += obs
+            missing = None
+            for w, size, steps, i, symbol in entries:
+                t = obs // w % size
+                step = steps[t]
+                if step is _BLOCKED:
+                    blocked.append(e)
+                    break
+                if step is _UNCOVERED:
+                    missing = missing or (i, symbol, t)
+                else:
+                    key += step
+            else:
+                if missing:
+                    raise _uncovered(*missing)
+                tid = index.get(key)
+                dsts.append(space.add(key) if tid is None else tid)
+        # the row is shared with the automaton unless a move is blocked
+        loop_ids.append(tuple(e for e in ids[x] if e not in blocked) if blocked else ids[x])
         loop_targets.append(tuple(dsts))
     return ClosedLoop(comm, list(supervisors), codes, radix, EventTable(table.events, loop_ids, loop_targets))
 

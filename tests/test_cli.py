@@ -96,6 +96,12 @@ MALFORMED = {
     "com row": (
         set_field("network", "com", [0, 0]),
         "network: com matrix must be n x n"),
+    "com entry": (
+        set_field("network", "com", [[0, "no"], [1, 0]]),
+        "network: com entries must be 0 or 1"),
+    "boolean delay bound": (
+        set_field("network", "channels", 0, "delay_bound", True),
+        "channel: field 'delay_bound' has the wrong type"),
     "enforceable": (
         set_field("network", "enforceable", [["a1"]]),
         "network: field 'enforceable' must be a list of strings"),
@@ -450,6 +456,36 @@ class TestExports:
             "--seed", "1", "--steps", "10", "--diagnostic",
         )
         assert code == 0
+
+
+class TestCounts:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--steps", "-3"],
+        ["oracle", "--instances", "-4"],
+    ])
+    def test_negative_count_exits_two(self, capsys, models_dir, argv, monkeypatch):
+        monkeypatch.setattr(cli, "load_model", lambda *a: pytest.fail("ran the command"))
+        monkeypatch.setattr(cli, "agreement_for_seed", lambda *a: pytest.fail("ran the command"))
+        if argv[0] == "simulate":
+            argv = argv + [fixture_path(models_dir)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument {argv[1]}: must be >= 0, got {argv[2]}" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--steps", "0"],
+        ["oracle", "--instances", "0"],
+    ])
+    def test_zero_count_is_accepted(self, capsys, models_dir, tmp_path, argv):
+        if argv[0] == "simulate":
+            argv = argv + [fixture_path(models_dir)]
+        else:
+            argv = argv + ["--artifacts", str(tmp_path / "artifacts")]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out
 
 
 class TestParallelOracle:

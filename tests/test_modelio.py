@@ -112,6 +112,38 @@ def test_channel_requires_com_entry():
         parse_model(doc)
 
 
+def line_doc(models_dir):
+    return json.loads((models_dir / "production_line.json").read_text(encoding="utf-8"))
+
+
+def test_boolean_count_is_schema_error():
+    # true == 1, so the one-supervisor document would otherwise parse
+    doc = minimal_doc()
+    doc["network"]["n"] = True
+    with pytest.raises(SchemaError, match="network: field 'n' has the wrong type"):
+        parse_model(doc)
+
+
+@pytest.mark.parametrize("field", ["from", "to", "delay_bound"])
+def test_boolean_channel_field_is_schema_error(models_dir, field):
+    doc = line_doc(models_dir)
+    # a channel where the field is 1, so true would read as the same value
+    channel = next(c for c in doc["network"]["channels"] if c[field] == 1)
+    channel[field] = True
+    with pytest.raises(SchemaError, match=f"channel: field '{field}' has the wrong type"):
+        parse_model(doc)
+
+
+@pytest.mark.parametrize("entry", ["no", 2, -1, True, 1.0, None, [1]])
+def test_com_entry_other_than_zero_or_one_is_schema_error(models_dir, entry):
+    doc = line_doc(models_dir)
+    com = doc["network"]["com"]
+    i, j = next((i, j) for i, row in enumerate(com) for j, x in enumerate(row) if x == 1)
+    com[i][j] = entry
+    with pytest.raises(SchemaError, match="network: com entries must be 0 or 1"):
+        parse_model(doc)
+
+
 def test_channel_events_must_be_sender_observable():
     doc = minimal_doc()
     doc["network"] = {

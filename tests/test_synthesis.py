@@ -2,6 +2,7 @@
 pipeline, cross-checked against string-level evaluation."""
 
 import copy
+import hashlib
 import json
 import random
 
@@ -428,6 +429,72 @@ class TestClosedLoop:
             for sid in range(loop.num_states):
                 assert comm.in_spec[loop.comm_state(sid)]
         assert checked >= 10
+
+
+def loop_digest(loops):
+    """sha256 over each loop's numbering and moves, in order."""
+    h = hashlib.sha256()
+    for loop in loops:
+        h.update(json.dumps([loop.radix, loop.codes, loop.table.ids, loop.table.targets]).encode())
+    return h.hexdigest()
+
+
+def alternating(comm, sups):
+    """Each supervisor disables all it controls at its odd observer states."""
+    return [
+        SupervisorMap(i, s.observer, tuple(
+            e - comm.net.controllable[i] if t % 2 else e for t, e in enumerate(s.enable)
+        ))
+        for i, s in enumerate(sups)
+    ]
+
+
+class TestClosedLoopIdentity:
+    """State numbering and moves of the closed loop, pinned as sha256
+    digests, so that a faster construction cannot change them."""
+
+    @pytest.mark.parametrize("params,edit,expected", [
+        (GeneratorParams(), None, "d41c1c1fdc59b2196f1cef35f8b86f58d0c4abecd1ef63acebe72b03935c8d30"),
+        (GeneratorParams(n=3, max_comm_states=150), None,
+         "cb7a2c35250446811eab7c5b1dbe4b0d5742e3c596f4d1a7324924dd1004a74a"),
+        (GeneratorParams(), alternating, "1699e8828c6dd8a7bbd15e2057cd8366211431c140ff758ac8554fd17484c89d"),
+        (GeneratorParams(n=3, max_comm_states=150), alternating,
+         "48ad0a7c360a5f9379e4bbb8001fa042594fd102a95ef5958b0dc83516ba922a"),
+    ])
+    def test_random_instances(self, params, edit, expected):
+        loops = []
+        for seed in range(40):
+            comm = random_instance(seed, params).comm
+            sups = [synthesize_supervisor(comm, i) for i in range(comm.net.n)]
+            loops.append(closed_loop(comm, edit(comm, sups) if edit else sups))
+        assert loop_digest(loops) == expected
+
+    @pytest.mark.parametrize("edit,expected", [
+        ("enabled", "b74853da596154761b9c745a86fbfa89cf4dae3e29327ab4cd9fc0c28ba5f437"),
+        ("gagged", "9136b6571631caf50e7c148a5b71d45c2d515f33a22c7c0886cb6adc1b6ba5a2"),
+    ])
+    def test_line_model(self, line_report, edit, expected):
+        comm, net = line_report.comm, line_report.comm.net
+        sups = [
+            SupervisorMap(i, s.observer, tuple(
+                net.alphabets[i] if edit == "enabled" else e - net.controllable[i] for e in s.enable
+            ))
+            for i, s in enumerate(line_report.supervisors)
+        ]
+        assert loop_digest([closed_loop(comm, sups)]) == expected
+
+    def test_a_disabled_move_needs_no_observer_move(self, line_report):
+        """A missing observer move on an event its own supervisor disables
+        there is never followed, so the loop builds as before."""
+        sups = copy.deepcopy(line_report.supervisors)
+        observer, enable = sups[0].observer, sups[0].enable
+        controllable = line_report.comm.net.controllable[0]
+        t, symbol = next(
+            (t, symbol) for t, step in enumerate(observer.transitions)
+            for symbol in step if symbol in controllable - enable[t]
+        )
+        del observer.transitions[t][symbol]
+        assert loop_digest([closed_loop(line_report.comm, sups)]) == loop_digest([line_report.loop])
 
 
 class Walked:
