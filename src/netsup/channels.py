@@ -1,14 +1,15 @@
 """FIFO channel queues and their four update operators.
 
-Each directed channel holds a queue of (event, age) entries; ages count ticks
-since the event entered the channel and may never exceed the channel's delay
-bound at a reachable state.  The operators return ``None`` where the update is
+Each directed channel holds a queue of (event, age) entries; a channel state
+is the tuple of all queues in ``net.channel_keys`` order, so channel ``k`` is
+the one keyed ``net.channel_keys[k]``.  Ages count ticks since the event
+entered the channel and may never exceed the channel's delay bound at a
+reachable state.  The operators return ``None`` where the update is
 undefined -- definedness acts as a transition guard, never as an error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .network import NetworkConfig
@@ -22,33 +23,10 @@ class ChannelEntry(NamedTuple):
 # One queue, front (oldest entry, next to deliver) first.
 ChannelQueue = tuple[ChannelEntry, ...]
 
+# All channel queues: position k holds the queue of ``net.channel_keys[k]``.
+ChannelState = tuple[ChannelQueue, ...]
+
 EMPTY_SYMBOL = "ε"  # rendering of an empty queue
-
-
-@dataclass(frozen=True)
-class ChannelState:
-    """All channel queues, keyed by (sender, receiver) in sorted order.
-
-    The sorted canonical form makes equality and hashing well defined, so
-    channel states deduplicate correctly when used as automaton state parts.
-    """
-
-    queues: tuple[tuple[tuple[int, int], ChannelQueue], ...]
-
-    @classmethod
-    def empty(cls, net: NetworkConfig) -> "ChannelState":
-        return cls(tuple((key, ()) for key in net.channel_keys))
-
-    def get(self, sender: int, receiver: int) -> ChannelQueue:
-        for key, queue in self.queues:
-            if key == (sender, receiver):
-                return queue
-        raise KeyError((sender, receiver))
-
-    def replace(self, sender: int, receiver: int, queue: ChannelQueue) -> "ChannelState":
-        return ChannelState(
-            tuple((key, queue if key == (sender, receiver) else q) for key, q in self.queues)
-        )
 
 
 def max_delay(queue: ChannelQueue) -> int:
@@ -64,51 +42,46 @@ def time_step(state: ChannelState, net: NetworkConfig) -> Optional[ChannelState]
     clears the overdue entry.
     """
     aged = []
-    for key, queue in state.queues:
+    for key, queue in zip(net.channel_keys, state):
         bumped = tuple(ChannelEntry(e.event, e.age + 1) for e in queue)
         if max_delay(bumped) > net.channels[key].delay_bound:
             return None
-        aged.append((key, bumped))
-    return ChannelState(tuple(aged))
+        aged.append(bumped)
+    return tuple(aged)
 
 
 def push(state: ChannelState, event: str, net: NetworkConfig) -> ChannelState:
     """Append ``event`` with age 0 to every channel that carries it."""
-    out = []
-    for key, queue in state.queues:
-        if event in net.channels[key].events:
-            out.append((key, queue + (ChannelEntry(event, 0),)))
-        else:
-            out.append((key, queue))
-    return ChannelState(tuple(out))
+    return tuple(
+        queue + (ChannelEntry(event, 0),) if event in net.channels[key].events else queue
+        for key, queue in zip(net.channel_keys, state)
+    )
 
 
-def deliver(state: ChannelState, sender: int, receiver: int, event: str) -> Optional[ChannelState]:
-    """Remove the front entry of channel (sender, receiver).
+def deliver(state: ChannelState, k: int, event: str) -> Optional[ChannelState]:
+    """Remove the front entry of channel ``k``.
 
     Defined only when the queue is nonempty and its front event is ``event``
     (FIFO: only the oldest entry can be delivered).
     """
-    queue = state.get(sender, receiver)
+    queue = state[k]
     if not queue or queue[0].event != event:
         return None
-    return state.replace(sender, receiver, queue[1:])
+    return state[:k] + (queue[1:],) + state[k + 1:]
 
 
-def lose(
-    state: ChannelState, sender: int, receiver: int, position: int, net: NetworkConfig
-) -> Optional[ChannelState]:
-    """Drop the ``position``-th entry (1-based) of channel (sender, receiver).
+def lose(state: ChannelState, k: int, position: int, net: NetworkConfig) -> Optional[ChannelState]:
+    """Drop the ``position``-th entry (1-based) of channel ``k``.
 
     Defined only when the queue is at least that long and the entry's event
     is declared lossy for the channel.
     """
-    queue = state.get(sender, receiver)
+    queue = state[k]
     if position < 1 or position > len(queue):
         return None
-    if queue[position - 1].event not in net.channels[(sender, receiver)].lossy:
+    if queue[position - 1].event not in net.channels[net.channel_keys[k]].lossy:
         return None
-    return state.replace(sender, receiver, queue[: position - 1] + queue[position:])
+    return state[:k] + (queue[: position - 1] + queue[position:],) + state[k + 1:]
 
 
 def render_queue(queue: ChannelQueue) -> str:
@@ -119,4 +92,4 @@ def render_queue(queue: ChannelQueue) -> str:
 
 
 def render_state(state: ChannelState) -> str:
-    return ",".join(render_queue(queue) for _, queue in state.queues)
+    return ",".join(render_queue(queue) for queue in state)

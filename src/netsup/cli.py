@@ -319,12 +319,20 @@ def cmd_oracle(args) -> int:
     return 0 if not failures else 1
 
 
-def _count(text: str) -> int:
-    """An argument that counts something: an int >= 0."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+def _count(text: str, least: int = 0) -> int:
+    """An argument that counts something: an int >= ``least``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
     return value
+
+
+def _positive(text: str) -> int:
+    """A count that must be at least 1."""
+    return _count(text, 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--instances", type=_count, default=20)
     p.add_argument("--bound", type=int, default=8)
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_positive, default=1,
                    help="worker processes, at most the number of CPUs")
     p.add_argument("--artifacts", default="oracle-failures",
                    help="directory for disagreement model dumps")

@@ -326,7 +326,7 @@ def build_comm_automaton(
     spec_marked_states = set(spec.marked)
 
     space = StateSpace("channel-augmented automaton", max_states)
-    space.add((plant.initial, ChannelState.empty(net)))
+    space.add((plant.initial, ((),) * len(net.channel_keys)))
     keys, index = space.keys, space.index
     transitions: list[dict[CommEvent, int]] = []
     # a state's exit table depends only on its plant state and on whether
@@ -363,20 +363,16 @@ def build_comm_automaton(
             if event != TICK:
                 here[Plant(event)] = intern((dst, ch.push(theta, event, net)))
         # deliveries: at most the front entry of each channel
-        for i, j in net.channel_keys:
-            queue = theta.get(i, j)
+        for k, ((i, j), queue) in enumerate(zip(net.channel_keys, theta)):
             if queue:
-                event = Deliver(i, j, queue[0].event)
-                delivered = ch.deliver(theta, i, j, queue[0].event)
-                here[event] = intern((q, delivered))
+                event = queue[0].event
+                here[Deliver(i, j, event)] = intern((q, ch.deliver(theta, k, event)))
         # losses: every lossy position of each channel
-        for i, j in net.channel_keys:
-            queue = theta.get(i, j)
+        for k, ((i, j), queue) in enumerate(zip(net.channel_keys, theta)):
             for d in range(1, len(queue) + 1):
-                lost = ch.lose(theta, i, j, d, net)
+                lost = ch.lose(theta, k, d, net)
                 if lost is not None:
-                    event = Lose(i, j, d)
-                    here[event] = intern((q, lost))
+                    here[Lose(i, j, d)] = intern((q, lost))
         leaving, staying, critical = splits[q, PLANT_TICK in here]
         exits.append(leaving)
         stays.append(staying)
@@ -432,11 +428,8 @@ def project_observation(string: Iterable[CommEvent], i: int, net: NetworkConfig)
 
 def observation_of(event: CommEvent, i: int, net: NetworkConfig) -> Optional[str]:
     """Per-event form of project_observation; None for unobserved events."""
-    if isinstance(event, Plant):
-        return event.event if event.event in net.observable[i] else None
-    if isinstance(event, Deliver) and event.receiver == i:
-        return event.event
-    return None
+    seen = project_observation((event,), i, net)
+    return seen[0] if seen else None
 
 
 Move = tuple[CommEvent, int]  # (event, target state)

@@ -7,7 +7,7 @@ budget is stated.
 import random
 import time
 
-from netsup.channels import ChannelEntry, ChannelState, deliver, lose, max_delay, push, time_step
+from netsup.channels import ChannelEntry, deliver, lose, max_delay, push, time_step
 from netsup.comm import check_projection_equivalence
 from netsup.network import ChannelLink, NetworkConfig
 from netsup.oracle import brute_check, brute_closed_loop, enumerate_language
@@ -223,34 +223,34 @@ def test_c6_channel_calculus():
     )
 
     def state(q12=(), q21=()):
-        s = ChannelState.empty(net)
-        s = s.replace(0, 1, tuple(ChannelEntry(*e) for e in q12))
-        return s.replace(1, 0, tuple(ChannelEntry(*e) for e in q21))
+        # positions follow net.channel_keys: channel 1->2, then 2->1
+        return (tuple(ChannelEntry(*e) for e in q12), tuple(ChannelEntry(*e) for e in q21))
 
     # example rows, bit-exact
     assert max_delay(()) == 0
     assert max_delay((ChannelEntry("b1", 1),)) == 1
     assert max_delay((ChannelEntry("a", 2), ChannelEntry("b", 0))) == 2
+    assert net.channel_keys == ((0, 1), (1, 0))
     assert time_step(state(), net) == state()
-    assert time_step(state(q12=[("b1", 0)]), net).get(0, 1) == (ChannelEntry("b1", 1),)
+    assert time_step(state(q12=[("b1", 0)]), net)[0] == (ChannelEntry("b1", 1),)
     assert time_step(state(q12=[("b1", 1)]), net) is None
-    assert push(state(), "a1", net).get(0, 1) == (ChannelEntry("a1", 0),)
-    assert push(state(q12=[("b1", 1)]), "a1", net).get(0, 1) == (
+    assert push(state(), "a1", net)[0] == (ChannelEntry("a1", 0),)
+    assert push(state(q12=[("b1", 1)]), "a1", net)[0] == (
         ChannelEntry("b1", 1), ChannelEntry("a1", 0),
     )
-    assert deliver(state(q12=[("b1", 1)]), 0, 1, "b1").get(0, 1) == ()
-    assert deliver(state(), 0, 1, "b1") is None
-    assert deliver(state(q12=[("a1", 1), ("b1", 0)]), 0, 1, "b1") is None
-    assert lose(state(q12=[("a1", 0)]), 0, 1, 1, net).get(0, 1) == ()
-    assert lose(state(q12=[("a1", 0)]), 0, 1, 2, net) is None
-    assert lose(state(q12=[("a1", 1), ("b1", 0)]), 0, 1, 2, net) is None
+    assert deliver(state(q12=[("b1", 1)]), 0, "b1")[0] == ()
+    assert deliver(state(), 0, "b1") is None
+    assert deliver(state(q12=[("a1", 1), ("b1", 0)]), 0, "b1") is None
+    assert lose(state(q12=[("a1", 0)]), 0, 1, net)[0] == ()
+    assert lose(state(q12=[("a1", 0)]), 0, 2, net) is None
+    assert lose(state(q12=[("a1", 1), ("b1", 0)]), 0, 2, net) is None
 
     # randomized invariants
     rng = random.Random(20260810)
     events = ["a1", "b1", "a2", "b2"]
     checked_states = 0
     for _ in range(10_000):
-        s = ChannelState.empty(net)
+        s = state()
         for _ in range(rng.randint(1, 25)):
             kind = rng.randrange(4)
             if kind == 0:
@@ -258,17 +258,17 @@ def test_c6_channel_calculus():
             elif kind == 1:
                 nxt = push(s, rng.choice(events), net)
             elif kind == 2:
-                i, j = rng.choice([(0, 1), (1, 0)])
-                queue = s.get(i, j)
-                nxt = deliver(s, i, j, queue[0].event) if queue else None
+                k = rng.choice([0, 1])
+                queue = s[k]
+                nxt = deliver(s, k, queue[0].event) if queue else None
             else:
-                i, j = rng.choice([(0, 1), (1, 0)])
-                nxt = lose(s, i, j, rng.randint(1, max(1, len(s.get(i, j)))), net)
+                k = rng.choice([0, 1])
+                nxt = lose(s, k, rng.randint(1, max(1, len(s[k]))), net)
             if nxt is None:
                 continue
             s = nxt
             checked_states += 1
-            for key, queue in s.queues:
+            for key, queue in zip(net.channel_keys, s):
                 ages = [e.age for e in queue]
                 assert ages == sorted(ages, reverse=True)
                 assert all(a <= net.channels[key].delay_bound for a in ages)

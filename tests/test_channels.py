@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from netsup.channels import (
     ChannelEntry,
-    ChannelState,
     deliver,
     lose,
     max_delay,
@@ -38,9 +37,9 @@ def two_way_net(n12=1, n21=1, lossy12=("a1",), lossy21=("b2",)):
 
 
 def state(net, q12=(), q21=()):
-    s = ChannelState.empty(net)
-    s = s.replace(0, 1, tuple(ChannelEntry(*e) for e in q12))
-    return s.replace(1, 0, tuple(ChannelEntry(*e) for e in q21))
+    """Channel 1->2 (position 0) holds ``q12``, channel 2->1 (position 1) ``q21``."""
+    assert net.channel_keys == ((0, 1), (1, 0))
+    return (tuple(ChannelEntry(*e) for e in q12), tuple(ChannelEntry(*e) for e in q21))
 
 
 class TestMaxDelay:
@@ -57,12 +56,12 @@ class TestMaxDelay:
 class TestTimeStep:
     def test_all_empty_stays_empty(self):
         net = two_way_net()
-        assert time_step(ChannelState.empty(net), net) == ChannelState.empty(net)
+        assert time_step(state(net), net) == state(net) == ((), ())
 
     def test_ages_increment(self):
         net = two_way_net()
         out = time_step(state(net, q12=[("b1", 0)]), net)
-        assert out.get(0, 1) == (ChannelEntry("b1", 1),)
+        assert out[0] == (ChannelEntry("b1", 1),)
 
     def test_blocked_at_delay_bound(self):
         net = two_way_net(n12=1)
@@ -73,60 +72,60 @@ class TestPush:
     def test_appends_to_carrying_channel(self):
         net = two_way_net()
         out = push(state(net), "a1", net)
-        assert out.get(0, 1) == (ChannelEntry("a1", 0),)
-        assert out.get(1, 0) == ()
+        assert out[0] == (ChannelEntry("a1", 0),)
+        assert out[1] == ()
 
     def test_uncarried_event_changes_nothing(self):
         net = two_way_net()
         before = state(net, q12=[("b1", 1)])
         # a2 is carried by channel 2->1 only
         out = push(before, "a2", net)
-        assert out.get(0, 1) == before.get(0, 1)
-        assert out.get(1, 0) == (ChannelEntry("a2", 0),)
+        assert out[0] == before[0]
+        assert out[1] == (ChannelEntry("a2", 0),)
 
     def test_fifo_append_at_back(self):
         net = two_way_net()
         out = push(state(net, q12=[("b1", 1)]), "a1", net)
-        assert out.get(0, 1) == (ChannelEntry("b1", 1), ChannelEntry("a1", 0))
+        assert out[0] == (ChannelEntry("b1", 1), ChannelEntry("a1", 0))
 
 
 class TestDeliver:
     def test_front_entry_removed(self):
         net = two_way_net()
-        out = deliver(state(net, q12=[("b1", 1)]), 0, 1, "b1")
-        assert out.get(0, 1) == ()
+        out = deliver(state(net, q12=[("b1", 1)]), 0, "b1")
+        assert out[0] == ()
 
     def test_empty_queue_undefined(self):
         net = two_way_net()
-        assert deliver(state(net), 0, 1, "b1") is None
+        assert deliver(state(net), 0, "b1") is None
 
     def test_non_front_event_undefined(self):
         net = two_way_net()
         s = state(net, q12=[("a1", 1), ("b1", 0)])
-        assert deliver(s, 0, 1, "b1") is None
+        assert deliver(s, 0, "b1") is None
 
 
 class TestLose:
     def test_lossy_front_dropped(self):
         net = two_way_net(lossy12=("a1",))
-        out = lose(state(net, q12=[("a1", 0)]), 0, 1, 1, net)
-        assert out.get(0, 1) == ()
+        out = lose(state(net, q12=[("a1", 0)]), 0, 1, net)
+        assert out[0] == ()
 
     def test_position_beyond_queue_undefined(self):
         net = two_way_net()
-        assert lose(state(net, q12=[("a1", 0)]), 0, 1, 2, net) is None
+        assert lose(state(net, q12=[("a1", 0)]), 0, 2, net) is None
 
     def test_non_lossy_entry_undefined(self):
         net = two_way_net(lossy12=("a1",))
         s = state(net, q12=[("a1", 1), ("b1", 0)])
-        assert lose(s, 0, 1, 2, net) is None
+        assert lose(s, 0, 2, net) is None
 
     def test_drops_exactly_one_preserving_order(self):
         net = two_way_net(lossy12=("a1", "b1"))
         s = state(net, q12=[("a1", 2), ("b1", 1), ("a1", 0)], q21=[("b2", 1)])
-        out = lose(s, 0, 1, 2, net)
-        assert out.get(0, 1) == (ChannelEntry("a1", 2), ChannelEntry("a1", 0))
-        assert out.get(1, 0) == s.get(1, 0)
+        out = lose(s, 0, 2, net)
+        assert out[0] == (ChannelEntry("a1", 2), ChannelEntry("a1", 0))
+        assert out[1] == s[1]
 
 
 class TestRendering:
@@ -146,7 +145,7 @@ class TestRendering:
 def apply_random_ops(net, rng, length):
     """Drive a channel state through random operator applications, skipping
     undefined ones; returns every intermediate state."""
-    s = ChannelState.empty(net)
+    s = state(net)
     history = [s]
     events = ["a1", "b1", "a2", "b2"]
     for _ in range(length):
@@ -156,13 +155,13 @@ def apply_random_ops(net, rng, length):
         elif kind == 1:
             nxt = push(s, rng.choice(events), net)
         elif kind == 2:
-            i, j = rng.choice([(0, 1), (1, 0)])
-            queue = s.get(i, j)
+            k = rng.choice([0, 1])
+            queue = s[k]
             front = queue[0].event if queue else rng.choice(events)
-            nxt = deliver(s, i, j, front)
+            nxt = deliver(s, k, front)
         else:
-            i, j = rng.choice([(0, 1), (1, 0)])
-            nxt = lose(s, i, j, rng.randint(1, max(1, len(s.get(i, j)))), net)
+            k = rng.choice([0, 1])
+            nxt = lose(s, k, rng.randint(1, max(1, len(s[k]))), net)
         if nxt is not None:
             s = nxt
             history.append(s)
@@ -170,7 +169,7 @@ def apply_random_ops(net, rng, length):
 
 
 def assert_channel_invariants(s, net):
-    for (i, j), queue in s.queues:
+    for (i, j), queue in zip(net.channel_keys, s):
         bound = net.channels[(i, j)].delay_bound
         ages = [e.age for e in queue]
         assert all(a <= bound for a in ages), "age within delay bound"
@@ -193,7 +192,7 @@ def test_delivered_is_subsequence_of_pushed_per_channel(seed):
     of the push log."""
     net = two_way_net(lossy12=("a1", "b1"), lossy21=("a2", "b2"))
     rng = random.Random(seed)
-    s = ChannelState.empty(net)
+    s = state(net)
     pushed = {(0, 1): [], (1, 0): []}
     delivered = {(0, 1): [], (1, 0): []}
     for _ in range(50):
@@ -207,15 +206,15 @@ def test_delivered_is_subsequence_of_pushed_per_channel(seed):
                 if e in net.channels[key].events:
                     pushed[key].append(e)
         elif kind == 2:
-            key = rng.choice([(0, 1), (1, 0)])
-            queue = s.get(*key)
+            k = rng.choice([0, 1])
+            queue = s[k]
             if not queue:
                 continue
-            nxt = deliver(s, key[0], key[1], queue[0].event)
-            delivered[key].append(queue[0].event)
+            nxt = deliver(s, k, queue[0].event)
+            delivered[net.channel_keys[k]].append(queue[0].event)
         else:
-            key = rng.choice([(0, 1), (1, 0)])
-            nxt = lose(s, key[0], key[1], rng.randint(1, max(1, len(s.get(*key)))), net)
+            k = rng.choice([0, 1])
+            nxt = lose(s, k, rng.randint(1, max(1, len(s[k]))), net)
         if nxt is not None:
             s = nxt
 
@@ -230,6 +229,6 @@ def test_delivered_is_subsequence_of_pushed_per_channel(seed):
 def test_lose_changes_single_channel_only():
     net = two_way_net(lossy12=("a1",))
     s = state(net, q12=[("a1", 1), ("b1", 0)], q21=[("a2", 0)])
-    out = lose(s, 0, 1, 1, net)
-    assert len(out.get(0, 1)) == len(s.get(0, 1)) - 1
-    assert out.get(1, 0) == s.get(1, 0)
+    out = lose(s, 0, 1, net)
+    assert len(out[0]) == len(s[0]) - 1
+    assert out[1] == s[1]

@@ -364,9 +364,11 @@ class TestHashSeed:
         (["solve", "production_line_no_ch21.json", "--format", "json", "--diagnostic"], None),
         (["check", "production_line_no_ch21.json", "--format", "json"], None),
         (["export-dot", "production_line.json", "--target", "closed-loop"], None),
+        (["build-comm", "production_line.json", "--dot", "-"], None),
+        (["export-dot", "production_line.json", "--target", "comm"], None),
         (["validate"], MALFORMED["unknown removed states"][0]),
         (["validate"], MALFORMED["undeclared marked states"][0]),
-    ], ids=["solve", "check", "export-dot", "remove_states", "marked"])
+    ], ids=["solve", "check", "export-dot", "build-comm", "export-dot-comm", "remove_states", "marked"])
     def test_same_bytes_under_two_hash_seeds(self, models_dir, tmp_path, argv, edit):
         if edit is None:
             argv = [argv[0], str(models_dir / argv[1]), *argv[2:]]
@@ -486,6 +488,23 @@ class TestCounts:
             argv = argv + ["--artifacts", str(tmp_path / "artifacts")]
         code, out, _ = run(capsys, *argv)
         assert code == 0 and out
+
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_non_positive_jobs_exits_two(self, capsys, monkeypatch, jobs):
+        monkeypatch.setattr(cli, "agreement_for_seed", lambda *a: pytest.fail("ran the command"))
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--jobs", jobs])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument --jobs: must be >= 1, got {jobs}" in captured.err
+
+    @pytest.mark.parametrize("flag", ["--jobs", "--instances"])
+    def test_non_integer_count_is_named_as_int(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", flag, "x"])
+        assert exc.value.code == 2
+        assert f"error: argument {flag}: invalid int value: 'x'" in capsys.readouterr().err
 
 
 class TestParallelOracle:

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 import pickle
 import random
 
@@ -50,7 +51,7 @@ class TestDegenerateNetwork:
         # walk the bijection: same actives everywhere, channels always empty
         for sid in range(comm.num_states):
             q, theta = comm.keys[sid]
-            assert theta.queues == ()
+            assert theta == ()
             got = {e.event for e in tuple(comm.transitions[sid])}
             assert got == set(plant.transitions[q])
             assert not any(isinstance(e, (Deliver, Lose)) for e in tuple(comm.transitions[sid]))
@@ -118,7 +119,7 @@ class TestExhaustiveOracle:
                 frontier.append((q, queue[1:]))  # deliver the front entry
 
         got = {
-            (comm.plant_of(s), tuple((e.event, e.age) for e in comm.channels_of(s).get(0, 1)))
+            (comm.plant_of(s), tuple((e.event, e.age) for e in comm.channels_of(s)[0]))
             for s in range(comm.num_states)
         }
         assert got == seen
@@ -160,17 +161,15 @@ class TestStructuralInvariants:
                 carriers = sum(
                     1 for link in net.channels.values() if event.event in link.events
                 )
-                growth = sum(len(q) for _, q in after.queues) - sum(
-                    len(q) for _, q in before.queues
-                )
+                growth = sum(len(q) for q in after) - sum(len(q) for q in before)
                 assert growth == carriers
                 # ages unchanged on push
-                for key, queue in before.queues:
-                    assert after.get(*key)[: len(queue)] == queue
+                for k, queue in enumerate(before):
+                    assert after[k][: len(queue)] == queue
 
     def test_ages_bounded_at_every_reachable_state(self, line_comm):
         for sid in range(line_comm.num_states):
-            for key, queue in line_comm.channels_of(sid).queues:
+            for key, queue in zip(line_comm.net.channel_keys, line_comm.channels_of(sid)):
                 bound = line_comm.net.channels[key].delay_bound
                 ages = [e.age for e in queue]
                 assert all(a <= bound for a in ages)
@@ -195,6 +194,36 @@ class TestStructuralInvariants:
             assert plant.run(project_plant(string)) == line_comm.plant_of(sid)
 
 
+def line_with_delays(line_model, delays):
+    """The line model's automaton with delay bound ``delays[i]`` on every
+    channel that supervisor ``i`` sends on."""
+    net = line_model.network
+    channels = {
+        key: dataclasses.replace(link, delay_bound=delays[key[0]])
+        for key, link in net.channels.items()
+    }
+    return build_comm_automaton(
+        line_model.plant, line_model.spec, dataclasses.replace(net, channels=channels)
+    )
+
+
+def comm_digest(comms):
+    """sha256 over every state of ``comms``: its rendering, its rendered
+    moves, its markings and its exit table."""
+    digest = hashlib.sha256()
+    for comm in comms:
+        for s in range(comm.num_states):
+            row = (
+                comm.render_state(s),
+                [(render_event(e), t) for e, t in comm.moves(s)],
+                comm.in_spec[s], comm.marked[s], comm.spec_marked[s],
+                sorted(comm.exits[s]), sorted(comm.stays[s]), comm.tick_critical[s],
+            )
+            digest.update(repr(row).encode() + b"\n")
+        digest.update(b"--\n")
+    return digest.hexdigest()
+
+
 def queue_fill(comm, plant):
     """Every channel queue of every state as (length, (delay_bound + 1) * L),
     where L is the most non-tick events ``plant`` can fire in a row."""
@@ -209,7 +238,7 @@ def queue_fill(comm, plant):
     return [
         (len(queue), (comm.net.channels[key].delay_bound + 1) * most)
         for _, theta in comm.keys
-        for key, queue in theta.queues
+        for key, queue in zip(comm.net.channel_keys, theta)
     ]
 
 
@@ -221,15 +250,7 @@ class TestQueueBound:
 
     @pytest.mark.parametrize("delays", [(6, 1), (1, 6), (6, 6)], ids=lambda d: f"{d[0]}/{d[1]}")
     def test_line_queues_within_bound(self, line_model, delays):
-        net = line_model.network
-        channels = {
-            key: dataclasses.replace(link, delay_bound=delays[key[0]])
-            for key, link in net.channels.items()
-        }
-        comm = build_comm_automaton(
-            line_model.plant, line_model.spec, dataclasses.replace(net, channels=channels)
-        )
-        fill = queue_fill(comm, line_model.plant)
+        fill = queue_fill(line_with_delays(line_model, delays), line_model.plant)
         assert fill and all(length <= bound for length, bound in fill)
 
     @pytest.mark.parametrize("params", [
@@ -244,6 +265,28 @@ class TestQueueBound:
             fill += queue_fill(inst.comm, inst.plant)
         assert all(length <= bound for length, bound in fill)
         assert any(length == bound > 0 for length, bound in fill)  # the bound is reached
+
+
+class TestCommIdentity:
+    """States, numbering, moves and exit tables of the automaton, pinned as
+    sha256 digests, so that a change of the channel-state form cannot change
+    them."""
+
+    @pytest.mark.parametrize("delays,expected", [
+        ((6, 1), "3d846127d7aa0f1e648c94b2958fd0db3766d39aecc97da9905dc4068005ce02"),
+        ((1, 6), "c3da2858d61b2ba38ae403644c6bb00dbc47101ed47d6c04fa84e9f74bb14a5e"),
+        ((6, 6), "a78816c70a691d8990de2cfdb6ca242c942c4f24b757b392e6943fdedbc0cf65"),
+    ], ids=["6/1", "1/6", "6/6"])
+    def test_line_model(self, line_model, delays, expected):
+        assert comm_digest([line_with_delays(line_model, delays)]) == expected
+
+    @pytest.mark.parametrize("params,expected", [
+        (GeneratorParams(), "cbbf8a4d85590cee10707d8e4b2312833f580545d82eb83ca52e45ee9384203a"),
+        (GeneratorParams(n=3, max_comm_states=150),
+         "56b8622f32d7b66bf5ad46620984131987b50af792d78200b2f73ab1e8bbe26e"),
+    ], ids=["default", "n3"])
+    def test_random_instances(self, params, expected):
+        assert comm_digest(random_instance(seed, params).comm for seed in range(40)) == expected
 
 
 class TestProjections:

@@ -29,7 +29,7 @@ class TestSafety:
             assert trace.terminated is Termination.STEP_LIMIT
             for step in trace.steps:
                 assert comm.in_spec[step.comm_state]
-                for key, queue in comm.channels_of(step.comm_state).queues:
+                for key, queue in zip(comm.net.channel_keys, comm.channels_of(step.comm_state)):
                     assert all(e.age <= comm.net.channels[key].delay_bound for e in queue)
 
     def test_replay_reproduces_states(self, line_report):
