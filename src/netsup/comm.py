@@ -16,15 +16,15 @@ joint-observability check and synthesis share it.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
 from . import channels as ch
 from .automata import TICK, TimedAutomaton, prepare, subautomaton_defect
 from .channels import ChannelState
 from .errors import ModelError
-from .explore import MAX_STATES, PathSpace, StateSpace, budget_error
+from .explore import MAX_STATES, PathSpace, StateSpace, budget_error, closure
 from .network import NetworkConfig
 
 
@@ -174,7 +174,8 @@ class CommAutomaton:
 
     def observation_table(self, i: int) -> "ObservationTable":
         """Supervisor ``i``'s view of every transition, built on first use
-        and cached like ``event_table``."""
+        and cached like ``event_table``.  Only the walks that look for a
+        witness read it; the observers read the event table."""
         table = self._observation_tables.get(i)
         if table is None:
             table = self._observation_tables[i] = build_observation_table(self, i)
@@ -448,13 +449,18 @@ class ObservationTable:
     observed: list[dict[str, tuple[Move, ...]]]
 
 
+def observation_symbols(comm: CommAutomaton, i: int) -> list[Optional[str]]:
+    """``observation_of`` for supervisor ``i`` per event id of ``comm``'s
+    event table."""
+    return [observation_of(event, i, comm.net) for event in comm.event_table().events]
+
+
 def build_observation_table(comm: CommAutomaton, i: int) -> ObservationTable:
     """Tabulate ``observation_of`` for supervisor ``i`` over ``comm``."""
-    net = comm.net
     table = comm.event_table()
     events = table.events
-    symbols = [observation_of(event, i, net) for event in events]
-    rank = {symbol: k for k, symbol in enumerate(net.observation_alphabet(i))}
+    symbols = observation_symbols(comm, i)
+    rank = {symbol: k for k, symbol in enumerate(comm.net.observation_alphabet(i))}
     silent: list[tuple[Move, ...]] = []
     observed: list[dict[str, tuple[Move, ...]]] = []
     for row, dsts in zip(table.ids, table.targets):
@@ -471,15 +477,17 @@ def build_observation_table(comm: CommAutomaton, i: int) -> ObservationTable:
     return ObservationTable(silent, observed)
 
 
-ObserverElement = tuple[int, bool]  # (state id, run stayed in spec)
+ObserverElement = tuple[int, bool]  # (state id, run stayed in spec): a decoded element code
 
 
 @dataclass
 class Observer:
     """Deterministic observer for one supervisor.
 
-    ``elements[t]`` is the set of (state, in-spec) pairs compatible with the
-    observation string leading to observer state ``t``.  The other lists
+    ``codes[t]`` is the set of elements compatible with the observation
+    string leading to observer state ``t``; an element is a state id ``x``
+    and whether its run stayed in spec, coded as the int ``2 * x + flag``.
+    ``elements[t]`` decodes it into (state, in-spec) pairs.  The other lists
     summarize the automaton's exit table over its flagged elements (states
     that in-spec runs reach): whether it has one, the unions of their
     ``exits`` / ``stays``, and whether one is ``tick_critical``.
@@ -487,7 +495,7 @@ class Observer:
 
     supervisor: int
     obs_alphabet: tuple[str, ...]
-    elements: list[frozenset[ObserverElement]]
+    codes: list[frozenset[int]]
     transitions: list[dict[str, int]]
     in_spec: list[bool]
     exits: list[frozenset[str]]
@@ -497,7 +505,13 @@ class Observer:
 
     @property
     def num_states(self) -> int:
-        return len(self.elements)
+        return len(self.codes)
+
+    @cached_property
+    def elements(self) -> tuple[frozenset[ObserverElement], ...]:
+        """Per observer state, its element codes decoded into (state,
+        in-spec) pairs; decoded on first access."""
+        return tuple(frozenset((code >> 1, bool(code & 1)) for code in codes) for codes in self.codes)
 
     def run(self, symbols: Iterable[str]) -> Optional[int]:
         state = self.initial
@@ -513,66 +527,94 @@ def _observer_stage(supervisor: int) -> str:
     return f"observer for supervisor {supervisor + 1}"
 
 
+class _ElementRows(dict):
+    """Per observer element code, read off the event table on its first
+    lookup for one supervisor: the code's silent successor codes.  The same
+    lookup stores its (observed symbol, successor codes) pairs in
+    ``observed``.  A successor keeps the flag only while it is in_spec."""
+
+    __slots__ = ("ids", "targets", "flags", "symbols", "observed")
+
+    def __init__(self, comm: CommAutomaton, supervisor: int) -> None:
+        table = comm.event_table()
+        self.ids, self.targets, self.flags = table.ids, table.targets, comm.in_spec
+        self.symbols = observation_symbols(comm, supervisor)
+        self.observed: dict[int, tuple[tuple[str, tuple[int, ...]], ...]] = {}
+
+    def __missing__(self, code: int) -> tuple[int, ...]:
+        sid, flag = code >> 1, code & 1
+        symbols, flags = self.symbols, self.flags
+        quiet: list[int] = []
+        moved: dict[str, list[int]] = {}
+        for e, dst in zip(self.ids[sid], self.targets[sid]):
+            symbol = symbols[e]
+            if symbol is None:
+                quiet.append(2 * dst + (flag & flags[dst]))
+            else:
+                moved.setdefault(symbol, []).append(2 * dst + (flag & flags[dst]))
+        self.observed[code] = tuple((symbol, tuple(dsts)) for symbol, dsts in moved.items())
+        self[code] = row = tuple(quiet)
+        return row
+
+
 def build_observer(
     comm: CommAutomaton, supervisor: int, *, max_states: int = MAX_STATES
 ) -> Observer:
     """Subset construction over one supervisor's observation mapping.
 
     Unobserved moves are closed over silently; an element's flag survives a
-    move only while the run stays within in_spec states.  Each state's
-    flagged elements are then summarized once (see ``Observer``).
+    move only while the run stays within in_spec states.  Each element
+    code's successors are read off the event table when the code is first
+    visited: its silent successor codes, and per observed symbol the codes
+    it moves to.  Each state's flagged elements are then summarized once
+    (see ``Observer``).
     """
     obs_alphabet = comm.net.observation_alphabet(supervisor)
-    table = comm.observation_table(supervisor)
-    silent, observed, flags = table.silent, table.observed, comm.in_spec
-
-    def closure(elements: Iterable[ObserverElement]) -> frozenset[ObserverElement]:
-        out = set(elements)
-        queue = deque(out)
-        while queue:
-            sid, flag = queue.popleft()
-            for _event, dst in silent[sid]:
-                nxt = (dst, flag and flags[dst])
-                if nxt not in out:
-                    out.add(nxt)
-                    queue.append(nxt)
-        return frozenset(out)
-
+    silent = _ElementRows(comm, supervisor)
+    observed = silent.observed
     space = StateSpace(_observer_stage(supervisor), max_states)
-    space.add(closure([(comm.initial, flags[comm.initial])]))
+    space.add(closure([2 * comm.initial + comm.in_spec[comm.initial]], silent))
     index = space.index
+    # each bucket met so far, mapped to the state its closure is
+    target_of: dict[frozenset[int], int] = {}
     transitions: list[dict[str, int]] = []
-    for element_set in space.keys:  # space.keys grows: breadth-first
+    for codes in space.keys:  # space.keys grows: breadth-first
         here: dict[str, int] = {}
         transitions.append(here)
         # each element's observed moves are read once, bucketed by symbol;
-        # the buckets are then closed in alphabet order
-        buckets: dict[str, set[ObserverElement]] = {}
-        for sid, flag in element_set:
-            for symbol, moves in observed[sid].items():
-                moved = buckets.get(symbol)
-                if moved is None:
-                    moved = buckets[symbol] = set()
-                for _event, dst in moves:
-                    moved.add((dst, flag and flags[dst]))
+        # the buckets are then closed in alphabet order.  The closure that
+        # made ``codes`` built every element's rows.
+        buckets: dict[str, set[int]] = {}
+        for code in codes:
+            for symbol, dsts in observed[code]:
+                bucket = buckets.get(symbol)
+                if bucket is None:
+                    buckets[symbol] = set(dsts)
+                else:
+                    bucket.update(dsts)
         for symbol in obs_alphabet:
-            moved = buckets.get(symbol)
-            if moved is None:
+            bucket = buckets.get(symbol)
+            if bucket is None:
                 continue
-            closed = closure(moved)
-            nxt = index.get(closed)
-            here[symbol] = space.add(closed) if nxt is None else nxt
+            moved = frozenset(bucket)
+            nxt = target_of.get(moved)
+            if nxt is None:
+                closed = closure(moved, silent)
+                nxt = index.get(closed)
+                nxt = target_of[moved] = space.add(closed) if nxt is None else nxt
+            here[symbol] = nxt
     # equal unions share one frozenset, as the exit table's rows do
     unions: dict[frozenset[str], frozenset[str]] = {}
     in_spec: list[bool] = []
     exits: list[frozenset[str]] = []
     stays: list[frozenset[str]] = []
     tick_critical: list[bool] = []
-    for element_set in space.keys:
+    for codes in space.keys:
         leaving, staying = set(), set()
         reached = critical = False
-        for x, flag in element_set:
-            if flag:
+        for code in codes:
+            if code & 1:
+                x = code >> 1
                 reached = True
                 leaving |= comm.exits[x]
                 staying |= comm.stays[x]
@@ -600,21 +642,10 @@ def check_projection_equivalence(plant: TimedAutomaton, comm: CommAutomaton) -> 
     silent moves and walks it against the plant; a mismatch yields a shortest
     distinguishing plant string.
     """
-
-    def closure(states: frozenset[int]) -> frozenset[int]:
-        out = set(states)
-        queue = deque(states)
-        while queue:
-            sid = queue.popleft()
-            for event, dst in comm.transitions[sid].items():
-                if not isinstance(event, Plant) and dst not in out:
-                    out.add(dst)
-                    queue.append(dst)
-        return frozenset(out)
-
+    silent = [tuple(dst for e, dst in moves.items() if not isinstance(e, Plant)) for moves in comm.transitions]
     alphabet = sorted(plant.alphabet)
     space = PathSpace("projection check", MAX_STATES)
-    space.add((closure(frozenset([comm.initial])), plant.initial))
+    space.add((closure([comm.initial], silent), plant.initial))
     for k, (subset, q) in enumerate(space.keys):  # space.keys grows: breadth-first
         for event in alphabet:
             move = {
@@ -628,7 +659,7 @@ def check_projection_equivalence(plant: TimedAutomaton, comm: CommAutomaton) -> 
             if not move and plant_next is not None:
                 return ProjectionVerdict(False, tuple(space.path(k)) + (event,), only_in="plant")
             if move:
-                nxt = (closure(frozenset(move)), plant_next)
+                nxt = (closure(move, silent), plant_next)
                 if nxt not in space.index:
                     space.add(nxt, k, event)
     return ProjectionVerdict(True)

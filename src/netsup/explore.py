@@ -9,7 +9,7 @@ reproducible; ``add`` enforces the construction's state budget.
 
 from __future__ import annotations
 
-from typing import Hashable
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import ResourceLimitError
 
@@ -77,3 +77,20 @@ class PathSpace(StateSpace):
             sid = self.parent[sid]
         out.reverse()
         return out
+
+
+def closure(
+    seeds: Iterable[int], successors: Sequence[Iterable[int]] | Mapping[int, Iterable[int]]
+) -> frozenset[int]:
+    """The ints reachable from ``seeds`` in zero or more steps, where
+    ``successors[k]`` holds the ints one step from ``k``: the one
+    unobservable-closure walk, which the observers and the projection check
+    share."""
+    out = set(seeds)
+    stack = list(out)
+    while stack:
+        for nxt in successors[stack.pop()]:
+            if nxt not in out:
+                out.add(nxt)
+                stack.append(nxt)
+    return frozenset(out)

@@ -1,9 +1,10 @@
 """Supervisor synthesis and closed-loop analysis.
 
 Each supervisor is realized as a deterministic observer over its observation
-alphabet (subset construction over the channel-augmented automaton) plus an
-enable-set per observer state.  An observer state collects every (state,
-stayed-in-spec) pair reachable under some run with the observed string; the
+alphabet (subset construction over the channel-augmented automaton, read off
+its event table) plus an enable-set per observer state.  An observer state
+collects every element reachable under some run with the observed string: a
+state id and whether the run stayed in spec, coded as one int.  The
 enable-set keeps a controllable event unless some in-spec element can exit
 the specification on it.
 """
@@ -24,9 +25,10 @@ from .comm import (  # Observer and build_observer are importable from here too
     build_comm_automaton,
     build_observer,
     event_key,
-    observation_of,
+    observation_symbols,
 )
 from .explore import MAX_STATES, PathSpace, StateSpace
+from .network import NetworkConfig
 from .verification import (
     Condition,
     Verdict,
@@ -159,13 +161,14 @@ def _step_tables(
     observer has no move.  Equal (supervisor, symbol, guarded event) share
     one table."""
     net = comm.net
+    symbols = [observation_symbols(comm, i) for i in range(len(supervisors))]
     shared: dict[tuple[int, Optional[str], Optional[str]], list] = {}
     out = []
-    for event in comm.event_table().events:
+    for e, event in enumerate(comm.event_table().events):
         entries = []
         name = event.event if isinstance(event, Plant) and event.event in net.globally_controllable else None
         for i, (sup, w) in enumerate(zip(supervisors, weights)):
-            symbol = observation_of(event, i, net)
+            symbol = symbols[i][e]
             # the event's name when this supervisor controls it and disables
             # it somewhere
             guard = (
@@ -354,12 +357,13 @@ def check_admissibility(
     ``comm.net.n`` (else ValueError), are checked alone, in index order.  A
     supervisor whose observer is ``comm``'s own passes without a walk when
     no state ``t`` of it that in-spec runs reach shows a violation in its
-    summary: the walk visits exactly the pairs ``(x, t)`` with ``(x, True)``
-    in ``elements[t]``, and that observer moves on every symbol it meets.
-    Otherwise its observer (a copy or an edited one too) is walked
-    breadth-first over the (state, observer state) pairs in-spec runs reach:
-    silent moves first, then observed symbols in alphabet order.  The first
-    violating pair gives the witness, a shortest run reaching it.
+    summary: the walk visits exactly the pairs ``(x, t)`` with the flagged
+    code ``2 * x + 1`` in ``codes[t]``, and that observer moves on every
+    symbol it meets.  Otherwise its observer (a copy or an edited one too)
+    is walked breadth-first over the (state, observer state) pairs in-spec
+    runs reach, on the supervisor's observation table: silent moves first,
+    then observed symbols in alphabet order.  The first violating pair
+    gives the witness, a shortest run reaching it.
     ``max_states`` bounds each walk; a supervisor that passes builds none.
     """
     _check_count(comm, supervisors)

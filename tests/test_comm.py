@@ -15,6 +15,7 @@ from netsup.comm import (
     Lose,
     Plant,
     build_comm_automaton,
+    build_observer,
     check_projection_equivalence,
     event_key,
     project_observation,
@@ -287,6 +288,44 @@ class TestCommIdentity:
     ], ids=["default", "n3"])
     def test_random_instances(self, params, expected):
         assert comm_digest(random_instance(seed, params).comm for seed in range(40)) == expected
+
+
+def observer_digest(comms):
+    """sha256 over every observer of ``comms``: per state, its sorted
+    elements, its moves in order and its four summaries."""
+    digest = hashlib.sha256()
+    for comm in comms:
+        for i in range(comm.net.n):
+            observer = build_observer(comm, i)
+            for t in range(observer.num_states):
+                row = (
+                    sorted(observer.elements[t]), list(observer.transitions[t].items()),
+                    observer.in_spec[t], sorted(observer.exits[t]), sorted(observer.stays[t]),
+                    observer.tick_critical[t],
+                )
+                digest.update(repr(row).encode() + b"\n")
+            digest.update(b"--\n")
+    return digest.hexdigest()
+
+
+class TestObserverIdentity:
+    """Elements, numbering, moves and summaries of every observer, pinned as
+    sha256 digests, so that a faster subset construction cannot change
+    them."""
+
+    @pytest.mark.parametrize("delays,expected", [
+        ((6, 1), "145f43803e85a360adad31adaacd5e6cbecdb5ce9a7e817dfd4a042f6e790504"),
+        ((1, 6), "bb5af4db25e539c43dd5c280c7aab142a09cb5d287acdd4cb0c674a326bd5338"),
+        ((10, 1), "d1cc2c3384ca65a1d87aa590cebfe57a1c26bb22f04a6fddc3fe6ef1906f40ab"),
+    ], ids=["6/1", "1/6", "10/1"])
+    def test_line_model(self, line_model, delays, expected):
+        assert observer_digest([line_with_delays(line_model, delays)]) == expected
+
+    def test_random_instances(self):
+        params = GeneratorParams(n=3, max_comm_states=150)
+        assert observer_digest(random_instance(seed, params).comm for seed in range(40)) == (
+            "3dc409114041ea1fedeccb4164a9b65c4df0bc8e8cba79ab0f7fb34471c3b587"
+        )
 
 
 class TestProjections:

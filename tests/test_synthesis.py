@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from netsup import comm as comm_module
 from netsup import synthesis
 from netsup.automata import TICK
 from netsup.comm import Lose, Plant, build_comm_automaton, project_observation
@@ -185,16 +186,50 @@ def a1_uncontrollable(line_model):
     return build_comm_automaton(line_model.plant, line_model.spec, hacked_net)
 
 
-@pytest.fixture(scope="module")
-def unsolvable_report(models_dir):
-    """``netsup solve --diagnostic`` on the fixture with delay bounds
-    1->2 = 1 and 2->1 = 6, where the closed loop's language is not the
-    specification's."""
+def unsolvable_model(models_dir):
+    """The fixture with delay bounds 1->2 = 1 and 2->1 = 6."""
     doc = json.loads((models_dir / "production_line.json").read_text(encoding="utf-8"))
     for channel in doc["network"]["channels"]:
         channel["delay_bound"] = {(1, 2): 1, (2, 1): 6}[(channel["from"], channel["to"])]
-    model = parse_model(doc)
+    return parse_model(doc)
+
+
+@pytest.fixture(scope="module")
+def unsolvable_report(models_dir):
+    """``netsup solve --diagnostic`` on ``unsolvable_model``, where the
+    closed loop's language is not the specification's."""
+    model = unsolvable_model(models_dir)
     return solve_control_problem(model.plant, model.spec, model.network, diagnostic=True)
+
+
+class TestObservationTableOnDemand:
+    """Observers read the event table; only a walk for a witness builds an
+    observation table."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The supervisors whose observation table gets built, in order."""
+        calls = []
+        real = comm_module.build_observation_table
+
+        def spy(comm, i):
+            calls.append(i)
+            return real(comm, i)
+
+        monkeypatch.setattr(comm_module, "build_observation_table", spy)
+        return calls
+
+    def test_solvable_run_builds_none(self, line_model, built):
+        report = solve_control_problem(line_model.plant, line_model.spec, line_model.network)
+        assert report.verified and report.supervisors
+        assert built == []
+
+    def test_twin_product_witness_builds_one(self, models_dir, built):
+        model = unsolvable_model(models_dir)
+        report = solve_control_problem(model.plant, model.spec, model.network, diagnostic=True)
+        witness = report.observability.witness
+        assert not report.observability.holds and witness.nu is not None
+        assert built == [witness.supervisor]
 
 
 class TestAdmissibility:
