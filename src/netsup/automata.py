@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
 from .errors import CompositionError, DeterminismError, ModelError, SchemaError, UnknownNameError
-from .explore import MAX_STATES, StateSpace
+from .explore import MAX_STATES, StateSpace, closure
 
 TICK = "tick"
 
@@ -248,18 +248,11 @@ def is_nonblocking(machine) -> bool:
 
     ``machine`` is anything with ``initial_state``, ``moves`` and
     ``is_marked``: a TimedAutomaton, a CommAutomaton, a SpecView or a
-    ClosedLoop.  A forward walk records each state's sources, then a backward
-    walk from the marked states finds the coreachable ones.
+    ClosedLoop.  A forward walk records each state's sources, then the
+    closure of the marked states over those sources is the coreachable set.
     """
     sources = _reachable(machine)
-    coreach = {state for state in sources if machine.is_marked(state)}
-    stack = list(coreach)
-    while stack:
-        for src in sources[stack.pop()]:
-            if src not in coreach:
-                coreach.add(src)
-                stack.append(src)
-    return len(coreach) == len(sources)
+    return len(closure([state for state in sources if machine.is_marked(state)], sources)) == len(sources)
 
 
 @dataclass(frozen=True)

@@ -387,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("oracle", cmd_oracle, "engine-versus-oracle agreement on random instances")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--instances", type=_count, default=20)
-    p.add_argument("--bound", type=int, default=8)
+    p.add_argument("--bound", type=_positive, default=8)
     p.add_argument("--jobs", type=_positive, default=1,
                    help="worker processes, at most the number of CPUs")
     p.add_argument("--artifacts", default="oracle-failures",

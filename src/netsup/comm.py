@@ -103,6 +103,9 @@ class CommAutomaton:
     ``tick_critical``, whether tick is possible there and no enforceable
     event's move stays inside to preempt it.  The other checks read the
     table through each observer's summary (see ``Observer``).
+
+    Two derived structures are built on first use and cached: the event
+    table and each supervisor's observer.
     """
 
     net: NetworkConfig
@@ -120,9 +123,6 @@ class CommAutomaton:
     _event_table: Optional["EventTable"] = field(
         default=None, init=False, repr=False, compare=False
     )
-    _observation_tables: dict[int, "ObservationTable"] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
     _observers: dict[int, "Observer"] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -130,7 +130,7 @@ class CommAutomaton:
     def __getstate__(self) -> dict:
         # a copy (a deep one included) rebuilds the derived tables from its
         # own transitions, so editing the copy's transitions is safe
-        return {**self.__dict__, "_event_table": None, "_observation_tables": {}, "_observers": {}}
+        return {**self.__dict__, "_event_table": None, "_observers": {}}
 
     # -- basic accessors -------------------------------------------------
     @property
@@ -171,15 +171,6 @@ class CommAutomaton:
         if self._event_table is None:
             self._event_table = build_event_table(self.transitions)
         return self._event_table
-
-    def observation_table(self, i: int) -> "ObservationTable":
-        """Supervisor ``i``'s view of every transition, built on first use
-        and cached like ``event_table``.  Only the walks that look for a
-        witness read it; the observers read the event table."""
-        table = self._observation_tables.get(i)
-        if table is None:
-            table = self._observation_tables[i] = build_observation_table(self, i)
-        return table
 
     def observer(self, i: int, max_states: int = MAX_STATES) -> "Observer":
         """Supervisor ``i``'s observer, built on first use and cached like
@@ -436,45 +427,42 @@ def observation_of(event: CommEvent, i: int, net: NetworkConfig) -> Optional[str
 Move = tuple[CommEvent, int]  # (event, target state)
 
 
-@dataclass(frozen=True)
-class ObservationTable:
-    """What one supervisor sees of each transition.
-
-    ``silent[s]`` holds the unobserved moves of state ``s`` and
-    ``observed[s]`` maps each symbol observed at ``s`` to its moves, symbols
-    ordered like ``net.observation_alphabet``; moves are in event id order.
-    """
-
-    silent: list[tuple[Move, ...]]
-    observed: list[dict[str, tuple[Move, ...]]]
-
-
 def observation_symbols(comm: CommAutomaton, i: int) -> list[Optional[str]]:
     """``observation_of`` for supervisor ``i`` per event id of ``comm``'s
     event table."""
     return [observation_of(event, i, comm.net) for event in comm.event_table().events]
 
 
-def build_observation_table(comm: CommAutomaton, i: int) -> ObservationTable:
-    """Tabulate ``observation_of`` for supervisor ``i`` over ``comm``."""
-    table = comm.event_table()
-    events = table.events
-    symbols = observation_symbols(comm, i)
-    rank = {symbol: k for k, symbol in enumerate(comm.net.observation_alphabet(i))}
-    silent: list[tuple[Move, ...]] = []
-    observed: list[dict[str, tuple[Move, ...]]] = []
-    for row, dsts in zip(table.ids, table.targets):
-        quiet: list[Move] = []
-        grouped: dict[str, list[Move]] = {}
-        for e, dst in zip(row, dsts):
-            symbol = symbols[e]
-            if symbol is None:
-                quiet.append((events[e], dst))
-            else:
-                grouped.setdefault(symbol, []).append((events[e], dst))
-        silent.append(tuple(quiet))
-        observed.append({s: tuple(grouped[s]) for s in sorted(grouped, key=rank.__getitem__)})
-    return ObservationTable(silent, observed)
+class InSpecRows(dict):
+    """Per state id, read off the event table on its first lookup for one
+    supervisor: the state's moves into in_spec states, as its silent moves
+    and a dict from each observed symbol to its moves, symbols in
+    ``net.observation_alphabet`` order and moves in event id order.  Each
+    witness walk reads its own, so only the rows it visits are built."""
+
+    __slots__ = ("events", "ids", "targets", "in_spec", "symbols", "rank")
+
+    def __init__(self, comm: CommAutomaton, supervisor: int) -> None:
+        table = comm.event_table()
+        self.events, self.ids, self.targets, self.in_spec = table.events, table.ids, table.targets, comm.in_spec
+        self.symbols = observation_symbols(comm, supervisor)
+        self.rank = {symbol: k for k, symbol in enumerate(comm.net.observation_alphabet(supervisor))}
+
+    def __missing__(self, sid: int) -> tuple[tuple[Move, ...], dict[str, tuple[Move, ...]]]:
+        events, symbols, in_spec = self.events, self.symbols, self.in_spec
+        silent: list[Move] = []
+        observed: dict[str, list[Move]] = {}
+        for e, dst in zip(self.ids[sid], self.targets[sid]):
+            if in_spec[dst]:
+                symbol = symbols[e]
+                if symbol is None:
+                    silent.append((events[e], dst))
+                else:
+                    observed.setdefault(symbol, []).append((events[e], dst))
+        self[sid] = row = (
+            tuple(silent), {s: tuple(observed[s]) for s in sorted(observed, key=self.rank.__getitem__)}
+        )
+        return row
 
 
 ObserverElement = tuple[int, bool]  # (state id, run stayed in spec): a decoded element code

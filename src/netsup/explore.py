@@ -80,12 +80,13 @@ class PathSpace(StateSpace):
 
 
 def closure(
-    seeds: Iterable[int], successors: Sequence[Iterable[int]] | Mapping[int, Iterable[int]]
-) -> frozenset[int]:
-    """The ints reachable from ``seeds`` in zero or more steps, where
-    ``successors[k]`` holds the ints one step from ``k``: the one
-    unobservable-closure walk, which the observers and the projection check
-    share."""
+    seeds: Iterable[Hashable], successors: Sequence[Iterable[int]] | Mapping[Hashable, Iterable[Hashable]]
+) -> frozenset:
+    """The keys reachable from ``seeds`` in zero or more steps, where
+    ``successors[k]`` holds the keys one step from ``k`` (a sequence for int
+    keys, a mapping for any hashable ones): the one closure walk, which the
+    observers' and the projection check's unobservable closures and
+    ``automata.is_nonblocking``'s backward walk share."""
     out = set(seeds)
     stack = list(out)
     while stack:

@@ -14,11 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .automata import TICK, TimedAutomaton, is_nonblocking
+from .automata import TICK, TimedAutomaton, event_order, is_nonblocking
 from .comm import (  # Observer and build_observer are importable from here too
     CommAutomaton,
     CommEvent,
     EventTable,
+    InSpecRows,
     Observer,
     Plant,
     SpecView,
@@ -361,24 +362,27 @@ def check_admissibility(
     code ``2 * x + 1`` in ``codes[t]``, and that observer moves on every
     symbol it meets.  Otherwise its observer (a copy or an edited one too)
     is walked breadth-first over the (state, observer state) pairs in-spec
-    runs reach, on the supervisor's observation table: silent moves first,
+    runs reach, on the supervisor's ``InSpecRows``: silent moves first,
     then observed symbols in alphabet order.  The first violating pair
-    gives the witness, a shortest run reaching it.
-    ``max_states`` bounds each walk; a supervisor that passes builds none.
+    gives the witness, a shortest run reaching it, and its ``sigma`` is
+    the first disabled uncontrollable event in ``event_order``.  A walked
+    observer with no move on the symbol of an in-spec move raises
+    ValueError.  ``max_states`` bounds each walk; a supervisor that passes
+    builds none.
     """
     _check_count(comm, supervisors)
-    net, in_spec, tick_critical = comm.net, comm.in_spec, comm.tick_critical
+    net, tick_critical = comm.net, comm.tick_critical
     for i, sup in enumerate(supervisors):
         observer, enable = sup.observer, sup.enable
         uncontrollable = net.alphabets[i] - net.controllable[i]
         # per observer state, the first uncontrollable event it disables
-        disabled = [min(uncontrollable - allowed, default=None) for allowed in enable]
+        disabled = [min(uncontrollable - allowed, default=None, key=event_order) for allowed in enable]
         if comm.owns_observer(i, observer) and not any(
             reached and (bad is not None or (critical and TICK not in allowed))
             for reached, critical, bad, allowed in zip(observer.in_spec, observer.tick_critical, disabled, enable)
         ):
             continue
-        table, steps = comm.observation_table(i), observer.transitions
+        rows, steps = InSpecRows(comm, i), observer.transitions
         width = observer.num_states  # the pair (x, t) has the key x * width + t
         space = PathSpace("admissibility product", max_states)
         space.add(comm.initial * width + observer.initial)
@@ -393,19 +397,19 @@ def check_admissibility(
                 witness = Witness(tuple(space.path(k)), TICK, supervisor=i)
                 detail = f"supervisor {i + 1} disables tick with no enforceable event available"
                 return Verdict(Condition.ADM_TICK, False, witness, detail)
-            for event, dst in table.silent[x]:
+            silent, observed = rows[x]
+            for event, dst in silent:
                 pair = dst * width + t
-                if in_spec[dst] and pair not in index:
+                if pair not in index:
                     add(pair, k, event)
-            for symbol, moves in table.observed[x].items():
+            for symbol, moves in observed.items():
                 nxt = steps[t].get(symbol)
+                if nxt is None:
+                    raise _uncovered(i, symbol, t)
                 for event, dst in moves:
-                    if in_spec[dst]:
-                        if nxt is None:
-                            raise _uncovered(i, symbol, t)
-                        pair = dst * width + nxt
-                        if pair not in index:
-                            add(pair, k, event)
+                    pair = dst * width + nxt
+                    if pair not in index:
+                        add(pair, k, event)
     return Verdict(Condition.ADM_UNCONTROLLABLE, True)
 
 

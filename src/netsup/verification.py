@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import AbstractSet, NamedTuple, Optional
 
 from .automata import TICK, event_order
-from .comm import CommAutomaton, CommEvent
+from .comm import CommAutomaton, CommEvent, InSpecRows
 from .errors import ModelError, ResourceLimitError
 from .explore import MAX_STATES, PathSpace
 
@@ -131,7 +131,9 @@ def build_twin_product(
     until: tuple[AbstractSet[int], AbstractSet[int]] = ((), ()),
 ) -> TwinProduct:
     """Breadth-first twin product of ``comm`` with itself for one supervisor,
-    over specification states only.
+    over specification states only: it reads the supervisor's
+    ``InSpecRows``, which hold only the moves into in_spec states, silent
+    moves first and then observed symbols in alphabet order.
 
     With ``until=(exits, stays)`` the walk stops as soon as it discovers a
     pair (x, y) with x in ``exits`` and y in ``stays``, which is then the
@@ -140,43 +142,37 @@ def build_twin_product(
     ResourceLimitError when it would exceed ``max_states`` pairs.
     """
     exits, stays = until
-    table = comm.observation_table(supervisor)
-    silent, observed = table.silent, table.observed
-    in_spec = comm.in_spec
+    rows = InSpecRows(comm, supervisor)
     n = comm.num_states
     space = PathSpace(f"twin product for supervisor {supervisor + 1}", max_states)
     index, add = space.index, space.add
     add(comm.initial * n + comm.initial)  # the initial state is a specification state
     for tid, key in enumerate(space.keys):  # space.keys grows: breadth-first
         x, y = divmod(key, n)
-        for event, dst in silent[x]:
-            if in_spec[dst]:
-                pair = dst * n + y
-                if pair not in index:
-                    add(pair, tid, (event, None))
-                    if dst in exits and y in stays:
-                        return TwinProduct(supervisor, n, space)
-        for event, dst in silent[y]:
-            if in_spec[dst]:
-                pair = x * n + dst
-                if pair not in index:
-                    add(pair, tid, (None, event))
-                    if x in exits and dst in stays:
-                        return TwinProduct(supervisor, n, space)
-        observed_y = observed[y]
-        for symbol, moves_x in observed[x].items():
+        (silent_x, observed_x), (silent_y, observed_y) = rows[x], rows[y]
+        for event, dst in silent_x:
+            pair = dst * n + y
+            if pair not in index:
+                add(pair, tid, (event, None))
+                if dst in exits and y in stays:
+                    return TwinProduct(supervisor, n, space)
+        for event, dst in silent_y:
+            pair = x * n + dst
+            if pair not in index:
+                add(pair, tid, (None, event))
+                if x in exits and dst in stays:
+                    return TwinProduct(supervisor, n, space)
+        for symbol, moves_x in observed_x.items():
             moves_y = observed_y.get(symbol)
             if moves_y is None:
                 continue
             for ev_x, dst_x in moves_x:
-                if in_spec[dst_x]:
-                    for ev_y, dst_y in moves_y:
-                        if in_spec[dst_y]:
-                            pair = dst_x * n + dst_y
-                            if pair not in index:
-                                add(pair, tid, (ev_x, ev_y))
-                                if dst_x in exits and dst_y in stays:
-                                    return TwinProduct(supervisor, n, space)
+                for ev_y, dst_y in moves_y:
+                    pair = dst_x * n + dst_y
+                    if pair not in index:
+                        add(pair, tid, (ev_x, ev_y))
+                        if dst_x in exits and dst_y in stays:
+                            return TwinProduct(supervisor, n, space)
     return TwinProduct(supervisor, n, space)
 
 

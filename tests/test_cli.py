@@ -499,7 +499,19 @@ class TestCounts:
         assert captured.out == ""
         assert f"error: argument --jobs: must be >= 1, got {jobs}" in captured.err
 
-    @pytest.mark.parametrize("flag", ["--jobs", "--instances"])
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_non_positive_bound_exits_two(self, capsys, monkeypatch, bound):
+        """Checked before any instance runs, so even ``--instances 0`` and
+        worker pools reject it."""
+        monkeypatch.setattr(cli, "agreement_for_seed", lambda *a: pytest.fail("ran the command"))
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--instances", "0", "--bound", bound])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument --bound: must be >= 1, got {bound}" in captured.err
+
+    @pytest.mark.parametrize("flag", ["--jobs", "--instances", "--bound"])
     def test_non_integer_count_is_named_as_int(self, capsys, flag):
         with pytest.raises(SystemExit) as exc:
             main(["oracle", flag, "x"])

@@ -433,12 +433,12 @@ class TestEventOrderAndRendering:
     def test_copies_rebuild_derived_tables(self, line_model):
         comm = build_comm_automaton(line_model.plant, line_model.spec, line_model.network)
         table = comm.event_table()
-        observed = comm.observation_table(0)
+        observer = comm.observer(0)
         clone = copy.deepcopy(comm)
         event = next(iter(clone.transitions[0]))
         del clone.transitions[0][event]
         assert len(clone.event_table().ids[0]) == len(table.ids[0]) - 1
-        assert clone.observation_table(0) is not observed
+        assert clone.observer(0) is not observer
         assert comm.event_table() is table
 
 

@@ -8,10 +8,9 @@ import random
 
 import pytest
 
-from netsup import comm as comm_module
 from netsup import synthesis
 from netsup.automata import TICK
-from netsup.comm import Lose, Plant, build_comm_automaton, project_observation
+from netsup.comm import InSpecRows, Lose, Plant, build_comm_automaton, project_observation, render_event
 from netsup.errors import ResourceLimitError
 from netsup.modelio import parse_model
 from netsup.network import NetworkConfig
@@ -29,6 +28,7 @@ from netsup.synthesis import (
 )
 from netsup.verification import (
     Condition,
+    build_twin_product,
     check_lm_closure,
     check_network_controllability,
     check_network_joint_observability,
@@ -171,13 +171,14 @@ class TestEnableSets:
                     assert sup.command(obs) == expected
 
 
-def a1_uncontrollable(line_model):
-    """The fixture's automaton with a1 declared uncontrollable."""
+def with_uncontrollable(line_model, uncontrollable=("a1",)):
+    """The fixture's automaton with ``uncontrollable`` (a1 by default)
+    declared uncontrollable for supervisor 1."""
     net = line_model.network
     hacked_net = NetworkConfig.build(
         net.n,
         net.alphabets,
-        [net.controllable[0] - {"a1"}, net.controllable[1]],
+        [net.controllable[0] - set(uncontrollable), net.controllable[1]],
         net.observable,
         net.enforceable,
         [[1 if c else 0 for c in row] for row in net.com],
@@ -186,12 +187,17 @@ def a1_uncontrollable(line_model):
     return build_comm_automaton(line_model.plant, line_model.spec, hacked_net)
 
 
-def unsolvable_model(models_dir):
-    """The fixture with delay bounds 1->2 = 1 and 2->1 = 6."""
+def line_with_delays(models_dir, out, back):
+    """The fixture with delay bounds 1->2 = ``out`` and 2->1 = ``back``."""
     doc = json.loads((models_dir / "production_line.json").read_text(encoding="utf-8"))
     for channel in doc["network"]["channels"]:
-        channel["delay_bound"] = {(1, 2): 1, (2, 1): 6}[(channel["from"], channel["to"])]
+        channel["delay_bound"] = {(1, 2): out, (2, 1): back}[(channel["from"], channel["to"])]
     return parse_model(doc)
+
+
+def unsolvable_model(models_dir):
+    """The fixture with delay bounds 1->2 = 1 and 2->1 = 6."""
+    return line_with_delays(models_dir, 1, 6)
 
 
 @pytest.fixture(scope="module")
@@ -204,20 +210,20 @@ def unsolvable_report(models_dir):
 
 class TestObservationTableOnDemand:
     """Observers read the event table; only a walk for a witness builds an
-    observation table."""
+    in-spec row reader, and it reads only the rows it visits."""
 
     @pytest.fixture
     def built(self, monkeypatch):
-        """The supervisors whose observation table gets built, in order."""
-        calls = []
-        real = comm_module.build_observation_table
+        """(supervisor, reader) for each InSpecRows built, in order."""
+        readers = []
+        real = InSpecRows.__init__
 
-        def spy(comm, i):
-            calls.append(i)
-            return real(comm, i)
+        def spy(rows, comm, supervisor):
+            real(rows, comm, supervisor)
+            readers.append((supervisor, rows))
 
-        monkeypatch.setattr(comm_module, "build_observation_table", spy)
-        return calls
+        monkeypatch.setattr(InSpecRows, "__init__", spy)
+        return readers
 
     def test_solvable_run_builds_none(self, line_model, built):
         report = solve_control_problem(line_model.plant, line_model.spec, line_model.network)
@@ -229,7 +235,8 @@ class TestObservationTableOnDemand:
         report = solve_control_problem(model.plant, model.spec, model.network, diagnostic=True)
         witness = report.observability.witness
         assert not report.observability.holds and witness.nu is not None
-        assert built == [witness.supervisor]
+        assert built and {i for i, _ in built} == {witness.supervisor}
+        assert all(0 < len(rows) < report.comm.num_states for _, rows in built)
 
 
 class TestAdmissibility:
@@ -239,7 +246,7 @@ class TestAdmissibility:
     def test_hand_disabled_uncontrollable_fails(self, line_model):
         # declare a1 uncontrollable, then sabotage the supervisor so it still
         # disables it everywhere
-        comm_u = a1_uncontrollable(line_model)
+        comm_u = with_uncontrollable(line_model)
         sups = [synthesize_supervisor(comm_u, i) for i in range(2)]
         bad = SupervisorMap(
             0,
@@ -250,6 +257,16 @@ class TestAdmissibility:
         assert not verdict.holds
         assert verdict.condition is Condition.ADM_UNCONTROLLABLE
         assert verdict.witness.sigma == "a1"
+
+    def test_first_disabled_uncontrollable_in_event_order(self, line_model):
+        """Tick comes first, as in NetCtrl1 and the oracle, although 'a1'
+        sorts before it."""
+        comm = with_uncontrollable(line_model, line_model.network.controllable[0])
+        sups = [synthesize_supervisor(comm, i) for i in range(2)]
+        bad = SupervisorMap(0, sups[0].observer, tuple(e - {TICK, "a1", "b1"} for e in sups[0].enable))
+        verdict = check_admissibility([bad, sups[1]], comm)
+        assert verdict.condition is Condition.ADM_UNCONTROLLABLE and not verdict.holds
+        assert verdict.witness.sigma == TICK
 
     def test_tick_disabled_without_enforceable_fails(self, line_report):
         comm = line_report.comm
@@ -532,6 +549,74 @@ class TestClosedLoopIdentity:
         assert loop_digest([closed_loop(line_report.comm, sups)]) == loop_digest([line_report.loop])
 
 
+def rendered(string):
+    return None if string is None else [render_event(e) for e in string]
+
+
+def verdict_row(verdict):
+    """A verdict's condition, outcome, detail and rendered witness."""
+    w = verdict.witness
+    return (verdict.condition.value, verdict.holds, verdict.detail) + (
+        w and (rendered(w.mu), w.sigma, rendered(w.nu), w.supervisor),
+    )
+
+
+def witness_walk_digest(comms):
+    """sha256 over both witness walks of each automaton: every supervisor's
+    full twin product (keys, parents, rendered labels), the joint
+    observability verdict, and admissibility on four supervisor sets (the
+    synthesized one, ``alternating`` on the cached observers and on copies,
+    which forces the walk, and copies with one uncontrollable event
+    disabled everywhere): verdict, rendered witness and detail, or the
+    ValueError."""
+    h = hashlib.sha256()
+    for comm in comms:
+        net = comm.net
+        for i in range(net.n):
+            space = build_twin_product(comm, i).space
+            labels = [label and [None if e is None else render_event(e) for e in label] for label in space.label]
+            h.update(repr((space.keys, space.parent, labels)).encode())
+        sups = [synthesize_supervisor(comm, i) for i in range(net.n)]
+        copied = [SupervisorMap(i, copy.copy(s.observer), s.enable) for i, s in enumerate(sups)]
+        gagged = []
+        for i, s in enumerate(copied):
+            uncontrollable = sorted(net.alphabets[i] - net.controllable[i])
+            gone = set(uncontrollable[:1])
+            gagged.append(SupervisorMap(i, s.observer, tuple(e - gone for e in s.enable)))
+        rows = [verdict_row(check_network_joint_observability(comm))]
+        for sups_set in (sups, alternating(comm, sups), alternating(comm, copied), gagged):
+            try:
+                rows.append(verdict_row(check_admissibility(sups_set, comm)))
+            except ValueError as exc:
+                rows.append(str(exc))
+        for row in rows:
+            h.update(repr(row).encode() + b"\n")
+    return h.hexdigest()
+
+
+class TestWitnessWalkIdentity:
+    """Pairs, parents and labels of every twin product, and the joint
+    observability and admissibility verdicts and witnesses, pinned as
+    sha256 digests, so that a leaner walk cannot change them."""
+
+    @pytest.mark.parametrize("delays,expected", [
+        ((6, 1), "da9d7a26f688d64a94a45763948d9b2abd1454dda82789e6e5ce7a99e5247b5c"),
+        ((1, 6), "ad799b7441f90b429daaea37e3e9111fab1350a6ab577565e248c4a37746bf2e"),
+        ((6, 6), "90e3e7021b4ed6410f62e1b4b3d57ad8f1ea711553d47e2f98114eeb83489f55"),
+    ], ids=["6/1", "1/6", "6/6"])
+    def test_line_model(self, models_dir, delays, expected):
+        model = line_with_delays(models_dir, *delays)
+        assert witness_walk_digest([build_comm_automaton(model.plant, model.spec, model.network)]) == expected
+
+    @pytest.mark.parametrize("params,expected", [
+        (GeneratorParams(), "2207e091be8b66f15824c07da4d877f436e837cf65edcc5b845a4a48177a2eeb"),
+        (GeneratorParams(n=3, max_comm_states=150),
+         "1c28eb661fd00c49c4ebd2c7732b54ae7a26e7ba854bf1b5225f3a282b16492d"),
+    ], ids=["n2", "n3"])
+    def test_random_instances(self, params, expected):
+        assert witness_walk_digest(random_instance(seed, params).comm for seed in range(40)) == expected
+
+
 class Walked:
     """A closed loop behind an object that is not a ClosedLoop, so
     ``language_equal`` walks the product instead of its one pass."""
@@ -618,7 +703,7 @@ class TestBudgets:
         walk that finds a violation."""
         # a1 is uncontrollable, but supervisor 1 still disables it wherever
         # it could leave the specification: its walk needs 13 pairs
-        comm_u = a1_uncontrollable(line_model)
+        comm_u = with_uncontrollable(line_model)
         sups = [synthesize_supervisor(comm_u, i) for i in range(2)]
         observer = sups[0].observer
         gagged = [SupervisorMap(0, observer, tuple(
