@@ -87,9 +87,9 @@ class TimedAutomaton:
     def target(self, state: str, event: str) -> Optional[str]:
         return self.transitions[state].get(event)
 
-    def run(self, string: Iterable[str], start: Optional[str] = None) -> Optional[str]:
-        """State reached from ``start`` (default initial) on ``string``, or None."""
-        state = self.initial if start is None else start
+    def run(self, string: Iterable[str]) -> Optional[str]:
+        """State reached from the initial state on ``string``, or None."""
+        state = self.initial
         for event in string:
             nxt = self.transitions[state].get(event)
             if nxt is None:

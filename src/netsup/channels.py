@@ -1,6 +1,6 @@
 """FIFO channel queues and their four update operators.
 
-Each directed channel holds a queue of (event, age) entries; a channel state
+Each directed channel holds a queue of plain (event, age) pairs; a channel state
 is the tuple of all queues in ``net.channel_keys`` order, so channel ``k`` is
 the one keyed ``net.channel_keys[k]``.  Ages count ticks since the event
 entered the channel and may never exceed the channel's delay bound at a
@@ -10,18 +10,12 @@ undefined -- definedness acts as a transition guard, never as an error.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .network import NetworkConfig
 
-
-class ChannelEntry(NamedTuple):
-    event: str
-    age: int
-
-
-# One queue, front (oldest entry, next to deliver) first.
-ChannelQueue = tuple[ChannelEntry, ...]
+# One queue of (event, age) pairs, front (oldest entry, next to deliver) first.
+ChannelQueue = tuple[tuple[str, int], ...]
 
 # All channel queues: position k holds the queue of ``net.channel_keys[k]``.
 ChannelState = tuple[ChannelQueue, ...]
@@ -31,7 +25,7 @@ EMPTY_SYMBOL = "ε"  # rendering of an empty queue
 
 def max_delay(queue: ChannelQueue) -> int:
     """Age of the front entry; 0 for an empty queue."""
-    return queue[0].age if queue else 0
+    return queue[0][1] if queue else 0
 
 
 def time_step(state: ChannelState, net: NetworkConfig) -> Optional[ChannelState]:
@@ -43,7 +37,7 @@ def time_step(state: ChannelState, net: NetworkConfig) -> Optional[ChannelState]
     """
     aged = []
     for key, queue in zip(net.channel_keys, state):
-        bumped = tuple(ChannelEntry(e.event, e.age + 1) for e in queue)
+        bumped = tuple((event, age + 1) for event, age in queue)
         if max_delay(bumped) > net.channels[key].delay_bound:
             return None
         aged.append(bumped)
@@ -53,7 +47,7 @@ def time_step(state: ChannelState, net: NetworkConfig) -> Optional[ChannelState]
 def push(state: ChannelState, event: str, net: NetworkConfig) -> ChannelState:
     """Append ``event`` with age 0 to every channel that carries it."""
     return tuple(
-        queue + (ChannelEntry(event, 0),) if event in net.channels[key].events else queue
+        queue + ((event, 0),) if event in net.channels[key].events else queue
         for key, queue in zip(net.channel_keys, state)
     )
 
@@ -65,7 +59,7 @@ def deliver(state: ChannelState, k: int, event: str) -> Optional[ChannelState]:
     (FIFO: only the oldest entry can be delivered).
     """
     queue = state[k]
-    if not queue or queue[0].event != event:
+    if not queue or queue[0][0] != event:
         return None
     return state[:k] + (queue[1:],) + state[k + 1:]
 
@@ -79,7 +73,7 @@ def lose(state: ChannelState, k: int, position: int, net: NetworkConfig) -> Opti
     queue = state[k]
     if position < 1 or position > len(queue):
         return None
-    if queue[position - 1].event not in net.channels[net.channel_keys[k]].lossy:
+    if queue[position - 1][0] not in net.channels[net.channel_keys[k]].lossy:
         return None
     return state[:k] + (queue[: position - 1] + queue[position:],) + state[k + 1:]
 
@@ -88,7 +82,7 @@ def render_queue(queue: ChannelQueue) -> str:
     """Exact textual form used in state labels and counterexamples."""
     if not queue:
         return EMPTY_SYMBOL
-    return "".join(f"({e.event},{e.age})" for e in queue)
+    return "".join(f"({event},{age})" for event, age in queue)
 
 
 def render_state(state: ChannelState) -> str:

@@ -194,8 +194,8 @@ class CommAutomaton:
     def spec_view(self) -> "SpecView":
         return SpecView(self)
 
-    def run(self, string: Iterable[CommEvent], start: Optional[int] = None) -> Optional[int]:
-        sid = self.initial if start is None else start
+    def run(self, string: Iterable[CommEvent]) -> Optional[int]:
+        sid = self.initial
         for event in string:
             nxt = self.transitions[sid].get(event)
             if nxt is None:
@@ -246,10 +246,11 @@ class SpecView:
         specification."""
         table = self.comm.event_table()
         in_spec = self.comm.in_spec
-        return EventTable.of(table.events, [
-            [(e, t) for e, t in zip(row, dsts) if in_spec[t]]
-            for row, dsts in zip(table.ids, table.targets)
-        ])
+        return EventTable(
+            table.events,
+            [tuple(e for e, t in zip(row, dsts) if in_spec[t]) for row, dsts in zip(table.ids, table.targets)],
+            [tuple(t for t in dsts if in_spec[t]) for dsts in table.targets],
+        )
 
 
 @dataclass(frozen=True)
@@ -257,21 +258,16 @@ class EventTable:
     """Moves over dense event ids.
 
     ``events[k]`` is the event with id ``k``.  Ids follow ``event_key``, the
-    order in which ``build_comm_automaton`` explores a state's moves, so a
-    walk over a state's moves by id breaks BFS ties as a walk over its
-    ``transitions`` does.  ``ids[s]`` and ``targets[s]`` hold the moves of
-    state ``s`` in id order.  A closed loop and a specification restriction
-    share their automaton's ``events``.
+    order in which ``build_comm_automaton`` writes each state's moves, so
+    ``ids[s]`` and ``targets[s]`` list the moves of state ``s`` in id order
+    and in the order of its ``transitions`` row: a walk by id breaks BFS
+    ties as a walk over ``transitions`` does.  A closed loop and a
+    specification restriction share their automaton's ``events``.
     """
 
     events: tuple[CommEvent, ...]
     ids: list[tuple[int, ...]]
     targets: list[tuple[int, ...]]
-
-    @classmethod
-    def of(cls, events: tuple[CommEvent, ...], moves: list[list[tuple[int, int]]]) -> "EventTable":
-        """From each state's (event id, target) pairs in id order."""
-        return cls(events, [tuple(e for e, _ in m) for m in moves], [tuple(t for _, t in m) for m in moves])
 
     def over(self, events: tuple[CommEvent, ...]) -> "EventTable":
         """The same moves with ids into ``events``, a superset of this
@@ -282,14 +278,16 @@ class EventTable:
 
 
 def build_event_table(transitions: list[dict[CommEvent, int]]) -> EventTable:
-    """Intern the events of ``transitions`` in ``event_key`` order."""
-    found: dict[CommEvent, int] = {}  # event -> order of first occurrence
-    moves = [[(found.setdefault(e, len(found)), t) for e, t in m.items()] for m in transitions]
-    events = tuple(sorted(found, key=event_key))
-    rank = [0] * len(events)
-    for k, event in enumerate(events):
-        rank[found[event]] = k
-    return EventTable.of(events, [sorted((rank[e], t) for e, t in m) for m in moves])
+    """Number the events of ``transitions`` in ``event_key`` order and read
+    each row as it stands: ``build_comm_automaton`` writes every row in that
+    order already."""
+    events = tuple(sorted(set().union(*transitions), key=event_key))
+    index = {event: k for k, event in enumerate(events)}
+    return EventTable(
+        events,
+        [tuple(map(index.__getitem__, row)) for row in transitions],
+        [tuple(row.values()) for row in transitions],
+    )
 
 
 def build_comm_automaton(
@@ -357,7 +355,7 @@ def build_comm_automaton(
         # deliveries: at most the front entry of each channel
         for k, ((i, j), queue) in enumerate(zip(net.channel_keys, theta)):
             if queue:
-                event = queue[0].event
+                event, _age = queue[0]
                 here[Deliver(i, j, event)] = intern((q, ch.deliver(theta, k, event)))
         # losses: every lossy position of each channel
         for k, ((i, j), queue) in enumerate(zip(net.channel_keys, theta)):
@@ -554,8 +552,8 @@ def build_observer(
     move only while the run stays within in_spec states.  Each element
     code's successors are read off the event table when the code is first
     visited: its silent successor codes, and per observed symbol the codes
-    it moves to.  Each state's flagged elements are then summarized once
-    (see ``Observer``).
+    it moves to.  The pass over a state's codes that buckets their moves
+    also summarizes its flagged elements (see ``Observer``).
     """
     obs_alphabet = comm.net.observation_alphabet(supervisor)
     silent = _ElementRows(comm, supervisor)
@@ -566,6 +564,12 @@ def build_observer(
     # each bucket met so far, mapped to the state its closure is
     target_of: dict[frozenset[int], int] = {}
     transitions: list[dict[str, int]] = []
+    # equal unions share one frozenset, as the exit table's rows do
+    unions: dict[frozenset[str], frozenset[str]] = {}
+    in_spec: list[bool] = []
+    exits: list[frozenset[str]] = []
+    stays: list[frozenset[str]] = []
+    tick_critical: list[bool] = []
     for codes in space.keys:  # space.keys grows: breadth-first
         here: dict[str, int] = {}
         transitions.append(here)
@@ -573,7 +577,15 @@ def build_observer(
         # the buckets are then closed in alphabet order.  The closure that
         # made ``codes`` built every element's rows.
         buckets: dict[str, set[int]] = {}
+        leaving, staying = set(), set()
+        reached = critical = False
         for code in codes:
+            if code & 1:
+                x = code >> 1
+                reached = True
+                leaving |= comm.exits[x]
+                staying |= comm.stays[x]
+                critical = critical or comm.tick_critical[x]
             for symbol, dsts in observed[code]:
                 bucket = buckets.get(symbol)
                 if bucket is None:
@@ -591,22 +603,6 @@ def build_observer(
                 nxt = index.get(closed)
                 nxt = target_of[moved] = space.add(closed) if nxt is None else nxt
             here[symbol] = nxt
-    # equal unions share one frozenset, as the exit table's rows do
-    unions: dict[frozenset[str], frozenset[str]] = {}
-    in_spec: list[bool] = []
-    exits: list[frozenset[str]] = []
-    stays: list[frozenset[str]] = []
-    tick_critical: list[bool] = []
-    for codes in space.keys:
-        leaving, staying = set(), set()
-        reached = critical = False
-        for code in codes:
-            if code & 1:
-                x = code >> 1
-                reached = True
-                leaving |= comm.exits[x]
-                staying |= comm.stays[x]
-                critical = critical or comm.tick_critical[x]
         out, inside = frozenset(leaving), frozenset(staying)
         in_spec.append(reached)
         exits.append(unions.setdefault(out, out))

@@ -7,7 +7,7 @@ budget is stated.
 import random
 import time
 
-from netsup.channels import ChannelEntry, deliver, lose, max_delay, push, time_step
+from netsup.channels import deliver, lose, max_delay, push, time_step
 from netsup.comm import check_projection_equivalence
 from netsup.network import ChannelLink, NetworkConfig
 from netsup.oracle import brute_check, brute_closed_loop, enumerate_language
@@ -224,19 +224,19 @@ def test_c6_channel_calculus():
 
     def state(q12=(), q21=()):
         # positions follow net.channel_keys: channel 1->2, then 2->1
-        return (tuple(ChannelEntry(*e) for e in q12), tuple(ChannelEntry(*e) for e in q21))
+        return (tuple(q12), tuple(q21))
 
     # example rows, bit-exact
     assert max_delay(()) == 0
-    assert max_delay((ChannelEntry("b1", 1),)) == 1
-    assert max_delay((ChannelEntry("a", 2), ChannelEntry("b", 0))) == 2
+    assert max_delay((("b1", 1),)) == 1
+    assert max_delay((("a", 2), ("b", 0))) == 2
     assert net.channel_keys == ((0, 1), (1, 0))
     assert time_step(state(), net) == state()
-    assert time_step(state(q12=[("b1", 0)]), net)[0] == (ChannelEntry("b1", 1),)
+    assert time_step(state(q12=[("b1", 0)]), net)[0] == (("b1", 1),)
     assert time_step(state(q12=[("b1", 1)]), net) is None
-    assert push(state(), "a1", net)[0] == (ChannelEntry("a1", 0),)
+    assert push(state(), "a1", net)[0] == (("a1", 0),)
     assert push(state(q12=[("b1", 1)]), "a1", net)[0] == (
-        ChannelEntry("b1", 1), ChannelEntry("a1", 0),
+        ("b1", 1), ("a1", 0),
     )
     assert deliver(state(q12=[("b1", 1)]), 0, "b1")[0] == ()
     assert deliver(state(), 0, "b1") is None
@@ -260,7 +260,7 @@ def test_c6_channel_calculus():
             elif kind == 2:
                 k = rng.choice([0, 1])
                 queue = s[k]
-                nxt = deliver(s, k, queue[0].event) if queue else None
+                nxt = deliver(s, k, queue[0][0]) if queue else None
             else:
                 k = rng.choice([0, 1])
                 nxt = lose(s, k, rng.randint(1, max(1, len(s[k]))), net)
@@ -269,7 +269,7 @@ def test_c6_channel_calculus():
             s = nxt
             checked_states += 1
             for key, queue in zip(net.channel_keys, s):
-                ages = [e.age for e in queue]
+                ages = [age for _event, age in queue]
                 assert ages == sorted(ages, reverse=True)
                 assert all(a <= net.channels[key].delay_bound for a in ages)
     report_line("6 channel calculus", f"rows exact, {checked_states} states checked")

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netsup.channels import (
-    ChannelEntry,
     deliver,
     lose,
     max_delay,
@@ -39,7 +38,7 @@ def two_way_net(n12=1, n21=1, lossy12=("a1",), lossy21=("b2",)):
 def state(net, q12=(), q21=()):
     """Channel 1->2 (position 0) holds ``q12``, channel 2->1 (position 1) ``q21``."""
     assert net.channel_keys == ((0, 1), (1, 0))
-    return (tuple(ChannelEntry(*e) for e in q12), tuple(ChannelEntry(*e) for e in q21))
+    return (tuple(q12), tuple(q21))
 
 
 class TestMaxDelay:
@@ -47,10 +46,10 @@ class TestMaxDelay:
         assert max_delay(()) == 0
 
     def test_single_entry(self):
-        assert max_delay((ChannelEntry("b1", 1),)) == 1
+        assert max_delay((("b1", 1),)) == 1
 
     def test_front_entry_wins(self):
-        assert max_delay((ChannelEntry("a", 2), ChannelEntry("b", 0))) == 2
+        assert max_delay((("a", 2), ("b", 0))) == 2
 
 
 class TestTimeStep:
@@ -61,7 +60,7 @@ class TestTimeStep:
     def test_ages_increment(self):
         net = two_way_net()
         out = time_step(state(net, q12=[("b1", 0)]), net)
-        assert out[0] == (ChannelEntry("b1", 1),)
+        assert out[0] == (("b1", 1),)
 
     def test_blocked_at_delay_bound(self):
         net = two_way_net(n12=1)
@@ -72,7 +71,7 @@ class TestPush:
     def test_appends_to_carrying_channel(self):
         net = two_way_net()
         out = push(state(net), "a1", net)
-        assert out[0] == (ChannelEntry("a1", 0),)
+        assert out[0] == (("a1", 0),)
         assert out[1] == ()
 
     def test_uncarried_event_changes_nothing(self):
@@ -81,12 +80,12 @@ class TestPush:
         # a2 is carried by channel 2->1 only
         out = push(before, "a2", net)
         assert out[0] == before[0]
-        assert out[1] == (ChannelEntry("a2", 0),)
+        assert out[1] == (("a2", 0),)
 
     def test_fifo_append_at_back(self):
         net = two_way_net()
         out = push(state(net, q12=[("b1", 1)]), "a1", net)
-        assert out[0] == (ChannelEntry("b1", 1), ChannelEntry("a1", 0))
+        assert out[0] == (("b1", 1), ("a1", 0))
 
 
 class TestDeliver:
@@ -124,7 +123,7 @@ class TestLose:
         net = two_way_net(lossy12=("a1", "b1"))
         s = state(net, q12=[("a1", 2), ("b1", 1), ("a1", 0)], q21=[("b2", 1)])
         out = lose(s, 0, 2, net)
-        assert out[0] == (ChannelEntry("a1", 2), ChannelEntry("a1", 0))
+        assert out[0] == (("a1", 2), ("a1", 0))
         assert out[1] == s[1]
 
 
@@ -133,7 +132,7 @@ class TestRendering:
         assert render_queue(()) == "ε"
 
     def test_entries_render_in_order(self):
-        q = (ChannelEntry("b1", 1), ChannelEntry("a1", 0))
+        q = (("b1", 1), ("a1", 0))
         assert render_queue(q) == "(b1,1)(a1,0)"
 
     def test_state_rendering_joins_channels(self):
@@ -157,7 +156,7 @@ def apply_random_ops(net, rng, length):
         elif kind == 2:
             k = rng.choice([0, 1])
             queue = s[k]
-            front = queue[0].event if queue else rng.choice(events)
+            front = queue[0][0] if queue else rng.choice(events)
             nxt = deliver(s, k, front)
         else:
             k = rng.choice([0, 1])
@@ -171,7 +170,7 @@ def apply_random_ops(net, rng, length):
 def assert_channel_invariants(s, net):
     for (i, j), queue in zip(net.channel_keys, s):
         bound = net.channels[(i, j)].delay_bound
-        ages = [e.age for e in queue]
+        ages = [age for _event, age in queue]
         assert all(a <= bound for a in ages), "age within delay bound"
         assert ages == sorted(ages, reverse=True), "ages non-increasing front to back"
 
@@ -210,8 +209,9 @@ def test_delivered_is_subsequence_of_pushed_per_channel(seed):
             queue = s[k]
             if not queue:
                 continue
-            nxt = deliver(s, k, queue[0].event)
-            delivered[net.channel_keys[k]].append(queue[0].event)
+            front, _age = queue[0]
+            nxt = deliver(s, k, front)
+            delivered[net.channel_keys[k]].append(front)
         else:
             k = rng.choice([0, 1])
             nxt = lose(s, k, rng.randint(1, max(1, len(s[k]))), net)

@@ -129,7 +129,104 @@ MALFORMED = {
 }
 
 
+def line_automaton(doc):
+    return next(a for a in doc["automata"] if a["name"] == "LINE")
+
+
+# each minimally broken model and the one error line `check` prints for it:
+# an edit of production_line.json, or the whole text of the file
+BROKEN = {
+    "not JSON": (
+        "{",
+        "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    "not an object": ("[]", "model document must be a JSON object"),
+    "automaton entry": (
+        set_field("automata", 0, 5),
+        "automaton entry must be an object"),
+    "transition entry": (
+        set_field("automata", 0, "transitions", 0, "tick"),
+        "automaton 'R1': transition entries must be objects"),
+    "duplicate state": (
+        set_field("automata", 0, "states", ["0", "1", "2", "1"]),
+        "R1: duplicate state names"),
+    "automaton without tick": (
+        set_field("automata", 0, "alphabet", ["a1", "b1"]),
+        "R1: alphabet must contain 'tick'"),
+    "undeclared initial": (
+        set_field("automata", 0, "initial", "9"),
+        "R1: initial state '9' not declared"),
+    "transition from unknown state": (
+        set_field("automata", 0, "transitions", 0, "from", "9"),
+        "R1: transition from unknown state '9'"),
+    "duplicate automaton": (
+        set_field("automata", 1, "name", "R1"),
+        "duplicate automaton name 'R1'"),
+    "supervisor count": (
+        set_field("network", "n", 3),
+        "network: expected 3 supervisor entries"),
+    "channel index": (
+        set_field("network", "channels", 0, "from", 3),
+        "channel (3,2): supervisor index out of range"),
+    "channel declared twice": (
+        lambda doc: doc["network"]["channels"].append(doc["network"]["channels"][0]),
+        "channel (1,2): declared twice"),
+    "com rows": (
+        set_field("network", "com", [[0, 1]]),
+        "network: com matrix must be n x n"),
+    "supervisor without tick": (
+        set_field("network", "supervisors", 0, "alphabet", ["a1", "b1"]),
+        "supervisor 1: alphabet must contain 'tick'"),
+    "controllable outside alphabet": (
+        set_field("network", "supervisors", 0, "controllable", ["a1", "a2", "tick"]),
+        "supervisor 1: controllable set not within alphabet"),
+    "observable outside alphabet": (
+        set_field("network", "supervisors", 0, "observable", ["a1", "b1", "a2", "tick"]),
+        "supervisor 1: observable set not within alphabet"),
+    "tick unobservable": (
+        set_field("network", "supervisors", 0, "observable", ["a1", "b1"]),
+        "supervisor 1: 'tick' must be observable"),
+    "self communication": (
+        set_field("network", "com", [[1, 1], [1, 0]]),
+        "com[1][1] must be 0"),
+    "undeclared enforceable": (
+        set_field("network", "enforceable", ["zz"]),
+        "enforceable events must be declared non-tick events"),
+    "lossy not carried": (
+        set_field("network", "channels", 0, "lossy", ["a1", "zz"]),
+        "channel (1,2): lossy events must be carried"),
+    "negative delay bound": (
+        set_field("network", "channels", 0, "delay_bound", -1),
+        "channel (1,2): delay bound must be >= 0"),
+    "undeclared channel": (
+        lambda doc: doc["network"]["channels"].pop(),
+        "com[2][1] is 1 but no channel is declared"),
+    "unknown plant component": (
+        set_field("plant", "LINE || R3"),
+        "plant expression references unknown automaton 'R3'"),
+    "plant event of no supervisor": (
+        lambda doc: line_automaton(doc)["alphabet"].append("zz"),
+        "plant events ['zz'] belong to no supervisor alphabet"),
+    "spec of wrong type": (
+        set_field("spec", 5),
+        "spec must be an object ({'remove_states': [...]} or an automaton)"),
+    "spec initial state": (
+        lambda doc: doc.update(spec={**line_automaton(doc), "initial": "1"}),
+        "spec: initial state must match the plant's"),
+}
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("edit,message", BROKEN.values(), ids=BROKEN)
+    def test_broken_model_check_exits_two(self, capsys, models_dir, tmp_path, edit, message):
+        """Every malformed-model path is a model error that names the
+        defect, so ``check`` exits 2 with that one line."""
+        if isinstance(edit, str):
+            model = tmp_path / "broken.json"
+            model.write_text(edit, encoding="utf-8")
+        else:
+            model = edited_line_model(models_dir, tmp_path, edit)
+        assert run(capsys, "check", str(model), "--format", "json") == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("edit,message", MALFORMED.values(), ids=MALFORMED)
     def test_malformed_document_exits_two(self, capsys, models_dir, tmp_path, edit, message):
         """A malformed field is a schema error naming it (an exception
@@ -235,6 +332,28 @@ class TestExitCodes:
                          " state 'dead' has no active event\n")
         assert run(capsys, argv[0], str(model), *argv[1:]) == solve
 
+    def test_spec_state_the_plant_cannot_reach_is_trimmed(self, capsys, models_dir, tmp_path):
+        """A plant state no run reaches, kept by the specification, leaves
+        the problem before the subautomaton check: the problem solves, on
+        the automaton built with that state removed from the specification."""
+        def edit(doc):
+            line = line_automaton(doc)
+            line["states"].append("limbo")
+            line["transitions"] += [
+                {"from": "limbo", "event": "tick", "to": "limbo"},
+                {"from": "limbo", "event": "a1", "to": "0"},
+            ]
+
+        path = edited_line_model(models_dir, tmp_path, edit)
+        assert run(capsys, "solve", str(path))[0] == 0
+        model = load_model(path)
+        assert "limbo" in model.spec.states
+        trimmed = automata.remove_states(model.spec, ["limbo"])
+        comm = build_comm_automaton(model.plant, model.spec, model.network)
+        assert comm == build_comm_automaton(model.plant, trimmed, model.network)
+        line = load_model(fixture_path(models_dir))
+        assert comm.keys == build_comm_automaton(line.plant, line.spec, line.network).keys
+
     def test_build_comm_automaton_rejects_what_solve_rejects(self, capsys, models_dir, tmp_path):
         """The Python API gate is the one the commands go through."""
         path = dead_end_model(models_dir, tmp_path)
@@ -246,6 +365,16 @@ class TestExitCodes:
 
 
 class TestJsonOutputs:
+    def test_validate_json(self, capsys, models_dir, tmp_path):
+        """A valid model, and one whose plant breaks timed assumption 2."""
+        head = '{\n  "spec_version": 1,\n  '
+        assert run(capsys, "validate", fixture_path(models_dir, "minimal.json"), "--format", "json") == (
+            0, head + '"valid": true,\n  "condition": null,\n  "message": ""\n}\n', ""
+        )
+        assert run(capsys, "validate", str(dead_end_model(models_dir, tmp_path)), "--format", "json") == (
+            1, head + '"valid": false,\n  "condition": 2,\n  "message": "state \'dead\' has no active event"\n}\n', ""
+        )
+
     def test_solve_json_shape(self, capsys, models_dir):
         code, out, _ = run(capsys, "solve", fixture_path(models_dir), "--format", "json")
         payload = json.loads(out)

@@ -14,6 +14,7 @@ from netsup.comm import (
     Deliver,
     Lose,
     Plant,
+    ProjectionVerdict,
     build_comm_automaton,
     build_observer,
     check_projection_equivalence,
@@ -120,7 +121,7 @@ class TestExhaustiveOracle:
                 frontier.append((q, queue[1:]))  # deliver the front entry
 
         got = {
-            (comm.plant_of(s), tuple((e.event, e.age) for e in comm.channels_of(s)[0]))
+            (comm.plant_of(s), comm.channels_of(s)[0])
             for s in range(comm.num_states)
         }
         assert got == seen
@@ -172,7 +173,7 @@ class TestStructuralInvariants:
         for sid in range(line_comm.num_states):
             for key, queue in zip(line_comm.net.channel_keys, line_comm.channels_of(sid)):
                 bound = line_comm.net.channels[key].delay_bound
-                ages = [e.age for e in queue]
+                ages = [age for _event, age in queue]
                 assert all(a <= bound for a in ages)
                 assert ages == sorted(ages, reverse=True)
 
@@ -328,6 +329,54 @@ class TestObserverIdentity:
         )
 
 
+def event_table_digest(comms):
+    """sha256 over the event table of each of ``comms`` and over its
+    specification view's: the rendered events, then each state's ids and
+    targets."""
+    digest = hashlib.sha256()
+    for comm in comms:
+        for table in (comm.event_table(), comm.spec_view().event_table()):
+            digest.update(repr([render_event(e) for e in table.events]).encode() + b"\n")
+            for row, dsts in zip(table.ids, table.targets):
+                digest.update(repr((row, dsts)).encode() + b"\n")
+            digest.update(b"--\n")
+    return digest.hexdigest()
+
+
+class TestEventTableIdentity:
+    """Event numbering, ids and targets of every event table, pinned as
+    sha256 digests, so that reading the rows as the build wrote them cannot
+    change them."""
+
+    @pytest.mark.parametrize("delays,expected", [
+        ((6, 1), "8d5cedb9e0958c8c84b947b5638d686478a90206e62c6a3a27a5717e5b54ca4a"),
+        ((1, 6), "db75363dab6d53df1ac16809ab3baaae5c915416fefe96578c58a67c799058d5"),
+        ((10, 1), "89b00a9e4665f80181c3fd6034dcc5f09c015d9afca58d3bf2dba473a19fc97d"),
+    ], ids=["6/1", "1/6", "10/1"])
+    def test_line_model(self, line_model, delays, expected):
+        assert event_table_digest([line_with_delays(line_model, delays)]) == expected
+
+    @pytest.mark.parametrize("params,expected", [
+        (GeneratorParams(), "38fff172f27f785fc40dba745108270777da5f2f69c1fef01fabf656cc965a20"),
+        (GeneratorParams(n=3, max_comm_states=150),
+         "7624cdea3a46d2b7ea2626d08e815ae4fa3ac686df5bf3570e7e52b1fc72f735"),
+    ], ids=["default", "n3"])
+    def test_random_instances(self, params, expected):
+        assert event_table_digest(random_instance(seed, params).comm for seed in range(40)) == expected
+
+    def test_rows_are_written_in_event_key_order(self, line_model):
+        """``build_event_table`` reads each row as it stands, so every row of
+        ``transitions`` must already be in strictly increasing ``event_key``
+        order."""
+        comms = [line_with_delays(line_model, delays) for delays in [(6, 1), (1, 6), (6, 6)]]
+        for params in [GeneratorParams(), GeneratorParams(n=3, max_comm_states=150)]:
+            comms += [random_instance(seed, params).comm for seed in range(40)]
+        for comm in comms:
+            for row in comm.transitions:
+                keys = [event_key(e) for e in row]
+                assert all(a < b for a, b in zip(keys, keys[1:])), keys
+
+
 class TestProjections:
     def test_plant_projection_empty(self):
         assert project_plant([]) == ()
@@ -373,6 +422,19 @@ class TestProjections:
 class TestProjectionEquivalence:
     def test_holds_on_fixture(self, line_model, line_comm):
         assert check_projection_equivalence(line_model.plant, line_comm).equal
+
+    def test_projection_missing_a_plant_move(self, line_model, line_comm):
+        clone = copy.deepcopy(line_comm)
+        del clone.transitions[clone.initial][Plant("a1")]
+        verdict = check_projection_equivalence(line_model.plant, clone)
+        assert verdict == ProjectionVerdict(False, ("a1",), only_in="plant")
+
+    def test_plant_missing_a_move_of_the_projection(self, line_model, line_comm):
+        plant = line_model.plant
+        moves = [(q, e, t) for q in plant.states for e, t in plant.moves(q) if (q, e) != ("4", "a1")]
+        smaller = ta(plant.name, plant.states, plant.alphabet, moves, plant.initial, plant.marked)
+        verdict = check_projection_equivalence(smaller, line_comm)
+        assert verdict == ProjectionVerdict(False, ("a1", TICK, "b1", TICK, "a1"), only_in="projection")
 
     def test_holds_without_channels(self, line_model):
         net = no_com_net(["a1", "b1", TICK], ["a2", "b2", TICK])

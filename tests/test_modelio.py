@@ -6,6 +6,7 @@ import pytest
 
 from netsup.errors import DeterminismError, SchemaError, UnknownNameError
 from netsup.modelio import dump_json, model_to_dict, parse_model
+from netsup.network import ChannelLink, NetworkConfig
 
 
 def minimal_doc():
@@ -160,6 +161,28 @@ def test_channel_events_must_be_sender_observable():
     }
     with pytest.raises(SchemaError, match="observable to supervisor"):
         parse_model(doc)
+
+
+@pytest.mark.parametrize("changes,message", [
+    ({"alphabets": [["a", "tick"]]}, "network: per-supervisor lists must have length n"),
+    ({"channels": {(0, 2): ChannelLink(frozenset(["a"]), frozenset(), 1)}}, "channel (1,3): index out of range"),
+], ids=["list length", "channel index"])
+def test_network_build_rejects_what_no_file_can_hold(changes, message):
+    """``_parse_network`` rejects these shapes before ``NetworkConfig.build``
+    sees them, so only a Python caller reaches its own checks."""
+    args = {
+        "n": 2,
+        "alphabets": [["a", "tick"], ["b", "tick"]],
+        "controllable": [["a"], ["b"]],
+        "observable": [["a", "tick"], ["b", "tick"]],
+        "enforceable": [],
+        "com": [[0, 1], [0, 0]],
+        "channels": {(0, 1): ChannelLink(frozenset(["a"]), frozenset(), 1)},
+        **changes,
+    }
+    with pytest.raises(SchemaError) as excinfo:
+        NetworkConfig.build(**args)
+    assert str(excinfo.value) == message
 
 
 def test_fixture_document_shape(line_model):

@@ -30,7 +30,7 @@ class TestSafety:
             for step in trace.steps:
                 assert comm.in_spec[step.comm_state]
                 for key, queue in zip(comm.net.channel_keys, comm.channels_of(step.comm_state)):
-                    assert all(e.age <= comm.net.channels[key].delay_bound for e in queue)
+                    assert all(age <= comm.net.channels[key].delay_bound for _event, age in queue)
 
     def test_replay_reproduces_states(self, line_report):
         comm = line_report.comm
@@ -50,17 +50,18 @@ class TestSafety:
 class TestDeadlocks:
     def test_everything_disabled_classifies_deadlock(self):
         # single supervisor, all controllable, gagged supervisor: at the
-        # initial (marked) state nothing is enabled
-        plant = TimedAutomaton.build(
-            "P", ["0"], [TICK], [("0", TICK, "0")], "0", ["0"]
-        )
+        # initial state, marked or not, nothing is enabled
         net = NetworkConfig.build(1, [[TICK]], [[TICK]], [[TICK]], [], [[0]], {})
-        comm = build_comm_automaton(plant, plant, net)
-        sup = synthesize_supervisor(comm, 0)
-        gagged = SupervisorMap(0, sup.observer, tuple(frozenset() for _ in sup.enable))
-        trace = simulate(comm, [gagged], 0, 10)
-        assert trace.terminated is Termination.DEADLOCK_MARKED
-        assert trace.steps == ()
+        for marked, reason in ((["0"], Termination.DEADLOCK_MARKED), ([], Termination.DEADLOCK_UNMARKED)):
+            plant = TimedAutomaton.build(
+                "P", ["0"], [TICK], [("0", TICK, "0")], "0", marked
+            )
+            comm = build_comm_automaton(plant, plant, net)
+            sup = synthesize_supervisor(comm, 0)
+            gagged = SupervisorMap(0, sup.observer, tuple(frozenset() for _ in sup.enable))
+            trace = simulate(comm, [gagged], 0, 10)
+            assert trace.terminated is reason
+            assert trace.steps == ()
 
 
 class TestObservations:

@@ -660,6 +660,10 @@ class TestOnePassLanguage:
         assert verdict.generated_equal and not verdict.marked_equal
         assert comm.plant_of(comm.run(verdict.diff_marked)) == "4"
         assert language_equal(loop, comm) == language_equal(Walked(loop), comm)
+        # a copy is not the loop's own automaton, so the product is walked
+        clone = copy.deepcopy(comm)
+        assert language_equal(loop, clone) == language_equal(Walked(loop), comm)
+        assert language_equal(loop, clone.spec_view()) == verdict
 
     def test_event_universes_are_merged(self, line_comm):
         """A copy without its one ``g12(2)`` move has one event fewer, so the

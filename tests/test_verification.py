@@ -39,6 +39,20 @@ def build(model):
     return build_comm_automaton(model.plant, model.spec, model.network)
 
 
+def replays_joint_obs_violation(comm, witness):
+    """True when ``witness`` is a joint-observability violation of ``comm``,
+    string by string: ``mu`` and ``nu`` stay in the specification and look
+    the same to the named supervisor, and ``sigma`` leaves the
+    specification after ``mu`` but stays inside it after ``nu``."""
+    mu, nu, sigma, i = witness.mu, witness.nu, Plant(witness.sigma), witness.supervisor
+    if not (comm.string_in_spec(mu) and comm.string_in_spec(nu)):
+        return False
+    if project_observation(mu, i, comm.net) != project_observation(nu, i, comm.net):
+        return False
+    after_mu, after_nu = comm.target(comm.run(mu), sigma), comm.target(comm.run(nu), sigma)
+    return after_mu is not None and not comm.in_spec[after_mu] and after_nu is not None and comm.in_spec[after_nu]
+
+
 class TestNetworkControllability:
     def test_spec_equal_plant_holds(self, line_model):
         net = line_model.network
@@ -117,15 +131,7 @@ class TestJointObservability:
         w = verdict.witness
         assert w.sigma == "a1" and w.supervisor == 0
         comm = no_feedback_comm
-        net = comm.net
-        # replay the full violation shape
-        assert comm.string_in_spec(w.mu) and comm.string_in_spec(w.nu)
-        x, y = comm.run(w.mu), comm.run(w.nu)
-        out_x = comm.target(x, Plant(w.sigma))
-        out_y = comm.target(y, Plant(w.sigma))
-        assert out_x is not None and not comm.in_spec[out_x]
-        assert out_y is not None and comm.in_spec[out_y]
-        assert project_observation(w.mu, 0, net) == project_observation(w.nu, 0, net)
+        assert replays_joint_obs_violation(comm, w)
         # the shortest violating pair needs 11 events on the enable side:
         # invisible to the bounded oracle below that, found at the bound
         assert brute_check(Condition.NET_JOINT_OBS, comm, 10).holds
@@ -385,6 +391,46 @@ class TestExitTable:
         if source != "line":  # 135 / 51 (n2) and 172 / 27 (n3)
             assert negatives[Condition.NET_CTRL_1] >= 100
             assert negatives[Condition.NET_CTRL_2] >= 20
+
+
+class TestDelayMonotonicity:
+    """The production line over delay bounds 0-4 on each channel: a longer
+    delay never makes the problem solvable, and a violation found at one
+    pair of bounds is one at every larger pair."""
+
+    @pytest.fixture(scope="class")
+    def comms(self, models_dir):
+        built = {}
+
+        def comm(out, back):
+            """The automaton with delay bounds 1->2 = ``out``, 2->1 = ``back``."""
+            if (out, back) not in built:
+                def mutate(doc):
+                    for channel in doc["network"]["channels"]:
+                        channel["delay_bound"] = {(1, 2): out, (2, 1): back}[(channel["from"], channel["to"])]
+                built[out, back] = build(load_variant(models_dir, mutate))
+            return built[out, back]
+        return comm
+
+    def test_solvable_exactly_when_the_feedback_delay_is_at_most_one(self, comms):
+        grid = {
+            (out, back): all(check(comms(out, back)).holds for check in (
+                check_network_controllability, check_network_joint_observability, check_lm_closure,
+            ))
+            for out in range(5) for back in range(5)
+        }
+        assert grid == {(out, back): back <= 1 for out, back in grid}
+
+    def test_witnesses_replay_at_larger_delays(self, comms):
+        replayed = 0
+        for out in range(5):
+            for back in range(2, 5):
+                verdict = check_network_joint_observability(comms(out, back))
+                assert not verdict.holds
+                for larger in ((out + 1, back), (out, back + 1), (out + 2, back + 2)):
+                    assert replays_joint_obs_violation(comms(*larger), verdict.witness), ((out, back), larger)
+                    replayed += 1
+        assert replayed == 45
 
 
 class TestLmClosure:
