@@ -12,7 +12,8 @@ from .synthesis import ClosedLoop
 
 
 def _quote(label: str) -> str:
-    return '"' + label.replace('"', '\\"') + '"'
+    """A DOT quoted string: backslashes first, so an escaped quote stays one."""
+    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def timed_automaton_dot(auto: TimedAutomaton) -> str:

@@ -5,6 +5,13 @@ length bound instead of walking product constructions, and serve as ground
 truth for the engine at small scale.  They are sound for violation finding
 and complete only up to the bound (a violation whose shortest quantified
 string is longer than the bound goes unseen).
+
+Controllability and Lm-closure quantify over single strings with a
+predicate that reads only the string's end state, so each check evaluates
+it once per state, at the first string reaching it, and skips the later
+ones.  A skipped string's verdict is the one already computed, so this is
+still literal quantification over every string, and the witness is still
+the first violating string in enumeration order.
 """
 
 from __future__ import annotations
@@ -91,6 +98,15 @@ def _spec_strings(comm: CommAutomaton, bound: int) -> SpecStrings:
     ]
 
 
+def _first_strings(spec_strings: SpecStrings) -> Iterator[tuple[tuple[CommEvent, ...], int]]:
+    """The first string to each end state, in enumeration order."""
+    seen = set()
+    for mu, sid in spec_strings:
+        if sid not in seen:
+            seen.add(sid)
+            yield mu, sid
+
+
 def brute_check(condition: Condition, comm: CommAutomaton, bound: int) -> Verdict:
     """Evaluate one existence condition by literal quantification over all
     strings (pairs of strings for joint observability) whose total length,
@@ -108,10 +124,10 @@ def brute_check(condition: Condition, comm: CommAutomaton, bound: int) -> Verdic
 
 def _brute_controllability_1(comm: CommAutomaton, spec_strings: SpecStrings) -> Verdict:
     net = comm.net
-    uncontrollable = sorted(net.uncontrollable, key=lambda e: (e != TICK, e))
-    for mu, sid in spec_strings:
-        for event in uncontrollable:
-            dst = comm.target(sid, Plant(event))
+    uncontrollable = [(e, Plant(e)) for e in sorted(net.uncontrollable, key=lambda e: (e != TICK, e))]
+    for mu, sid in _first_strings(spec_strings):
+        for event, plant_event in uncontrollable:
+            dst = comm.target(sid, plant_event)
             if dst is not None and not comm.in_spec[dst]:
                 return Verdict(
                     Condition.NET_CTRL_1, False, Witness(mu=mu, sigma=event)
@@ -121,8 +137,9 @@ def _brute_controllability_1(comm: CommAutomaton, spec_strings: SpecStrings) -> 
 
 def _brute_controllability_2(comm: CommAutomaton, spec_strings: SpecStrings) -> Verdict:
     net = comm.net
-    for mu, sid in spec_strings:
-        dst = comm.target(sid, Plant(TICK))
+    tick = Plant(TICK)
+    for mu, sid in _first_strings(spec_strings):
+        dst = comm.target(sid, tick)
         if dst is None or comm.in_spec[dst]:
             continue
         preemptable = any(
@@ -175,7 +192,7 @@ def _brute_joint_observability(comm: CommAutomaton, spec_strings: SpecStrings) -
 
 
 def _brute_lm_closure(comm: CommAutomaton, spec_strings: SpecStrings) -> Verdict:
-    for mu, sid in spec_strings:
+    for mu, sid in _first_strings(spec_strings):
         if comm.marked[sid] and not comm.spec_marked[sid]:
             return Verdict(Condition.LM_CLOSURE, False, Witness(mu=mu))
     return Verdict(Condition.LM_CLOSURE, True)

@@ -26,6 +26,7 @@ from .comm import (  # Observer and build_observer are importable from here too
     build_comm_automaton,
     build_observer,
     event_key,
+    observation_of,
     observation_symbols,
 )
 from .explore import MAX_STATES, PathSpace, StateSpace
@@ -85,9 +86,10 @@ class ClosedLoop:
     ``radix`` is the product of all their sizes.  ``codes[sid]`` is the
     code of state ``sid``, ``comm_state`` and ``state`` unpack it.
     ``table`` holds the moves over the channel-augmented automaton's event
-    ids; ``moves`` reads one state's row as events.  ``closed_loop`` builds
-    this product; ``language_equal`` and ``check_admissibility`` build no
-    other one unless a check fails.
+    ids, shared with the automaton's row at every state where no move is
+    dropped; ``moves`` reads one state's row as events.  ``closed_loop``
+    builds this product; ``language_equal`` and ``check_admissibility``
+    build no other one unless a check fails.
     """
 
     comm: CommAutomaton
@@ -146,60 +148,75 @@ def _uncovered(i: int, symbol: str, t: int) -> ValueError:
     )
 
 
-_BLOCKED = None  # step-table marker: the supervisor disables the event here
-_UNCOVERED = object()  # step-table marker: its observer has no move here
-
-
 def _step_tables(
     comm: CommAutomaton, supervisors: Sequence[SupervisorMap], weights: list[int]
-) -> list[tuple[tuple, ...]]:
-    """Per event id, one entry ``(weight, size, steps, i, symbol)`` for each
-    supervisor ``i``, in index order, that observes the event (as
-    ``symbol``) or may disable it.  ``steps[t]`` is, at observer
-    state ``t``, the code delta ``(next(t) - t) * weight`` of the move,
-    ``_BLOCKED`` where the supervisor controls the event and ``enable[t]``
-    lacks it (this wins over a missing move), or ``_UNCOVERED`` where the
-    observer has no move.  Equal (supervisor, symbol, guarded event) share
-    one table."""
+) -> tuple[list[tuple[tuple, ...]], list[tuple[tuple, ...]]]:
+    """Per event id, the step tables and the guards ``closed_loop`` reads.
+
+    A step-table entry ``(weight, size, steps)`` stands for one supervisor,
+    in index order, that observes the event or may disable it: ``steps[t]``
+    is, at its observer state ``t``, the code delta ``(next(t) - t) *
+    weight`` of the move, or None where the move cannot pass there, because
+    the supervisor disables the event or its observer has no move.  Equal
+    (supervisor, symbol, guarded event) share one table.  A guard
+    ``(weight, size, enable, name)`` stands for one supervisor, in index
+    order, that controls the event ``name`` and disables it somewhere."""
     net = comm.net
     symbols = [observation_symbols(comm, i) for i in range(len(supervisors))]
-    shared: dict[tuple[int, Optional[str], Optional[str]], list] = {}
-    out = []
+    shared: dict[tuple[int, Optional[str], Optional[str]], list[Optional[int]]] = {}
+    steps_of, guards_of = [], []
     for e, event in enumerate(comm.event_table().events):
-        entries = []
+        entries, guards = [], []
         name = event.event if isinstance(event, Plant) and event.event in net.globally_controllable else None
         for i, (sup, w) in enumerate(zip(supervisors, weights)):
-            symbol = symbols[i][e]
-            # the event's name when this supervisor controls it and disables
-            # it somewhere
+            symbol, size = symbols[i][e], sup.observer.num_states
             guard = (
                 name if name is not None and i in net.controllers(name) and any(name not in on for on in sup.enable)
                 else None
             )
-            if symbol is None and guard is None:
+            if guard is not None:
+                guards.append((w, size, sup.enable, guard))
+            elif symbol is None:
                 continue
             steps = shared.get((i, symbol, guard))
             if steps is None:
                 steps = shared[i, symbol, guard] = [
-                    _BLOCKED if guard is not None and guard not in on
+                    None if guard is not None and guard not in on or symbol is not None and symbol not in step
                     else 0 if symbol is None
-                    else _UNCOVERED if symbol not in step
                     else (step[symbol] - t) * w
                     for t, (on, step) in enumerate(zip(sup.enable, sup.observer.transitions))
                 ]
-            entries.append((w, sup.observer.num_states, steps, i, symbol))
-        out.append(tuple(entries))
-    return out
+            entries.append((w, size, steps))
+        steps_of.append(tuple(entries))
+        guards_of.append(tuple(guards))
+    return steps_of, guards_of
+
+
+def _first_uncovered(
+    comm: CommAutomaton, supervisors: Sequence[SupervisorMap], event: CommEvent, obs: int
+) -> ValueError:
+    """``_uncovered`` for the lowest-index observer with no move on its
+    symbol of ``event`` at its state in ``obs``, the observer part of a
+    loop code: a stopped move that no supervisor disables has one."""
+    for i, sup in enumerate(supervisors):
+        obs, t = divmod(obs, sup.observer.num_states)
+        symbol = observation_of(event, i, comm.net)
+        if symbol is not None and symbol not in sup.observer.transitions[t]:
+            break
+    return _uncovered(i, symbol, t)
 
 
 def closed_loop(
     comm: CommAutomaton, supervisors: Sequence[SupervisorMap], *, max_states: int = MAX_STATES
 ) -> ClosedLoop:
     """Build the controlled behavior under a supervisor set, breadth-first
-    over packed state codes (see ``ClosedLoop``) and per-event step tables
-    (see ``_step_tables``); ``max_states`` bounds it.  Raises ValueError
-    when an observer has no move for a symbol its supervisor observes, on a
-    move no supervisor disables; it names the lowest-index such observer."""
+    over packed state codes (see ``ClosedLoop``); ``max_states`` bounds it.
+
+    A move adds the deltas of its event's step tables (``_step_tables``) to
+    the code and stops at the first None.  Only a stopped move reads its
+    event's guards: it is dropped when some supervisor disables the event
+    there, whatever its index; otherwise ValueError names the lowest-index
+    observer with no move for a symbol its supervisor observes."""
     _check_count(comm, supervisors)
     table = comm.event_table()
     ids, targets = table.ids, table.targets
@@ -208,13 +225,13 @@ def closed_loop(
     for sup in supervisors:
         weights.append(radix)
         radix *= sup.observer.num_states
-    steps_of = _step_tables(comm, supervisors, weights)
+    steps_of, guards_of = _step_tables(comm, supervisors, weights)
     # per automaton state, built on first visit: (event id, target code
-    # with every observer at 0, entries) for each of its moves
+    # with every observer at 0, step tables) for each of its moves
     moves: list[Optional[tuple]] = [None] * comm.num_states
     space = StateSpace("closed loop", max_states)
     space.add(comm.initial * radix + sum(sup.observer.initial * w for sup, w in zip(supervisors, weights)))
-    index, codes = space.index, space.keys
+    lookup, add, codes = space.index.get, space.add, space.keys
     loop_ids: list[tuple[int, ...]] = []
     loop_targets: list[tuple[int, ...]] = []
     for code in codes:  # codes grows while it is walked: breadth-first
@@ -224,26 +241,23 @@ def closed_loop(
             here = moves[x] = tuple(
                 (e, dst * radix, steps_of[e]) for e, dst in zip(ids[x], targets[x])
             )
-        blocked = []
+        blocked: tuple[int, ...] = ()
         dsts: list[int] = []
         for e, key, entries in here:
             key += obs
-            missing = None
-            for w, size, steps, i, symbol in entries:
-                t = obs // w % size
-                step = steps[t]
-                if step is _BLOCKED:
-                    blocked.append(e)
+            for w, size, steps in entries:
+                step = steps[obs // w % size]
+                if step is None:
                     break
-                if step is _UNCOVERED:
-                    missing = missing or (i, symbol, t)
-                else:
-                    key += step
+                key += step
             else:
-                if missing:
-                    raise _uncovered(*missing)
-                tid = index.get(key)
-                dsts.append(space.add(key) if tid is None else tid)
+                tid = lookup(key)
+                dsts.append(add(key) if tid is None else tid)
+                continue
+            # a stopped move: dropped if any supervisor disables it here
+            if not any(name not in enable[obs // w % size] for w, size, enable, name in guards_of[e]):
+                raise _first_uncovered(comm, supervisors, table.events[e], obs)
+            blocked += (e,)
         # the row is shared with the automaton unless a move is blocked
         loop_ids.append(tuple(e for e in ids[x] if e not in blocked) if blocked else ids[x])
         loop_targets.append(tuple(dsts))
@@ -296,7 +310,9 @@ def language_equal(a, b, *, max_states: int = MAX_STATES) -> LanguageVerdict:
     which builds nothing when the languages are equal.  Otherwise, and
     whenever they differ, the synchronized product is walked, following
     one-sided continuations so a generated-language difference cannot mask
-    a marked-language difference.  Distinguishing strings are shortest (BFS,
+    a marked-language difference.  A pair with one side already outside its
+    language expands the other side's row as it is, which is that row
+    merged with an empty one.  Distinguishing strings are shortest (BFS,
     ties broken by event id); ``max_states`` bounds the product.
     """
     table_a, table_b = a.event_table(), b.event_table()
@@ -320,20 +336,32 @@ def language_equal(a, b, *, max_states: int = MAX_STATES) -> LanguageVerdict:
         sa, sb = key // width - 1, key % width - 1
         if diff_marked is None and (sa >= 0 and a.is_marked(sa)) != (sb >= 0 and b.is_marked(sb)):
             diff_marked = k
-        row_a, dsts_a = (ids_a[sa], targets_a[sa]) if sa >= 0 else ((), ())
-        row_b, dsts_b = (ids_b[sb], targets_b[sb]) if sb >= 0 else ((), ())
-        if row_a == row_b:
-            moves: Iterable[tuple[int, int, int]] = zip(row_a, dsts_a, dsts_b)
+        # a side outside its language has an empty row: the other side's
+        # row, in id order, is the merge
+        if sa < 0:
+            for e, tb in zip(ids_b[sb], targets_b[sb]):
+                pair = tb + 1
+                if pair not in index:
+                    space.add(pair, k, e)
+        elif sb < 0:
+            for e, ta in zip(ids_a[sa], targets_a[sa]):
+                pair = (ta + 1) * width
+                if pair not in index:
+                    space.add(pair, k, e)
         else:
-            to_a, to_b = dict(zip(row_a, dsts_a)), dict(zip(row_b, dsts_b))
-            moves = [(e, to_a.get(e, -1), to_b.get(e, -1)) for e in sorted(to_a.keys() | to_b.keys())]
-            if diff_generated is None and sa >= 0 and sb >= 0:
-                # one-sided definedness seen from a common prefix
-                diff_generated = next((k, e) for e, ta, tb in moves if ta < 0 or tb < 0)
-        for e, ta, tb in moves:
-            pair = (ta + 1) * width + tb + 1
-            if pair not in index:
-                space.add(pair, k, e)
+            row_a, dsts_a, row_b, dsts_b = ids_a[sa], targets_a[sa], ids_b[sb], targets_b[sb]
+            if row_a == row_b:
+                moves: Iterable[tuple[int, int, int]] = zip(row_a, dsts_a, dsts_b)
+            else:
+                to_a, to_b = dict(zip(row_a, dsts_a)), dict(zip(row_b, dsts_b))
+                moves = [(e, to_a.get(e, -1), to_b.get(e, -1)) for e in sorted(to_a.keys() | to_b.keys())]
+                if diff_generated is None:
+                    # one-sided definedness seen from a common prefix
+                    diff_generated = next((k, e) for e, ta, tb in moves if ta < 0 or tb < 0)
+            for e, ta, tb in moves:
+                pair = (ta + 1) * width + tb + 1
+                if pair not in index:
+                    space.add(pair, k, e)
         if diff_generated is not None and diff_marked is not None:
             break
     return LanguageVerdict(

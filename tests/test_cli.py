@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, artifact shapes, determinism."""
 
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ from netsup.errors import ModelError, ResourceLimitError
 
 DATA = Path(__file__).resolve().parent / "data"
 SRC = Path(cli.__file__).resolve().parent.parent
+QUOTED = re.compile(r'"((?:[^"\\]|\\.)*)"')  # a DOT quoted string, escapes kept
 
 
 def run(capsys, *argv):
@@ -460,6 +463,41 @@ class TestJsonOutputs:
         }
 
 
+def line_file(models_dir, tmp_path, out, back):
+    """production_line.json with delay bounds 1->2 = ``out`` and 2->1 =
+    ``back``, written to a file."""
+    doc = json.loads((models_dir / "production_line.json").read_text(encoding="utf-8"))
+    for channel in doc["network"]["channels"]:
+        channel["delay_bound"] = {(1, 2): out, (2, 1): back}[(channel["from"], channel["to"])]
+    path = tmp_path / f"line_{out}_{back}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+class TestOutputPins:
+    """Exit code and sha256 of the output of each command, so that a faster
+    pipeline cannot change a byte of it."""
+
+    @pytest.mark.parametrize("model,delays,argv,expected", [
+        ("minimal.json", None, ["solve", "--format", "json"],
+         (0, "4f3d2c86b974283191e706c29843859acb67291961a4c53f4bbd7611150bd65e")),
+        ("production_line.json", None, ["solve", "--format", "json"],
+         (0, "b7043dafaa7fe30459550d3305186d9583921c89b98cfbd3a8de1e7b80d18beb")),
+        ("production_line_no_ch21.json", None, ["solve", "--format", "json"],
+         (1, "974a8ed1b99caa0ca7746748a748424623cfed38e42eecdd3a6d981e274f6030")),
+        (None, (6, 1), ["solve", "--format", "json"],
+         (0, "dfeaf10d15ceaaf638a2b989e7fb51ad819c61c26b8721e335be50f3375e1f9f")),
+        (None, (1, 6), ["solve", "--format", "json", "--diagnostic"],
+         (1, "3fc5c52f201f98968210d60ce73416562728875b6d692c926d3d0fb814b1a80a")),
+        (None, (1, 6), ["export-dot", "--target", "closed-loop"],
+         (0, "9dd58acdfbd008324d22bbc950a43a915db290c299dc41c70f6972b157f0050d")),
+    ], ids=["minimal", "line", "no_ch21", "line-6/1", "line-1/6-diagnostic", "line-1/6-closed-loop"])
+    def test_output_bytes(self, capsys, models_dir, tmp_path, model, delays, argv, expected):
+        path = fixture_path(models_dir, model) if model else line_file(models_dir, tmp_path, *delays)
+        code, out, _ = run(capsys, argv[0], path, *argv[1:])
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == expected
+
+
 class TestDeterminism:
     def test_solve_json_byte_identical(self, capsys, models_dir):
         _, first, _ = run(capsys, "solve", fixture_path(models_dir), "--format", "json")
@@ -587,6 +625,23 @@ class TestExports:
             "--seed", "1", "--steps", "10", "--diagnostic",
         )
         assert code == 0
+
+    @pytest.mark.parametrize("target", ["plant", "spec", "comm", "observer:1", "closed-loop"])
+    def test_backslash_in_a_state_name_is_escaped(self, capsys, models_dir, tmp_path, target):
+        """minimal.json with its state named ``q0\\``: every quoted DOT
+        string ends where it should, and its label reads the name back."""
+        path = tmp_path / "backslash.json"
+        path.write_text(
+            (models_dir / "minimal.json").read_text(encoding="utf-8").replace('"q0"', '"q0\\\\"'),
+            encoding="utf-8",
+        )
+        code, out, _ = run(capsys, "export-dot", str(path), "--target", target)
+        assert code == 0
+        labels = []
+        for line in out.splitlines():
+            assert '"' not in QUOTED.sub("", line), line
+            labels += [re.sub(r"\\(.)", r"\1", text) for text in QUOTED.findall(line)]
+        assert any("q0\\" in label for label in labels), labels
 
 
 class TestCounts:

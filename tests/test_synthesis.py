@@ -548,6 +548,51 @@ class TestClosedLoopIdentity:
         del observer.transitions[t][symbol]
         assert loop_digest([closed_loop(line_report.comm, sups)]) == loop_digest([line_report.loop])
 
+    def test_blocked_beats_uncovered_across_supervisors(self, line_report):
+        """Both supervisors control tick.  Without observer 1's tick move at
+        its state ``t``, a tick move that supervisor 2 disables is dropped
+        and the loop builds as before; where nobody disables it, the loop
+        names supervisor 1."""
+        comm, loop = line_report.comm, line_report.loop
+        sup1, sup2 = line_report.supervisors
+        assert comm.net.controllers(TICK) == (0, 1)
+        tick = Plant(TICK)
+        # per observer-1 state, the observer-2 states beside it at a loop
+        # state whose automaton state has a tick move
+        beside: dict[int, set[int]] = {}
+        for sid in range(loop.num_states):
+            x, (t1, t2) = loop.state(sid)
+            if tick in comm.transitions[x]:
+                beside.setdefault(t1, set()).add(t2)
+
+        def gagged_at(t):
+            return SupervisorMap(1, sup2.observer, tuple(
+                on - {TICK} if t2 in beside[t] else on for t2, on in enumerate(sup2.enable)
+            ))
+
+        def blocked_somewhere(t):
+            gagged = closed_loop(comm, [sup1, gagged_at(t)])
+            return any(
+                obs[0] == t and tick in comm.transitions[x]
+                for x, obs in map(gagged.state, range(gagged.num_states))
+            )
+
+        t = next(
+            t for t in sorted(beside)
+            if TICK in sup1.enable[t] and TICK in sup1.observer.transitions[t] and blocked_somewhere(t)
+        )
+        edited = copy.deepcopy(sup1.observer)
+        del edited.transitions[t][TICK]
+        without = SupervisorMap(0, edited, sup1.enable)
+        assert loop_digest([closed_loop(comm, [without, gagged_at(t)])]) == loop_digest(
+            [closed_loop(comm, [sup1, gagged_at(t)])]
+        )
+        with pytest.raises(ValueError) as raised:
+            closed_loop(comm, [without, sup2])
+        assert str(raised.value) == (
+            f"observer of supervisor 1 does not cover every run: no move on 'tick' from its state {t}"
+        )
+
 
 def rendered(string):
     return None if string is None else [render_event(e) for e in string]
@@ -682,6 +727,47 @@ class TestOnePassLanguage:
             assert witness in enumerate_language(line_comm, n).strings
             assert witness not in enumerate_language(clone, n).strings
             assert enumerate_language(a, n - 1).strings == enumerate_language(b, n - 1).strings
+
+
+def language_digest(pairs):
+    """sha256 over ``language_equal`` of each pair: both outcomes and both
+    rendered distinguishing strings."""
+    h = hashlib.sha256()
+    for a, b in pairs:
+        verdict = language_equal(a, b)
+        row = (verdict.generated_equal, verdict.marked_equal,
+               rendered(verdict.diff_generated), rendered(verdict.diff_marked))
+        h.update(repr(row).encode() + b"\n")
+    return h.hexdigest()
+
+
+def walk_pairs(comms):
+    """Per automaton, its synthesized loop against the SpecView and the
+    automaton, both ways round; ``Walked`` forces the product walk."""
+    for comm in comms:
+        loop = closed_loop(comm, [synthesize_supervisor(comm, i) for i in range(comm.net.n)])
+        spec = comm.spec_view()
+        yield from ((loop, spec), (spec, loop), (Walked(loop), comm), (comm, loop))
+
+
+class TestLanguageWalkIdentity:
+    """Verdicts and distinguishing strings of ``language_equal``, pinned as
+    sha256 digests, so that a leaner product walk cannot change them."""
+
+    @pytest.mark.parametrize("delays,expected", [
+        ((1, 6), "a04e6398e41e3fc2b3f34508eea0926d8bf0c52162f73e345373aeb67c7a8ea8"),
+        ((6, 6), "5c9da2c04eb3f1fff8fb27c179803e8245ffdd52241227cc9fbaff2dc52526be"),
+    ], ids=["1/6", "6/6"])
+    def test_line_model(self, models_dir, delays, expected):
+        model = line_with_delays(models_dir, *delays)
+        assert language_digest(walk_pairs([build_comm_automaton(model.plant, model.spec, model.network)])) == expected
+
+    @pytest.mark.parametrize("params,expected", [
+        (GeneratorParams(), "f2e045bf83d73364a74d1e8fee6402758344e932c12940bb1738796ae51b7467"),
+        (GeneratorParams(n=3, max_comm_states=150), "36291da3dd2902dec23cbe5616ca24da1feb9b470c2fc4079da4ab2059a09842"),
+    ], ids=["n2", "n3"])
+    def test_random_instances(self, params, expected):
+        assert language_digest(walk_pairs(random_instance(seed, params).comm for seed in range(40))) == expected
 
 
 class TestBudgets:
