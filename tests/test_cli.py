@@ -491,10 +491,35 @@ class TestOutputPins:
          (1, "3fc5c52f201f98968210d60ce73416562728875b6d692c926d3d0fb814b1a80a")),
         (None, (1, 6), ["export-dot", "--target", "closed-loop"],
          (0, "9dd58acdfbd008324d22bbc950a43a915db290c299dc41c70f6972b157f0050d")),
-    ], ids=["minimal", "line", "no_ch21", "line-6/1", "line-1/6-diagnostic", "line-1/6-closed-loop"])
+        ("production_line.json", None, ["simulate", "--seed", "5", "--steps", "300"],
+         (0, "ff2278818c05eef7a8fa07e941511a56a5a4cec79d3622d19c4b3d01d8d74a2c")),
+        ("production_line_no_ch21.json", None, ["simulate", "--seed", "5", "--steps", "300", "--diagnostic"],
+         (0, "27020d4849ae4947cd7708a3fce00b6b8cd385462089fc02b9fa5f2844d1b845")),
+        ("production_line.json", None, ["export-dot", "--target", "plant"],
+         (0, "696e03b586ee7f2e111918c76cca571cf741492158f27f71cb2aaf335718db06")),
+        ("production_line.json", None, ["export-dot", "--target", "spec"],
+         (0, "4a2dbb327a9acda2051c57113160d699010d611f0eb471dc520b6c4c635e2bae")),
+        ("production_line.json", None, ["export-dot", "--target", "comm"],
+         (0, "d1e1ceb5590d6698fd4a600f725bfddde00f7060ed0d43d8b3d2009791cab66e")),
+        ("production_line.json", None, ["export-dot", "--target", "observer:1"],
+         (0, "f7e4143b29332b8c7569986488d826b02bc41b262f16812e6c35904ded25a96f")),
+        ("minimal.json", None, ["validate", "--format", "json"],
+         (0, "f58b96ad82aee4a4d85db7917dc6f101a92d2827ab86453ae7d084e3ac69ce00")),
+        ("production_line_no_ch21.json", None, ["check", "--format", "text"],
+         (1, "d2282316950c3b36d96dc2c9971ba874c8827a499090edf9e23faa3817f81c86")),
+        (None, None, ["oracle", "--instances", "20", "--bound", "6"],
+         (0, "ae43617f5a9759a52361360a58d5ee796c46a87493e840487fd33a9fddbe617a")),
+    ], ids=[
+        "minimal", "line", "no_ch21", "line-6/1", "line-1/6-diagnostic", "line-1/6-closed-loop",
+        "line-simulate", "no_ch21-simulate-diagnostic", "line-dot-plant", "line-dot-spec",
+        "line-dot-comm", "line-dot-observer-1", "minimal-validate", "no_ch21-check-text", "oracle",
+    ])
     def test_output_bytes(self, capsys, models_dir, tmp_path, model, delays, argv, expected):
-        path = fixture_path(models_dir, model) if model else line_file(models_dir, tmp_path, *delays)
-        code, out, _ = run(capsys, argv[0], path, *argv[1:])
+        if model:
+            argv = [argv[0], fixture_path(models_dir, model), *argv[1:]]
+        elif delays:
+            argv = [argv[0], line_file(models_dir, tmp_path, *delays), *argv[1:]]
+        code, out, _ = run(capsys, *argv)
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == expected
 
 
