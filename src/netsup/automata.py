@@ -8,17 +8,35 @@ advances only on ticks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence, TypeVar, Union
 
 from .errors import CompositionError, DeterminismError, ModelError, SchemaError, UnknownNameError
 from .explore import MAX_STATES, StateSpace, closure
 
 TICK = "tick"
 
+_State = TypeVar("_State")
+_Label = TypeVar("_Label")
+
 
 def event_order(event: str) -> tuple[int, str]:
     """Canonical event ordering: tick first, then lexicographic."""
     return (0 if event == TICK else 1, event)
+
+
+def follow(
+    transitions: Union[Mapping[_State, Mapping[_Label, _State]], Sequence[Mapping[_Label, _State]]],
+    state: _State,
+    string: Iterable[_Label],
+) -> Optional[_State]:
+    """The state reached from ``state`` on ``string``, reading each
+    state's label -> target row in ``transitions``, or None where a label
+    has no move."""
+    for label in string:
+        state = transitions[state].get(label)
+        if state is None:
+            return None
+    return state
 
 
 @dataclass(frozen=True)
@@ -89,19 +107,10 @@ class TimedAutomaton:
 
     def run(self, string: Iterable[str]) -> Optional[str]:
         """State reached from the initial state on ``string``, or None."""
-        state = self.initial
-        for event in string:
-            nxt = self.transitions[state].get(event)
-            if nxt is None:
-                return None
-            state = nxt
-        return state
+        return follow(self.transitions, self.initial, string)
 
-    # the moves protocol shared with the channel-level structures
-    @property
-    def initial_state(self) -> str:
-        return self.initial
-
+    # the read protocol shared with the channel-level structures: the
+    # ``initial`` field, ``moves`` and ``is_marked``
     def moves(self, state: str) -> Iterable[tuple[str, str]]:
         """The (event, target) pairs of ``state``, in canonical order."""
         return self.transitions[state].items()
@@ -229,10 +238,10 @@ def subautomaton_defect(sub: TimedAutomaton, auto: TimedAutomaton) -> Optional[s
 
 
 def _reachable(machine) -> dict:
-    """Each state reachable in ``machine`` (anything with ``initial_state``
-    and ``moves``), in breadth-first discovery order, mapped to the sources
-    of its incoming moves."""
-    sources = {machine.initial_state: []}
+    """Each state reachable in ``machine`` (anything with ``initial`` and
+    ``moves``), in breadth-first discovery order, mapped to the sources of
+    its incoming moves."""
+    sources = {machine.initial: []}
     reached = list(sources)
     for state in reached:  # reached grows while it is walked
         for _event, dst in machine.moves(state):
@@ -246,7 +255,7 @@ def _reachable(machine) -> dict:
 def is_nonblocking(machine) -> bool:
     """True iff every reachable state of ``machine`` can reach a marked state.
 
-    ``machine`` is anything with ``initial_state``, ``moves`` and
+    ``machine`` is anything with ``initial``, ``moves`` and
     ``is_marked``: a TimedAutomaton, a CommAutomaton, a SpecView or a
     ClosedLoop.  A forward walk records each state's sources, then the
     closure of the marked states over those sources is the coreachable set.
@@ -304,17 +313,16 @@ def _find_nontick_cycle(auto: TimedAutomaton) -> Optional[list[tuple[str, str]]]
     return None
 
 
-def validate_timed_assumptions(auto: TimedAutomaton, net) -> AssumptionVerdict:
+def validate_timed_assumptions(auto: TimedAutomaton, enforceable: frozenset[str]) -> AssumptionVerdict:
     """Check the three structural assumptions a timed plant must satisfy.
 
     1. no cycle of non-tick events (only finitely many events per time unit);
     2. every state has at least one active event (time never stops);
     3. a state with no active tick has an active enforceable event.
 
-    ``net`` is a NetworkConfig or a bare set of enforceable events.  Returns
+    ``enforceable`` is the network's set of enforceable events.  Returns
     the first violated condition with a witness.
     """
-    enforceable = getattr(net, "enforceable", net)
     cycle = _find_nontick_cycle(auto)
     if cycle is not None:
         return AssumptionVerdict(
@@ -353,7 +361,7 @@ def prepare(plant: TimedAutomaton, spec: TimedAutomaton, net) -> tuple[TimedAuto
     if unreachable:
         spec = remove_states(spec, unreachable, name=spec.name)
     plant = reachable
-    assumptions = validate_timed_assumptions(plant, net)
+    assumptions = validate_timed_assumptions(plant, net.enforceable)
     if not assumptions.ok:
         raise ModelError(f"plant violates timed assumption {assumptions.condition}: {assumptions.message}")
     return plant, spec

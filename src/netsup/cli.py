@@ -141,7 +141,7 @@ def _report_dict(report: SolveReport) -> dict:
 
 def cmd_validate(args) -> int:
     model = load_model(args.model)
-    verdict = validate_timed_assumptions(accessible(model.plant), model.network)
+    verdict = validate_timed_assumptions(accessible(model.plant), model.network.enforceable)
     if args.format == "json":
         payload = {
             "spec_version": SPEC_VERSION,
@@ -251,7 +251,7 @@ def cmd_simulate(args) -> int:
     )
     if not report.solvable and not args.diagnostic:
         raise ModelError("problem unsolvable; pass --diagnostic to simulate anyway")
-    trace = simulate(report.comm, report.supervisors, args.seed, args.steps, loop=report.loop)
+    trace = simulate(report.loop, args.seed, args.steps)
     _write(render_trace(trace, report.comm) + "\n", args.output)
     return 0
 

@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
 from . import channels as ch
-from .automata import TICK, TimedAutomaton, prepare, subautomaton_defect
+from .automata import TICK, TimedAutomaton, follow, prepare, subautomaton_defect
 from .channels import ChannelState
 from .errors import ModelError
 from .explore import MAX_STATES, PathSpace, StateSpace, budget_error, closure
@@ -153,17 +153,10 @@ class CommAutomaton:
     def is_marked(self, sid: int) -> bool:
         return self.marked[sid]
 
-    @property
-    def initial_state(self) -> int:
-        return self.initial
-
     def render_state(self, sid: int) -> str:
         plant, chans = self.keys[sid]
         suffix = ch.render_state(chans)
         return f"({plant},{suffix})" if suffix else f"({plant})"
-
-    def state_labels(self) -> list[str]:
-        return [self.render_state(s) for s in range(self.num_states)]
 
     def event_table(self) -> "EventTable":
         """The transitions over dense event ids, built on first use and
@@ -195,13 +188,7 @@ class CommAutomaton:
         return SpecView(self)
 
     def run(self, string: Iterable[CommEvent]) -> Optional[int]:
-        sid = self.initial
-        for event in string:
-            nxt = self.transitions[sid].get(event)
-            if nxt is None:
-                return None
-            sid = nxt
-        return sid
+        return follow(self.transitions, self.initial, string)
 
     def string_in_spec(self, string: Iterable[CommEvent]) -> bool:
         """True iff the string stays within in_spec states throughout."""
@@ -230,7 +217,7 @@ class SpecView:
     comm: CommAutomaton
 
     @property
-    def initial_state(self) -> int:
+    def initial(self) -> int:
         return self.comm.initial
 
     def moves(self, sid: int) -> list[tuple[CommEvent, int]]:
@@ -479,7 +466,6 @@ class Observer:
     ``exits`` / ``stays``, and whether one is ``tick_critical``.
     """
 
-    supervisor: int
     obs_alphabet: tuple[str, ...]
     codes: list[frozenset[int]]
     transitions: list[dict[str, int]]
@@ -500,13 +486,7 @@ class Observer:
         return tuple(frozenset((code >> 1, bool(code & 1)) for code in codes) for codes in self.codes)
 
     def run(self, symbols: Iterable[str]) -> Optional[int]:
-        state = self.initial
-        for symbol in symbols:
-            nxt = self.transitions[state].get(symbol)
-            if nxt is None:
-                return None
-            state = nxt
-        return state
+        return follow(self.transitions, self.initial, symbols)
 
 
 def _observer_stage(supervisor: int) -> str:
@@ -608,7 +588,7 @@ def build_observer(
         exits.append(unions.setdefault(out, out))
         stays.append(unions.setdefault(inside, inside))
         tick_critical.append(critical)
-    return Observer(supervisor, obs_alphabet, space.keys, transitions, in_spec, exits, stays, tick_critical)
+    return Observer(obs_alphabet, space.keys, transitions, in_spec, exits, stays, tick_critical)
 
 
 @dataclass(frozen=True)

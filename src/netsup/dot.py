@@ -24,7 +24,7 @@ def timed_automaton_dot(auto: TimedAutomaton) -> str:
         lines.append(f"  n{number[q]} [label={_quote(q)} shape={shape}];")
     lines.append(f"  init [shape=point]; init -> n{number[auto.initial]};")
     for q in auto.states:
-        for event, target in auto.transitions[q].items():
+        for event, target in auto.moves(q):
             lines.append(f"  n{number[q]} -> n{number[target]} [label={_quote(event)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -42,7 +42,7 @@ def comm_automaton_dot(comm: CommAutomaton) -> str:
         )
     lines.append(f"  init [shape=point]; init -> n{comm.initial};")
     for sid in range(comm.num_states):
-        for event, target in comm.transitions[sid].items():
+        for event, target in comm.moves(sid):
             lines.append(
                 f"  n{sid} -> n{target} [label={_quote(render_event(event))}];"
             )

@@ -26,7 +26,6 @@ class Model:
     network: NetworkConfig
     plant: TimedAutomaton
     spec: TimedAutomaton
-    marking_overridden: bool
 
 
 def _require(mapping: dict, key: str, kind, where: str):
@@ -130,9 +129,9 @@ def _resolve_plant(expr: str, by_name: dict[str, TimedAutomaton]) -> TimedAutoma
     return reduce(parallel_compose, parts)
 
 
-def _resolve_spec(raw, plant: TimedAutomaton) -> tuple[TimedAutomaton, bool]:
-    """Returns the specification automaton and whether its marking overrides
-    the inherited one (explicit strict subset)."""
+def _resolve_spec(raw, plant: TimedAutomaton) -> TimedAutomaton:
+    """The specification automaton, a subautomaton of ``plant`` whose
+    marking may be an explicit subset of the inherited one."""
     if isinstance(raw, dict) and "remove_states" in raw:
         spec = remove_states(plant, _require_names(raw, "remove_states", "spec"), name="spec")
         if "marked" in raw:
@@ -150,7 +149,7 @@ def _resolve_spec(raw, plant: TimedAutomaton) -> tuple[TimedAutomaton, bool]:
     defect = subautomaton_defect(spec, plant)
     if defect is not None:
         raise SchemaError(f"spec: {defect}")
-    return spec, spec.marked != plant.marked & set(spec.states)
+    return spec
 
 
 def parse_model(document: Union[str, dict]) -> Model:
@@ -175,8 +174,8 @@ def parse_model(document: Union[str, dict]) -> Model:
         raise UnknownNameError(
             f"plant events {sorted(missing)} belong to no supervisor alphabet"
         )
-    spec, overridden = _resolve_spec(_require(document, "spec", None, "model"), plant)
-    return Model(automata, network, plant, spec, overridden)
+    spec = _resolve_spec(_require(document, "spec", None, "model"), plant)
+    return Model(automata, network, plant, spec)
 
 
 def load_model(path: Union[str, Path]) -> Model:

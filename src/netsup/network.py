@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .automata import TICK
+from .automata import TICK, event_order
 from .errors import SchemaError
 
 
@@ -132,10 +132,10 @@ class NetworkConfig:
 
     def observation_alphabet(self, i: int) -> tuple[str, ...]:
         """Symbols supervisor ``i`` can observe: own observables plus events
-        delivered over incoming channels.  Tick first, then lexicographic."""
+        delivered over incoming channels, in ``event_order``: tick (always
+        observable) first, then lexicographic."""
         symbols = set(self.observable[i])
         for (src, dst), link in self.channels.items():
             if dst == i:
                 symbols |= link.events
-        rest = sorted(symbols - {TICK})
-        return (TICK, *rest)
+        return tuple(sorted(symbols, key=event_order))

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .automata import TICK
+from .automata import TICK, event_order
 from .comm import CommAutomaton, CommEvent, Plant, project_observation
 from .randgen import random_instance
 from .synthesis import SupervisorMap, closed_loop, synthesize_supervisor
@@ -45,12 +45,12 @@ class BoundedLanguage:
 
 def _bounded_walk(machine, bound: int) -> Iterator[dict]:
     """Every string of length <= ``bound`` that ``machine`` (anything with
-    ``initial_state`` and ``moves``) generates: one dict per length, shortest
+    ``initial`` and ``moves``) generates: one dict per length, shortest
     first, from each state reached to the strings that reach it.  Each
     state's moves are read once per walk."""
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    level: dict = {machine.initial_state: [()]}
+    level: dict = {machine.initial: [()]}
     yield level
     moves_of: dict = {}  # state -> its moves
     for _ in range(bound):
@@ -124,7 +124,7 @@ def brute_check(condition: Condition, comm: CommAutomaton, bound: int) -> Verdic
 
 def _brute_controllability_1(comm: CommAutomaton, spec_strings: SpecStrings) -> Verdict:
     net = comm.net
-    uncontrollable = [(e, Plant(e)) for e in sorted(net.uncontrollable, key=lambda e: (e != TICK, e))]
+    uncontrollable = [(e, Plant(e)) for e in sorted(net.uncontrollable, key=event_order)]
     for mu, sid in _first_strings(spec_strings):
         for event, plant_event in uncontrollable:
             dst = comm.target(sid, plant_event)
@@ -160,7 +160,7 @@ def _brute_joint_observability(comm: CommAutomaton, spec_strings: SpecStrings) -
     pair predicate as comparing all pairs one by one.
     """
     net = comm.net
-    controllable = sorted(net.globally_controllable, key=lambda e: (e != TICK, e))
+    controllable = sorted(net.globally_controllable, key=event_order)
     for event in controllable:
         plant_event = Plant(event)
         must_disable: list[tuple[CommEvent, ...]] = []

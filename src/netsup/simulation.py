@@ -11,12 +11,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
 from .comm import CommAutomaton, CommEvent, Plant, observation_of, render_event
 from .automata import TICK
 from .channels import render_state
-from .synthesis import ClosedLoop, SupervisorMap, closed_loop
+from .synthesis import ClosedLoop
 
 
 class Termination(Enum):
@@ -39,17 +39,9 @@ class Trace:
     terminated: Termination
 
 
-def simulate(
-    comm: CommAutomaton,
-    supervisors: Sequence[SupervisorMap],
-    seed: int,
-    max_steps: int,
-    loop: Optional[ClosedLoop] = None,
-) -> Trace:
-    """Random closed-loop run of at most ``max_steps`` events."""
-    if loop is None:
-        loop = closed_loop(comm, supervisors)
-    net = comm.net
+def simulate(loop: ClosedLoop, seed: int, max_steps: int) -> Trace:
+    """Random run of ``loop`` of at most ``max_steps`` events."""
+    net = loop.comm.net
     rng = random.Random(seed)
     state = loop.initial
     steps: list[TraceStep] = []

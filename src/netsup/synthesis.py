@@ -103,10 +103,6 @@ class ClosedLoop:
     def num_states(self) -> int:
         return len(self.codes)
 
-    @property
-    def initial_state(self) -> int:
-        return self.initial
-
     def event_table(self) -> EventTable:
         return self.table
 
@@ -302,8 +298,8 @@ def _same_language(loop: ClosedLoop, b, rows: list[tuple[int, ...]]) -> bool:
 def language_equal(a, b, *, max_states: int = MAX_STATES) -> LanguageVerdict:
     """Exact equality of generated and marked languages of two deterministic
     structures over channel-augmented events: a CommAutomaton, its
-    SpecView or a ClosedLoop (anything with ``event_table``,
-    ``initial_state`` and ``is_marked``).
+    SpecView or a ClosedLoop (anything with ``event_table``, ``initial``
+    and ``is_marked``).
 
     A ClosedLoop ``a`` compared with its own automaton or that automaton's
     SpecView is decided in one pass over the loop (``_same_language``),
@@ -328,7 +324,7 @@ def language_equal(a, b, *, max_states: int = MAX_STATES) -> LanguageVerdict:
     # discovered on
     width = len(ids_b) + 1
     space = PathSpace("language comparison product", max_states)
-    space.add((a.initial_state + 1) * width + b.initial_state + 1)
+    space.add((a.initial + 1) * width + b.initial + 1)
     index = space.index
     diff_generated: Optional[tuple[int, int]] = None  # (pair, event id)
     diff_marked: Optional[int] = None  # pair

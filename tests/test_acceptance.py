@@ -48,7 +48,7 @@ def test_c1_fixture_reproduction(line_model):
     assert report.language.generated_equal and report.language.marked_equal
     assert report.nonblocking
 
-    labels = set(report.comm.state_labels())
+    labels = {report.comm.render_state(s) for s in range(report.comm.num_states)}
     for wanted in ["(4,ε,ε)", "(4,(b1,1),ε)", "(0,ε,ε)", "(0,ε,(b2,1))"]:
         assert wanted in labels
 
@@ -281,9 +281,7 @@ def test_c7_simulation_safety(line_report):
     comm = line_report.comm
     out_of_spec = 0
     for seed in range(1000):
-        trace = simulate(
-            comm, line_report.supervisors, seed, 1000, loop=line_report.loop
-        )
+        trace = simulate(line_report.loop, seed, 1000)
         assert trace.terminated is Termination.STEP_LIMIT
         out_of_spec += sum(1 for s in trace.steps if not comm.in_spec[s.comm_state])
     assert out_of_spec == 0

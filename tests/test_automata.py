@@ -255,7 +255,7 @@ class TestNonblocking:
 
 class TestTimedAssumptions:
     def test_minimal_model_passes(self, minimal_model):
-        v = validate_timed_assumptions(minimal_model.plant, minimal_model.network)
+        v = validate_timed_assumptions(minimal_model.plant, minimal_model.network.enforceable)
         assert v.ok
 
     def test_nontick_self_loop_violates_condition_1(self):
@@ -337,5 +337,5 @@ class TestTimedAssumptions:
         for path in sorted(models_dir.glob("*.json")):
             model = load_model(path)
             for auto in (*model.automata, model.plant, model.spec):
-                v = validate_timed_assumptions(accessible(auto), model.network)
+                v = validate_timed_assumptions(accessible(auto), model.network.enforceable)
                 assert v.ok, f"{path.name}/{auto.name}: {v.message}"

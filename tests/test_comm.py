@@ -61,7 +61,7 @@ class TestDegenerateNetwork:
 
 class TestFixtureStates:
     def test_quoted_states_present(self, line_comm):
-        labels = set(line_comm.state_labels())
+        labels = {line_comm.render_state(s) for s in range(line_comm.num_states)}
         for wanted in ["(4,ε,ε)", "(4,(b1,1),ε)", "(0,ε,ε)", "(0,ε,(b2,1))"]:
             assert wanted in labels
 

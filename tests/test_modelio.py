@@ -39,7 +39,7 @@ def test_minimal_document_parses():
     model = parse_model(minimal_doc())
     assert model.plant.states == ("q0",)
     assert model.spec.states == ("q0",)
-    assert not model.marking_overridden
+    assert "marked" not in model_to_dict(model.plant, model.spec, model.network)["spec"]
 
 
 def test_parse_accepts_json_text():
@@ -255,7 +255,7 @@ def test_marking_override_must_be_subset():
         parse_model(doc)
     doc["spec"] = {"remove_states": [], "marked": []}
     model = parse_model(doc)
-    assert model.marking_overridden
+    assert model_to_dict(model.plant, model.spec, model.network)["spec"]["marked"] == []
     assert model.spec.marked == frozenset()
 
 

@@ -189,7 +189,7 @@ class TestGenerator:
 
         for seed in range(50):
             inst = random_instance(seed)
-            assert validate_timed_assumptions(inst.plant, inst.net).ok
+            assert validate_timed_assumptions(inst.plant, inst.net.enforceable).ok
 
     def test_instance_sizes_bounded(self):
         for seed in range(50):

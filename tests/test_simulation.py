@@ -6,18 +6,18 @@ from netsup.automata import TICK, TimedAutomaton
 from netsup.comm import Deliver, Plant, build_comm_automaton
 from netsup.network import NetworkConfig
 from netsup.simulation import Termination, render_trace, simulate
-from netsup.synthesis import SupervisorMap, synthesize_supervisor
+from netsup.synthesis import SupervisorMap, closed_loop, synthesize_supervisor
 
 
 class TestDeterminism:
     def test_equal_seeds_equal_traces(self, line_report):
-        a = simulate(line_report.comm, line_report.supervisors, 42, 200, loop=line_report.loop)
-        b = simulate(line_report.comm, line_report.supervisors, 42, 200, loop=line_report.loop)
+        a = simulate(line_report.loop, 42, 200)
+        b = simulate(line_report.loop, 42, 200)
         assert a == b
 
     def test_different_seeds_differ(self, line_report):
-        a = simulate(line_report.comm, line_report.supervisors, 1, 200, loop=line_report.loop)
-        b = simulate(line_report.comm, line_report.supervisors, 2, 200, loop=line_report.loop)
+        a = simulate(line_report.loop, 1, 200)
+        b = simulate(line_report.loop, 2, 200)
         assert a.steps != b.steps
 
 
@@ -25,7 +25,7 @@ class TestSafety:
     def test_runs_stay_in_specification(self, line_report):
         comm = line_report.comm
         for seed in range(50):
-            trace = simulate(comm, line_report.supervisors, seed, 500, loop=line_report.loop)
+            trace = simulate(line_report.loop, seed, 500)
             assert trace.terminated is Termination.STEP_LIMIT
             for step in trace.steps:
                 assert comm.in_spec[step.comm_state]
@@ -34,7 +34,7 @@ class TestSafety:
 
     def test_replay_reproduces_states(self, line_report):
         comm = line_report.comm
-        trace = simulate(comm, line_report.supervisors, 7, 300, loop=line_report.loop)
+        trace = simulate(line_report.loop, 7, 300)
         sid = comm.initial
         for step in trace.steps:
             sid = comm.target(sid, step.event)
@@ -43,7 +43,7 @@ class TestSafety:
     def test_marked_state_visited_regularly(self, line_report):
         comm = line_report.comm
         for seed in range(20):
-            trace = simulate(comm, line_report.supervisors, seed, 200, loop=line_report.loop)
+            trace = simulate(line_report.loop, seed, 200)
             assert any(comm.marked[s.comm_state] for s in trace.steps)
 
 
@@ -59,7 +59,7 @@ class TestDeadlocks:
             comm = build_comm_automaton(plant, plant, net)
             sup = synthesize_supervisor(comm, 0)
             gagged = SupervisorMap(0, sup.observer, tuple(frozenset() for _ in sup.enable))
-            trace = simulate(comm, [gagged], 0, 10)
+            trace = simulate(closed_loop(comm, [gagged]), 0, 10)
             assert trace.terminated is reason
             assert trace.steps == ()
 
@@ -69,7 +69,7 @@ class TestObservations:
         comm = line_report.comm
         found = False
         for seed in range(30):
-            trace = simulate(comm, line_report.supervisors, seed, 300, loop=line_report.loop)
+            trace = simulate(line_report.loop, seed, 300)
             for step in trace.steps:
                 if isinstance(step.event, Deliver):
                     # the receiving supervisor observes the carried event
@@ -96,7 +96,7 @@ class TestRendering:
 
     def test_push_shows_in_channel_column(self, line_report):
         comm = line_report.comm
-        trace = simulate(comm, line_report.supervisors, 3, 50, loop=line_report.loop)
+        trace = simulate(line_report.loop, 3, 50)
         text = render_trace(trace, comm)
         for idx, step in enumerate(trace.steps):
             if step.event == Plant("a1"):
@@ -108,7 +108,7 @@ class TestRendering:
 
     def test_tick_clock_counts_ticks(self, line_report):
         comm = line_report.comm
-        trace = simulate(comm, line_report.supervisors, 11, 40, loop=line_report.loop)
+        trace = simulate(line_report.loop, 11, 40)
         text = render_trace(trace, comm).splitlines()
         ticks = 0
         for idx, step in enumerate(trace.steps):

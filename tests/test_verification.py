@@ -3,6 +3,7 @@ replay, and agreement with the brute-force oracle."""
 
 import copy
 import dataclasses
+import itertools
 import json
 
 import pytest
@@ -433,6 +434,71 @@ class TestDelayMonotonicity:
         assert replayed == 45
 
 
+class TestLossMonotonicity:
+    """The production line over delay bounds 0-3 on each channel and three
+    nested lossy sets per channel (none, the declared one, every carried
+    event): a lossier channel never makes the problem solvable, and a
+    joint-observability violation is one at the next lossier set on either
+    channel."""
+
+    LOSSY = {(1, 2): ((), ("a1",), ("a1", "b1")), (2, 1): ((), ("b2",), ("a2", "b2"))}
+
+    @pytest.fixture(scope="class")
+    def cells(self, models_dir):
+        """Per cell ``(out, back, k12, k21)``, the automaton with delay
+        bounds 1->2 = ``out`` and 2->1 = ``back`` and the ``k``-th lossy set
+        of each channel."""
+        built = {}
+        for out, back, k12, k21 in itertools.product(range(4), range(4), range(3), range(3)):
+            delays, levels = {(1, 2): out, (2, 1): back}, {(1, 2): k12, (2, 1): k21}
+
+            def mutate(doc):
+                for channel in doc["network"]["channels"]:
+                    key = (channel["from"], channel["to"])
+                    channel["delay_bound"] = delays[key]
+                    channel["lossy"] = list(self.LOSSY[key][levels[key]])
+            built[out, back, k12, k21] = build(load_variant(models_dir, mutate))
+        assert len(built) == 144
+        return built
+
+    @staticmethod
+    def lossier(cell):
+        """The cells one lossy set up on either channel."""
+        out, back, k12, k21 = cell
+        return [larger for larger in ((out, back, k12 + 1, k21), (out, back, k12, k21 + 1)) if max(larger[2:]) < 3]
+
+    def test_more_loss_never_makes_the_problem_solvable(self, cells):
+        solvable = {
+            cell: all(check(comm).holds for check in (
+                check_network_controllability, check_network_joint_observability, check_lm_closure,
+            ))
+            for cell, comm in cells.items()
+        }
+        lost = []
+        for cell, holds in solvable.items():
+            for larger in self.lossier(cell):
+                assert holds or not solvable[larger], (cell, larger)
+                if holds and not solvable[larger]:
+                    lost.append((cell, larger))
+        assert sum(not holds for holds in solvable.values()) == 96
+        # the property is exercised: 24 cells lose solvability, each when a2
+        # is made lossy on 2->1
+        assert len(lost) == 24
+        assert all(cell[3] == 1 and larger[3] == 2 for cell, larger in lost)
+
+    def test_witnesses_replay_at_lossier_sets(self, cells):
+        replayed = violated = 0
+        for cell, comm in cells.items():
+            verdict = check_network_joint_observability(comm)
+            if verdict.holds:
+                continue
+            violated += 1
+            for larger in self.lossier(cell):
+                assert replays_joint_obs_violation(cells[larger], verdict.witness), (cell, larger)
+                replayed += 1
+        assert (violated, replayed) == (96, 112)
+
+
 class TestLmClosure:
     def test_inherited_marking_holds(self, line_comm):
         assert check_lm_closure(line_comm).holds
@@ -442,7 +508,7 @@ class TestLmClosure:
             doc["spec"] = {"remove_states": ["8"], "marked": []}
 
         model = load_variant(models_dir, mutate)
-        assert model.marking_overridden
+        assert model.spec.marked != model.plant.marked & set(model.spec.states)
         comm = build(model)
         verdict = check_lm_closure(comm)
         assert not verdict.holds
