@@ -104,13 +104,15 @@ class CommAutomaton:
     event's move stays inside to preempt it.  The other checks read the
     table through each observer's summary (see ``Observer``).
 
-    Two derived structures are built on first use and cached: the event
-    table and each supervisor's observer.
+    ``table`` is the one store of the moves (see ``EventTable``).  Each
+    supervisor's observer is built on first use and cached; ``transitions``,
+    a by-event dict per state for lookups by event, is derived from the
+    table on first use.
     """
 
     net: NetworkConfig
     keys: list[tuple[str, ChannelState]]
-    transitions: list[dict[CommEvent, int]]
+    table: "EventTable"
     in_spec: list[bool]
     marked: list[bool]
     spec_marked: list[bool]
@@ -120,17 +122,13 @@ class CommAutomaton:
     tick_critical: list[bool]
     spec_tree: PathSpace = field(repr=False, compare=False)
     initial: int = 0
-    _event_table: Optional["EventTable"] = field(
-        default=None, init=False, repr=False, compare=False
-    )
     _observers: dict[int, "Observer"] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
     def __getstate__(self) -> dict:
-        # a copy (a deep one included) rebuilds the derived tables from its
-        # own transitions, so editing the copy's transitions is safe
-        return {**self.__dict__, "_event_table": None, "_observers": {}}
+        # a copy (a deep one included) builds its own observers
+        return {**self.__dict__, "_observers": {}}
 
     # -- basic accessors -------------------------------------------------
     @property
@@ -143,9 +141,16 @@ class CommAutomaton:
     def channels_of(self, sid: int) -> ChannelState:
         return self.keys[sid][1]
 
-    def moves(self, sid: int) -> Iterable[tuple[CommEvent, int]]:
+    def moves(self, sid: int) -> list[tuple[CommEvent, int]]:
         """The (event, target) pairs of ``sid``, in event id order."""
-        return self.transitions[sid].items()
+        return self.table.moves(sid)
+
+    @cached_property
+    def transitions(self) -> list[dict[CommEvent, int]]:
+        """Per state, its moves as a dict from event to target, derived from
+        the table on first use: for the lookups by event of ``target``,
+        ``run`` and ``string_in_spec``, and of the string-level oracle."""
+        return [dict(self.table.moves(sid)) for sid in range(self.num_states)]
 
     def target(self, sid: int, event: CommEvent) -> Optional[int]:
         return self.transitions[sid].get(event)
@@ -159,18 +164,14 @@ class CommAutomaton:
         return f"({plant},{suffix})" if suffix else f"({plant})"
 
     def event_table(self) -> "EventTable":
-        """The transitions over dense event ids, built on first use and
-        cached; the transitions must not change afterwards."""
-        if self._event_table is None:
-            self._event_table = build_event_table(self.transitions)
-        return self._event_table
+        return self.table
 
     def observer(self, i: int, max_states: int = MAX_STATES) -> "Observer":
-        """Supervisor ``i``'s observer, built on first use and cached like
-        ``event_table``; every caller gets the same object, which must not
-        change.  A cached observer with more than ``max_states`` states
-        raises the ResourceLimitError a fresh build would; a build that
-        breaks its budget caches nothing."""
+        """Supervisor ``i``'s observer, built on first use and cached; every
+        caller gets the same object, which must not change.  A cached
+        observer with more than ``max_states`` states raises the
+        ResourceLimitError a fresh build would; a build that breaks its
+        budget caches nothing."""
         observer = self._observers.get(i)
         if observer is None:
             observer = self._observers[i] = build_observer(self, i, max_states=max_states)
@@ -223,7 +224,7 @@ class SpecView:
     def moves(self, sid: int) -> list[tuple[CommEvent, int]]:
         """The automaton's moves of ``sid`` that stay in the specification."""
         in_spec = self.comm.in_spec
-        return [(e, t) for e, t in self.comm.transitions[sid].items() if in_spec[t]]
+        return [(e, t) for e, t in self.comm.table.moves(sid) if in_spec[t]]
 
     def is_marked(self, sid: int) -> bool:
         return self.comm.spec_marked[sid]
@@ -231,7 +232,7 @@ class SpecView:
     def event_table(self) -> "EventTable":
         """The automaton's event table without the moves that leave the
         specification."""
-        table = self.comm.event_table()
+        table = self.comm.table
         in_spec = self.comm.in_spec
         return EventTable(
             table.events,
@@ -242,14 +243,15 @@ class SpecView:
 
 @dataclass(frozen=True)
 class EventTable:
-    """Moves over dense event ids.
+    """Moves over dense event ids: the one move store of a
+    ``CommAutomaton``, and the moves of a closed loop and of a
+    specification restriction, which share their automaton's ``events``.
 
     ``events[k]`` is the event with id ``k``.  Ids follow ``event_key``, the
     order in which ``build_comm_automaton`` writes each state's moves, so
-    ``ids[s]`` and ``targets[s]`` list the moves of state ``s`` in id order
-    and in the order of its ``transitions`` row: a walk by id breaks BFS
-    ties as a walk over ``transitions`` does.  A closed loop and a
-    specification restriction share their automaton's ``events``.
+    ``ids[s]`` and ``targets[s]`` list the moves of state ``s`` in id order,
+    which is exploration order: a walk by id breaks BFS ties as the build
+    does.
     """
 
     events: tuple[CommEvent, ...]
@@ -263,17 +265,25 @@ class EventTable:
         rename = [index[event] for event in self.events]
         return EventTable(events, [tuple(rename[e] for e in row) for row in self.ids], self.targets)
 
+    def moves(self, sid: int) -> list[tuple[CommEvent, int]]:
+        """The (event, target) pairs of ``sid``, in event id order."""
+        events = self.events
+        return [(events[e], t) for e, t in zip(self.ids[sid], self.targets[sid])]
 
-def build_event_table(transitions: list[dict[CommEvent, int]]) -> EventTable:
-    """Number the events of ``transitions`` in ``event_key`` order and read
-    each row as it stands: ``build_comm_automaton`` writes every row in that
-    order already."""
-    events = tuple(sorted(set().union(*transitions), key=event_key))
+
+Move = tuple[CommEvent, int]  # (event, target state)
+
+
+def build_event_table(rows: list[list[Move]]) -> EventTable:
+    """Number the events of ``rows``, one list of moves per state, in
+    ``event_key`` order and read each row as it stands: every row must
+    already be in that order, as ``build_comm_automaton`` writes them."""
+    events = tuple(sorted({event for row in rows for event, _ in row}, key=event_key))
     index = {event: k for k, event in enumerate(events)}
     return EventTable(
         events,
-        [tuple(map(index.__getitem__, row)) for row in transitions],
-        [tuple(row.values()) for row in transitions],
+        [tuple([index[event] for event, _ in row]) for row in rows],
+        [tuple([dst for _, dst in row]) for row in rows],
     )
 
 
@@ -305,7 +315,7 @@ def build_comm_automaton(
     space = StateSpace("channel-augmented automaton", max_states)
     space.add((plant.initial, ((),) * len(net.channel_keys)))
     keys, index = space.keys, space.index
-    transitions: list[dict[CommEvent, int]] = []
+    rows: list[list[Move]] = []
     # a state's exit table depends only on its plant state and on whether
     # the channels let tick pass, so each plant state is split both ways once
     splits: dict[tuple[str, bool], tuple[frozenset[str], frozenset[str], bool]] = {}
@@ -327,30 +337,29 @@ def build_comm_automaton(
         return space.add(key) if sid is None else sid
 
     for sid, (q, theta) in enumerate(keys):  # keys grows while it is walked: breadth-first
-        here: dict[CommEvent, int] = {}
-        transitions.append(here)
+        here: list[Move] = []
+        rows.append(here)
         # tick: plant and every channel must both allow it
         tick_target = plant.target(q, TICK)
-        if tick_target is not None:
-            aged = ch.time_step(theta, net)
-            if aged is not None:
-                here[PLANT_TICK] = intern((tick_target, aged))
+        aged = None if tick_target is None else ch.time_step(theta, net)
+        if aged is not None:
+            here.append((PLANT_TICK, intern((tick_target, aged))))
         # plant events, lexicographic
         for event, dst in plant.moves(q):
             if event != TICK:
-                here[Plant(event)] = intern((dst, ch.push(theta, event, net)))
+                here.append((Plant(event), intern((dst, ch.push(theta, event, net)))))
         # deliveries: at most the front entry of each channel
         for k, ((i, j), queue) in enumerate(zip(net.channel_keys, theta)):
             if queue:
                 event, _age = queue[0]
-                here[Deliver(i, j, event)] = intern((q, ch.deliver(theta, k, event)))
+                here.append((Deliver(i, j, event), intern((q, ch.deliver(theta, k, event)))))
         # losses: every lossy position of each channel
         for k, ((i, j), queue) in enumerate(zip(net.channel_keys, theta)):
             for d in range(1, len(queue) + 1):
                 lost = ch.lose(theta, k, d, net)
                 if lost is not None:
-                    here[Lose(i, j, d)] = intern((q, lost))
-        leaving, staying, critical = splits[q, PLANT_TICK in here]
+                    here.append((Lose(i, j, d), intern((q, lost))))
+        leaving, staying, critical = splits[q, aged is not None]
         exits.append(leaving)
         stays.append(staying)
         tick_critical.append(critical)
@@ -363,7 +372,7 @@ def build_comm_automaton(
     spec_tree = PathSpace("specification restriction", max_states)
     spec_tree.add(0)
     for tid, sid in enumerate(spec_tree.keys):
-        for event, dst in transitions[sid].items():
+        for event, dst in rows[sid]:
             if in_spec[dst] and dst not in spec_tree.index:
                 spec_tree.add(dst, tid, event)
     spec_reachable = [False] * len(keys)
@@ -373,7 +382,7 @@ def build_comm_automaton(
     return CommAutomaton(
         net=net,
         keys=keys,
-        transitions=transitions,
+        table=build_event_table(rows),
         in_spec=in_spec,
         marked=marked,
         spec_marked=spec_marked,
@@ -407,9 +416,6 @@ def observation_of(event: CommEvent, i: int, net: NetworkConfig) -> Optional[str
     """Per-event form of project_observation; None for unobserved events."""
     seen = project_observation((event,), i, net)
     return seen[0] if seen else None
-
-
-Move = tuple[CommEvent, int]  # (event, target state)
 
 
 def observation_symbols(comm: CommAutomaton, i: int) -> list[Optional[str]]:
@@ -606,17 +612,14 @@ def check_projection_equivalence(plant: TimedAutomaton, comm: CommAutomaton) -> 
     silent moves and walks it against the plant; a mismatch yields a shortest
     distinguishing plant string.
     """
-    silent = [tuple(dst for e, dst in moves.items() if not isinstance(e, Plant)) for moves in comm.transitions]
+    rows = [comm.moves(sid) for sid in range(comm.num_states)]
+    silent = [tuple(dst for e, dst in row if not isinstance(e, Plant)) for row in rows]
     alphabet = sorted(plant.alphabet)
     space = PathSpace("projection check", MAX_STATES)
     space.add((closure([comm.initial], silent), plant.initial))
     for k, (subset, q) in enumerate(space.keys):  # space.keys grows: breadth-first
         for event in alphabet:
-            move = {
-                comm.transitions[sid][Plant(event)]
-                for sid in subset
-                if Plant(event) in comm.transitions[sid]
-            }
+            move = {dst for sid in subset for e, dst in rows[sid] if e == Plant(event)}
             plant_next = plant.target(q, event)
             if move and plant_next is None:
                 return ProjectionVerdict(False, tuple(space.path(k)) + (event,), only_in="projection")

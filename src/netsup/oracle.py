@@ -43,13 +43,17 @@ class BoundedLanguage:
     bound: int
 
 
+def _check_bound(bound: int) -> None:
+    """Raise ValueError for a negative length bound."""
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
+
+
 def _bounded_walk(machine, bound: int) -> Iterator[dict]:
     """Every string of length <= ``bound`` that ``machine`` (anything with
     ``initial`` and ``moves``) generates: one dict per length, shortest
     first, from each state reached to the strings that reach it.  Each
     state's moves are read once per walk."""
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
     level: dict = {machine.initial: [()]}
     yield level
     moves_of: dict = {}  # state -> its moves
@@ -72,6 +76,7 @@ def _bounded_walk(machine, bound: int) -> Iterator[dict]:
 def enumerate_language(machine, bound: int) -> BoundedLanguage:
     """Every string of length <= ``bound`` that ``machine`` generates, and
     the marked ones (``machine`` also needs ``is_marked``)."""
+    _check_bound(bound)
     strings: list[tuple] = []
     marked: list[tuple] = []
     for level in _bounded_walk(machine, bound):
@@ -110,15 +115,18 @@ def _first_strings(spec_strings: SpecStrings) -> Iterator[tuple[tuple[CommEvent,
 def brute_check(condition: Condition, comm: CommAutomaton, bound: int) -> Verdict:
     """Evaluate one existence condition by literal quantification over all
     strings (pairs of strings for joint observability) whose total length,
-    including the extending event, stays within ``bound``."""
-    if condition is Condition.NET_CTRL_1:
-        return _brute_controllability_1(comm, _spec_strings(comm, bound - 1))
-    if condition is Condition.NET_CTRL_2:
-        return _brute_controllability_2(comm, _spec_strings(comm, bound - 1))
-    if condition is Condition.NET_JOINT_OBS:
-        return _brute_joint_observability(comm, _spec_strings(comm, bound - 1))
+    including the extending event, stays within ``bound``: at bound 0 the
+    conditions that extend a string by an event hold vacuously."""
+    _check_bound(bound)
     if condition is Condition.LM_CLOSURE:
         return _brute_lm_closure(comm, _spec_strings(comm, bound))
+    shorter = _spec_strings(comm, bound - 1) if bound else []
+    if condition is Condition.NET_CTRL_1:
+        return _brute_controllability_1(comm, shorter)
+    if condition is Condition.NET_CTRL_2:
+        return _brute_controllability_2(comm, shorter)
+    if condition is Condition.NET_JOINT_OBS:
+        return _brute_joint_observability(comm, shorter)
     raise ValueError(f"no brute-force check for {condition}")
 
 
@@ -211,6 +219,7 @@ def brute_closed_loop(
     controllable move first needs them, and each distinct observation is
     run through a supervisor's observer at most once per call.
     """
+    _check_bound(bound)
     net = comm.net
     controllers = {e: net.controllers(e) for e in net.globally_controllable}
     commands: list[dict[tuple[str, ...], frozenset[str]]] = [{} for _ in supervisors]

@@ -108,8 +108,7 @@ class ClosedLoop:
 
     def moves(self, sid: int) -> list[tuple[CommEvent, int]]:
         """The (event, target) pairs of ``sid``, in event id order."""
-        events = self.table.events
-        return [(events[e], t) for e, t in zip(self.table.ids[sid], self.table.targets[sid])]
+        return self.table.moves(sid)
 
     def is_marked(self, sid: int) -> bool:
         return self.comm.marked[self.codes[sid] // self.radix]

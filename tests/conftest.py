@@ -1,10 +1,12 @@
 """Shared fixtures: the production-line model and its solved pipeline."""
 
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 from netsup import build_comm_automaton, load_model, solve_control_problem
+from netsup.comm import build_event_table
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -22,6 +24,19 @@ def line_model():
 @pytest.fixture(scope="session")
 def line_comm(line_model):
     return build_comm_automaton(line_model.plant, line_model.spec, line_model.network)
+
+
+@pytest.fixture(scope="session")
+def without_move():
+    """``without_move(comm, sid, event)``: a copy of ``comm`` whose event
+    table lacks the move on ``event`` from state ``sid``."""
+
+    def drop(comm, sid, event):
+        rows = [comm.moves(s) for s in range(comm.num_states)]
+        rows[sid] = [move for move in rows[sid] if move[0] != event]
+        return dataclasses.replace(comm, table=build_event_table(rows))
+
+    return drop
 
 
 @pytest.fixture(scope="session")

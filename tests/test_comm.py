@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from netsup import solve_control_problem
+from netsup import dot, solve_control_problem
 from netsup.automata import TICK, TimedAutomaton
 from netsup.comm import (
     Deliver,
@@ -26,6 +26,8 @@ from netsup.comm import (
 from netsup.errors import ModelError
 from netsup.network import ChannelLink, NetworkConfig
 from netsup.randgen import GeneratorParams, random_instance
+from netsup.simulation import render_trace, simulate
+from netsup.synthesis import check_admissibility, closed_loop, language_equal, synthesize_supervisor
 
 
 def ta(name, states, alphabet, transitions, initial, marked):
@@ -196,17 +198,20 @@ class TestStructuralInvariants:
             assert plant.run(project_plant(string)) == line_comm.plant_of(sid)
 
 
-def line_with_delays(line_model, delays):
-    """The line model's automaton with delay bound ``delays[i]`` on every
+def line_net(line_model, delays):
+    """The line model's network with delay bound ``delays[i]`` on every
     channel that supervisor ``i`` sends on."""
     net = line_model.network
     channels = {
         key: dataclasses.replace(link, delay_bound=delays[key[0]])
         for key, link in net.channels.items()
     }
-    return build_comm_automaton(
-        line_model.plant, line_model.spec, dataclasses.replace(net, channels=channels)
-    )
+    return dataclasses.replace(net, channels=channels)
+
+
+def line_with_delays(line_model, delays):
+    """The line model's automaton with the delays of ``line_net``."""
+    return build_comm_automaton(line_model.plant, line_model.spec, line_net(line_model, delays))
 
 
 def comm_digest(comms):
@@ -365,16 +370,17 @@ class TestEventTableIdentity:
         assert event_table_digest(random_instance(seed, params).comm for seed in range(40)) == expected
 
     def test_rows_are_written_in_event_key_order(self, line_model):
-        """``build_event_table`` reads each row as it stands, so every row of
-        ``transitions`` must already be in strictly increasing ``event_key``
-        order."""
+        """``build_event_table`` reads each row as it stands, so the build
+        must write every row in strictly increasing ``event_key`` order: the
+        stored rows of event ids then strictly increase."""
         comms = [line_with_delays(line_model, delays) for delays in [(6, 1), (1, 6), (6, 6)]]
         for params in [GeneratorParams(), GeneratorParams(n=3, max_comm_states=150)]:
             comms += [random_instance(seed, params).comm for seed in range(40)]
         for comm in comms:
-            for row in comm.transitions:
-                keys = [event_key(e) for e in row]
-                assert all(a < b for a, b in zip(keys, keys[1:])), keys
+            events = comm.table.events
+            assert list(events) == sorted(events, key=event_key)
+            for row in comm.table.ids:
+                assert all(a < b for a, b in zip(row, row[1:])), row
 
 
 class TestProjections:
@@ -423,9 +429,8 @@ class TestProjectionEquivalence:
     def test_holds_on_fixture(self, line_model, line_comm):
         assert check_projection_equivalence(line_model.plant, line_comm).equal
 
-    def test_projection_missing_a_plant_move(self, line_model, line_comm):
-        clone = copy.deepcopy(line_comm)
-        del clone.transitions[clone.initial][Plant("a1")]
+    def test_projection_missing_a_plant_move(self, line_model, line_comm, without_move):
+        clone = without_move(line_comm, line_comm.initial, Plant("a1"))
         verdict = check_projection_equivalence(line_model.plant, clone)
         assert verdict == ProjectionVerdict(False, ("a1",), only_in="plant")
 
@@ -492,16 +497,54 @@ class TestEventOrderAndRendering:
                 by_id = [(table.events[e], t) for e, t in zip(table.ids[sid], table.targets[sid])]
                 assert by_id == list(moves.items())
 
-    def test_copies_rebuild_derived_tables(self, line_model):
+    def test_copies_rebuild_derived_tables(self, line_model, without_move):
         comm = build_comm_automaton(line_model.plant, line_model.spec, line_model.network)
         table = comm.event_table()
         observer = comm.observer(0)
         clone = copy.deepcopy(comm)
-        event = next(iter(clone.transitions[0]))
-        del clone.transitions[0][event]
-        assert len(clone.event_table().ids[0]) == len(table.ids[0]) - 1
+        assert clone.event_table() == table and clone.event_table() is not table
         assert clone.observer(0) is not observer
-        assert comm.event_table() is table
+        edited = without_move(comm, 0, comm.moves(0)[0][0])
+        assert len(edited.event_table().ids[0]) == len(table.ids[0]) - 1
+        assert edited.observer(0) is not observer
+        assert comm.event_table() is table and comm.observer(0) is observer
+
+
+class TestTransitionsView:
+    """``transitions`` is a by-event view derived from the event table on
+    first use; the pipeline itself reads the table only."""
+
+    @staticmethod
+    def unbuilt(comm):
+        return "transitions" not in comm.__dict__
+
+    def test_solve_never_builds_it(self, line_model):
+        report = solve_control_problem(line_model.plant, line_model.spec, line_model.network)
+        assert report.solvable and self.unbuilt(report.comm)
+        net = line_net(line_model, (1, 6))
+        report = solve_control_problem(line_model.plant, line_model.spec, net, diagnostic=True)
+        assert not report.solvable and report.loop is not None and self.unbuilt(report.comm)
+
+    def test_synthesis_stages_never_build_it(self, line_model):
+        comm = build_comm_automaton(line_model.plant, line_model.spec, line_model.network)
+        sups = [synthesize_supervisor(comm, i) for i in range(comm.net.n)]
+        assert check_admissibility(sups, comm).holds and self.unbuilt(comm)
+        loop = closed_loop(comm, sups)
+        assert self.unbuilt(comm)
+        assert language_equal(loop, comm.spec_view()).equal and self.unbuilt(comm)
+        assert render_trace(simulate(loop, 5, 50), comm) and self.unbuilt(comm)
+        assert dot.comm_automaton_dot(comm) and self.unbuilt(comm)
+        assert dot.closed_loop_dot(loop) and dot.observer_dot(sups[0].observer, comm)
+        assert self.unbuilt(comm)
+
+    def test_view_equals_moves(self, line_model):
+        comms = [line_with_delays(line_model, delays) for delays in [(6, 1), (1, 6)]]
+        comms += [random_instance(seed).comm for seed in range(20)]
+        for comm in comms:
+            assert self.unbuilt(comm)
+            assert len(comm.transitions) == comm.num_states
+            for sid in range(comm.num_states):
+                assert comm.transitions[sid] == dict(comm.moves(sid))
 
 
 EVENTS = [

@@ -3,13 +3,17 @@ defects."""
 
 from collections import Counter
 
+import pytest
+
 from netsup.automata import TICK, TimedAutomaton
 from netsup.comm import build_comm_automaton
 from netsup.network import ChannelLink, NetworkConfig
 from netsup.oracle import brute_check, brute_closed_loop, enumerate_language
 from netsup.randgen import random_instance
 from netsup.synthesis import SupervisorMap, closed_loop, synthesize_supervisor
-from netsup.verification import Condition
+from netsup.verification import Condition, Verdict
+
+CONDITIONS = (Condition.NET_CTRL_1, Condition.NET_CTRL_2, Condition.NET_JOINT_OBS, Condition.LM_CLOSURE)
 
 
 def ta(name, states, alphabet, transitions, initial, marked):
@@ -96,13 +100,18 @@ class TestBruteCheck:
         assert brute_check(Condition.NET_CTRL_1, comm, 2).holds
 
     def test_fixture_all_conditions_hold_at_8(self, line_comm):
-        for condition in (
-            Condition.NET_CTRL_1,
-            Condition.NET_CTRL_2,
-            Condition.NET_JOINT_OBS,
-            Condition.LM_CLOSURE,
-        ):
+        for condition in CONDITIONS:
             assert brute_check(condition, line_comm, 8).holds
+
+    @pytest.mark.parametrize("condition", CONDITIONS, ids=lambda c: c.value)
+    def test_bound_zero_and_negative(self, condition):
+        """The extending event counts within the bound, so at bound 0 the
+        conditions that extend a string hold vacuously, and Lm-closure reads
+        the empty string alone; a negative bound is refused."""
+        comm = planted_defect_model()
+        assert brute_check(condition, comm, 0) == Verdict(condition, True)
+        with pytest.raises(ValueError, match="bound must be >= 0"):
+            brute_check(condition, comm, -1)
 
 
 class TestBruteClosedLoop:
@@ -137,6 +146,14 @@ class TestBruteClosedLoop:
         gagged = SupervisorMap(0, sup.observer, tuple(frozenset() for _ in sup.enable))
         lang = brute_closed_loop(comm, [gagged], 5)
         assert lang.strings == {()}
+
+
+    def test_negative_bound_is_refused(self, line_report):
+        assert brute_closed_loop(line_report.comm, line_report.supervisors, 0).strings == {()}
+        with pytest.raises(ValueError, match="bound must be >= 0"):
+            brute_closed_loop(line_report.comm, line_report.supervisors, -1)
+        with pytest.raises(ValueError, match="bound must be >= 0"):
+            enumerate_language(line_report.loop, -1)
 
 
 class CommandSpy:

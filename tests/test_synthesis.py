@@ -402,17 +402,14 @@ class TestClosedLoop:
         verdict = language_equal(line_comm, line_comm)
         assert verdict.equal
 
-    def test_language_equal_detects_missing_transition(self, line_comm):
-        import copy
-
-        clone = copy.deepcopy(line_comm)
+    def test_language_equal_detects_missing_transition(self, line_comm, without_move):
         # drop one transition: the distinguishing string must end with it
         victim = None
-        for sid in range(clone.num_states):
-            if clone.transitions[sid]:
-                victim = (sid, next(iter(clone.transitions[sid])))
+        for sid in range(line_comm.num_states):
+            if line_comm.moves(sid):
+                victim = (sid, line_comm.moves(sid)[0][0])
         sid, event = victim
-        del clone.transitions[sid][event]
+        clone = without_move(line_comm, sid, event)
         verdict = language_equal(line_comm, clone)
         assert not verdict.generated_equal
         assert verdict.diff_generated[-1] == event
@@ -710,14 +707,13 @@ class TestOnePassLanguage:
         assert language_equal(loop, clone) == language_equal(Walked(loop), comm)
         assert language_equal(loop, clone.spec_view()) == verdict
 
-    def test_event_universes_are_merged(self, line_comm):
+    def test_event_universes_are_merged(self, line_comm, without_move):
         """A copy without its one ``g12(2)`` move has one event fewer, so the
         comparison first renumbers both tables over the union of events."""
         g12 = Lose(0, 1, 2)  # losing the second entry of channel 1 -> 2
-        clone = copy.deepcopy(line_comm)
-        lost = [row for row in clone.transitions if g12 in row]
+        lost = [sid for sid in range(line_comm.num_states) if g12 in dict(line_comm.moves(sid))]
         assert len(lost) == 1
-        del lost[0][g12]
+        clone = without_move(line_comm, lost[0], g12)
         assert len(clone.event_table().events) == len(line_comm.event_table().events) - 1
         for a, b in ((line_comm, clone), (clone, line_comm)):
             verdict = language_equal(a, b)
