@@ -4,8 +4,10 @@ Each directed channel holds a queue of plain (event, age) pairs; a channel state
 is the tuple of all queues in ``net.channel_keys`` order, so channel ``k`` is
 the one keyed ``net.channel_keys[k]``.  Ages count ticks since the event
 entered the channel and may never exceed the channel's delay bound at a
-reachable state.  The operators return ``None`` where the update is
-undefined -- definedness acts as a transition guard, never as an error.
+reachable state.  The calculus is written per queue (``age``, ``enqueue``,
+``pop``, ``drops``); ``time_step``, ``push``, ``deliver`` and ``lose`` apply
+it to a whole channel state.  The operators return ``None`` where the update is undefined --
+definedness acts as a transition guard, never as an error.
 """
 
 from __future__ import annotations
@@ -28,26 +30,53 @@ def max_delay(queue: ChannelQueue) -> int:
     return queue[0][1] if queue else 0
 
 
-def time_step(state: ChannelState, net: NetworkConfig) -> Optional[ChannelState]:
-    """Advance every entry's age by one tick.
+def age(queue: ChannelQueue, delay_bound: int) -> Optional[ChannelQueue]:
+    """The queue one tick later: every entry's age advanced by one.
 
-    Undefined (None) when any aged front entry would exceed its channel's
-    delay bound: the channel then blocks the tick until a delivery or loss
-    clears the overdue entry.
+    Undefined (None) when the aged front entry would exceed ``delay_bound``:
+    the channel then blocks the tick until a delivery or loss clears the
+    overdue entry.
     """
+    if queue and queue[0][1] >= delay_bound:
+        return None
+    return tuple([(event, entry_age + 1) for event, entry_age in queue])
+
+
+def enqueue(queue: ChannelQueue, event: str) -> ChannelQueue:
+    """``queue`` with ``event`` appended at age 0."""
+    return queue + ((event, 0),)
+
+
+def pop(queue: ChannelQueue) -> Optional[tuple[str, ChannelQueue]]:
+    """The front event of ``queue`` and the queue once it is delivered
+    (FIFO: only the oldest entry can be); None for an empty queue."""
+    return (queue[0][0], queue[1:]) if queue else None
+
+
+def drops(queue: ChannelQueue, lossy: frozenset[str]) -> tuple[tuple[int, ChannelQueue], ...]:
+    """Each entry of ``queue`` whose event is in ``lossy``, as its 1-based
+    position and the queue without it, front first."""
+    return tuple(
+        (d, queue[: d - 1] + queue[d:]) for d, (event, _age) in enumerate(queue, 1) if event in lossy
+    )
+
+
+def time_step(state: ChannelState, net: NetworkConfig) -> Optional[ChannelState]:
+    """``age`` on every channel; undefined (None) when any channel blocks
+    the tick."""
     aged = []
     for key, queue in zip(net.channel_keys, state):
-        bumped = tuple((event, age + 1) for event, age in queue)
-        if max_delay(bumped) > net.channels[key].delay_bound:
+        queue = age(queue, net.channels[key].delay_bound)
+        if queue is None:
             return None
-        aged.append(bumped)
+        aged.append(queue)
     return tuple(aged)
 
 
 def push(state: ChannelState, event: str, net: NetworkConfig) -> ChannelState:
     """Append ``event`` with age 0 to every channel that carries it."""
     return tuple(
-        queue + ((event, 0),) if event in net.channels[key].events else queue
+        enqueue(queue, event) if event in net.channels[key].events else queue
         for key, queue in zip(net.channel_keys, state)
     )
 
@@ -55,27 +84,23 @@ def push(state: ChannelState, event: str, net: NetworkConfig) -> ChannelState:
 def deliver(state: ChannelState, k: int, event: str) -> Optional[ChannelState]:
     """Remove the front entry of channel ``k``.
 
-    Defined only when the queue is nonempty and its front event is ``event``
-    (FIFO: only the oldest entry can be delivered).
+    Defined only when the queue is nonempty and its front event is
+    ``event`` (see ``pop``).
     """
-    queue = state[k]
-    if not queue or queue[0][0] != event:
+    popped = pop(state[k])
+    if popped is None or popped[0] != event:
         return None
-    return state[:k] + (queue[1:],) + state[k + 1:]
+    return state[:k] + (popped[1],) + state[k + 1:]
 
 
 def lose(state: ChannelState, k: int, position: int, net: NetworkConfig) -> Optional[ChannelState]:
     """Drop the ``position``-th entry (1-based) of channel ``k``.
 
     Defined only when the queue is at least that long and the entry's event
-    is declared lossy for the channel.
+    is declared lossy for the channel (see ``drops``).
     """
-    queue = state[k]
-    if position < 1 or position > len(queue):
-        return None
-    if queue[position - 1][0] not in net.channels[net.channel_keys[k]].lossy:
-        return None
-    return state[:k] + (queue[: position - 1] + queue[position:],) + state[k + 1:]
+    rest = dict(drops(state[k], net.channels[net.channel_keys[k]].lossy)).get(position)
+    return None if rest is None else state[:k] + (rest,) + state[k + 1:]
 
 
 def render_queue(queue: ChannelQueue) -> str:

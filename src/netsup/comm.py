@@ -22,10 +22,10 @@ from typing import Iterable, NamedTuple, Optional
 
 from . import channels as ch
 from .automata import TICK, TimedAutomaton, follow, prepare, subautomaton_defect
-from .channels import ChannelState
+from .channels import ChannelQueue, ChannelState
 from .errors import ModelError
 from .explore import MAX_STATES, PathSpace, StateSpace, budget_error, closure
-from .network import NetworkConfig
+from .network import ChannelLink, NetworkConfig
 
 
 class Plant(NamedTuple):
@@ -287,6 +287,26 @@ def build_event_table(rows: list[list[Move]]) -> EventTable:
     )
 
 
+class _QueueMoves(dict):
+    """Per queue of one channel (sender, receiver), computed on its first
+    lookup in one build: the queue one tick later (None where the channel
+    blocks tick), its delivery as an (event, rest) pair (None when empty)
+    and its losses as (event, rest) pairs by position."""
+
+    __slots__ = ("sender", "receiver", "link")
+
+    def __init__(self, sender: int, receiver: int, link: ChannelLink) -> None:
+        self.sender, self.receiver, self.link = sender, receiver, link
+
+    def __missing__(self, queue: ChannelQueue) -> tuple:
+        i, j = self.sender, self.receiver
+        popped = ch.pop(queue)
+        delivery = None if popped is None else (Deliver(i, j, popped[0]), popped[1])
+        losses = tuple((Lose(i, j, d), rest) for d, rest in ch.drops(queue, self.link.lossy))
+        self[queue] = moves = (ch.age(queue, self.link.delay_bound), delivery, losses)
+        return moves
+
+
 def build_comm_automaton(
     plant: TimedAutomaton,
     spec: TimedAutomaton,
@@ -304,6 +324,10 @@ def build_comm_automaton(
     one).  With no cycle of non-tick events, at most L <= |plant states| - 1
     plant events fire between two ticks, so no channel queue holds more than
     (delay_bound + 1) * L entries and the construction is finite.
+
+    The queue calculus runs once per distinct queue of each channel (see
+    ``_QueueMoves``), and each plant state's moves are read once, so a
+    successor key rebuilds only the queues that change.
     """
     plant, spec = prepare(plant, spec, net)
     defect = subautomaton_defect(spec, plant)
@@ -328,6 +352,17 @@ def build_comm_automaton(
                 staying,
                 tick and plant.target(q, TICK) is not None and staying.isdisjoint(net.enforceable),
             )
+    # per plant state: its tick target and its other moves, each with the
+    # channels that carry its event and the one-entry queue a push appends
+    links = [net.channels[key] for key in net.channel_keys]
+    plant_rows = {
+        q: (plant.target(q, TICK), [
+            (Plant(e), dst, ch.enqueue((), e), [k for k, link in enumerate(links) if e in link.events])
+            for e, dst in plant.moves(q) if e != TICK
+        ])
+        for q in plant.states
+    }
+    queue_moves = [_QueueMoves(i, j, link) for (i, j), link in zip(net.channel_keys, links)]
     exits: list[frozenset[str]] = []
     stays: list[frozenset[str]] = []
     tick_critical: list[bool] = []
@@ -336,29 +371,37 @@ def build_comm_automaton(
         sid = index.get(key)
         return space.add(key) if sid is None else sid
 
-    for sid, (q, theta) in enumerate(keys):  # keys grows while it is walked: breadth-first
+    for q, theta in keys:  # keys grows while it is walked: breadth-first
         here: list[Move] = []
         rows.append(here)
+        per_queue = [memo[queue] for memo, queue in zip(queue_moves, theta)]
         # tick: plant and every channel must both allow it
-        tick_target = plant.target(q, TICK)
-        aged = None if tick_target is None else ch.time_step(theta, net)
-        if aged is not None:
-            here.append((PLANT_TICK, intern((tick_target, aged))))
-        # plant events, lexicographic
-        for event, dst in plant.moves(q):
-            if event != TICK:
-                here.append((Plant(event), intern((dst, ch.push(theta, event, net)))))
+        tick_target, plant_moves = plant_rows[q]
+        aged = None
+        if tick_target is not None:
+            aged = tuple([queue for queue, _, _ in per_queue])
+            if None in aged:
+                aged = None
+            else:
+                here.append((PLANT_TICK, intern((tick_target, aged))))
+        # plant events, lexicographic; only the channels that carry one change
+        for event, dst, entry, carriers in plant_moves:
+            if carriers:
+                pushed = list(theta)
+                for k in carriers:
+                    pushed[k] += entry
+                here.append((event, intern((dst, tuple(pushed)))))
+            else:
+                here.append((event, intern((dst, theta))))
         # deliveries: at most the front entry of each channel
-        for k, ((i, j), queue) in enumerate(zip(net.channel_keys, theta)):
-            if queue:
-                event, _age = queue[0]
-                here.append((Deliver(i, j, event), intern((q, ch.deliver(theta, k, event)))))
+        for k, (_, delivery, _) in enumerate(per_queue):
+            if delivery is not None:
+                event, rest = delivery
+                here.append((event, intern((q, theta[:k] + (rest,) + theta[k + 1:]))))
         # losses: every lossy position of each channel
-        for k, ((i, j), queue) in enumerate(zip(net.channel_keys, theta)):
-            for d in range(1, len(queue) + 1):
-                lost = ch.lose(theta, k, d, net)
-                if lost is not None:
-                    here.append((Lose(i, j, d), intern((q, lost))))
+        for k, (_, _, losses) in enumerate(per_queue):
+            for event, rest in losses:
+                here.append((event, intern((q, theta[:k] + (rest,) + theta[k + 1:]))))
         leaving, staying, critical = splits[q, aged is not None]
         exits.append(leaving)
         stays.append(staying)

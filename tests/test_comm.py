@@ -274,6 +274,10 @@ class TestQueueBound:
         assert any(length == bound > 0 for length, bound in fill)  # the bound is reached
 
 
+# the deep-queue instance set of ``TestQueueBound``
+DEEP_QUEUES = GeneratorParams(max_delay=3, max_comm_states=2000)
+
+
 class TestCommIdentity:
     """States, numbering, moves and exit tables of the automaton, pinned as
     sha256 digests, so that a change of the channel-state form cannot change
@@ -283,7 +287,8 @@ class TestCommIdentity:
         ((6, 1), "3d846127d7aa0f1e648c94b2958fd0db3766d39aecc97da9905dc4068005ce02"),
         ((1, 6), "c3da2858d61b2ba38ae403644c6bb00dbc47101ed47d6c04fa84e9f74bb14a5e"),
         ((6, 6), "a78816c70a691d8990de2cfdb6ca242c942c4f24b757b392e6943fdedbc0cf65"),
-    ], ids=["6/1", "1/6", "6/6"])
+        ((10, 1), "10d2f2c1e8d94ce48bfd92a369f5d573dff4c6eb2cb76aca559fa588cd1c1bbc"),
+    ], ids=["6/1", "1/6", "6/6", "10/1"])
     def test_line_model(self, line_model, delays, expected):
         assert comm_digest([line_with_delays(line_model, delays)]) == expected
 
@@ -291,9 +296,51 @@ class TestCommIdentity:
         (GeneratorParams(), "cbbf8a4d85590cee10707d8e4b2312833f580545d82eb83ca52e45ee9384203a"),
         (GeneratorParams(n=3, max_comm_states=150),
          "56b8622f32d7b66bf5ad46620984131987b50af792d78200b2f73ab1e8bbe26e"),
-    ], ids=["default", "n3"])
+        (DEEP_QUEUES, "158498d81aff332a016a0fe3437058783e0086927a81a5e3c9bc53e9157e3118"),
+    ], ids=["default", "n3", "delay3"])
     def test_random_instances(self, params, expected):
         assert comm_digest(random_instance(seed, params).comm for seed in range(40)) == expected
+
+    def test_deep_queues_lose_beyond_the_front(self):
+        """The ``delay3`` set pins losses at every queue position, not only
+        at the front."""
+        comms = [random_instance(seed, DEEP_QUEUES).comm for seed in range(40)]
+        assert any(e.position > 1 for comm in comms for e in comm.table.events if isinstance(e, Lose))
+
+
+def spec_walk_digest(comms):
+    """sha256 over the specification walk of ``comms``: per state, whether
+    it is spec_reachable and, if so, its rendered ``spec_path``."""
+    digest = hashlib.sha256()
+    for comm in comms:
+        for s in range(comm.num_states):
+            path = [render_event(e) for e in comm.spec_path(s)] if comm.spec_reachable[s] else None
+            digest.update(repr((comm.spec_reachable[s], path)).encode() + b"\n")
+        digest.update(b"--\n")
+    return digest.hexdigest()
+
+
+class TestSpecWalkIdentity:
+    """The specification walk's reachable set and shortest paths, pinned as
+    sha256 digests: ``comm_digest`` omits them, and the controllability and
+    Lm-closure witnesses are read off those links."""
+
+    @pytest.mark.parametrize("delays,expected", [
+        ((6, 1), "a24c6aa51afb34ec9f3677cc010cac7fcb2d276297dcd832a3e0a7516cc46f9b"),
+        ((1, 6), "eb482f15fc4bbe656746b22e426920f448215169a179bf608bac918d0dcff2df"),
+        ((6, 6), "10dfd48278dce284dbee13926d3a71cc60072a8dee663914fabbc78b7a2acbc1"),
+        ((10, 1), "e99471ec4631b7d7b0e569232069ea95b94f4669434c5e098e5b213f727606e5"),
+    ], ids=["6/1", "1/6", "6/6", "10/1"])
+    def test_line_model(self, line_model, delays, expected):
+        assert spec_walk_digest([line_with_delays(line_model, delays)]) == expected
+
+    @pytest.mark.parametrize("params,expected", [
+        (GeneratorParams(), "43aaea8535b845a17bc0ae7a999123c200f5460d47823bc308f97d8c827ab293"),
+        (GeneratorParams(n=3, max_comm_states=150), "37bf73e029b4de1edde4925d16b4fa4680a557974367fa130afa5704e5ac3a49"),
+        (DEEP_QUEUES, "02f5b8e1f212c25cab8ce9cbe47dde8776b8df3bc5f3c46b3726d9ee48e34028"),
+    ], ids=["default", "n3", "delay3"])
+    def test_random_instances(self, params, expected):
+        assert spec_walk_digest(random_instance(seed, params).comm for seed in range(40)) == expected
 
 
 def observer_digest(comms):
@@ -614,10 +661,15 @@ class TestResourceGuards:
             build_comm_automaton(plant, plant, net)
         assert str(excinfo.value).endswith("cycle of non-tick events: 0 -a->")
 
-    def test_state_cap_raises_resource_error(self, line_model):
+    def test_state_cap_raises_resource_error(self, line_model, line_comm):
+        """The budget fits exactly: ``randgen`` accepts or rejects an
+        instance at ``max_comm_states`` by this boundary."""
         from netsup.errors import ResourceLimitError
 
-        with pytest.raises(ResourceLimitError):
+        size = line_comm.num_states
+        with pytest.raises(ResourceLimitError, match=f"channel-augmented automaton exceeds {size - 1} states"):
             build_comm_automaton(
-                line_model.plant, line_model.spec, line_model.network, max_states=10
+                line_model.plant, line_model.spec, line_model.network, max_states=size - 1
             )
+        built = build_comm_automaton(line_model.plant, line_model.spec, line_model.network, max_states=size)
+        assert built.num_states == size
