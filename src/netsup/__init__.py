@@ -12,7 +12,7 @@ from .automata import (
     remove_states,
     validate_timed_assumptions,
 )
-from .channels import ChannelState, deliver, lose, max_delay, push, time_step
+from .channels import ChannelState
 from .comm import (
     CommAutomaton,
     Deliver,

@@ -1,20 +1,20 @@
-"""FIFO channel queues and their four update operators.
+"""FIFO channel queues and the four per-queue operators of the channel calculus.
 
 Each directed channel holds a queue of plain (event, age) pairs; a channel state
 is the tuple of all queues in ``net.channel_keys`` order, so channel ``k`` is
 the one keyed ``net.channel_keys[k]``.  Ages count ticks since the event
 entered the channel and may never exceed the channel's delay bound at a
-reachable state.  The calculus is written per queue (``age``, ``enqueue``,
-``pop``, ``drops``); ``time_step``, ``push``, ``deliver`` and ``lose`` apply
-it to a whole channel state.  The operators return ``None`` where the update is undefined --
-definedness acts as a transition guard, never as an error.
+reachable state.  The calculus is ``age`` (one tick later), ``enqueue`` (an
+event sent), ``pop`` (the front event delivered) and ``drops`` (a lossy
+entry lost), each on one queue; ``comm.build_comm_automaton`` splices the
+result into the channel state.  ``age`` and ``pop`` return ``None`` where
+the update is undefined -- definedness acts as a transition guard, never as
+an error.
 """
 
 from __future__ import annotations
 
 from typing import Optional
-
-from .network import NetworkConfig
 
 # One queue of (event, age) pairs, front (oldest entry, next to deliver) first.
 ChannelQueue = tuple[tuple[str, int], ...]
@@ -23,11 +23,6 @@ ChannelQueue = tuple[tuple[str, int], ...]
 ChannelState = tuple[ChannelQueue, ...]
 
 EMPTY_SYMBOL = "ε"  # rendering of an empty queue
-
-
-def max_delay(queue: ChannelQueue) -> int:
-    """Age of the front entry; 0 for an empty queue."""
-    return queue[0][1] if queue else 0
 
 
 def age(queue: ChannelQueue, delay_bound: int) -> Optional[ChannelQueue]:
@@ -59,48 +54,6 @@ def drops(queue: ChannelQueue, lossy: frozenset[str]) -> tuple[tuple[int, Channe
     return tuple(
         (d, queue[: d - 1] + queue[d:]) for d, (event, _age) in enumerate(queue, 1) if event in lossy
     )
-
-
-def time_step(state: ChannelState, net: NetworkConfig) -> Optional[ChannelState]:
-    """``age`` on every channel; undefined (None) when any channel blocks
-    the tick."""
-    aged = []
-    for key, queue in zip(net.channel_keys, state):
-        queue = age(queue, net.channels[key].delay_bound)
-        if queue is None:
-            return None
-        aged.append(queue)
-    return tuple(aged)
-
-
-def push(state: ChannelState, event: str, net: NetworkConfig) -> ChannelState:
-    """Append ``event`` with age 0 to every channel that carries it."""
-    return tuple(
-        enqueue(queue, event) if event in net.channels[key].events else queue
-        for key, queue in zip(net.channel_keys, state)
-    )
-
-
-def deliver(state: ChannelState, k: int, event: str) -> Optional[ChannelState]:
-    """Remove the front entry of channel ``k``.
-
-    Defined only when the queue is nonempty and its front event is
-    ``event`` (see ``pop``).
-    """
-    popped = pop(state[k])
-    if popped is None or popped[0] != event:
-        return None
-    return state[:k] + (popped[1],) + state[k + 1:]
-
-
-def lose(state: ChannelState, k: int, position: int, net: NetworkConfig) -> Optional[ChannelState]:
-    """Drop the ``position``-th entry (1-based) of channel ``k``.
-
-    Defined only when the queue is at least that long and the entry's event
-    is declared lossy for the channel (see ``drops``).
-    """
-    rest = dict(drops(state[k], net.channels[net.channel_keys[k]].lossy)).get(position)
-    return None if rest is None else state[:k] + (rest,) + state[k + 1:]
 
 
 def render_queue(queue: ChannelQueue) -> str:

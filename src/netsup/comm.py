@@ -3,7 +3,10 @@
 States are pairs (plant state, channel state).  Besides the plant's own
 events, the automaton moves on delivery events (the receiving supervisor sees
 a queued event) and loss events (a lossy queued entry silently disappears).
-Both leave the plant component untouched.
+Both leave the plant component untouched.  Every channel update is one of
+the per-queue operators of ``channels`` (``age`` for tick, ``enqueue`` for a
+carried plant event, ``pop`` for a delivery, ``drops`` for a loss), applied
+to the queue it changes.
 
 Exploration order is fixed -- tick, plant events lexicographically, deliveries
 by channel, losses by (channel, position) -- so state numbering is

@@ -14,7 +14,7 @@ from typing import AbstractSet, NamedTuple, Optional
 
 from .automata import TICK, event_order
 from .comm import CommAutomaton, CommEvent, InSpecRows
-from .errors import ModelError, ResourceLimitError
+from .errors import ResourceLimitError
 from .explore import MAX_STATES, PathSpace
 
 
@@ -232,22 +232,16 @@ def check_network_joint_observability(
 def check_lm_closure(comm: CommAutomaton) -> Verdict:
     """The specification's marked language must equal its language intersected
     with the full marked language.  With inherited marking this holds by
-    construction; an explicit marking override can break it."""
+    construction; an explicit marking override can break it.  A marking
+    beyond the plant's never gets here: ``build_comm_automaton`` rejects it
+    (``subautomaton_defect``)."""
     for sid in range(comm.num_states):
-        if not comm.spec_reachable[sid]:
-            continue
-        if comm.marked[sid] and not comm.spec_marked[sid]:
+        if comm.spec_reachable[sid] and comm.marked[sid] and not comm.spec_marked[sid]:
             return Verdict(
                 Condition.LM_CLOSURE,
                 False,
                 Witness(mu=comm.spec_path(sid)),
                 detail=f"state {comm.render_state(sid)} is marked in the full automaton"
                 " but not in the specification",
-            )
-        # the file format forbids marking beyond the inherited set
-        if comm.spec_marked[sid] and not comm.marked[sid]:
-            raise ModelError(
-                f"state {comm.render_state(sid)} is marked in the specification"
-                " but not in the plant"
             )
     return Verdict(Condition.LM_CLOSURE, True)

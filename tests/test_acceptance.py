@@ -7,9 +7,8 @@ budget is stated.
 import random
 import time
 
-from netsup.channels import deliver, lose, max_delay, push, time_step
+from netsup.channels import age, drops, enqueue, pop
 from netsup.comm import check_projection_equivalence
-from netsup.network import ChannelLink, NetworkConfig
 from netsup.oracle import brute_check, brute_closed_loop, enumerate_language
 from netsup.randgen import GeneratorParams, random_instance
 from netsup.simulation import Termination, simulate
@@ -207,72 +206,48 @@ def test_c5_oracle_agreement_three_supervisors_delay_three():
 
 
 def test_c6_channel_calculus():
-    """Exact example rows, then FIFO age monotonicity and the age bound over
-    10,000 random operator sequences."""
-    net = NetworkConfig.build(
-        2,
-        [["a1", "b1", "tick"], ["a2", "b2", "tick"]],
-        [["a1", "b1", "tick"], ["a2", "b2", "tick"]],
-        [["a1", "b1", "tick"], ["a2", "b2", "tick"]],
-        [],
-        [[0, 1], [1, 0]],
-        {
-            (0, 1): ChannelLink(frozenset(["a1", "b1"]), frozenset(["a1"]), 1),
-            (1, 0): ChannelLink(frozenset(["a2", "b2"]), frozenset(["b2"]), 1),
-        },
-    )
-
-    def state(q12=(), q21=()):
-        # positions follow net.channel_keys: channel 1->2, then 2->1
-        return (tuple(q12), tuple(q21))
-
+    """Exact example rows of the per-queue calculus, then FIFO age
+    monotonicity and the age bound over 10,000 random operator sequences,
+    each on one of the production line's two channels."""
     # example rows, bit-exact
-    assert max_delay(()) == 0
-    assert max_delay((("b1", 1),)) == 1
-    assert max_delay((("a", 2), ("b", 0))) == 2
-    assert net.channel_keys == ((0, 1), (1, 0))
-    assert time_step(state(), net) == state()
-    assert time_step(state(q12=[("b1", 0)]), net)[0] == (("b1", 1),)
-    assert time_step(state(q12=[("b1", 1)]), net) is None
-    assert push(state(), "a1", net)[0] == (("a1", 0),)
-    assert push(state(q12=[("b1", 1)]), "a1", net)[0] == (
-        ("b1", 1), ("a1", 0),
-    )
-    assert deliver(state(q12=[("b1", 1)]), 0, "b1")[0] == ()
-    assert deliver(state(), 0, "b1") is None
-    assert deliver(state(q12=[("a1", 1), ("b1", 0)]), 0, "b1") is None
-    assert lose(state(q12=[("a1", 0)]), 0, 1, net)[0] == ()
-    assert lose(state(q12=[("a1", 0)]), 0, 2, net) is None
-    assert lose(state(q12=[("a1", 1), ("b1", 0)]), 0, 2, net) is None
+    assert age((), 1) == ()
+    assert age((("b1", 0),), 1) == (("b1", 1),)
+    assert age((("b1", 1),), 1) is None
+    assert enqueue((), "a1") == (("a1", 0),)
+    assert enqueue((("b1", 1),), "a1") == (("b1", 1), ("a1", 0))
+    assert pop((("b1", 1),)) == ("b1", ())
+    assert pop(()) is None
+    assert pop((("a1", 1), ("b1", 0)))[0] == "a1"  # only the front event
+    assert dict(drops((("a1", 0),), frozenset(["a1"]))) == {1: ()}
+    assert 2 not in dict(drops((("a1", 0),), frozenset(["a1"])))  # beyond the queue
+    assert 2 not in dict(drops((("a1", 1), ("b1", 0)), frozenset(["a1"])))  # b1 not lossy
 
-    # randomized invariants
+    # randomized invariants: (delay bound, carried events, lossy events)
+    channels = [(1, ["a1", "b1"], frozenset(["a1"])), (1, ["a2", "b2"], frozenset(["b2"]))]
     rng = random.Random(20260810)
-    events = ["a1", "b1", "a2", "b2"]
     checked_states = 0
     for _ in range(10_000):
-        s = state()
+        bound, carried, lossy = rng.choice(channels)
+        queue = ()
         for _ in range(rng.randint(1, 25)):
             kind = rng.randrange(4)
             if kind == 0:
-                nxt = time_step(s, net)
+                nxt = age(queue, bound)
             elif kind == 1:
-                nxt = push(s, rng.choice(events), net)
+                nxt = enqueue(queue, rng.choice(carried))
             elif kind == 2:
-                k = rng.choice([0, 1])
-                queue = s[k]
-                nxt = deliver(s, k, queue[0][0]) if queue else None
+                popped = pop(queue)
+                nxt = None if popped is None else popped[1]
             else:
-                k = rng.choice([0, 1])
-                nxt = lose(s, k, rng.randint(1, max(1, len(s[k]))), net)
+                nxt = dict(drops(queue, lossy)).get(rng.randint(1, max(1, len(queue))))
             if nxt is None:
                 continue
-            s = nxt
+            queue = nxt
             checked_states += 1
-            for key, queue in zip(net.channel_keys, s):
-                ages = [age for _event, age in queue]
-                assert ages == sorted(ages, reverse=True)
-                assert all(a <= net.channels[key].delay_bound for a in ages)
-    report_line("6 channel calculus", f"rows exact, {checked_states} states checked")
+            ages = [entry_age for _event, entry_age in queue]
+            assert ages == sorted(ages, reverse=True)
+            assert all(a <= bound for a in ages)
+    report_line("6 channel calculus", f"rows exact, {checked_states} queues checked")
 
 
 def test_c7_simulation_safety(line_report):

@@ -9,7 +9,8 @@ import random
 import pytest
 
 from netsup import dot, solve_control_problem
-from netsup.automata import TICK, TimedAutomaton
+from netsup.automata import TICK, TimedAutomaton, prepare
+from netsup.channels import age, drops, enqueue, pop
 from netsup.comm import (
     Deliver,
     Lose,
@@ -276,6 +277,71 @@ class TestQueueBound:
 
 # the deep-queue instance set of ``TestQueueBound``
 DEEP_QUEUES = GeneratorParams(max_delay=3, max_comm_states=2000)
+
+
+def calculus_moves(plant, net, key):
+    """The moves of state ``key`` = (q, theta) as the paper defines them,
+    each with its target key: tick when the plant has it at ``q`` and
+    ``age`` is defined on every queue; each other plant move, with
+    ``enqueue`` on the channels that carry its event; one delivery per
+    channel whose ``pop`` is defined; one loss per ``drops`` entry."""
+    q, theta = key
+    links = [net.channels[k] for k in net.channel_keys]
+
+    def with_queue(k, queue):
+        return theta[:k] + (queue,) + theta[k + 1:]
+
+    moves = []
+    aged = tuple(age(queue, link.delay_bound) for queue, link in zip(theta, links))
+    if plant.target(q, TICK) is not None and None not in aged:
+        moves.append((Plant(TICK), (plant.target(q, TICK), aged)))
+    for event, dst in plant.moves(q):
+        if event != TICK:
+            pushed = tuple(
+                enqueue(queue, event) if event in link.events else queue for queue, link in zip(theta, links)
+            )
+            moves.append((Plant(event), (dst, pushed)))
+    for k, ((i, j), queue) in enumerate(zip(net.channel_keys, theta)):
+        popped = pop(queue)
+        if popped is not None:
+            moves.append((Deliver(i, j, popped[0]), (q, with_queue(k, popped[1]))))
+    for k, ((i, j), queue, link) in enumerate(zip(net.channel_keys, theta, links)):
+        for position, rest in drops(queue, link.lossy):
+            moves.append((Lose(i, j, position), (q, with_queue(k, rest))))
+    return moves
+
+
+def assert_moves_follow_calculus(comm, plant, spec):
+    """Compare every state's moves in ``comm``, built from ``plant`` and
+    ``spec``, in order and by target key, with ``calculus_moves`` on the
+    prepared plant; returns the number of states compared."""
+    net = comm.net
+    plant = prepare(plant, spec, net)[0]
+    assert comm.keys[comm.initial] == (plant.initial, ((),) * len(net.channel_keys))
+    for sid, key in enumerate(comm.keys):
+        assert [(e, comm.keys[t]) for e, t in comm.moves(sid)] == calculus_moves(plant, net, key), key
+    return comm.num_states
+
+
+class TestMovesFollowTheQueueCalculus:
+    """The moves the build writes are exactly those the per-queue channel
+    calculus defines, state by state: nothing missing, nothing extra, in
+    exploration order."""
+
+    @pytest.mark.parametrize("delays", [(6, 1), (1, 6), (6, 6)], ids=lambda d: f"{d[0]}/{d[1]}")
+    def test_line_model(self, line_model, delays):
+        comm = line_with_delays(line_model, delays)
+        assert assert_moves_follow_calculus(comm, line_model.plant, line_model.spec) > 1
+
+    @pytest.mark.parametrize("params", [
+        GeneratorParams(),
+        GeneratorParams(n=3, max_comm_states=150),
+        DEEP_QUEUES,
+    ], ids=["default", "n3", "delay3"])
+    def test_random_instances(self, params):
+        for seed in range(100):
+            inst = random_instance(seed, params)
+            assert_moves_follow_calculus(inst.comm, inst.plant, inst.spec)
 
 
 class TestCommIdentity:

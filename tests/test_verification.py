@@ -499,6 +499,61 @@ class TestLossMonotonicity:
         assert (violated, replayed) == (96, 112)
 
 
+class TestRandomInstanceMonotonicity:
+    """Seeds 0-149 of two generators: raising one channel's delay bound by
+    one, or making one more carried event lossy on one channel, never turns
+    an unsolvable instance solvable.  A pair whose build or check breaks
+    the 20,000-state budget is skipped."""
+
+    BUDGET = 20_000
+
+    @classmethod
+    def solvable(cls, inst, net):
+        comm = build_comm_automaton(inst.plant, inst.spec, net, max_states=cls.BUDGET)
+        return (
+            check_network_controllability(comm).holds
+            and check_network_joint_observability(comm, max_states=cls.BUDGET).holds
+            and check_lm_closure(comm).holds
+        )
+
+    @staticmethod
+    def weaker(net):
+        """Each network one step weaker on one channel, as (kind, network):
+        the delay bound one higher, or one more carried event lossy."""
+        for key, link in sorted(net.channels.items()):
+            links = [("delay", dataclasses.replace(link, delay_bound=link.delay_bound + 1))]
+            links += [("loss", dataclasses.replace(link, lossy=link.lossy | {e})) for e in sorted(link.events - link.lossy)]
+            for kind, weaker in links:
+                yield kind, dataclasses.replace(net, channels={**net.channels, key: weaker})
+
+    @pytest.mark.parametrize("params,expected", [
+        (GeneratorParams(), {"pairs": {"delay": 222, "loss": 145}, "lost": {"delay": 0, "loss": 1}}),
+        (GeneratorParams(n=3, max_comm_states=150),
+         {"pairs": {"delay": 638, "loss": 333}, "lost": {"delay": 0, "loss": 0}}),
+    ], ids=["default", "n3"])
+    def test_weaker_channel_never_makes_the_problem_solvable(self, params, expected):
+        pairs = {"delay": 0, "loss": 0}
+        lost = {"delay": 0, "loss": 0}
+        for seed in range(150):
+            inst = random_instance(seed, params)
+            try:
+                base = self.solvable(inst, inst.net)
+            except ResourceLimitError:
+                continue
+            for kind, net in self.weaker(inst.net):
+                try:
+                    holds = self.solvable(inst, net)
+                except ResourceLimitError:
+                    continue
+                assert base or not holds, (seed, kind, net.channels)
+                pairs[kind] += 1
+                lost[kind] += base and not holds
+        # pinned, so a change of generator or budget shows; few pairs change
+        # the verdict, because most unsolvable instances fail controllability,
+        # which no channel affects
+        assert {"pairs": pairs, "lost": lost} == expected
+
+
 class TestLmClosure:
     def test_inherited_marking_holds(self, line_comm):
         assert check_lm_closure(line_comm).holds
@@ -518,17 +573,16 @@ class TestLmClosure:
         assert comm.marked[end] and not comm.spec_marked[end]
         assert not brute_check(Condition.LM_CLOSURE, comm, 8).holds
 
-    def test_marking_beyond_plant_is_a_model_error(self, line_comm):
-        # model files cannot express this; a hand-made automaton can
-        sid = next(
-            s for s in range(line_comm.num_states)
-            if line_comm.spec_reachable[s] and not line_comm.marked[s]
-        )
-        spec_marked = list(line_comm.spec_marked)
-        spec_marked[sid] = True
-        comm = dataclasses.replace(line_comm, spec_marked=spec_marked)
-        with pytest.raises(ModelError, match="marked in the specification"):
-            check_lm_closure(comm)
+    def test_marking_beyond_plant_is_a_model_error(self, line_model):
+        """Model files cannot mark a specification state the plant leaves
+        unmarked (``modelio`` rejects it), and the Python API cannot either:
+        ``build_comm_automaton`` rejects the specification, so
+        ``check_lm_closure`` never meets such a marking."""
+        spec, plant = line_model.spec, line_model.plant
+        unmarked = next(q for q in spec.states if q not in plant.marked)
+        over_marked = dataclasses.replace(spec, marked=spec.marked | {unmarked})
+        with pytest.raises(ModelError, match="marked set must be a subset of the inherited one"):
+            build_comm_automaton(plant, over_marked, line_model.network)
 
 
 class TestOracleAgreement:
