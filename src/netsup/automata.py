@@ -353,7 +353,11 @@ def prepare(plant: TimedAutomaton, spec: TimedAutomaton, net) -> tuple[TimedAuto
     """The control problem every pipeline solves: the plant's accessible
     part, the specification restricted to the states it kept, after the
     plant passed ``validate_timed_assumptions`` (ModelError otherwise).
+    A plant event in no supervisor alphabet raises UnknownNameError.
     ``comm.build_comm_automaton`` runs it first, so no caller has to."""
+    missing = plant.alphabet - net.events
+    if missing:
+        raise UnknownNameError(f"plant events {sorted(missing)} belong to no supervisor alphabet")
     reachable = accessible(plant)
     # only states the plant lost: a state foreign to the plant stays, for the
     # subautomaton check to reject

@@ -284,7 +284,7 @@ def cmd_export_dot(args) -> int:
             sups = [synthesize_supervisor(comm, i) for i in range(model.network.n)]
             text = dotmod.closed_loop_dot(closed_loop(comm, sups))
         else:
-            text = dotmod.observer_dot(synthesize_supervisor(comm, i).observer, comm)
+            text = dotmod.observer_dot(comm.observer(i), comm)
     else:
         raise ModelError(f"unknown export target {target!r}")
     _write(text, args.output)

@@ -261,13 +261,6 @@ class EventTable:
     ids: list[tuple[int, ...]]
     targets: list[tuple[int, ...]]
 
-    def over(self, events: tuple[CommEvent, ...]) -> "EventTable":
-        """The same moves with ids into ``events``, a superset of this
-        table's events in ``event_key`` order."""
-        index = {event: k for k, event in enumerate(events)}
-        rename = [index[event] for event in self.events]
-        return EventTable(events, [tuple(rename[e] for e in row) for row in self.ids], self.targets)
-
     def moves(self, sid: int) -> list[tuple[CommEvent, int]]:
         """The (event, target) pairs of ``sid``, in event id order."""
         events = self.events

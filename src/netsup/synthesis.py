@@ -25,7 +25,6 @@ from .comm import (  # Observer and build_observer are importable from here too
     SpecView,
     build_comm_automaton,
     build_observer,
-    event_key,
     observation_of,
     observation_symbols,
 )
@@ -274,22 +273,18 @@ class LanguageVerdict:
 
 
 def _same_language(loop: ClosedLoop, b, rows: list[tuple[int, ...]]) -> bool:
-    """True when ``b`` is the loop's automaton or its SpecView and, at every
+    """True when ``b`` is the SpecView of the loop's automaton and, at every
     loop state, the loop's row and marking equal ``b``'s (``rows``, from
     ``b``'s event table) at the automaton state the loop is in.  Every
     string to a loop state leads ``b`` to that automaton state, so this
     holds exactly when the languages are equal."""
     comm = loop.comm
-    if b is comm:
-        marked = comm.marked
-    elif isinstance(b, SpecView) and b.comm is comm:
-        marked = comm.spec_marked
-    else:
+    if not (isinstance(b, SpecView) and b.comm is comm):
         return False
-    radix, loop_marked = loop.radix, comm.marked
+    radix, spec_marked, marked = loop.radix, comm.spec_marked, comm.marked
     for row, code in zip(loop.table.ids, loop.codes):
         x = code // radix
-        if row != rows[x] or marked[x] != loop_marked[x]:
+        if row != rows[x] or spec_marked[x] != marked[x]:
             return False
     return True
 
@@ -300,23 +295,23 @@ def language_equal(a, b, *, max_states: int = MAX_STATES) -> LanguageVerdict:
     SpecView or a ClosedLoop (anything with ``event_table``, ``initial``
     and ``is_marked``).
 
-    A ClosedLoop ``a`` compared with its own automaton or that automaton's
-    SpecView is decided in one pass over the loop (``_same_language``),
-    which builds nothing when the languages are equal.  Otherwise, and
-    whenever they differ, the synchronized product is walked, following
-    one-sided continuations so a generated-language difference cannot mask
-    a marked-language difference.  A pair with one side already outside its
+    A ClosedLoop ``a`` compared with its own automaton's SpecView is
+    decided in one pass over the loop (``_same_language``), which builds
+    nothing when the languages are equal.  Otherwise, and whenever they
+    differ, the synchronized product is walked, following one-sided
+    continuations so a generated-language difference cannot mask a
+    marked-language difference.  A pair with one side already outside its
     language expands the other side's row as it is, which is that row
     merged with an empty one.  Distinguishing strings are shortest (BFS,
-    ties broken by event id); ``max_states`` bounds the product.
+    ties broken by event id); ``max_states`` bounds the product.  Both
+    structures must share one event table's events (ValueError otherwise).
     """
     table_a, table_b = a.event_table(), b.event_table()
     if isinstance(a, ClosedLoop) and _same_language(a, b, table_b.ids):
         return LanguageVerdict(True, True)
     events = table_a.events
-    if table_b.events is not events and table_b.events != events:
-        events = tuple(sorted(set(events) | set(table_b.events), key=event_key))
-        table_a, table_b = table_a.over(events), table_b.over(events)
+    if table_b.events != events:
+        raise ValueError("language_equal compares structures over different event tables")
     ids_a, targets_a, ids_b, targets_b = table_a.ids, table_a.targets, table_b.ids, table_b.targets
     # a pair (sa, sb), -1 for a side that has left its language, has the key
     # (sa + 1) * width + sb + 1 and is labelled with the event id it was

@@ -10,11 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import AbstractSet, NamedTuple, Optional
+from typing import AbstractSet, Optional
 
 from .automata import TICK, event_order
 from .comm import CommAutomaton, CommEvent, InSpecRows
-from .errors import ResourceLimitError
 from .explore import MAX_STATES, PathSpace
 
 
@@ -85,14 +84,6 @@ def check_network_controllability(comm: CommAutomaton) -> Verdict:
     return Verdict(Condition.NET_CTRL_1, True)
 
 
-class TwinState(NamedTuple):
-    """A pair of states reached by two in-spec runs with identical
-    observations for one supervisor."""
-
-    x: int
-    y: int
-
-
 @dataclass
 class TwinProduct:
     """Reachable observation-synchronized state pairs for one supervisor,
@@ -107,13 +98,12 @@ class TwinProduct:
     put), and reconstruct the two generating runs.
     """
 
-    supervisor: int
     width: int
     space: PathSpace
 
     @cached_property
-    def states(self) -> list[TwinState]:
-        return [TwinState(*divmod(key, self.width)) for key in self.space.keys]
+    def states(self) -> list[tuple[int, int]]:
+        return [divmod(key, self.width) for key in self.space.keys]
 
     def strings_to(self, tid: int) -> tuple[tuple[CommEvent, ...], tuple[CommEvent, ...]]:
         steps = self.space.path(tid)
@@ -155,13 +145,13 @@ def build_twin_product(
             if pair not in index:
                 add(pair, tid, (event, None))
                 if dst in exits and y in stays:
-                    return TwinProduct(supervisor, n, space)
+                    return TwinProduct(n, space)
         for event, dst in silent_y:
             pair = x * n + dst
             if pair not in index:
                 add(pair, tid, (None, event))
                 if x in exits and dst in stays:
-                    return TwinProduct(supervisor, n, space)
+                    return TwinProduct(n, space)
         for symbol, moves_x in observed_x.items():
             moves_y = observed_y.get(symbol)
             if moves_y is None:
@@ -172,8 +162,8 @@ def build_twin_product(
                     if pair not in index:
                         add(pair, tid, (ev_x, ev_y))
                         if dst_x in exits and dst_y in stays:
-                            return TwinProduct(supervisor, n, space)
-    return TwinProduct(supervisor, n, space)
+                            return TwinProduct(n, space)
+    return TwinProduct(n, space)
 
 
 def check_network_joint_observability(
@@ -191,12 +181,12 @@ def check_network_joint_observability(
     supervisor's observer holds a flagged element in ``exits`` and another
     in ``stays``: when the event is in both that state's ``exits`` and
     ``stays`` summaries, which the check reads off the observers ``comm``
-    caches, as synthesis does.  Only for a confused (event, supervisor), or
-    one whose observer breaks ``max_states``, is a twin product built, and
-    only up to its first violating pair, which gives the BFS-shortest
-    witness.  Events that exit nowhere, or stay inside nowhere, are skipped;
-    ``max_states`` bounds each observer and twin product.  Verdicts
-    aggregate deterministically in (event, supervisor) order.
+    caches, as synthesis does.  Only for a confused (event, supervisor) is a
+    twin product built, and only up to its first violating pair, which gives
+    the BFS-shortest witness.  Events that exit nowhere, or stay inside
+    nowhere, are skipped; ``max_states`` bounds each observer and twin
+    product (ResourceLimitError).  Verdicts aggregate deterministically in
+    (event, supervisor) order.
     """
     net, reachable = comm.net, comm.spec_tree.keys
     for event in sorted(net.globally_controllable, key=event_order):
@@ -205,27 +195,20 @@ def check_network_joint_observability(
         if not (exits and stays):
             continue
         for supervisor in net.controllers(event):
-            try:
-                observer = comm.observer(supervisor, max_states)
-            except ResourceLimitError:
-                pass  # too large to read: the twin product decides
-            else:
-                if not any(event in out and event in inside for out, inside in zip(observer.exits, observer.stays)):
-                    continue
+            observer = comm.observer(supervisor, max_states)
+            if not any(event in out and event in inside for out, inside in zip(observer.exits, observer.stays)):
+                continue
             twin = build_twin_product(comm, supervisor, max_states=max_states, until=(exits, stays))
-            last = len(twin.space.keys) - 1
-            x, y = divmod(twin.space.keys[last], twin.width)
-            if x in exits and y in stays:
-                mu, nu = twin.strings_to(last)
-                return Verdict(
-                    Condition.NET_JOINT_OBS,
-                    False,
-                    Witness(mu=mu, sigma=event, nu=nu, supervisor=supervisor),
-                    detail=(
-                        f"supervisor {supervisor + 1} cannot distinguish a run where"
-                        f" {event!r} must be disabled from one where it must stay enabled"
-                    ),
-                )
+            mu, nu = twin.strings_to(len(twin.space.keys) - 1)
+            return Verdict(
+                Condition.NET_JOINT_OBS,
+                False,
+                Witness(mu=mu, sigma=event, nu=nu, supervisor=supervisor),
+                detail=(
+                    f"supervisor {supervisor + 1} cannot distinguish a run where"
+                    f" {event!r} must be disabled from one where it must stay enabled"
+                ),
+            )
     return Verdict(Condition.NET_JOINT_OBS, True)
 
 
