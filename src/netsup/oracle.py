@@ -12,17 +12,22 @@ it once per state, at the first string reaching it, and skips the later
 ones.  A skipped string's verdict is the one already computed, so this is
 still literal quantification over every string, and the witness is still
 the first violating string in enumeration order.
+
+A bounded string is one ``str`` of event ids (see ``BoundedLanguage``): it
+hashes once, compares in C and is not tracked by the cyclic collector.  The
+checks decode only the witness they report, and ``brute_closed_loop`` the
+strings whose observation a supervisor's command needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
-from .automata import TICK, event_order
-from .comm import CommAutomaton, CommEvent, Plant, project_observation
+from .automata import TICK, TimedAutomaton, event_order
+from .comm import CommAutomaton, CommEvent, Plant, SpecView, observation_symbols, project_observation
 from .randgen import random_instance
-from .synthesis import SupervisorMap, closed_loop, synthesize_supervisor
+from .synthesis import SupervisorMap, check_supervisor_list, closed_loop, synthesize_supervisor
 from .verification import (
     Condition,
     Verdict,
@@ -36,11 +41,34 @@ from .verification import (
 @dataclass(frozen=True)
 class BoundedLanguage:
     """All strings of length <= bound generated by an automaton, with the
-    marked subset."""
+    marked subset.  A string is encoded as a ``str`` whose k-th character is
+    ``chr(i)``, i being the index of its k-th event in ``events``, the
+    automaton's alphabet; ``decode`` gives back the event tuple."""
 
-    strings: frozenset[tuple]
-    marked: frozenset[tuple]
+    strings: frozenset[str]
+    marked: frozenset[str]
     bound: int
+    events: tuple
+
+    def decode(self, string: str) -> tuple:
+        """The events of an encoded string, in order."""
+        return _decode(self.events, string)
+
+
+def _decode(events: tuple, string: str) -> tuple:
+    return tuple([events[ord(c)] for c in string])
+
+
+def _alphabet(machine) -> tuple:
+    """The events ``machine``'s strings are encoded over: a plant
+    automaton's alphabet in ``event_order``; for a channel-augmented
+    automaton, its SpecView and its closed loop, the automaton's event ids,
+    which they share, so their languages compare directly."""
+    if isinstance(machine, TimedAutomaton):
+        return tuple(sorted(machine.alphabet, key=event_order))
+    if isinstance(machine, SpecView):
+        return machine.comm.table.events
+    return machine.event_table().events
 
 
 def _check_bound(bound: int) -> None:
@@ -49,26 +77,27 @@ def _check_bound(bound: int) -> None:
         raise ValueError("bound must be >= 0")
 
 
-def _bounded_walk(machine, bound: int) -> Iterator[dict]:
+def _bounded_walk(machine, events: tuple, bound: int) -> Iterator[dict[Any, list[str]]]:
     """Every string of length <= ``bound`` that ``machine`` (anything with
-    ``initial`` and ``moves``) generates: one dict per length, shortest
-    first, from each state reached to the strings that reach it.  Each
-    state's moves are read once per walk."""
-    level: dict = {machine.initial: [()]}
+    ``initial`` and ``moves``) generates, encoded over ``events``: one dict
+    per length, shortest first, from each state reached to the strings that
+    reach it.  Each state's moves are read and encoded once per walk."""
+    code = {event: chr(k) for k, event in enumerate(events)}
+    level: dict[Any, list[str]] = {machine.initial: [""]}
     yield level
-    moves_of: dict = {}  # state -> its moves
+    moves_of: dict = {}  # state -> its moves as (character, target)
     for _ in range(bound):
-        nxt: dict = {}
+        nxt: dict[Any, list[str]] = {}
         for state, strings in level.items():
             moves = moves_of.get(state)
             if moves is None:
-                moves = moves_of[state] = machine.moves(state)
-            for event, dst in moves:
+                moves = moves_of[state] = [(code[event], dst) for event, dst in machine.moves(state)]
+            for c, dst in moves:
                 group = nxt.get(dst)
                 if group is None:
                     group = nxt[dst] = []
                 for string in strings:
-                    group.append(string + (event,))
+                    group.append(string + c)
         level = nxt
         yield level
 
@@ -77,19 +106,21 @@ def enumerate_language(machine, bound: int) -> BoundedLanguage:
     """Every string of length <= ``bound`` that ``machine`` generates, and
     the marked ones (``machine`` also needs ``is_marked``)."""
     _check_bound(bound)
-    strings: list[tuple] = []
-    marked: list[tuple] = []
-    for level in _bounded_walk(machine, bound):
+    events = _alphabet(machine)
+    strings: list[str] = []
+    marked: list[str] = []
+    for level in _bounded_walk(machine, events, bound):
         for state, group in level.items():
             strings += group
             if machine.is_marked(state):
                 marked += group
-    return BoundedLanguage(frozenset(strings), frozenset(marked), bound)
+    return BoundedLanguage(frozenset(strings), frozenset(marked), bound, events)
 
 
-# in-spec strings with their end states, shortest first: each _brute_* check
-# takes the ones it quantifies over
-SpecStrings = list[tuple[tuple[CommEvent, ...], int]]
+# in-spec strings, encoded over the automaton's event ids, with their end
+# states, shortest first: each _brute_* check takes the ones it quantifies
+# over and decodes only the witness it reports
+SpecStrings = list[tuple[str, int]]
 
 
 def _spec_strings(comm: CommAutomaton, bound: int) -> SpecStrings:
@@ -97,13 +128,13 @@ def _spec_strings(comm: CommAutomaton, bound: int) -> SpecStrings:
     first."""
     return [
         (string, sid)
-        for level in _bounded_walk(comm.spec_view(), bound)
+        for level in _bounded_walk(comm.spec_view(), comm.table.events, bound)
         for sid, group in level.items()
         for string in group
     ]
 
 
-def _first_strings(spec_strings: SpecStrings) -> Iterator[tuple[tuple[CommEvent, ...], int]]:
+def _first_strings(spec_strings: SpecStrings) -> Iterator[tuple[str, int]]:
     """The first string to each end state, in enumeration order."""
     seen = set()
     for mu, sid in spec_strings:
@@ -138,7 +169,7 @@ def _brute_controllability_1(comm: CommAutomaton, spec_strings: SpecStrings) -> 
             dst = comm.target(sid, plant_event)
             if dst is not None and not comm.in_spec[dst]:
                 return Verdict(
-                    Condition.NET_CTRL_1, False, Witness(mu=mu, sigma=event)
+                    Condition.NET_CTRL_1, False, Witness(mu=_decode(comm.table.events, mu), sigma=event)
                 )
     return Verdict(Condition.NET_CTRL_1, True)
 
@@ -155,7 +186,7 @@ def _brute_controllability_2(comm: CommAutomaton, spec_strings: SpecStrings) -> 
             for ev, t in comm.transitions[sid].items()
         )
         if not preemptable:
-            return Verdict(Condition.NET_CTRL_2, False, Witness(mu=mu, sigma=TICK))
+            return Verdict(Condition.NET_CTRL_2, False, Witness(mu=_decode(comm.table.events, mu), sigma=TICK))
     return Verdict(Condition.NET_CTRL_2, True)
 
 
@@ -165,14 +196,17 @@ def _brute_joint_observability(comm: CommAutomaton, spec_strings: SpecStrings) -
     run that must keep it enabled; equal observations are a violation.
 
     Runs are bucketed by observation string, which decides exactly the same
-    pair predicate as comparing all pairs one by one.
+    pair predicate as comparing all pairs one by one.  A run's observation
+    is its encoded string with each event replaced by what the supervisor
+    observes of it (``observation_symbols``), one character per symbol.
     """
-    net = comm.net
+    net, events = comm.net, comm.table.events
+    projections: dict[int, list[Optional[str]]] = {}  # supervisor -> its str.translate table
     controllable = sorted(net.globally_controllable, key=event_order)
     for event in controllable:
         plant_event = Plant(event)
-        must_disable: list[tuple[CommEvent, ...]] = []
-        must_enable: list[tuple[CommEvent, ...]] = []
+        must_disable: list[str] = []
+        must_enable: list[str] = []
         for mu, sid in spec_strings:
             dst = comm.target(sid, plant_event)
             if dst is None:
@@ -184,17 +218,22 @@ def _brute_joint_observability(comm: CommAutomaton, spec_strings: SpecStrings) -
         if not must_disable or not must_enable:
             continue
         for supervisor in net.controllers(event):
-            enabled_obs: dict[tuple[str, ...], tuple[CommEvent, ...]] = {}
+            projection = projections.get(supervisor)
+            if projection is None:
+                rank = {symbol: chr(k) for k, symbol in enumerate(net.observation_alphabet(supervisor))}
+                projection = projections[supervisor] = [
+                    None if symbol is None else rank[symbol] for symbol in observation_symbols(comm, supervisor)
+                ]
+            enabled_obs: dict[str, str] = {}
             for nu in must_enable:
-                obs = project_observation(nu, supervisor, net)
-                enabled_obs.setdefault(obs, nu)
+                enabled_obs.setdefault(nu.translate(projection), nu)
             for mu in must_disable:
-                obs = project_observation(mu, supervisor, net)
-                if obs in enabled_obs:
+                nu = enabled_obs.get(mu.translate(projection))
+                if nu is not None:
                     return Verdict(
                         Condition.NET_JOINT_OBS,
                         False,
-                        Witness(mu=mu, sigma=event, nu=enabled_obs[obs], supervisor=supervisor),
+                        Witness(mu=_decode(events, mu), sigma=event, nu=_decode(events, nu), supervisor=supervisor),
                     )
     return Verdict(Condition.NET_JOINT_OBS, True)
 
@@ -202,7 +241,7 @@ def _brute_joint_observability(comm: CommAutomaton, spec_strings: SpecStrings) -
 def _brute_lm_closure(comm: CommAutomaton, spec_strings: SpecStrings) -> Verdict:
     for mu, sid in _first_strings(spec_strings):
         if comm.marked[sid] and not comm.spec_marked[sid]:
-            return Verdict(Condition.LM_CLOSURE, False, Witness(mu=mu))
+            return Verdict(Condition.LM_CLOSURE, False, Witness(mu=_decode(comm.table.events, mu)))
     return Verdict(Condition.LM_CLOSURE, True)
 
 
@@ -217,11 +256,16 @@ def brute_closed_loop(
     observer on it, independently of the closed-loop product.  A string's
     observation and command are computed at most once per supervisor, when a
     controllable move first needs them, and each distinct observation is
-    run through a supervisor's observer at most once per call.
+    run through a supervisor's observer at most once per call.  A string
+    grows by one character per event and is decoded only for its
+    observation.
     """
     _check_bound(bound)
-    net = comm.net
+    check_supervisor_list(comm, supervisors)
+    net, events = comm.net, comm.table.events
+    code = {event: chr(k) for k, event in enumerate(events)}
     controllers = {e: net.controllers(e) for e in net.globally_controllable}
+    controlled = {Plant(e): e for e in controllers}
     commands: list[dict[tuple[str, ...], frozenset[str]]] = [{} for _ in supervisors]
 
     def command(mu: tuple[CommEvent, ...], i: int) -> frozenset[str]:
@@ -232,9 +276,12 @@ def brute_closed_loop(
             enabled = commands[i][observation] = supervisors[i].command(observation)
         return enabled
 
+    # per state, on first visit: its moves in comm.transitions as (character,
+    # the controllable plant event's name or None, target)
+    rows: dict[int, list[tuple[str, Optional[str], int]]] = {}
     strings = set()
     marked = set()
-    frontier: list[tuple[tuple[CommEvent, ...], int]] = [((), comm.initial)]
+    frontier: list[tuple[str, int]] = [("", comm.initial)]
     for length in range(bound + 1):
         nxt = []
         for mu, sid in frontier:
@@ -243,20 +290,28 @@ def brute_closed_loop(
                 marked.add(mu)
             if length == bound:
                 continue
+            row = rows.get(sid)
+            if row is None:
+                row = rows[sid] = [
+                    (code[event], controlled.get(event), dst) for event, dst in comm.transitions[sid].items()
+                ]
             issued: dict[int, frozenset[str]] = {}
-            for event, dst in comm.transitions[sid].items():
-                if isinstance(event, Plant) and event.event in controllers:
-                    for i in controllers[event.event]:
+            decoded: Optional[tuple[CommEvent, ...]] = None  # mu's events, once a command needs them
+            for c, name, dst in row:
+                if name is not None:
+                    for i in controllers[name]:
                         if i not in issued:
-                            issued[i] = command(mu, i)
-                        if event.event not in issued[i]:
+                            if decoded is None:
+                                decoded = _decode(events, mu)
+                            issued[i] = command(decoded, i)
+                        if name not in issued[i]:
                             break
                     else:
-                        nxt.append((mu + (event,), dst))
+                        nxt.append((mu + c, dst))
                 else:
-                    nxt.append((mu + (event,), dst))
+                    nxt.append((mu + c, dst))
         frontier = nxt
-    return BoundedLanguage(frozenset(strings), frozenset(marked), bound)
+    return BoundedLanguage(frozenset(strings), frozenset(marked), bound, events)
 
 
 def agreement_for_seed(seed: int, bound: int) -> dict:

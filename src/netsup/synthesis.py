@@ -125,7 +125,7 @@ class ClosedLoop:
         return x, tuple(obs)
 
 
-def _check_count(comm: CommAutomaton, supervisors: Sequence[SupervisorMap]) -> None:
+def check_supervisor_list(comm: CommAutomaton, supervisors: Sequence[SupervisorMap]) -> None:
     """Raise ValueError unless there is one supervisor per ``comm.net.n``,
     supervisor ``i`` at position ``i``."""
     if len(supervisors) != comm.net.n:
@@ -211,7 +211,7 @@ def closed_loop(
     event's guards: it is dropped when some supervisor disables the event
     there, whatever its index; otherwise ValueError names the lowest-index
     observer with no move for a symbol its supervisor observes."""
-    _check_count(comm, supervisors)
+    check_supervisor_list(comm, supervisors)
     table = comm.event_table()
     ids, targets = table.ids, table.targets
     weights = []
@@ -388,7 +388,7 @@ def check_admissibility(
     ValueError.  ``max_states`` bounds each walk; a supervisor that passes
     builds none.
     """
-    _check_count(comm, supervisors)
+    check_supervisor_list(comm, supervisors)
     net, tick_critical = comm.net, comm.tick_critical
     for i, sup in enumerate(supervisors):
         observer, enable = sup.observer, sup.enable

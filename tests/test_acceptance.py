@@ -136,6 +136,7 @@ def test_c4_conditions_necessary():
         if diffs and min(len(d) for d in diffs) <= 8:
             bounded = brute_closed_loop(comm, sups, 8)
             spec_bounded = enumerate_language(comm.spec_view(), 8)
+            assert bounded.events == spec_bounded.events
             assert (
                 bounded.strings != spec_bounded.strings
                 or bounded.marked != spec_bounded.marked
@@ -167,6 +168,7 @@ def _oracle_agreement(seed, inst):
     sups = [synthesize_supervisor(comm, i) for i in range(inst.net.n)]
     loop_lang = enumerate_language(closed_loop(comm, sups), 8)
     brute_lang = brute_closed_loop(comm, sups, 8)
+    assert loop_lang.events == brute_lang.events
     if loop_lang.strings != brute_lang.strings or loop_lang.marked != brute_lang.marked:
         disagreements.append((seed, "closed-loop language"))
     return disagreements, ctrl.holds and obs.holds and clos.holds

@@ -116,7 +116,8 @@ class TestParallelCompose:
                 expected.add(s)
                 reached_pairs.add((qa, qb))
         got = enumerate_language(prod, 6)
-        assert got.strings == expected
+        assert got.events == (TICK, "a1", "a2")
+        assert {got.decode(s) for s in got.strings} == expected
         assert len(prod.states) == len(reached_pairs) == 4
 
     def test_associative_up_to_language(self):
@@ -125,7 +126,9 @@ class TestParallelCompose:
         c = tick_cycle("C", "a3")
         left = parallel_compose(parallel_compose(a, b), c)
         right = parallel_compose(a, parallel_compose(b, c))
-        assert enumerate_language(left, 5).strings == enumerate_language(right, 5).strings
+        left_language, right_language = enumerate_language(left, 5), enumerate_language(right, 5)
+        assert left_language.events == right_language.events
+        assert left_language.strings == right_language.strings
 
     def test_budget(self, monkeypatch):
         a = tick_cycle("A", "a1")
@@ -140,10 +143,11 @@ class TestParallelCompose:
         r1 = next(a for a in line_model.automata if a.name == "R1")
         r2 = next(a for a in line_model.automata if a.name == "R2")
         prod = parallel_compose(r1, r2)
-        line = enumerate_language(line_model.plant, 8).strings
-        free = enumerate_language(prod, 8).strings
-        assert line <= free
-        assert line != free
+        line = enumerate_language(line_model.plant, 8)
+        free = enumerate_language(prod, 8)
+        assert line.events == free.events
+        assert line.strings <= free.strings
+        assert line.strings != free.strings
 
 
 class TestAccessible:
@@ -228,7 +232,9 @@ class TestSubautomaton:
             h = remove_states(g, rng.sample(removable, rng.randint(1, len(removable))))
             assert subautomaton_defect(h, g) is None
             assert h.marked == g.marked & set(h.states)
-            assert enumerate_language(h, 5).strings <= enumerate_language(g, 5).strings
+            h_language, g_language = enumerate_language(h, 5), enumerate_language(g, 5)
+            assert h_language.events == g_language.events
+            assert h_language.strings <= g_language.strings
 
 
 class TestNonblocking:

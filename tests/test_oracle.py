@@ -1,15 +1,16 @@
 """The brute-force oracle itself: enumeration, bounded semantics, planted
 defects."""
 
+import hashlib
 from collections import Counter
 
 import pytest
 
 from netsup.automata import TICK, TimedAutomaton
-from netsup.comm import build_comm_automaton
+from netsup.comm import build_comm_automaton, render_event
 from netsup.network import ChannelLink, NetworkConfig
 from netsup.oracle import brute_check, brute_closed_loop, enumerate_language
-from netsup.randgen import random_instance
+from netsup.randgen import GeneratorParams, random_instance
 from netsup.synthesis import SupervisorMap, closed_loop, synthesize_supervisor
 from netsup.verification import Condition, Verdict
 
@@ -27,12 +28,15 @@ def tick_only():
 class TestEnumerate:
     def test_bound_zero(self):
         lang = enumerate_language(tick_only(), 0)
-        assert lang.strings == {()}
-        assert lang.marked == {()}
+        assert lang.strings == {""}
+        assert lang.marked == {""}
+        assert lang.decode("") == ()
 
     def test_tick_self_loop(self):
         lang = enumerate_language(tick_only(), 3)
-        assert lang.strings == {(), (TICK,), (TICK, TICK), (TICK, TICK, TICK)}
+        assert lang.events == (TICK,)
+        assert lang.strings == {"", "\0", "\0\0", "\0\0\0"}
+        assert {lang.decode(s) for s in lang.strings} == {(), (TICK,), (TICK, TICK), (TICK, TICK, TICK)}
 
     def test_count_matches_recursive_dfs(self, line_comm):
         """Independent recursive count of bounded strings."""
@@ -50,7 +54,7 @@ class TestEnumerate:
     def test_prefix_closed(self, line_comm):
         lang = enumerate_language(line_comm, 5)
         for s in lang.strings:
-            assert s[:-1] in lang.strings or s == ()
+            assert s[:-1] in lang.strings or s == ""
 
 
 def planted_defect_model():
@@ -127,12 +131,14 @@ class TestBruteClosedLoop:
             )
         direct = enumerate_language(line_comm, 6)
         controlled = brute_closed_loop(line_comm, sups, 6)
+        assert controlled.events == direct.events
         assert controlled.strings == direct.strings
         assert controlled.marked == direct.marked
 
     def test_fixture_supervisors_reproduce_spec_language(self, line_report):
         bounded = brute_closed_loop(line_report.comm, line_report.supervisors, 8)
         spec_lang = enumerate_language(line_report.comm.spec_view(), 8)
+        assert bounded.events == spec_lang.events
         assert bounded.strings == spec_lang.strings
         assert bounded.marked == spec_lang.marked
 
@@ -145,27 +151,42 @@ class TestBruteClosedLoop:
         sup = synthesize_supervisor(comm, 0)
         gagged = SupervisorMap(0, sup.observer, tuple(frozenset() for _ in sup.enable))
         lang = brute_closed_loop(comm, [gagged], 5)
-        assert lang.strings == {()}
+        assert lang.strings == {""}
 
 
     def test_negative_bound_is_refused(self, line_report):
-        assert brute_closed_loop(line_report.comm, line_report.supervisors, 0).strings == {()}
+        assert brute_closed_loop(line_report.comm, line_report.supervisors, 0).strings == {""}
         with pytest.raises(ValueError, match="bound must be >= 0"):
             brute_closed_loop(line_report.comm, line_report.supervisors, -1)
         with pytest.raises(ValueError, match="bound must be >= 0"):
             enumerate_language(line_report.loop, -1)
 
+    @pytest.mark.parametrize("order,message", [
+        ((0,), "expected 2 supervisors, got 1"),
+        ((1, 0), "supervisor 2 is at position 1"),
+        ((0, 1, 0), "expected 2 supervisors, got 3"),
+    ], ids=["short", "swapped", "long"])
+    def test_supervisor_list_is_checked(self, line_report, order, message):
+        """The oracle refuses a supervisor list as the closed loop does."""
+        sups = [line_report.supervisors[i] for i in order]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            closed_loop(line_report.comm, sups)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            brute_closed_loop(line_report.comm, sups, 6)
+
 
 class CommandSpy:
-    """A supervisor that counts the observations it is asked about."""
+    """A supervisor that counts the observations it is asked about; its
+    ``supervisor`` is the index, as a ``SupervisorMap``'s is."""
 
-    def __init__(self, supervisor):
-        self.supervisor = supervisor
+    def __init__(self, sup):
+        self.supervisor = sup.supervisor
+        self.sup = sup
         self.calls = Counter()
 
     def command(self, observation):
         self.calls[tuple(observation)] += 1
-        return self.supervisor.command(observation)
+        return self.sup.command(observation)
 
 
 class TestBruteClosedLoopQueries:
@@ -189,8 +210,66 @@ class TestBruteClosedLoopQueries:
         for comm, sups in self.cases(line_report):
             brute = brute_closed_loop(comm, [CommandSpy(sup) for sup in sups], 6)
             loop = enumerate_language(closed_loop(comm, sups), 6)
+            assert brute.events == loop.events
             assert brute.strings == loop.strings
             assert brute.marked == loop.marked
+
+
+# recorded on the tuple-string oracle that the encoded strings replaced
+VERDICTS = "81fd44e9452a7ca56ca87c93bc0d7ecfe8b97ac0f6c7c507ee6c36d3b2edc52e"
+LANGUAGES = "13272e0971ef8e0862a8404e44202b5a5896b7aa4a56cb738d13b3030961e632"
+
+
+def rendered(string):
+    return None if string is None else " ".join(render_event(e) for e in string)
+
+
+def verdicts_digest():
+    """sha256 over every ``brute_check`` verdict with its rendered witness:
+    each condition at bounds 5 and 8 on seeds 0-199 of both generators;
+    with the number of checks and of violations."""
+    h = hashlib.sha256()
+    checks = violations = 0
+    for params in (GeneratorParams(), GeneratorParams(n=3, max_comm_states=150)):
+        for seed in range(200):
+            comm = random_instance(seed, params).comm
+            for bound in (5, 8):
+                for condition in CONDITIONS:
+                    verdict = brute_check(condition, comm, bound)
+                    w = verdict.witness
+                    row = (seed, bound, condition.value, verdict.holds) + (
+                        w and (rendered(w.mu), w.sigma, rendered(w.nu), w.supervisor),
+                    )
+                    h.update(repr(row).encode() + b"\n")
+                    checks += 1
+                    violations += not verdict.holds
+    return h.hexdigest(), checks, violations
+
+
+def languages_digest():
+    """sha256 over the sorted rendered strings and marked strings of the
+    closed loop's bounded language and of the oracle's, at bound 8 on
+    seeds 0-39 of ``GeneratorParams()``."""
+    h = hashlib.sha256()
+    for seed in range(40):
+        comm = random_instance(seed).comm
+        sups = [synthesize_supervisor(comm, i) for i in range(comm.net.n)]
+        for language in (enumerate_language(closed_loop(comm, sups), 8), brute_closed_loop(comm, sups, 8)):
+            for strings in (language.strings, language.marked):
+                h.update(repr(sorted(rendered(language.decode(s)) for s in strings)).encode() + b"\n")
+    return h.hexdigest()
+
+
+class TestOracleIdentity:
+    """Every oracle verdict, witness and bounded language on random
+    instances, pinned as sha256 digests, so that a faster string encoding
+    cannot change them."""
+
+    def test_brute_check_verdicts(self):
+        assert verdicts_digest() == (VERDICTS, 3200, 904)
+
+    def test_closed_loop_languages(self):
+        assert languages_digest() == LANGUAGES
 
 
 class TestGenerator:

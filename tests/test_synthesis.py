@@ -370,6 +370,11 @@ class TestAdmissibility:
         assert negatives > count // 2
 
 
+def decoded(language, kind):
+    """A bounded language's ``strings`` or ``marked``, as event tuples."""
+    return {language.decode(s) for s in getattr(language, kind)}
+
+
 class TestClosedLoop:
     def test_enable_everything_gives_full_language(self, line_comm):
         sups = []
@@ -421,6 +426,7 @@ class TestClosedLoop:
             loop = closed_loop(inst.comm, sups)
             direct = enumerate_language(loop, 7)
             recursive = brute_closed_loop(inst.comm, sups, 7)
+            assert direct.events == recursive.events
             assert direct.strings == recursive.strings
             assert direct.marked == recursive.marked
 
@@ -432,6 +438,7 @@ class TestClosedLoop:
             loop = closed_loop(inst.comm, sups)
             direct = enumerate_language(loop, 5)
             recursive = brute_closed_loop(inst.comm, sups, 5)
+            assert direct.events == recursive.events
             assert direct.strings == recursive.strings
             assert direct.marked == recursive.marked
 
@@ -453,12 +460,13 @@ class TestClosedLoop:
                         continue
                     checked += 1
                     n = len(witness)
-                    in_a = witness in getattr(enumerate_language(a, n), kind)
-                    in_b = witness in getattr(enumerate_language(b, n), kind)
+                    in_a = witness in decoded(enumerate_language(a, n), kind)
+                    in_b = witness in decoded(enumerate_language(b, n), kind)
                     assert in_a != in_b
                     if n:
-                        shorter_a = getattr(enumerate_language(a, n - 1), kind)
-                        assert shorter_a == getattr(enumerate_language(b, n - 1), kind)
+                        shorter_a, shorter_b = enumerate_language(a, n - 1), enumerate_language(b, n - 1)
+                        assert shorter_a.events == shorter_b.events
+                        assert getattr(shorter_a, kind) == getattr(shorter_b, kind)
         assert checked >= 50
 
     def test_no_out_of_spec_states_when_conditions_hold(self):
