@@ -17,8 +17,10 @@ from .comm import (
     CommAutomaton,
     Deliver,
     Lose,
+    Observer,
     Plant,
     build_comm_automaton,
+    build_observer,
     check_projection_equivalence,
     project_observation,
     project_plant,
@@ -29,9 +31,7 @@ from .oracle import BoundedLanguage, brute_check, brute_closed_loop, enumerate_l
 from .simulation import Termination, Trace, render_trace, simulate
 from .synthesis import (
     ClosedLoop,
-    Observer,
     SupervisorMap,
-    build_observer,
     check_admissibility,
     closed_loop,
     language_equal,

@@ -349,15 +349,21 @@ def validate_timed_assumptions(auto: TimedAutomaton, enforceable: frozenset[str]
     return AssumptionVerdict(True)
 
 
-def prepare(plant: TimedAutomaton, spec: TimedAutomaton, net) -> tuple[TimedAutomaton, TimedAutomaton]:
-    """The control problem every pipeline solves: the plant's accessible
-    part, the specification restricted to the states it kept, after the
-    plant passed ``validate_timed_assumptions`` (ModelError otherwise).
-    A plant event in no supervisor alphabet raises UnknownNameError.
-    ``comm.build_comm_automaton`` runs it first, so no caller has to."""
+def require_supervised(plant: TimedAutomaton, net) -> None:
+    """UnknownNameError unless every plant event is in some supervisor's
+    alphabet: the loader's check and ``prepare``'s."""
     missing = plant.alphabet - net.events
     if missing:
         raise UnknownNameError(f"plant events {sorted(missing)} belong to no supervisor alphabet")
+
+
+def prepare(plant: TimedAutomaton, spec: TimedAutomaton, net) -> tuple[TimedAutomaton, TimedAutomaton]:
+    """The control problem every pipeline solves: the plant's accessible
+    part, the specification restricted to the states it kept, after the
+    plant passed ``validate_timed_assumptions`` (ModelError otherwise) and
+    ``require_supervised``.  ``comm.build_comm_automaton`` runs it first,
+    so no caller has to."""
+    require_supervised(plant, net)
     reachable = accessible(plant)
     # only states the plant lost: a state foreign to the plant stays, for the
     # subautomaton check to reject

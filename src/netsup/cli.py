@@ -42,6 +42,8 @@ from .verification import (
 )
 
 SPEC_VERSION = 1
+# the three existence checks, in the order every command reports them
+_CHECK_NAMES = ("network controllability", "network joint observability", "marked-language closure")
 
 
 def _write(text: str, output: Optional[str]) -> None:
@@ -79,15 +81,11 @@ def _verdict_text(name: str, verdict: Verdict) -> str:
     lines = [f"{name}: FAILS ({verdict.condition.value})"]
     if verdict.detail:
         lines.append(f"  {verdict.detail}")
-    w = verdict.witness
-    if w is not None:
-        lines.append("  mu = " + " ".join(render_event(e) for e in w.mu))
-        if w.sigma is not None:
-            lines.append(f"  sigma = {w.sigma}")
-        if w.nu is not None:
-            lines.append("  nu = " + " ".join(render_event(e) for e in w.nu))
-        if w.supervisor is not None:
-            lines.append(f"  supervisor = {w.supervisor + 1}")
+    witness = _witness_dict(verdict) or {}
+    for key in ("mu", "sigma", "nu", "supervisor"):
+        if key in witness:
+            value = witness[key]
+            lines.append(f"  {key} = {' '.join(value) if isinstance(value, list) else value}")
     return "\n".join(lines)
 
 
@@ -175,7 +173,7 @@ def cmd_build_comm(args) -> int:
     payload = {
         "spec_version": SPEC_VERSION,
         "states": comm.num_states,
-        "spec_states": sum(comm.spec_reachable),
+        "spec_states": len(comm.spec_tree.keys),
         "marked_states": sum(comm.marked),
         "initial": comm.render_state(comm.initial),
     }
@@ -188,11 +186,11 @@ def cmd_build_comm(args) -> int:
 def cmd_check(args) -> int:
     model = load_model(args.model)
     comm = build_comm_automaton(model.plant, model.spec, model.network)
-    verdicts = [
-        ("network controllability", check_network_controllability(comm)),
-        ("network joint observability", check_network_joint_observability(comm)),
-        ("marked-language closure", check_lm_closure(comm)),
-    ]
+    verdicts = list(zip(_CHECK_NAMES, [
+        check_network_controllability(comm),
+        check_network_joint_observability(comm),
+        check_lm_closure(comm),
+    ]))
     all_hold = all(v.holds for _, v in verdicts)
     if args.format == "json":
         payload = {
@@ -226,12 +224,9 @@ def cmd_solve(args) -> int:
     if args.format == "json":
         _write(dump_json(_report_dict(report)), args.output)
     else:
-        lines = [
-            _verdict_text("network controllability", report.controllability),
-            _verdict_text("network joint observability", report.observability),
-            _verdict_text("marked-language closure", report.closure),
-            f"solvable: {'yes' if report.solvable else 'no'}",
-        ]
+        checks = (report.controllability, report.observability, report.closure)
+        lines = [_verdict_text(name, v) for name, v in zip(_CHECK_NAMES, checks)]
+        lines.append(f"solvable: {'yes' if report.solvable else 'no'}")
         if report.supervisors is not None:
             lines.append(f"admissible: {'yes' if report.admissibility.holds else 'no'}")
             lines.append(

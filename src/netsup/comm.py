@@ -96,11 +96,10 @@ class CommAutomaton:
     Parallel arrays indexed by dense state id (discovery order):
     ``keys`` holds the (plant state, channel state) pair, ``in_spec`` whether
     the plant component survives in the specification subautomaton,
-    ``marked`` / ``spec_marked`` the plant-level markings, and
-    ``spec_reachable`` whether the state is reachable through in_spec states
-    only (i.e. belongs to the specification's channel-augmented automaton).
-    ``spec_tree`` is the breadth-first walk that found those states, keyed by
-    state id; ``spec_path`` reads its links.  ``exits`` / ``stays`` hold the
+    ``marked`` / ``spec_marked`` the plant-level markings.  ``spec_tree`` is
+    the breadth-first walk through in_spec states only, keyed by state id:
+    its keys are the states of the specification's channel-augmented
+    automaton, and ``spec_path`` reads its links.  ``exits`` / ``stays`` hold the
     exit table: the plant event names (tick included) whose move from the
     state leaves the specification, and those whose move stays inside it;
     ``tick_critical``, whether tick is possible there and no enforceable
@@ -119,7 +118,6 @@ class CommAutomaton:
     in_spec: list[bool]
     marked: list[bool]
     spec_marked: list[bool]
-    spec_reachable: list[bool]
     exits: list[frozenset[str]]
     stays: list[frozenset[str]]
     tick_critical: list[bool]
@@ -161,6 +159,11 @@ class CommAutomaton:
     def is_marked(self, sid: int) -> bool:
         return self.marked[sid]
 
+    @property
+    def spec_reachable(self) -> list[bool]:
+        """Per state, whether it is in ``spec_tree``: for perfbench's traced runs."""
+        return [sid in self.spec_tree.index for sid in range(self.num_states)]
+
     def render_state(self, sid: int) -> str:
         plant, chans = self.keys[sid]
         suffix = ch.render_state(chans)
@@ -184,7 +187,7 @@ class CommAutomaton:
 
     def owns_observer(self, i: int, observer: "Observer") -> bool:
         """True when ``observer`` is the one ``observer(i)`` built and
-        cached, so its elements and transitions are the subset construction
+        cached, so its codes and transitions are the subset construction
         over this automaton."""
         return self._observers.get(i) is observer
 
@@ -208,7 +211,7 @@ class CommAutomaton:
 
     def spec_path(self, sid: int) -> tuple[CommEvent, ...]:
         """A shortest string to ``sid`` through in_spec states only, ties
-        broken by exploration order; ``sid`` must be spec_reachable."""
+        broken by exploration order; ``sid`` must be in ``spec_tree``."""
         return tuple(self.spec_tree.path(self.spec_tree.index[sid]))
 
 
@@ -414,9 +417,6 @@ def build_comm_automaton(
         for event, dst in rows[sid]:
             if in_spec[dst] and dst not in spec_tree.index:
                 spec_tree.add(dst, tid, event)
-    spec_reachable = [False] * len(keys)
-    for sid in spec_tree.keys:
-        spec_reachable[sid] = True
 
     return CommAutomaton(
         net=net,
@@ -425,7 +425,6 @@ def build_comm_automaton(
         in_spec=in_spec,
         marked=marked,
         spec_marked=spec_marked,
-        spec_reachable=spec_reachable,
         exits=exits,
         stays=stays,
         tick_critical=tick_critical,
@@ -495,17 +494,14 @@ class InSpecRows(dict):
         return row
 
 
-ObserverElement = tuple[int, bool]  # (state id, run stayed in spec): a decoded element code
-
-
 @dataclass
 class Observer:
     """Deterministic observer for one supervisor.
 
     ``codes[t]`` is the set of elements compatible with the observation
     string leading to observer state ``t``; an element is a state id ``x``
-    and whether its run stayed in spec, coded as the int ``2 * x + flag``.
-    ``elements[t]`` decodes it into (state, in-spec) pairs.  The other lists
+    and whether its run stayed in spec, coded as the int ``2 * x + flag``,
+    so codes sort as their (state, flag) pairs do.  The other lists
     summarize the automaton's exit table over its flagged elements (states
     that in-spec runs reach): whether it has one, the unions of their
     ``exits`` / ``stays``, and whether one is ``tick_critical``.
@@ -523,12 +519,6 @@ class Observer:
     @property
     def num_states(self) -> int:
         return len(self.codes)
-
-    @cached_property
-    def elements(self) -> tuple[frozenset[ObserverElement], ...]:
-        """Per observer state, its element codes decoded into (state,
-        in-spec) pairs; decoded on first access."""
-        return tuple(frozenset((code >> 1, bool(code & 1)) for code in codes) for codes in self.codes)
 
     def run(self, symbols: Iterable[str]) -> Optional[int]:
         return follow(self.transitions, self.initial, symbols)

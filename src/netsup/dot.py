@@ -52,10 +52,10 @@ def comm_automaton_dot(comm: CommAutomaton) -> str:
 
 def observer_dot(observer: Observer, comm: CommAutomaton) -> str:
     lines = ["digraph {", "  rankdir=LR;"]
-    for t, elements in enumerate(observer.elements):
+    for t, codes in enumerate(observer.codes):
+        # a code is 2 * state + flag, so sorting codes sorts (state, flag) pairs
         label = "{" + ",".join(
-            comm.render_state(sid) + ("" if flag else "!")
-            for sid, flag in sorted(elements)
+            comm.render_state(code >> 1) + ("" if code & 1 else "!") for code in sorted(codes)
         ) + "}"
         lines.append(f"  n{t} [label={_quote(label)} shape=box];")
     lines.append(f"  init [shape=point]; init -> n{observer.initial};")

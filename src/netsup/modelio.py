@@ -15,7 +15,7 @@ from functools import reduce
 from pathlib import Path
 from typing import Union
 
-from .automata import TimedAutomaton, parallel_compose, remove_states, subautomaton_defect
+from .automata import TimedAutomaton, parallel_compose, remove_states, require_supervised, subautomaton_defect
 from .errors import SchemaError, UnknownNameError
 from .network import ChannelLink, NetworkConfig
 
@@ -87,7 +87,7 @@ def _parse_network(entry: dict) -> NetworkConfig:
         controllable.append(_require_names(sup, "controllable", sw))
         observable.append(_require_names(sup, "observable", sw))
     com = _require(entry, "com", list, where)
-    if not all(isinstance(row, list) for row in com):
+    if len(com) != n or not all(isinstance(row, list) and len(row) == n for row in com):
         raise SchemaError(f"{where}: com matrix must be n x n")
     if not all(type(x) is int and x in (0, 1) for row in com for x in row):
         raise SchemaError(f"{where}: com entries must be 0 or 1")
@@ -106,13 +106,22 @@ def _parse_network(entry: dict) -> NetworkConfig:
             frozenset(_require_names(raw, "lossy", cw, optional=True)),
             _require(raw, "delay_bound", int, cw),
         )
+    # com only says which channels exist, and the network keeps the channels
+    for i, j in channels:
+        if not com[i][j]:
+            raise SchemaError(f"channel ({i + 1},{j + 1}): com matrix entry is 0")
+    for i in range(n):
+        for j in range(n):
+            if com[i][j] and i == j:
+                raise SchemaError(f"com[{i + 1}][{i + 1}] must be 0")
+            if com[i][j] and (i, j) not in channels:
+                raise SchemaError(f"com[{i + 1}][{j + 1}] is 1 but no channel is declared")
     return NetworkConfig.build(
         n,
         alphabets,
         controllable,
         observable,
         _require_names(entry, "enforceable", where, optional=True),
-        com,
         channels,
     )
 
@@ -169,11 +178,7 @@ def parse_model(document: Union[str, dict]) -> Model:
         by_name[auto.name] = auto
     network = _parse_network(_require(document, "network", dict, "model"))
     plant = _resolve_plant(_require(document, "plant", str, "model"), by_name)
-    missing = plant.alphabet - network.events
-    if missing:
-        raise UnknownNameError(
-            f"plant events {sorted(missing)} belong to no supervisor alphabet"
-        )
+    require_supervised(plant, network)
     spec = _resolve_spec(_require(document, "spec", None, "model"), plant)
     return Model(automata, network, plant, spec)
 
@@ -211,7 +216,7 @@ def network_to_dict(net: NetworkConfig) -> dict:
             for i in range(net.n)
         ],
         "enforceable": sorted(net.enforceable),
-        "com": [[1 if net.com[i][j] else 0 for j in range(net.n)] for i in range(net.n)],
+        "com": [[int((i, j) in net.channels) for j in range(net.n)] for i in range(net.n)],
         "channels": [
             {
                 "from": i + 1,

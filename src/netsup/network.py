@@ -31,8 +31,7 @@ class NetworkConfig:
     controllable: tuple[frozenset[str], ...]
     observable: tuple[frozenset[str], ...]
     enforceable: frozenset[str]
-    com: tuple[tuple[bool, ...], ...]
-    channels: Mapping[tuple[int, int], ChannelLink]
+    channels: Mapping[tuple[int, int], ChannelLink]  # its keys are the paper's com matrix
 
     @classmethod
     def build(
@@ -42,7 +41,6 @@ class NetworkConfig:
         controllable: Iterable[Iterable[str]],
         observable: Iterable[Iterable[str]],
         enforceable: Iterable[str],
-        com: Iterable[Iterable[int]],
         channels: Mapping[tuple[int, int], ChannelLink],
     ) -> "NetworkConfig":
         alpha = tuple(frozenset(a) for a in alphabets)
@@ -50,10 +48,7 @@ class NetworkConfig:
         obs = tuple(frozenset(o) for o in observable)
         if len(alpha) != n or len(ctrl) != n or len(obs) != n:
             raise SchemaError("network: per-supervisor lists must have length n")
-        matrix = tuple(tuple(bool(x) for x in row) for row in com)
-        if len(matrix) != n or any(len(row) != n for row in matrix):
-            raise SchemaError("network: com matrix must be n x n")
-        net = cls(n, alpha, ctrl, obs, frozenset(enforceable), matrix, dict(channels))
+        net = cls(n, alpha, ctrl, obs, frozenset(enforceable), dict(channels))
         net.validate()
         return net
 
@@ -74,15 +69,13 @@ class NetworkConfig:
                     raise SchemaError(
                         f"supervisors {i + 1} and {j + 1} share events beyond {TICK!r}: {overlap}"
                     )
-            if self.com[i][i]:
-                raise SchemaError(f"com[{i + 1}][{i + 1}] must be 0")
         if not self.enforceable <= self.events - {TICK}:
             raise SchemaError("enforceable events must be declared non-tick events")
         for (i, j), link in self.channels.items():
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise SchemaError(f"channel ({i + 1},{j + 1}): index out of range")
-            if not self.com[i][j]:
-                raise SchemaError(f"channel ({i + 1},{j + 1}): com matrix entry is 0")
+            if i == j:
+                raise SchemaError(f"channel ({i + 1},{j + 1}): a supervisor has no channel to itself")
             if TICK in link.events or TICK in link.lossy:
                 raise SchemaError(f"channel ({i + 1},{j + 1}): {TICK!r} is never communicated")
             if not link.events <= self.observable[i] - {TICK}:
@@ -93,12 +86,6 @@ class NetworkConfig:
                 raise SchemaError(f"channel ({i + 1},{j + 1}): lossy events must be carried")
             if link.delay_bound < 0:
                 raise SchemaError(f"channel ({i + 1},{j + 1}): delay bound must be >= 0")
-        for i in range(self.n):
-            for j in range(self.n):
-                if self.com[i][j] and (i, j) not in self.channels:
-                    raise SchemaError(
-                        f"com[{i + 1}][{j + 1}] is 1 but no channel is declared"
-                    )
 
     @cached_property
     def events(self) -> frozenset[str]:

@@ -95,7 +95,6 @@ def _random_network(
         if rng.random() < params.tick_controllable_density:
             ctrl.add(TICK)
         controllable.append(ctrl)
-    com = [[0] * n for _ in range(n)]
     channels: dict[tuple[int, int], ChannelLink] = {}
     for i in range(n):
         for j in range(n):
@@ -106,12 +105,11 @@ def _random_network(
                 if rng.random() < params.channel_event_density
             }
             lossy = {e for e in sorted(carried) if rng.random() < params.loss_density}
-            com[i][j] = 1
             channels[(i, j)] = ChannelLink(
                 frozenset(carried), frozenset(lossy), rng.randint(0, params.max_delay)
             )
     return NetworkConfig.build(
-        n, alphabets, controllable, observable, enforceable, com, channels
+        n, alphabets, controllable, observable, enforceable, channels
     )
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .automata import TICK, TimedAutomaton, event_order, is_nonblocking
-from .comm import (  # Observer and build_observer are importable from here too
+from .comm import (
     CommAutomaton,
     CommEvent,
     EventTable,
@@ -24,7 +24,6 @@ from .comm import (  # Observer and build_observer are importable from here too
     Plant,
     SpecView,
     build_comm_automaton,
-    build_observer,
     observation_of,
     observation_symbols,
 )
@@ -491,7 +490,7 @@ def solve_control_problem(
     solvable = controllability.holds and observability.holds and closure.holds
     sizes = {
         "comm_states": comm.num_states,
-        "spec_states": sum(comm.spec_reachable),
+        "spec_states": len(comm.spec_tree.keys),
     }
     report = SolveReport(
         solvable=solvable,

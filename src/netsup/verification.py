@@ -2,7 +2,7 @@
 automaton, with replayable shortest counterexamples.
 
 All checks quantify over runs of the specification restriction, i.e. over
-states reachable through in_spec states only (``spec_reachable``).
+states reachable through in_spec states only (the keys of ``spec_tree``).
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def check_network_controllability(comm: CommAutomaton) -> Verdict:
     with a shortest in-spec string witness.
     """
     uncontrollable = comm.net.uncontrollable
-    reachable = [sid for sid in range(comm.num_states) if comm.spec_reachable[sid]]
+    reachable = sorted(comm.spec_tree.keys)
     for sid in reachable:
         escaping = comm.exits[sid] & uncontrollable
         if escaping:
@@ -218,8 +218,8 @@ def check_lm_closure(comm: CommAutomaton) -> Verdict:
     construction; an explicit marking override can break it.  A marking
     beyond the plant's never gets here: ``build_comm_automaton`` rejects it
     (``subautomaton_defect``)."""
-    for sid in range(comm.num_states):
-        if comm.spec_reachable[sid] and comm.marked[sid] and not comm.spec_marked[sid]:
+    for sid in sorted(comm.spec_tree.keys):
+        if comm.marked[sid] and not comm.spec_marked[sid]:
             return Verdict(
                 Condition.LM_CLOSURE,
                 False,

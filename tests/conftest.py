@@ -11,6 +11,12 @@ from netsup.comm import build_event_table
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
+def observer_elements(observer) -> list[frozenset[tuple[int, bool]]]:
+    """Per observer state, its element codes decoded into (state id,
+    stayed-in-spec) pairs."""
+    return [frozenset((code >> 1, bool(code & 1)) for code in codes) for codes in observer.codes]
+
+
 @pytest.fixture(scope="session")
 def models_dir() -> Path:
     return MODELS

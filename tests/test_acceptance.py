@@ -7,6 +7,7 @@ budget is stated.
 import random
 import time
 
+from conftest import observer_elements
 from netsup.channels import age, drops, enqueue, pop
 from netsup.comm import check_projection_equivalence
 from netsup.oracle import brute_check, brute_closed_loop, enumerate_language
@@ -54,7 +55,7 @@ def test_c1_fixture_reproduction(line_model):
     sup1 = report.supervisors[0]
     comm = report.comm
     disabled_at_4 = enabled_at_0 = 0
-    for t, elements in enumerate(sup1.observer.elements):
+    for t, elements in enumerate(observer_elements(sup1.observer)):
         plants = {comm.plant_of(s) for s, flag in elements if flag}
         if "4" in plants:
             assert "a1" not in sup1.enable[t]

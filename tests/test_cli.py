@@ -503,6 +503,12 @@ class TestOutputPins:
          (0, "d1e1ceb5590d6698fd4a600f725bfddde00f7060ed0d43d8b3d2009791cab66e")),
         ("production_line.json", None, ["export-dot", "--target", "observer:1"],
          (0, "f7e4143b29332b8c7569986488d826b02bc41b262f16812e6c35904ded25a96f")),
+        ("production_line.json", None, ["export-dot", "--target", "observer:2"],
+         (0, "061a12add80b5d7f0bce796bce33d049d062cb45d016de84ac69051c36a839fd")),
+        (None, (1, 6), ["export-dot", "--target", "observer:2"],
+         (0, "8fadbb30a3f310eb78b2ce7178679bf41867fc175ad5122fb0d508ed8cd04567")),
+        ("production_line.json", None, ["build-comm", "--dot", "-"],
+         (0, "9e33554bbd71a2fd4da62b3bc6361c0895673e8783240d739c17d6615a9e329e")),
         ("minimal.json", None, ["validate", "--format", "json"],
          (0, "f58b96ad82aee4a4d85db7917dc6f101a92d2827ab86453ae7d084e3ac69ce00")),
         ("production_line_no_ch21.json", None, ["check", "--format", "text"],
@@ -512,7 +518,8 @@ class TestOutputPins:
     ], ids=[
         "minimal", "line", "no_ch21", "line-6/1", "line-1/6-diagnostic", "line-1/6-closed-loop",
         "line-simulate", "no_ch21-simulate-diagnostic", "line-dot-plant", "line-dot-spec",
-        "line-dot-comm", "line-dot-observer-1", "minimal-validate", "no_ch21-check-text", "oracle",
+        "line-dot-comm", "line-dot-observer-1", "line-dot-observer-2", "line-1/6-dot-observer-2",
+        "line-build-comm-dot", "minimal-validate", "no_ch21-check-text", "oracle",
     ])
     def test_output_bytes(self, capsys, models_dir, tmp_path, model, delays, argv, expected):
         if model:

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from conftest import observer_elements
 from netsup import dot, solve_control_problem
 from netsup.automata import TICK, TimedAutomaton, prepare
 from netsup.channels import age, drops, enqueue, pop
@@ -42,7 +43,6 @@ def no_com_net(alphabet_1, alphabet_2):
         [alphabet_1, alphabet_2],
         [alphabet_1, alphabet_2],
         [],
-        [[0, 0], [0, 0]],
         {},
     )
 
@@ -99,7 +99,6 @@ class TestExhaustiveOracle:
             [["a", TICK], [TICK]],
             [["a", TICK], [TICK]],
             [],
-            [[0, 1], [0, 0]],
             {(0, 1): ChannelLink(frozenset(["a"]), frozenset(), 1)},
         )
         comm = build_comm_automaton(plant, plant, net)
@@ -376,12 +375,13 @@ class TestCommIdentity:
 
 def spec_walk_digest(comms):
     """sha256 over the specification walk of ``comms``: per state, whether
-    it is spec_reachable and, if so, its rendered ``spec_path``."""
+    it is in ``spec_tree`` and, if so, its rendered ``spec_path``."""
     digest = hashlib.sha256()
     for comm in comms:
         for s in range(comm.num_states):
-            path = [render_event(e) for e in comm.spec_path(s)] if comm.spec_reachable[s] else None
-            digest.update(repr((comm.spec_reachable[s], path)).encode() + b"\n")
+            reached = s in comm.spec_tree.index
+            path = [render_event(e) for e in comm.spec_path(s)] if reached else None
+            digest.update(repr((reached, path)).encode() + b"\n")
         digest.update(b"--\n")
     return digest.hexdigest()
 
@@ -416,9 +416,10 @@ def observer_digest(comms):
     for comm in comms:
         for i in range(comm.net.n):
             observer = build_observer(comm, i)
+            elements = observer_elements(observer)
             for t in range(observer.num_states):
                 row = (
-                    sorted(observer.elements[t]), list(observer.transitions[t].items()),
+                    sorted(elements[t]), list(observer.transitions[t].items()),
                     observer.in_spec[t], sorted(observer.exits[t]), sorted(observer.stays[t]),
                     observer.tick_critical[t],
                 )
@@ -720,7 +721,7 @@ class TestResourceGuards:
         )
         net = NetworkConfig.build(
             2, [["a", TICK], [TICK]], [["a", TICK], [TICK]], [["a", TICK], [TICK]],
-            [], [[0, 1], [0, 0]],
+            [],
             {(0, 1): ChannelLink(frozenset(["a"]), frozenset(), 1)},
         )
         with pytest.raises(ModelError, match="timed assumption 1") as excinfo:

@@ -1,6 +1,6 @@
-"""Metamorphic properties: verdicts and sizes do not depend on what states are
-called, on the order a model file declares them in, or on how supervisors
-are numbered.
+"""Metamorphic properties: verdicts and sizes do not depend on what states
+and events are called, on the order a model file declares them in, or on how
+supervisors are numbered.
 
 Every model goes through ``model_to_dict`` and ``parse_model`` first, so the
 original and the transformed document are solved the same way.
@@ -12,12 +12,14 @@ import random
 import pytest
 
 from netsup import load_model, parse_model, solve_control_problem
+from netsup.automata import TICK
 from netsup.cli import main
 from netsup.comm import build_comm_automaton, render_event
 from netsup.modelio import dump_json, model_to_dict
 from netsup.randgen import GeneratorParams, random_instance
 
 FIXTURES = ["production_line.json", "production_line_no_ch21.json"]
+MODELS = ["minimal.json", *FIXTURES]
 N3 = GeneratorParams(n=3, max_comm_states=150)
 
 
@@ -77,6 +79,27 @@ def permute_supervisors(doc, rng):
     return doc
 
 
+def reverse_event_names(doc):
+    """Rename every non-tick event by one fixed map that reverses their
+    order, wherever the document names events."""
+    doc = json.loads(json.dumps(doc))
+    net = doc["network"]
+    events = sorted({e for sup in net["supervisors"] for e in sup["alphabet"]} - {TICK})
+    name = {e: f"e{len(events) - k:04d}" for k, e in enumerate(events)}
+    name[TICK] = TICK
+    for auto in doc["automata"]:
+        auto["alphabet"] = [name[e] for e in auto["alphabet"]]
+        for t in auto["transitions"]:
+            t["event"] = name[t["event"]]
+    for entry, key in [
+        *((sup, key) for sup in net["supervisors"] for key in ("alphabet", "controllable", "observable")),
+        (net, "enforceable"),
+        *((channel, key) for channel in net["channels"] for key in ("events", "lossy")),
+    ]:
+        entry[key] = [name[e] for e in entry[key]]
+    return doc
+
+
 def solve_json(tmp_path, doc, *flags):
     path = tmp_path / "model.json"
     path.write_text(dump_json(doc), encoding="utf-8")
@@ -92,12 +115,12 @@ def spec_paths(doc):
     comm = build_comm_automaton(model.plant, model.spec, model.network)
     return [
         [render_event(e) for e in comm.spec_path(sid)]
-        for sid in range(comm.num_states) if comm.spec_reachable[sid]
+        for sid in sorted(comm.spec_tree.keys)
     ]
 
 
 def summary(doc):
-    """What supervisor numbering must not change."""
+    """What supervisor numbering and event names must not change."""
     model = parse_model(doc)
     report = solve_control_problem(model.plant, model.spec, model.network, diagnostic=True)
     sizes = report.sizes
@@ -108,6 +131,7 @@ def summary(doc):
         "observers": sorted(sup.observer.num_states for sup in report.supervisors),
         "admissible": report.admissibility.holds,
         "language": (report.language.generated_equal, report.language.marked_equal),
+        "spec_nonblocking": report.nonblocking,
     }
 
 
@@ -142,3 +166,14 @@ def test_supervisor_numbering_does_not_change_verdicts_or_sizes(models_dir, kind
     doc = make_doc(models_dir, kind, which)
     permuted = permute_supervisors(doc, random.Random(f"{kind}-{which}"))
     assert summary(permuted) == summary(doc)
+
+
+@pytest.mark.parametrize("kind,which", [("fixture", name) for name in MODELS] + [
+    (kind, seed) for kind, count in (("random", 50), ("n3", 30)) for seed in range(count)
+])
+def test_event_names_do_not_change_verdicts_or_sizes(models_dir, kind, which):
+    """Witnesses may differ: ``event_order`` breaks their ties."""
+    doc = make_doc(models_dir, kind, which)
+    renamed = reverse_event_names(doc)
+    assert (renamed == doc) == (doc["automata"][0]["alphabet"] == [TICK])  # tick keeps its name
+    assert summary(renamed) == summary(doc)

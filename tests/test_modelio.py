@@ -166,7 +166,9 @@ def test_channel_events_must_be_sender_observable():
 @pytest.mark.parametrize("changes,message", [
     ({"alphabets": [["a", "tick"]]}, "network: per-supervisor lists must have length n"),
     ({"channels": {(0, 2): ChannelLink(frozenset(["a"]), frozenset(), 1)}}, "channel (1,3): index out of range"),
-], ids=["list length", "channel index"])
+    ({"channels": {(0, 0): ChannelLink(frozenset(["a"]), frozenset(), 1)}},
+     "channel (1,1): a supervisor has no channel to itself"),
+], ids=["list length", "channel index", "self channel"])
 def test_network_build_rejects_what_no_file_can_hold(changes, message):
     """``_parse_network`` rejects these shapes before ``NetworkConfig.build``
     sees them, so only a Python caller reaches its own checks."""
@@ -176,7 +178,6 @@ def test_network_build_rejects_what_no_file_can_hold(changes, message):
         "controllable": [["a"], ["b"]],
         "observable": [["a", "tick"], ["b", "tick"]],
         "enforceable": [],
-        "com": [[0, 1], [0, 0]],
         "channels": {(0, 1): ChannelLink(frozenset(["a"]), frozenset(), 1)},
         **changes,
     }

@@ -80,7 +80,6 @@ def planted_defect_model():
         [["a1", TICK], ["b2", TICK]],  # u1 uncontrollable for supervisor 1
         [["a1", "u1", TICK], ["b2", TICK]],
         [],
-        [[0, 1], [0, 0]],
         {(0, 1): ChannelLink(frozenset(["a1"]), frozenset(), 1)},
     )
     from netsup.automata import remove_states
@@ -144,7 +143,7 @@ class TestBruteClosedLoop:
 
     def test_tick_disabled_everywhere_freezes_plant(self):
         net = NetworkConfig.build(
-            1, [[TICK]], [[TICK]], [[TICK]], [], [[0]], {},
+            1, [[TICK]], [[TICK]], [[TICK]], [], {},
         )
         plant = tick_only()
         comm = build_comm_automaton(plant, plant, net)

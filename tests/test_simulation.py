@@ -51,7 +51,7 @@ class TestDeadlocks:
     def test_everything_disabled_classifies_deadlock(self):
         # single supervisor, all controllable, gagged supervisor: at the
         # initial state, marked or not, nothing is enabled
-        net = NetworkConfig.build(1, [[TICK]], [[TICK]], [[TICK]], [], [[0]], {})
+        net = NetworkConfig.build(1, [[TICK]], [[TICK]], [[TICK]], [], {})
         for marked, reason in ((["0"], Termination.DEADLOCK_MARKED), ([], Termination.DEADLOCK_UNMARKED)):
             plant = TimedAutomaton.build(
                 "P", ["0"], [TICK], [("0", TICK, "0")], "0", marked

@@ -8,9 +8,12 @@ import random
 
 import pytest
 
+from conftest import observer_elements
 from netsup import synthesis
 from netsup.automata import TICK
-from netsup.comm import InSpecRows, Lose, Plant, build_comm_automaton, project_observation, render_event
+from netsup.comm import (
+    InSpecRows, Lose, Plant, build_comm_automaton, build_observer, project_observation, render_event,
+)
 from netsup.errors import ResourceLimitError, UnknownNameError
 from netsup.modelio import parse_model
 from netsup.network import NetworkConfig
@@ -18,7 +21,6 @@ from netsup.oracle import brute_closed_loop, enumerate_language
 from netsup.randgen import GeneratorParams, random_instance
 from netsup.synthesis import (
     SupervisorMap,
-    build_observer,
     check_admissibility,
     closed_loop,
     language_equal,
@@ -58,7 +60,6 @@ class TestObserver:
             [["a1", "b1", TICK], ["a2", "b2", TICK]],
             [["a1", "b1", TICK], ["a2", "b2", TICK]],
             [],
-            [[0, 0], [0, 0]],
             {},
         )
         comm = build_comm_automaton(line_model.plant, line_model.spec, net)
@@ -70,24 +71,25 @@ class TestObserver:
         plant = next(a for a in line_model.automata if a.name == "R1")
         solo_net = NetworkConfig.build(
             1, [["a1", "b1", TICK]], [["a1", "b1", TICK]], [["a1", "b1", TICK]],
-            [], [[0]], {},
+            [], {},
         )
         solo = build_comm_automaton(plant, plant, solo_net)
         observer = build_observer(solo, 0)
         assert observer.num_states == solo.num_states == len(plant.states)
-        for elements in observer.elements:
-            assert len(elements) == 1
+        for codes in observer.codes:
+            assert len(codes) == 1
 
     def test_observer_covers_every_run(self, line_comm):
         """The observer state reached on a run's observation contains that
         run's end state with its stayed-in-spec flag."""
         for i in range(line_comm.net.n):
             observer = build_observer(line_comm, i)
+            elements = observer_elements(observer)
             for string, sid, flag in all_comm_strings(line_comm, 8):
                 obs = project_observation(string, i, line_comm.net)
                 t = observer.run(obs)
                 assert t is not None
-                assert (sid, flag) in observer.elements[t]
+                assert (sid, flag) in elements[t]
 
     def test_delivery_informs_supervisor_one(self, line_comm):
         """After observing a2, supervisor 1's belief contains only states
@@ -100,7 +102,7 @@ class TestObserver:
         assert seen_a2, "some observer state must see an a2 delivery"
         for t in seen_a2:
             after = observer.transitions[t]["a2"]
-            plants = {line_comm.plant_of(s) for s, _ in observer.elements[after]}
+            plants = {line_comm.plant_of(code >> 1) for code in observer.codes[after]}
             assert "4" not in plants  # delivery of a2 rules out the pre-a2 stage
 
 
@@ -109,7 +111,7 @@ class TestEnableSets:
         sup1 = line_report.supervisors[0]
         comm = line_report.comm
         saw_disabled = saw_enabled_at_0 = False
-        for t, elements in enumerate(sup1.observer.elements):
+        for t, elements in enumerate(observer_elements(sup1.observer)):
             plants_in_spec = {comm.plant_of(s) for s, flag in elements if flag}
             if "4" in plants_in_spec:
                 assert "a1" not in sup1.enable[t]
@@ -181,7 +183,6 @@ def with_uncontrollable(line_model, uncontrollable=("a1",)):
         [net.controllable[0] - set(uncontrollable), net.controllable[1]],
         net.observable,
         net.enforceable,
-        [[1 if c else 0 for c in row] for row in net.com],
         dict(net.channels),
     )
     return build_comm_automaton(line_model.plant, line_model.spec, hacked_net)
@@ -286,7 +287,7 @@ class TestAdmissibility:
         # show no violation, but the runs the observer follows do
         sups = copy.deepcopy(line_report.supervisors)
         observer = sups[0].observer
-        hidden = next(t for t, elements in enumerate(observer.elements) if not any(f for _, f in elements))
+        hidden = next(t for t, codes in enumerate(observer.codes) if not any(code & 1 for code in codes))
         observer.transitions[0][TICK] = hidden
         enable = tuple(e - {TICK} if t == hidden else e for t, e in enumerate(sups[0].enable))
         verdict = check_admissibility([SupervisorMap(0, observer, enable), sups[1]], line_report.comm)
@@ -331,7 +332,7 @@ class TestAdmissibility:
             net = comm.net
             for i, sup in enumerate(sups):
                 uncontrollable = net.alphabets[i] - net.controllable[i]
-                for elements, enable in zip(sup.observer.elements, sup.enable):
+                for elements, enable in zip(observer_elements(sup.observer), sup.enable):
                     reached = [x for x, flag in elements if flag]  # by in-spec runs
                     if reached and not uncontrollable <= enable:
                         return False
@@ -798,7 +799,7 @@ class TestBudgets:
         observer = sups[0].observer
         gagged = [SupervisorMap(0, observer, tuple(
             enable - {"a1"} if any(flag and "a1" in comm_u.exits[x] for x, flag in elements) else enable
-            for enable, elements in zip(sups[0].enable, observer.elements)
+            for enable, elements in zip(sups[0].enable, observer_elements(observer))
         )), sups[1]]
         with pytest.raises(ResourceLimitError, match="admissibility product exceeds 5 states"):
             check_admissibility(gagged, comm_u, max_states=5)
@@ -902,7 +903,7 @@ class TestSolvePipeline:
         (GeneratorParams(n=3, max_comm_states=150), 100),
     ])
     def test_spec_nonblocking_matches_definition(self, params, count):
-        """Every spec_reachable state has an in-spec path to a spec_marked
+        """Every state in ``spec_tree`` has an in-spec path to a spec_marked
         state, checked one state at a time."""
 
         def reaches_marked(comm, start):
@@ -922,7 +923,7 @@ class TestSolvePipeline:
             comm = random_instance(seed, params).comm
             expected = all(
                 reaches_marked(comm, sid)
-                for sid in range(comm.num_states) if comm.spec_reachable[sid]
+                for sid in comm.spec_tree.keys
             )
             assert spec_nonblocking(comm) == expected, f"seed {seed}"
             verdicts.append(expected)

@@ -9,6 +9,7 @@ import re
 
 import pytest
 
+from conftest import observer_elements
 from netsup.automata import TICK
 from netsup.comm import (
     Plant,
@@ -232,7 +233,7 @@ def full_twin_scan(comm):
         exits, stays = set(), set()
         for sid in range(comm.num_states):
             dst = comm.target(sid, Plant(event))
-            if comm.spec_reachable[sid] and dst is not None:
+            if sid in comm.spec_tree.index and dst is not None:
                 (stays if comm.in_spec[dst] else exits).add(sid)
         if not (exits and stays):
             continue
@@ -329,7 +330,7 @@ def statewise_controllability(comm):
     """Both controllability conditions as a statewise scan of the moves:
     (holds, condition, mu, sigma)."""
     net = comm.net
-    reachable = [sid for sid in range(comm.num_states) if comm.spec_reachable[sid]]
+    reachable = sorted(comm.spec_tree.keys)
     for sid in reachable:
         for event in sorted(net.uncontrollable, key=lambda e: (e != TICK, e)):
             dst = comm.target(sid, Plant(event))
@@ -381,13 +382,13 @@ class TestExitTable:
             for i in range(net.n):
                 sup = synthesize_supervisor(comm, i)
                 observer = sup.observer
-                for t, elements in enumerate(observer.elements):
+                for t, elements in enumerate(observer_elements(observer)):
                     reached = [x for x, flag in elements if flag]
                     assert observer.in_spec[t] == bool(reached), seed
                     assert observer.exits[t] == set().union(*(comm.exits[x] for x in reached)), seed
                     assert observer.stays[t] == set().union(*(comm.stays[x] for x in reached)), seed
                     assert observer.tick_critical[t] == any(comm.tick_critical[x] for x in reached), seed
-                for elements, enable in zip(sup.observer.elements, sup.enable):
+                for elements, enable in zip(observer_elements(sup.observer), sup.enable):
                     disabled = {
                         e.event
                         for x, flag in elements if flag
