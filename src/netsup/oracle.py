@@ -15,17 +15,17 @@ the first violating string in enumeration order.
 
 A bounded string is one ``str`` of event ids (see ``BoundedLanguage``): it
 hashes once, compares in C and is not tracked by the cyclic collector.  The
-checks decode only the witness they report, and ``brute_closed_loop`` the
-strings whose observation a supervisor's command needs.
+checks decode only the witness they report.  One walk, ``_bounded_walk``,
+groups strings by end state; ``brute_closed_loop`` adds an admission rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from .automata import TICK, TimedAutomaton, event_order
-from .comm import CommAutomaton, CommEvent, Plant, SpecView, observation_symbols, project_observation
+from .comm import CommAutomaton, Plant, SpecView, observation_symbols
 from .randgen import random_instance
 from .synthesis import SupervisorMap, check_supervisor_list, closed_loop, synthesize_supervisor
 from .verification import (
@@ -77,11 +77,15 @@ def _check_bound(bound: int) -> None:
         raise ValueError("bound must be >= 0")
 
 
-def _bounded_walk(machine, events: tuple, bound: int) -> Iterator[dict[Any, list[str]]]:
+def _bounded_walk(
+    machine, events: tuple, bound: int, admit: Optional[Callable] = None
+) -> Iterator[dict[Any, list[str]]]:
     """Every string of length <= ``bound`` that ``machine`` (anything with
     ``initial`` and ``moves``) generates, encoded over ``events``: one dict
     per length, shortest first, from each state reached to the strings that
-    reach it.  Each state's moves are read and encoded once per walk."""
+    reach it.  Each state's moves are read and encoded once per walk, and a
+    move on the event encoded ``c`` extends the strings ``admit(c, group)``
+    returns, if given, else its state's whole group."""
     code = {event: chr(k) for k, event in enumerate(events)}
     level: dict[Any, list[str]] = {machine.initial: [""]}
     yield level
@@ -93,10 +97,13 @@ def _bounded_walk(machine, events: tuple, bound: int) -> Iterator[dict[Any, list
             if moves is None:
                 moves = moves_of[state] = [(code[event], dst) for event, dst in machine.moves(state)]
             for c, dst in moves:
+                extended = strings if admit is None else admit(c, strings)
+                if not extended:
+                    continue
                 group = nxt.get(dst)
                 if group is None:
                     group = nxt[dst] = []
-                for string in strings:
+                for string in extended:
                     group.append(string + c)
         level = nxt
         yield level
@@ -106,10 +113,16 @@ def enumerate_language(machine, bound: int) -> BoundedLanguage:
     """Every string of length <= ``bound`` that ``machine`` generates, and
     the marked ones (``machine`` also needs ``is_marked``)."""
     _check_bound(bound)
+    return _walk_language(machine, bound)
+
+
+def _walk_language(machine, bound: int, admit: Optional[Callable] = None) -> BoundedLanguage:
+    """The bounded language of ``_bounded_walk`` over ``machine``'s
+    alphabet, with its marked subset."""
     events = _alphabet(machine)
     strings: list[str] = []
     marked: list[str] = []
-    for level in _bounded_walk(machine, events, bound):
+    for level in _bounded_walk(machine, events, bound, admit):
         for state, group in level.items():
             strings += group
             if machine.is_marked(state):
@@ -145,9 +158,10 @@ def _first_strings(spec_strings: SpecStrings) -> Iterator[tuple[str, int]]:
 
 def brute_check(condition: Condition, comm: CommAutomaton, bound: int) -> Verdict:
     """Evaluate one existence condition by literal quantification over all
-    strings (pairs of strings for joint observability) whose total length,
-    including the extending event, stays within ``bound``: at bound 0 the
-    conditions that extend a string by an event hold vacuously."""
+    strings within ``bound``.  The extending event counts within it: a string
+    extended by an event, and for joint observability each of ``mu`` and
+    ``nu`` on its own, is at most ``bound`` long with that event, so at
+    bound 0 the conditions that extend a string by an event hold vacuously."""
     _check_bound(bound)
     if condition is Condition.LM_CLOSURE:
         return _brute_lm_closure(comm, _spec_strings(comm, bound))
@@ -159,6 +173,15 @@ def brute_check(condition: Condition, comm: CommAutomaton, bound: int) -> Verdic
     if condition is Condition.NET_JOINT_OBS:
         return _brute_joint_observability(comm, shorter)
     raise ValueError(f"no brute-force check for {condition}")
+
+
+def _observation_table(comm: CommAutomaton, supervisor: int) -> list[Optional[str]]:
+    """The ``str.translate`` table from an encoded string of ``comm`` to
+    what ``supervisor`` observes of it: each event id to the character of
+    its ``observation_symbols`` symbol's rank in
+    ``net.observation_alphabet``, unobserved ids deleted."""
+    rank = {symbol: chr(k) for k, symbol in enumerate(comm.net.observation_alphabet(supervisor))}
+    return [None if symbol is None else rank[symbol] for symbol in observation_symbols(comm, supervisor)]
 
 
 def _brute_controllability_1(comm: CommAutomaton, spec_strings: SpecStrings) -> Verdict:
@@ -197,8 +220,7 @@ def _brute_joint_observability(comm: CommAutomaton, spec_strings: SpecStrings) -
 
     Runs are bucketed by observation string, which decides exactly the same
     pair predicate as comparing all pairs one by one.  A run's observation
-    is its encoded string with each event replaced by what the supervisor
-    observes of it (``observation_symbols``), one character per symbol.
+    is its encoded string translated by ``_observation_table``.
     """
     net, events = comm.net, comm.table.events
     projections: dict[int, list[Optional[str]]] = {}  # supervisor -> its str.translate table
@@ -220,10 +242,7 @@ def _brute_joint_observability(comm: CommAutomaton, spec_strings: SpecStrings) -
         for supervisor in net.controllers(event):
             projection = projections.get(supervisor)
             if projection is None:
-                rank = {symbol: chr(k) for k, symbol in enumerate(net.observation_alphabet(supervisor))}
-                projection = projections[supervisor] = [
-                    None if symbol is None else rank[symbol] for symbol in observation_symbols(comm, supervisor)
-                ]
+                projection = projections[supervisor] = _observation_table(comm, supervisor)
             enabled_obs: dict[str, str] = {}
             for nu in must_enable:
                 enabled_obs.setdefault(nu.translate(projection), nu)
@@ -248,70 +267,50 @@ def _brute_lm_closure(comm: CommAutomaton, spec_strings: SpecStrings) -> Verdict
 def brute_closed_loop(
     comm: CommAutomaton, supervisors: Sequence[SupervisorMap], bound: int
 ) -> BoundedLanguage:
-    """The controlled language by its recursive definition: grow strings one
-    event at a time, admitting a controllable event only when every
-    controlling supervisor's command after its own observation enables it.
+    """The controlled language by its recursive definition: the bounded
+    walk over ``comm`` that admits a controllable event only when every
+    controlling supervisor's command after its own observation enables it,
+    asking the controllers in order up to the first that disables it.
 
-    Commands come from projecting the string's observation and running the
-    observer on it, independently of the closed-loop product.  A string's
-    observation and command are computed at most once per supervisor, when a
-    controllable move first needs them, and each distinct observation is
-    run through a supervisor's observer at most once per call.  A string
-    grows by one character per event and is decoded only for its
-    observation.
+    A command comes from running the observer on the observation,
+    independently of the closed-loop product.  It is memoised by the
+    observation as a ``str`` (``_observation_table``), which is decoded only
+    when new: each distinct observation is run through a supervisor's
+    observer at most once per call.
     """
     _check_bound(bound)
     check_supervisor_list(comm, supervisors)
-    net, events = comm.net, comm.table.events
-    code = {event: chr(k) for k, event in enumerate(events)}
-    controllers = {e: net.controllers(e) for e in net.globally_controllable}
-    controlled = {Plant(e): e for e in controllers}
-    commands: list[dict[tuple[str, ...], frozenset[str]]] = [{} for _ in supervisors]
+    net = comm.net
+    # per supervisor: its translate table, its symbols by rank, its commands by observation
+    views = [
+        (_observation_table(comm, i), net.observation_alphabet(i), {}, sup) for i, sup in enumerate(supervisors)
+    ]
+    # per controllable plant event's character: its name and its controllers' views
+    guards = {
+        chr(k): (event.event, [views[i] for i in net.controllers(event.event)])
+        for k, event in enumerate(comm.table.events)
+        if isinstance(event, Plant) and event.event in net.globally_controllable
+    }
 
-    def command(mu: tuple[CommEvent, ...], i: int) -> frozenset[str]:
-        """Supervisor ``i``'s command after ``mu``, memoised by observation."""
-        observation = project_observation(mu, i, net)
-        enabled = commands[i].get(observation)
-        if enabled is None:
-            enabled = commands[i][observation] = supervisors[i].command(observation)
-        return enabled
+    def admit(c: str, strings: list[str]) -> list[str]:
+        guard = guards.get(c)
+        if guard is None:
+            return strings
+        name, controllers = guard
+        kept = []
+        for mu in strings:
+            for table, alphabet, commands, supervisor in controllers:
+                observation = mu.translate(table)
+                enabled = commands.get(observation)
+                if enabled is None:
+                    enabled = commands[observation] = supervisor.command(_decode(alphabet, observation))
+                if name not in enabled:
+                    break
+            else:
+                kept.append(mu)
+        return kept
 
-    # per state, on first visit: its moves in comm.transitions as (character,
-    # the controllable plant event's name or None, target)
-    rows: dict[int, list[tuple[str, Optional[str], int]]] = {}
-    strings = set()
-    marked = set()
-    frontier: list[tuple[str, int]] = [("", comm.initial)]
-    for length in range(bound + 1):
-        nxt = []
-        for mu, sid in frontier:
-            strings.add(mu)
-            if comm.marked[sid]:
-                marked.add(mu)
-            if length == bound:
-                continue
-            row = rows.get(sid)
-            if row is None:
-                row = rows[sid] = [
-                    (code[event], controlled.get(event), dst) for event, dst in comm.transitions[sid].items()
-                ]
-            issued: dict[int, frozenset[str]] = {}
-            decoded: Optional[tuple[CommEvent, ...]] = None  # mu's events, once a command needs them
-            for c, name, dst in row:
-                if name is not None:
-                    for i in controllers[name]:
-                        if i not in issued:
-                            if decoded is None:
-                                decoded = _decode(events, mu)
-                            issued[i] = command(decoded, i)
-                        if name not in issued[i]:
-                            break
-                    else:
-                        nxt.append((mu + c, dst))
-                else:
-                    nxt.append((mu + c, dst))
-        frontier = nxt
-    return BoundedLanguage(frozenset(strings), frozenset(marked), bound, events)
+    return _walk_language(comm, bound, admit)
 
 
 def agreement_for_seed(seed: int, bound: int) -> dict:

@@ -7,6 +7,7 @@ import pytest
 
 from netsup import build_comm_automaton, load_model, solve_control_problem
 from netsup.comm import build_event_table
+from netsup.synthesis import SupervisorMap
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -15,6 +16,16 @@ def observer_elements(observer) -> list[frozenset[tuple[int, bool]]]:
     """Per observer state, its element codes decoded into (state id,
     stayed-in-spec) pairs."""
     return [frozenset((code >> 1, bool(code & 1)) for code in codes) for codes in observer.codes]
+
+
+def alternating(comm, sups):
+    """Each supervisor disables all it controls at its odd observer states."""
+    return [
+        SupervisorMap(i, s.observer, tuple(
+            e - comm.net.controllable[i] if t % 2 else e for t, e in enumerate(s.enable)
+        ))
+        for i, s in enumerate(sups)
+    ]
 
 
 @pytest.fixture(scope="session")

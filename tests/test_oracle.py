@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from conftest import alternating
 from netsup.automata import TICK, TimedAutomaton
 from netsup.comm import build_comm_automaton, render_event
 from netsup.network import ChannelLink, NetworkConfig
@@ -212,6 +213,38 @@ class TestBruteClosedLoopQueries:
             assert brute.events == loop.events
             assert brute.strings == loop.strings
             assert brute.marked == loop.marked
+
+
+def gagged(comm, sups):
+    """Every supervisor's enable-sets without any event it controls."""
+    return [
+        SupervisorMap(i, s.observer, tuple(e - comm.net.controllable[i] for e in s.enable))
+        for i, s in enumerate(sups)
+    ]
+
+
+class TestBruteClosedLoopEditedSupervisors:
+    """Oracle and closed loop agree on supervisor sets whose commands are
+    not the synthesized ones, so that controllers of one event disagree."""
+
+    @pytest.mark.parametrize("params", [GeneratorParams(), GeneratorParams(n=3, max_comm_states=150)],
+                             ids=["n2", "n3"])
+    def test_language_equals_closed_loop_enumeration(self, params):
+        changed = 0
+        for seed in range(40):
+            comm = random_instance(seed, params).comm
+            sups = [synthesize_supervisor(comm, i) for i in range(comm.net.n)]
+            languages = []
+            for sups_set in (sups, alternating(comm, sups), gagged(comm, sups)):
+                spies = [CommandSpy(sup) for sup in sups_set]
+                brute = brute_closed_loop(comm, spies, 6)
+                loop = enumerate_language(closed_loop(comm, sups_set), 6)
+                assert (brute.events, brute.strings, brute.marked) == (loop.events, loop.strings, loop.marked)
+                for spy in spies:
+                    assert max(spy.calls.values(), default=0) <= 1
+                languages.append(brute.strings)
+            changed += sum(strings != languages[0] for strings in languages[1:])
+        assert changed > 0
 
 
 # recorded on the tuple-string oracle that the encoded strings replaced

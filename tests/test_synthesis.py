@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from conftest import observer_elements
+from conftest import alternating, observer_elements
 from netsup import synthesis
 from netsup.automata import TICK
 from netsup.comm import (
@@ -495,16 +495,6 @@ def loop_digest(loops):
     for loop in loops:
         h.update(json.dumps([loop.radix, loop.codes, loop.table.ids, loop.table.targets]).encode())
     return h.hexdigest()
-
-
-def alternating(comm, sups):
-    """Each supervisor disables all it controls at its odd observer states."""
-    return [
-        SupervisorMap(i, s.observer, tuple(
-            e - comm.net.controllable[i] if t % 2 else e for t, e in enumerate(s.enable)
-        ))
-        for i, s in enumerate(sups)
-    ]
 
 
 class TestClosedLoopIdentity:
