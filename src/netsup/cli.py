@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -291,6 +290,10 @@ def cmd_oracle(args) -> int:
     bounds = [args.bound] * args.instances
     jobs = min(args.jobs, os.cpu_count() or 1)
     if jobs > 1:
+        # imported here: the pool loads multiprocessing, threading and
+        # logging, which no other command needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(agreement_for_seed, seeds, bounds))
     else:

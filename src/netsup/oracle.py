@@ -17,6 +17,8 @@ A bounded string is one ``str`` of event ids (see ``BoundedLanguage``): it
 hashes once, compares in C and is not tracked by the cyclic collector.  The
 checks decode only the witness they report.  One walk, ``_bounded_walk``,
 groups strings by end state; ``brute_closed_loop`` adds an admission rule.
+The existence checks read its groups as they come: joint observability
+sorts each whole group by the move at its end state.
 """
 
 from __future__ import annotations
@@ -130,30 +132,24 @@ def _walk_language(machine, bound: int, admit: Optional[Callable] = None) -> Bou
     return BoundedLanguage(frozenset(strings), frozenset(marked), bound, events)
 
 
-# in-spec strings, encoded over the automaton's event ids, with their end
-# states, shortest first: each _brute_* check takes the ones it quantifies
-# over and decodes only the witness it reports
-SpecStrings = list[tuple[str, int]]
+SpecLevels = list[dict[int, list[str]]]
 
 
-def _spec_strings(comm: CommAutomaton, bound: int) -> SpecStrings:
-    """All in-spec strings up to ``bound`` with their end states, shortest
-    first."""
-    return [
-        (string, sid)
-        for level in _bounded_walk(comm.spec_view(), comm.table.events, bound)
-        for sid, group in level.items()
-        for string in group
-    ]
+def _spec_levels(comm: CommAutomaton, bound: int) -> SpecLevels:
+    """All in-spec strings up to ``bound``, encoded over the automaton's
+    event ids: one dict per length, shortest first, from each end state to
+    the strings that reach it."""
+    return list(_bounded_walk(comm.spec_view(), comm.table.events, bound))
 
 
-def _first_strings(spec_strings: SpecStrings) -> Iterator[tuple[str, int]]:
+def _first_strings(levels: SpecLevels) -> Iterator[tuple[str, int]]:
     """The first string to each end state, in enumeration order."""
     seen = set()
-    for mu, sid in spec_strings:
-        if sid not in seen:
-            seen.add(sid)
-            yield mu, sid
+    for level in levels:
+        for sid, group in level.items():
+            if sid not in seen:
+                seen.add(sid)
+                yield group[0], sid
 
 
 def brute_check(condition: Condition, comm: CommAutomaton, bound: int) -> Verdict:
@@ -164,8 +160,8 @@ def brute_check(condition: Condition, comm: CommAutomaton, bound: int) -> Verdic
     bound 0 the conditions that extend a string by an event hold vacuously."""
     _check_bound(bound)
     if condition is Condition.LM_CLOSURE:
-        return _brute_lm_closure(comm, _spec_strings(comm, bound))
-    shorter = _spec_strings(comm, bound - 1) if bound else []
+        return _brute_lm_closure(comm, _spec_levels(comm, bound))
+    shorter = _spec_levels(comm, bound - 1) if bound else []
     if condition is Condition.NET_CTRL_1:
         return _brute_controllability_1(comm, shorter)
     if condition is Condition.NET_CTRL_2:
@@ -184,10 +180,10 @@ def _observation_table(comm: CommAutomaton, supervisor: int) -> list[Optional[st
     return [None if symbol is None else rank[symbol] for symbol in observation_symbols(comm, supervisor)]
 
 
-def _brute_controllability_1(comm: CommAutomaton, spec_strings: SpecStrings) -> Verdict:
+def _brute_controllability_1(comm: CommAutomaton, levels: SpecLevels) -> Verdict:
     net = comm.net
     uncontrollable = [(e, Plant(e)) for e in sorted(net.uncontrollable, key=event_order)]
-    for mu, sid in _first_strings(spec_strings):
+    for mu, sid in _first_strings(levels):
         for event, plant_event in uncontrollable:
             dst = comm.target(sid, plant_event)
             if dst is not None and not comm.in_spec[dst]:
@@ -197,10 +193,10 @@ def _brute_controllability_1(comm: CommAutomaton, spec_strings: SpecStrings) -> 
     return Verdict(Condition.NET_CTRL_1, True)
 
 
-def _brute_controllability_2(comm: CommAutomaton, spec_strings: SpecStrings) -> Verdict:
+def _brute_controllability_2(comm: CommAutomaton, levels: SpecLevels) -> Verdict:
     net = comm.net
     tick = Plant(TICK)
-    for mu, sid in _first_strings(spec_strings):
+    for mu, sid in _first_strings(levels):
         dst = comm.target(sid, tick)
         if dst is None or comm.in_spec[dst]:
             continue
@@ -213,7 +209,7 @@ def _brute_controllability_2(comm: CommAutomaton, spec_strings: SpecStrings) -> 
     return Verdict(Condition.NET_CTRL_2, True)
 
 
-def _brute_joint_observability(comm: CommAutomaton, spec_strings: SpecStrings) -> Verdict:
+def _brute_joint_observability(comm: CommAutomaton, levels: SpecLevels) -> Verdict:
     """For every controllable event and controlling supervisor, compare the
     observations of every run that must disable the event with those of every
     run that must keep it enabled; equal observations are a violation.
@@ -229,14 +225,15 @@ def _brute_joint_observability(comm: CommAutomaton, spec_strings: SpecStrings) -
         plant_event = Plant(event)
         must_disable: list[str] = []
         must_enable: list[str] = []
-        for mu, sid in spec_strings:
-            dst = comm.target(sid, plant_event)
-            if dst is None:
-                continue
-            if comm.in_spec[dst]:
-                must_enable.append(mu)
-            else:
-                must_disable.append(mu)
+        for level in levels:
+            for sid, group in level.items():
+                dst = comm.target(sid, plant_event)
+                if dst is None:
+                    continue
+                if comm.in_spec[dst]:
+                    must_enable += group
+                else:
+                    must_disable += group
         if not must_disable or not must_enable:
             continue
         for supervisor in net.controllers(event):
@@ -257,8 +254,8 @@ def _brute_joint_observability(comm: CommAutomaton, spec_strings: SpecStrings) -
     return Verdict(Condition.NET_JOINT_OBS, True)
 
 
-def _brute_lm_closure(comm: CommAutomaton, spec_strings: SpecStrings) -> Verdict:
-    for mu, sid in _first_strings(spec_strings):
+def _brute_lm_closure(comm: CommAutomaton, levels: SpecLevels) -> Verdict:
+    for mu, sid in _first_strings(levels):
         if comm.marked[sid] and not comm.spec_marked[sid]:
             return Verdict(Condition.LM_CLOSURE, False, Witness(mu=_decode(comm.table.events, mu)))
     return Verdict(Condition.LM_CLOSURE, True)
@@ -322,8 +319,8 @@ def agreement_for_seed(seed: int, bound: int) -> dict:
     comm = random_instance(seed).comm
     # one enumeration serves every condition: an extending event may follow
     # only the strings shorter than the bound
-    spec_strings = _spec_strings(comm, bound)
-    shorter = [(mu, sid) for mu, sid in spec_strings if len(mu) < bound]
+    levels = _spec_levels(comm, bound)
+    shorter = levels[:-1]
     oracle_ctrl = (
         _brute_controllability_1(comm, shorter).holds
         and _brute_controllability_2(comm, shorter).holds
@@ -338,7 +335,7 @@ def agreement_for_seed(seed: int, bound: int) -> dict:
         (
             "LmClosure",
             check_lm_closure(comm).holds,
-            _brute_lm_closure(comm, spec_strings).holds,
+            _brute_lm_closure(comm, levels).holds,
         ),
     ]
     disagreements = [name for name, engine_holds, oracle_holds in engine

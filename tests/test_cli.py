@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, artifact shapes, determinism."""
 
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -766,7 +767,7 @@ class TestParallelOracle:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         argv = ["oracle", "--instances", "2", "--bound", "4", "--jobs", "10000",
                 "--artifacts", str(tmp_path)]
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
@@ -775,6 +776,17 @@ class TestParallelOracle:
         monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
         assert run(capsys, *argv)[0] == 0
         assert workers == [3]  # an unknown CPU count runs serially
+
+    def test_cli_import_leaves_the_pool_unloaded(self):
+        """Only ``oracle --jobs N`` with N > 1 needs the process pool, so
+        importing the CLI in a fresh interpreter does not load it."""
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, netsup.cli; print('concurrent.futures' in sys.modules)"],
+            capture_output=True, env=env, timeout=120, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
 
 
 class TestFileOutputs:

@@ -10,10 +10,16 @@ from conftest import alternating
 from netsup.automata import TICK, TimedAutomaton
 from netsup.comm import build_comm_automaton, render_event
 from netsup.network import ChannelLink, NetworkConfig
-from netsup.oracle import brute_check, brute_closed_loop, enumerate_language
+from netsup.oracle import agreement_for_seed, brute_check, brute_closed_loop, enumerate_language
 from netsup.randgen import GeneratorParams, random_instance
 from netsup.synthesis import SupervisorMap, closed_loop, synthesize_supervisor
-from netsup.verification import Condition, Verdict
+from netsup.verification import (
+    Condition,
+    Verdict,
+    check_lm_closure,
+    check_network_controllability,
+    check_network_joint_observability,
+)
 
 CONDITIONS = (Condition.NET_CTRL_1, Condition.NET_CTRL_2, Condition.NET_JOINT_OBS, Condition.LM_CLOSURE)
 
@@ -302,6 +308,46 @@ class TestOracleIdentity:
 
     def test_closed_loop_languages(self):
         assert languages_digest() == LANGUAGES
+
+
+def public_disagreements(seed, bound):
+    """The properties engine and oracle disagree on for instance ``seed``,
+    rebuilt from the public API with one ``brute_check`` call per
+    condition."""
+    comm = random_instance(seed).comm
+    pairs = [
+        (
+            "NetworkControllability",
+            check_network_controllability(comm).holds,
+            brute_check(Condition.NET_CTRL_1, comm, bound).holds
+            and brute_check(Condition.NET_CTRL_2, comm, bound).holds,
+        ),
+        (
+            "NetworkJointObservability",
+            check_network_joint_observability(comm).holds,
+            brute_check(Condition.NET_JOINT_OBS, comm, bound).holds,
+        ),
+        ("LmClosure", check_lm_closure(comm).holds, brute_check(Condition.LM_CLOSURE, comm, bound).holds),
+    ]
+    names = [name for name, engine, oracle in pairs if engine != oracle]
+    sups = [synthesize_supervisor(comm, i) for i in range(comm.net.n)]
+    loop = enumerate_language(closed_loop(comm, sups), bound)
+    brute = brute_closed_loop(comm, sups, bound)
+    if loop.strings != brute.strings or loop.marked != brute.marked:
+        names.append("ClosedLoopLanguage")
+    return names
+
+
+class TestAgreementSharedEnumeration:
+    """``agreement_for_seed`` walks the in-spec strings once and shares the
+    walk between the conditions; its verdicts equal one ``brute_check``
+    call per condition.  At bound 1 the extending checks read only the
+    empty string."""
+
+    @pytest.mark.parametrize("bound", [1, 2, 8])
+    def test_matches_one_brute_check_per_condition(self, bound):
+        for seed in range(60):
+            assert agreement_for_seed(seed, bound)["disagreements"] == public_disagreements(seed, bound), seed
 
 
 class TestGenerator:
