@@ -2,8 +2,9 @@
 
 Exit codes: 0 when the command's primary verdict holds (model valid, checks
 pass, problem solvable, oracle agreement clean), 1 when the verdict is
-negative, 2 on file or schema errors and exceeded state budgets -- so CI
-scripts can tell model defects from negative verdicts.
+negative, 2 on file or schema errors, exceeded state budgets and running
+out of memory -- so CI scripts can tell model defects from negative
+verdicts.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from . import dot as dotmod
 from .automata import accessible, validate_timed_assumptions
 from .comm import build_comm_automaton, render_event
 from .errors import ModelError, ResourceLimitError
+from .explore import MAX_STATES
 from .modelio import (
     automaton_to_dict,
     dump_json,
@@ -184,10 +186,10 @@ def cmd_build_comm(args) -> int:
 
 def cmd_check(args) -> int:
     model = load_model(args.model)
-    comm = build_comm_automaton(model.plant, model.spec, model.network)
+    comm = build_comm_automaton(model.plant, model.spec, model.network, max_states=args.max_states)
     verdicts = list(zip(_CHECK_NAMES, [
         check_network_controllability(comm),
-        check_network_joint_observability(comm),
+        check_network_joint_observability(comm, max_states=args.max_states),
         check_lm_closure(comm),
     ]))
     all_hold = all(v.holds for _, v in verdicts)
@@ -205,8 +207,8 @@ def cmd_check(args) -> int:
 
 def cmd_synthesize(args) -> int:
     model = load_model(args.model)
-    comm = build_comm_automaton(model.plant, model.spec, model.network)
-    sups = [synthesize_supervisor(comm, i) for i in range(model.network.n)]
+    comm = build_comm_automaton(model.plant, model.spec, model.network, max_states=args.max_states)
+    sups = [synthesize_supervisor(comm, i, max_states=args.max_states) for i in range(model.network.n)]
     payload = {
         "spec_version": SPEC_VERSION,
         "supervisors": [_supervisor_dict(s) for s in sups],
@@ -218,7 +220,7 @@ def cmd_synthesize(args) -> int:
 def cmd_solve(args) -> int:
     model = load_model(args.model)
     report = solve_control_problem(
-        model.plant, model.spec, model.network, diagnostic=args.diagnostic
+        model.plant, model.spec, model.network, diagnostic=args.diagnostic, max_states=args.max_states
     )
     if args.format == "json":
         _write(dump_json(_report_dict(report)), args.output)
@@ -347,6 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", "-o", default=None, help="write to file instead of stdout")
         return p
 
+    def budget(p):
+        p.add_argument("--max-states", type=_positive, default=MAX_STATES,
+                       help=f"state budget of each construction (default {MAX_STATES})")
+
     p = add("validate", cmd_validate, "check the timed-model assumptions")
     p.add_argument("model")
     p.add_argument("--format", choices=["text", "json"], default="text")
@@ -361,15 +367,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("check", cmd_check, "decide the three existence conditions")
     p.add_argument("model")
     p.add_argument("--format", choices=["text", "json"], default="text")
+    budget(p)
 
     p = add("synthesize", cmd_synthesize, "emit the supervisor set as JSON")
     p.add_argument("model")
+    budget(p)
 
     p = add("solve", cmd_solve, "full pipeline: checks, synthesis, verification")
     p.add_argument("model")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--diagnostic", action="store_true",
                    help="synthesize even when a condition fails")
+    budget(p)
 
     p = add("simulate", cmd_simulate, "random closed-loop run")
     p.add_argument("model")
@@ -400,6 +409,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except (ModelError, ResourceLimitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

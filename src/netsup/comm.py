@@ -19,6 +19,8 @@ joint-observability check and synthesis share it.
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
@@ -248,6 +250,27 @@ class SpecView:
 
 
 @dataclass(frozen=True)
+class PackedRows(Sequence):
+    """Rows of ints packed into two ``array("i")``, 4 B per entry and no
+    object per row: row ``s`` is ``flat[ends[s]:ends[s + 1]]``, and
+    ``ends`` starts with a 0.  Read-only: ``len`` is the row count,
+    ``[s]`` copies row ``s`` out as an array, and rows packed into equal
+    arrays compare equal."""
+
+    flat: array
+    ends: array
+
+    def __len__(self) -> int:
+        return len(self.ends) - 1
+
+    def __getitem__(self, s: int) -> array:
+        if s < 0:
+            s = range(len(self))[s]  # IndexError before the first row
+        ends = self.ends
+        return self.flat[ends[s]:ends[s + 1]]
+
+
+@dataclass(frozen=True)
 class EventTable:
     """Moves over dense event ids: the one move store of a
     ``CommAutomaton``, and the moves of a closed loop and of a
@@ -257,12 +280,14 @@ class EventTable:
     order in which ``build_comm_automaton`` writes each state's moves, so
     ``ids[s]`` and ``targets[s]`` list the moves of state ``s`` in id order,
     which is exploration order: a walk by id breaks BFS ties as the build
-    does.
+    does.  The automaton and its restriction keep one tuple per row; a
+    closed loop, far larger, packs its targets into ``PackedRows``, 4 B per
+    move, and shares its ``ids`` rows with its automaton's.
     """
 
     events: tuple[CommEvent, ...]
     ids: list[tuple[int, ...]]
-    targets: list[tuple[int, ...]]
+    targets: Sequence[Sequence[int]]
 
     def moves(self, sid: int) -> list[tuple[CommEvent, int]]:
         """The (event, target) pairs of ``sid``, in event id order."""

@@ -11,6 +11,7 @@ the specification on it.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -21,6 +22,7 @@ from .comm import (
     EventTable,
     InSpecRows,
     Observer,
+    PackedRows,
     Plant,
     SpecView,
     build_comm_automaton,
@@ -84,8 +86,9 @@ class ClosedLoop:
     ``radix`` is the product of all their sizes.  ``codes[sid]`` is the
     code of state ``sid``, ``comm_state`` and ``state`` unpack it.
     ``table`` holds the moves over the channel-augmented automaton's event
-    ids, shared with the automaton's row at every state where no move is
-    dropped; ``moves`` reads one state's row as events.  ``closed_loop``
+    ids: its ``ids`` rows are shared with the automaton's at every state
+    where no move is dropped, and its ``targets`` are ``PackedRows``, 4 B
+    per move; ``moves`` reads one state's row as events.  ``closed_loop``
     builds this product; ``language_equal`` and ``check_admissibility``
     build no other one unless a check fails.
     """
@@ -226,7 +229,10 @@ def closed_loop(
     space.add(comm.initial * radix + sum(sup.observer.initial * w for sup, w in zip(supervisors, weights)))
     lookup, add, codes = space.index.get, space.add, space.keys
     loop_ids: list[tuple[int, ...]] = []
-    loop_targets: list[tuple[int, ...]] = []
+    # each move's target appended straight to one array, so no id int
+    # outlives the index; ends[s + 1] closes row s
+    flat, ends = array("i"), array("i", [0])
+    put, close = flat.append, ends.append
     for code in codes:  # codes grows while it is walked: breadth-first
         x, obs = divmod(code, radix)
         here = moves[x]
@@ -235,7 +241,6 @@ def closed_loop(
                 (e, dst * radix, steps_of[e]) for e, dst in zip(ids[x], targets[x])
             )
         blocked: tuple[int, ...] = ()
-        dsts: list[int] = []
         for e, key, entries in here:
             key += obs
             for w, size, steps in entries:
@@ -245,7 +250,7 @@ def closed_loop(
                 key += step
             else:
                 tid = lookup(key)
-                dsts.append(add(key) if tid is None else tid)
+                put(add(key) if tid is None else tid)
                 continue
             # a stopped move: dropped if any supervisor disables it here
             if not any(name not in enable[obs // w % size] for w, size, enable, name in guards_of[e]):
@@ -253,8 +258,8 @@ def closed_loop(
             blocked += (e,)
         # the row is shared with the automaton unless a move is blocked
         loop_ids.append(tuple(e for e in ids[x] if e not in blocked) if blocked else ids[x])
-        loop_targets.append(tuple(dsts))
-    return ClosedLoop(comm, list(supervisors), codes, radix, EventTable(table.events, loop_ids, loop_targets))
+        close(len(flat))
+    return ClosedLoop(comm, list(supervisors), codes, radix, EventTable(table.events, loop_ids, PackedRows(flat, ends)))
 
 
 @dataclass(frozen=True)

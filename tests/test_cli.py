@@ -289,6 +289,47 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: closed loop exceeds 5 states\n"
 
+    def test_out_of_memory_exits_two(self, capsys, models_dir, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "solve_control_problem", exhausted)
+        code, out, err = run(capsys, "solve", fixture_path(models_dir))
+        assert (code, out, err) == (2, "", "error: out of memory\n")
+
+    def test_max_states_below_the_loop_names_the_closed_loop(self, capsys, models_dir, tmp_path):
+        # delays 6/1: 419 automaton states, observers of 236 and 158, and a
+        # closed loop of 4,716 states
+        code, out, err = run(capsys, "solve", line_file(models_dir, tmp_path, 6, 1), "--max-states", "4000")
+        assert (code, out, err) == (2, "", "error: closed loop exceeds 4000 states\n")
+
+    @pytest.mark.parametrize("command", ["check", "synthesize", "solve"])
+    def test_max_states_bounds_the_automaton(self, capsys, models_dir, command):
+        code, out, err = run(capsys, command, fixture_path(models_dir), "--max-states", "10")
+        assert (code, out, err) == (2, "", "error: channel-augmented automaton exceeds 10 states\n")
+
+    @pytest.mark.parametrize("command,stage", [
+        ("check", "check_network_joint_observability"),
+        ("synthesize", "synthesize_supervisor"),
+        ("solve", "solve_control_problem"),
+    ])
+    def test_max_states_reaches_every_stage(self, capsys, models_dir, monkeypatch, command, stage):
+        budgets = []
+        real = getattr(cli, stage)
+
+        def spy(*args, **kwargs):
+            budgets.append(kwargs["max_states"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, stage, spy)
+        code, _, _ = run(capsys, command, fixture_path(models_dir), "--max-states", "1234")
+        assert code == 0 and budgets and set(budgets) == {1234}
+
+    @pytest.mark.parametrize("command", ["check", "synthesize", "solve"])
+    def test_default_max_states_changes_no_byte(self, capsys, models_dir, command):
+        default = run(capsys, command, fixture_path(models_dir))
+        assert run(capsys, command, fixture_path(models_dir), "--max-states", "500000") == default
+
 
     def test_composition_budget_overflow_exits_two(self, capsys, models_dir, tmp_path, monkeypatch):
         # the fixture's plant is the single automaton LINE; its components

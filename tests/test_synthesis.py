@@ -2,9 +2,11 @@
 pipeline, cross-checked against string-level evaluation."""
 
 import copy
+import gc
 import hashlib
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -493,7 +495,8 @@ def loop_digest(loops):
     """sha256 over each loop's numbering and moves, in order."""
     h = hashlib.sha256()
     for loop in loops:
-        h.update(json.dumps([loop.radix, loop.codes, loop.table.ids, loop.table.targets]).encode())
+        targets = [list(row) for row in loop.table.targets]
+        h.update(json.dumps([loop.radix, loop.codes, loop.table.ids, targets]).encode())
     return h.hexdigest()
 
 
@@ -588,6 +591,57 @@ class TestClosedLoopIdentity:
         assert str(raised.value) == (
             f"observer of supervisor 1 does not cover every run: no move on 'tick' from its state {t}"
         )
+
+
+class TestPackedLoopRows:
+    """The closed loop packs its targets into two int arrays."""
+
+    @pytest.mark.parametrize("params", [GeneratorParams(), GeneratorParams(n=3, max_comm_states=150)])
+    def test_rows_are_the_moves(self, params):
+        for seed in range(15):
+            comm = random_instance(seed, params).comm
+            loop = closed_loop(comm, [synthesize_supervisor(comm, i) for i in range(comm.net.n)])
+            targets = loop.table.targets
+            assert len(targets) == len(loop.table.ids) == loop.num_states
+            for s in range(loop.num_states):
+                assert list(targets[s]) == [t for _, t in loop.moves(s)]
+                assert len(targets[s]) == len(loop.table.ids[s])
+            assert list(targets) == [targets[s] for s in range(loop.num_states)]
+
+    def test_negative_and_past_the_end_rows(self):
+        comm = random_instance(3, GeneratorParams(n=3, max_comm_states=150)).comm
+        targets = closed_loop(comm, [synthesize_supervisor(comm, i) for i in range(comm.net.n)]).table.targets
+        n = len(targets)
+        assert targets[-1] == targets[n - 1] and targets[-n] == targets[0]
+        for s in (n, -n - 1):
+            with pytest.raises(IndexError):
+                targets[s]
+
+    def test_equal_builds_compare_equal(self):
+        comm = random_instance(65, GeneratorParams(n=3, max_comm_states=150)).comm
+        sups = [synthesize_supervisor(comm, i) for i in range(comm.net.n)]
+        loop = closed_loop(comm, sups)
+        assert closed_loop(comm, sups).table == loop.table
+        assert copy.deepcopy(loop).table == loop.table
+        assert closed_loop(comm, alternating(comm, sups)).table != loop.table
+
+    def test_retained_memory_per_loop_state(self):
+        """About 4 B per move: the loop keeps no object per row beyond the
+        shared ids row and its state code."""
+        comm = random_instance(65, GeneratorParams(n=3, max_comm_states=150)).comm
+        sups = [synthesize_supervisor(comm, i) for i in range(comm.net.n)]
+        closed_loop(comm, sups)  # fills every cache the build reads
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loop = closed_loop(comm, sups)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert loop.num_states == 65511
+        assert retained / loop.num_states <= 100
 
 
 def rendered(string):
