@@ -361,8 +361,10 @@ def prepare(plant: TimedAutomaton, spec: TimedAutomaton, net) -> tuple[TimedAuto
     """The control problem every pipeline solves: the plant's accessible
     part, the specification restricted to the states it kept, after the
     plant passed ``validate_timed_assumptions`` (ModelError otherwise) and
-    ``require_supervised``.  ``comm.build_comm_automaton`` runs it first,
-    so no caller has to."""
+    ``require_supervised``, and ``net`` passed ``validate`` (SchemaError),
+    even one not made by ``NetworkConfig.build``.
+    ``comm.build_comm_automaton`` runs it first, so no caller has to."""
+    net.validate()
     require_supervised(plant, net)
     reachable = accessible(plant)
     # only states the plant lost: a state foreign to the plant stays, for the

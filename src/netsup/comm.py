@@ -20,6 +20,7 @@ joint-observability check and synthesis share it.
 from __future__ import annotations
 
 from array import array
+from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -83,12 +84,15 @@ def event_key(event: CommEvent) -> tuple:
 
 
 def render_event(event: CommEvent) -> str:
-    """Human-readable event names; channel indices are 1-based as in files."""
+    """Human-readable event names; channel indices are 1-based as in files,
+    with a comma between them where either has two digits: f1,11 vs f11,1."""
     if isinstance(event, Plant):
         return event.event
+    i, j = event.sender + 1, event.receiver + 1
+    link = f"{i}{j}" if i < 10 and j < 10 else f"{i},{j}"
     if isinstance(event, Deliver):
-        return f"f{event.sender + 1}{event.receiver + 1}({event.event})"
-    return f"g{event.sender + 1}{event.receiver + 1}({event.position})"
+        return f"f{link}({event.event})"
+    return f"g{link}({event.position})"
 
 
 @dataclass
@@ -483,15 +487,18 @@ def observation_of(event: CommEvent, i: int, net: NetworkConfig) -> Optional[str
 
 def observation_symbols(comm: CommAutomaton, i: int) -> list[Optional[str]]:
     """``observation_of`` for supervisor ``i`` per event id of ``comm``'s
-    event table."""
+    event table; no symbol but None occurs twice.  The rules
+    ``NetworkConfig.validate`` enforces (``automata.prepare`` runs it) make
+    each the symbol of one event: alphabets share only tick, tick is never
+    sent, and a channel carries only events its sender observes."""
     return [observation_of(event, i, comm.net) for event in comm.event_table().events]
 
 
 class InSpecRows(dict):
     """Per state id, read off the event table on its first lookup for one
     supervisor: the state's moves into in_spec states, as its silent moves
-    and a dict from each observed symbol to its moves, symbols in
-    ``net.observation_alphabet`` order and moves in event id order.  Each
+    and a dict from each observed symbol to its one move (see
+    ``observation_symbols``) in ``net.observation_alphabet`` order.  Each
     witness walk reads its own, so only the rows it visits are built."""
 
     __slots__ = ("events", "ids", "targets", "in_spec", "symbols", "rank")
@@ -502,20 +509,18 @@ class InSpecRows(dict):
         self.symbols = observation_symbols(comm, supervisor)
         self.rank = {symbol: k for k, symbol in enumerate(comm.net.observation_alphabet(supervisor))}
 
-    def __missing__(self, sid: int) -> tuple[tuple[Move, ...], dict[str, tuple[Move, ...]]]:
+    def __missing__(self, sid: int) -> tuple[tuple[Move, ...], dict[str, Move]]:
         events, symbols, in_spec = self.events, self.symbols, self.in_spec
         silent: list[Move] = []
-        observed: dict[str, list[Move]] = {}
+        observed: dict[str, Move] = {}
         for e, dst in zip(self.ids[sid], self.targets[sid]):
             if in_spec[dst]:
                 symbol = symbols[e]
                 if symbol is None:
                     silent.append((events[e], dst))
                 else:
-                    observed.setdefault(symbol, []).append((events[e], dst))
-        self[sid] = row = (
-            tuple(silent), {s: tuple(observed[s]) for s in sorted(observed, key=self.rank.__getitem__)}
-        )
+                    observed[symbol] = (events[e], dst)
+        self[sid] = row = (tuple(silent), {s: observed[s] for s in sorted(observed, key=self.rank.__getitem__)})
         return row
 
 
@@ -556,8 +561,8 @@ def _observer_stage(supervisor: int) -> str:
 class _ElementRows(dict):
     """Per observer element code, read off the event table on its first
     lookup for one supervisor: the code's silent successor codes.  The same
-    lookup stores its (observed symbol, successor codes) pairs in
-    ``observed``.  A successor keeps the flag only while it is in_spec."""
+    lookup stores its (observed symbol, successor code) pairs, one per
+    symbol, in ``observed``.  A successor keeps the flag only while it is in_spec."""
 
     __slots__ = ("ids", "targets", "flags", "symbols", "observed")
 
@@ -565,20 +570,20 @@ class _ElementRows(dict):
         table = comm.event_table()
         self.ids, self.targets, self.flags = table.ids, table.targets, comm.in_spec
         self.symbols = observation_symbols(comm, supervisor)
-        self.observed: dict[int, tuple[tuple[str, tuple[int, ...]], ...]] = {}
+        self.observed: dict[int, tuple[tuple[str, int], ...]] = {}
 
     def __missing__(self, code: int) -> tuple[int, ...]:
         sid, flag = code >> 1, code & 1
         symbols, flags = self.symbols, self.flags
         quiet: list[int] = []
-        moved: dict[str, list[int]] = {}
+        moved: list[tuple[str, int]] = []
         for e, dst in zip(self.ids[sid], self.targets[sid]):
             symbol = symbols[e]
             if symbol is None:
                 quiet.append(2 * dst + (flag & flags[dst]))
             else:
-                moved.setdefault(symbol, []).append(2 * dst + (flag & flags[dst]))
-        self.observed[code] = tuple((symbol, tuple(dsts)) for symbol, dsts in moved.items())
+                moved.append((symbol, 2 * dst + (flag & flags[dst])))
+        self.observed[code] = tuple(moved)
         self[code] = row = tuple(quiet)
         return row
 
@@ -591,9 +596,9 @@ def build_observer(
     Unobserved moves are closed over silently; an element's flag survives a
     move only while the run stays within in_spec states.  Each element
     code's successors are read off the event table when the code is first
-    visited: its silent successor codes, and per observed symbol the codes
-    it moves to.  The pass over a state's codes that buckets their moves
-    also summarizes its flagged elements (see ``Observer``).
+    visited: its silent successor codes, and per observed symbol the one
+    code it moves to.  The pass over a state's codes that buckets their
+    moves also summarizes its flagged elements (see ``Observer``).
     """
     obs_alphabet = comm.net.observation_alphabet(supervisor)
     silent = _ElementRows(comm, supervisor)
@@ -616,7 +621,7 @@ def build_observer(
         # each element's observed moves are read once, bucketed by symbol;
         # the buckets are then closed in alphabet order.  The closure that
         # made ``codes`` built every element's rows.
-        buckets: dict[str, set[int]] = {}
+        buckets: defaultdict[str, set[int]] = defaultdict(set)
         leaving, staying = set(), set()
         reached = critical = False
         for code in codes:
@@ -626,12 +631,8 @@ def build_observer(
                 leaving |= comm.exits[x]
                 staying |= comm.stays[x]
                 critical = critical or comm.tick_critical[x]
-            for symbol, dsts in observed[code]:
-                bucket = buckets.get(symbol)
-                if bucket is None:
-                    buckets[symbol] = set(dsts)
-                else:
-                    bucket.update(dsts)
+            for symbol, dst in observed[code]:
+                buckets[symbol].add(dst)
         for symbol in obs_alphabet:
             bucket = buckets.get(symbol)
             if bucket is None:

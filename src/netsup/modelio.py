@@ -168,6 +168,8 @@ def parse_model(document: Union[str, dict]) -> Model:
             document = json.loads(document)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"invalid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise SchemaError("invalid JSON: nested too deeply") from exc
     if not isinstance(document, dict):
         raise SchemaError("model document must be a JSON object")
     automata = tuple(_parse_automaton(a) for a in _require(document, "automata", list, "model"))

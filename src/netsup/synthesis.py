@@ -153,36 +153,29 @@ def _step_tables(
     in index order, that observes the event or may disable it: ``steps[t]``
     is, at its observer state ``t``, the code delta ``(next(t) - t) *
     weight`` of the move, or None where the move cannot pass there, because
-    the supervisor disables the event or its observer has no move.  Equal
-    (supervisor, symbol, guarded event) share one table.  A guard
-    ``(weight, size, enable, name)`` stands for one supervisor, in index
-    order, that controls the event ``name`` and disables it somewhere."""
+    the supervisor disables the event or its observer has no move; no other
+    event has its symbol (``comm.observation_symbols``).  A guard ``(weight,
+    size, enable, name)`` stands for one supervisor, in index order, that
+    controls the event ``name`` and disables it somewhere."""
     net = comm.net
     symbols = [observation_symbols(comm, i) for i in range(len(supervisors))]
-    shared: dict[tuple[int, Optional[str], Optional[str]], list[Optional[int]]] = {}
     steps_of, guards_of = [], []
     for e, event in enumerate(comm.event_table().events):
         entries, guards = [], []
         name = event.event if isinstance(event, Plant) and event.event in net.globally_controllable else None
         for i, (sup, w) in enumerate(zip(supervisors, weights)):
             symbol, size = symbols[i][e], sup.observer.num_states
-            guard = (
-                name if name is not None and i in net.controllers(name) and any(name not in on for on in sup.enable)
-                else None
-            )
+            guard = name if name in net.controllable[i] and any(name not in on for on in sup.enable) else None
             if guard is not None:
                 guards.append((w, size, sup.enable, guard))
             elif symbol is None:
                 continue
-            steps = shared.get((i, symbol, guard))
-            if steps is None:
-                steps = shared[i, symbol, guard] = [
-                    None if guard is not None and guard not in on or symbol is not None and symbol not in step
-                    else 0 if symbol is None
-                    else (step[symbol] - t) * w
-                    for t, (on, step) in enumerate(zip(sup.enable, sup.observer.transitions))
-                ]
-            entries.append((w, size, steps))
+            entries.append((w, size, [
+                None if guard is not None and guard not in on or symbol is not None and symbol not in step
+                else 0 if symbol is None
+                else (step[symbol] - t) * w
+                for t, (on, step) in enumerate(zip(sup.enable, sup.observer.transitions))
+            ]))
         steps_of.append(tuple(entries))
         guards_of.append(tuple(guards))
     return steps_of, guards_of
@@ -385,12 +378,12 @@ def check_admissibility(
     symbol it meets.  Otherwise its observer (a copy or an edited one too)
     is walked breadth-first over the (state, observer state) pairs in-spec
     runs reach, on the supervisor's ``InSpecRows``: silent moves first,
-    then observed symbols in alphabet order.  The first violating pair
-    gives the witness, a shortest run reaching it, and its ``sigma`` is
-    the first disabled uncontrollable event in ``event_order``.  A walked
-    observer with no move on the symbol of an in-spec move raises
-    ValueError.  ``max_states`` bounds each walk; a supervisor that passes
-    builds none.
+    then the one move of each observed symbol in alphabet order.  The
+    first violating pair gives the witness, a shortest run reaching it,
+    and its ``sigma`` is the first disabled uncontrollable event in
+    ``event_order``.  A walked observer with no move on the symbol of an
+    in-spec move raises ValueError.  ``max_states`` bounds each walk; a
+    supervisor that passes builds none.
     """
     check_supervisor_list(comm, supervisors)
     net, tick_critical = comm.net, comm.tick_critical
@@ -424,14 +417,13 @@ def check_admissibility(
                 pair = dst * width + t
                 if pair not in index:
                     add(pair, k, event)
-            for symbol, moves in observed.items():
+            for symbol, (event, dst) in observed.items():
                 nxt = steps[t].get(symbol)
                 if nxt is None:
                     raise _uncovered(i, symbol, t)
-                for event, dst in moves:
-                    pair = dst * width + nxt
-                    if pair not in index:
-                        add(pair, k, event)
+                pair = dst * width + nxt
+                if pair not in index:
+                    add(pair, k, event)
     return Verdict(Condition.ADM_UNCONTROLLABLE, True)
 
 

@@ -123,7 +123,8 @@ def build_twin_product(
     """Breadth-first twin product of ``comm`` with itself for one supervisor,
     over specification states only: it reads the supervisor's
     ``InSpecRows``, which hold only the moves into in_spec states, silent
-    moves first and then observed symbols in alphabet order.
+    moves first and then observed symbols in alphabet order, one move per
+    symbol, so a symbol both copies observe makes one pair.
 
     With ``until=(exits, stays)`` the walk stops as soon as it discovers a
     pair (x, y) with x in ``exits`` and y in ``stays``, which is then the
@@ -152,17 +153,15 @@ def build_twin_product(
                 add(pair, tid, (None, event))
                 if x in exits and dst in stays:
                     return TwinProduct(n, space)
-        for symbol, moves_x in observed_x.items():
-            moves_y = observed_y.get(symbol)
-            if moves_y is None:
+        for symbol, (ev_x, dst_x) in observed_x.items():
+            if symbol not in observed_y:
                 continue
-            for ev_x, dst_x in moves_x:
-                for ev_y, dst_y in moves_y:
-                    pair = dst_x * n + dst_y
-                    if pair not in index:
-                        add(pair, tid, (ev_x, ev_y))
-                        if dst_x in exits and dst_y in stays:
-                            return TwinProduct(n, space)
+            ev_y, dst_y = observed_y[symbol]
+            pair = dst_x * n + dst_y
+            if pair not in index:
+                add(pair, tid, (ev_x, ev_y))
+                if dst_x in exits and dst_y in stays:
+                    return TwinProduct(n, space)
     return TwinProduct(n, space)
 
 

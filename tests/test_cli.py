@@ -144,6 +144,8 @@ BROKEN = {
         "{",
         "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
     "not an object": ("[]", "model document must be a JSON object"),
+    # deeper than the JSON decoder's recursion limit
+    "deeply nested": ("[" * 200_000 + "]" * 200_000, "invalid JSON: nested too deeply"),
     "automaton entry": (
         set_field("automata", 0, 5),
         "automaton entry must be an object"),

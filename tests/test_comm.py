@@ -3,8 +3,12 @@
 import copy
 import dataclasses
 import hashlib
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,11 +25,12 @@ from netsup.comm import (
     build_observer,
     check_projection_equivalence,
     event_key,
+    observation_symbols,
     project_observation,
     project_plant,
     render_event,
 )
-from netsup.errors import ModelError
+from netsup.errors import ModelError, SchemaError
 from netsup.network import ChannelLink, NetworkConfig
 from netsup.randgen import GeneratorParams, random_instance
 from netsup.simulation import render_trace, simulate
@@ -539,6 +544,80 @@ class TestProjections:
                 assert sum(1 for o in obs if o == TICK) == ticks
 
 
+def broken_channel(*events):
+    """An edit that adds ``events`` to the channel from supervisor 1 to 2."""
+
+    def edit(net):
+        link = net.channels[0, 1]
+        return dataclasses.replace(
+            net, channels={**net.channels, (0, 1): dataclasses.replace(link, events=link.events | set(events))}
+        )
+
+    return edit
+
+
+# edits of the line model's network, made without NetworkConfig.build, that
+# would let one observed symbol name two events
+BROKEN_NETWORKS = {
+    "shared event": lambda net: dataclasses.replace(net, alphabets=(net.alphabets[0], net.alphabets[1] | {"a1"})),
+    "unobserved channel event": broken_channel("a2"),
+    "tick on a channel": broken_channel(TICK),
+}
+
+
+class TestOneEventPerSymbol:
+    """Each symbol a supervisor observes names one event of the automaton,
+    which the observers, the witness walks and the closed loop rely on;
+    ``automata.prepare`` validates the network so no build can break it."""
+
+    @staticmethod
+    def assert_one_event_per_symbol(comm):
+        for i in range(comm.net.n):
+            symbols = [symbol for symbol in observation_symbols(comm, i) if symbol is not None]
+            assert len(symbols) == len(set(symbols)), (i, symbols)
+
+    @pytest.mark.parametrize("params", [
+        GeneratorParams(),
+        GeneratorParams(n=3, max_comm_states=150),
+        DEEP_QUEUES,
+        GeneratorParams(n=3, max_delay=3, max_comm_states=600),
+    ], ids=["default", "n3", "delay3", "n3-delay3"])
+    def test_random_instances(self, params):
+        for seed in range(150):
+            self.assert_one_event_per_symbol(random_instance(seed, params).comm)
+
+    @pytest.mark.parametrize("delays", [(6, 1), (1, 6), (12, 1)], ids=lambda d: f"{d[0]}/{d[1]}")
+    def test_line_model(self, line_model, delays):
+        self.assert_one_event_per_symbol(line_with_delays(line_model, delays))
+
+    @pytest.mark.parametrize("edit", BROKEN_NETWORKS.values(), ids=BROKEN_NETWORKS)
+    def test_build_rejects_broken_network(self, line_model, edit):
+        with pytest.raises(SchemaError):
+            build_comm_automaton(line_model.plant, line_model.spec, edit(line_model.network))
+
+    def test_rejection_survives_python_o(self, models_dir):
+        """``python -O`` strips asserts, so the gate must not be one."""
+        script = (
+            "import sys\n"
+            "from netsup import build_comm_automaton, load_model\n"
+            "from netsup.errors import SchemaError\n"
+            "from test_comm import BROKEN_NETWORKS\n"
+            "m = load_model(sys.argv[1])\n"
+            "for edit in BROKEN_NETWORKS.values():\n"
+            "    try:\n"
+            "        build_comm_automaton(m.plant, m.spec, edit(m.network))\n"
+            "    except SchemaError:\n"
+            "        print('rejected')\n"
+        )
+        path = os.pathsep.join([str(Path(dot.__file__).resolve().parents[1]), str(Path(__file__).parent)])
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script, str(models_dir / "production_line.json")],
+            capture_output=True, env={**os.environ, "PYTHONPATH": path}, timeout=120, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "rejected\n" * len(BROKEN_NETWORKS)
+
+
 class TestProjectionEquivalence:
     def test_holds_on_fixture(self, line_model, line_comm):
         assert check_projection_equivalence(line_model.plant, line_comm).equal
@@ -594,6 +673,17 @@ class TestEventOrderAndRendering:
         assert render_event(Deliver(1, 0, "a2")) == "f21(a2)"
         assert render_event(Lose(0, 1, 2)) == "g12(2)"
         assert render_event(Plant("a1")) == "a1"
+
+    def test_channel_names_stay_distinct_past_nine_supervisors(self):
+        """Two-digit indices are set apart by a comma, so no two channels of
+        a 12-supervisor network share a name."""
+        pairs = [(i, j) for i in range(12) for j in range(12) if i != j]
+        assert len({render_event(Deliver(i, j, "a")) for i, j in pairs}) == len(pairs)
+        assert len({render_event(Lose(i, j, 1)) for i, j in pairs}) == len(pairs)
+        assert render_event(Deliver(0, 10, "a")) == "f1,11(a)"
+        assert render_event(Deliver(10, 0, "a")) == "f11,1(a)"
+        assert render_event(Lose(0, 10, 1)) == "g1,11(1)"
+        assert render_event(Lose(8, 0, 1)) == "g91(1)"
 
     def test_exploration_order_is_canonical(self, line_comm):
         for sid in range(line_comm.num_states):
