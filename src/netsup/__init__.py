@@ -7,6 +7,7 @@ from .automata import (
     AssumptionVerdict,
     TimedAutomaton,
     accessible,
+    coreachable,
     is_nonblocking,
     parallel_compose,
     remove_states,
@@ -34,6 +35,7 @@ from .synthesis import (
     SupervisorMap,
     check_admissibility,
     closed_loop,
+    decide,
     language_equal,
     solve_control_problem,
     spec_nonblocking,
@@ -46,6 +48,7 @@ from .verification import (
     check_lm_closure,
     check_network_controllability,
     check_network_joint_observability,
+    existence_checks,
 )
 
 __version__ = "0.1.0"

@@ -252,16 +252,24 @@ def _reachable(machine) -> dict:
     return sources
 
 
+def coreachable(machine) -> dict:
+    """Each reachable state of ``machine`` (anything with ``initial``,
+    ``moves`` and ``is_marked``), in breadth-first discovery order, mapped
+    to whether it can reach a marked state: the one coreachability walk.
+    A forward walk records each state's sources, then the closure of the
+    marked states over those sources is the coreachable set."""
+    sources = _reachable(machine)
+    useful = closure([state for state in sources if machine.is_marked(state)], sources)
+    return {state: state in useful for state in sources}
+
+
 def is_nonblocking(machine) -> bool:
     """True iff every reachable state of ``machine`` can reach a marked state.
 
     ``machine`` is anything with ``initial``, ``moves`` and
     ``is_marked``: a TimedAutomaton, a CommAutomaton, a SpecView or a
-    ClosedLoop.  A forward walk records each state's sources, then the
-    closure of the marked states over those sources is the coreachable set.
-    """
-    sources = _reachable(machine)
-    return len(closure([state for state in sources if machine.is_marked(state)], sources)) == len(sources)
+    ClosedLoop."""
+    return all(coreachable(machine).values())
 
 
 @dataclass(frozen=True)
@@ -361,9 +369,11 @@ def prepare(plant: TimedAutomaton, spec: TimedAutomaton, net) -> tuple[TimedAuto
     """The control problem every pipeline solves: the plant's accessible
     part, the specification restricted to the states it kept, after the
     plant passed ``validate_timed_assumptions`` (ModelError otherwise) and
-    ``require_supervised``, and ``net`` passed ``validate`` (SchemaError),
-    even one not made by ``NetworkConfig.build``.
-    ``comm.build_comm_automaton`` runs it first, so no caller has to."""
+    ``require_supervised``, ``net`` passed ``validate`` (SchemaError),
+    even one not made by ``NetworkConfig.build``, and the specification
+    proved a subautomaton of the plant (``subautomaton_defect``; ModelError
+    otherwise).  ``comm.build_comm_automaton`` runs it first, so no caller
+    has to."""
     net.validate()
     require_supervised(plant, net)
     reachable = accessible(plant)
@@ -376,4 +386,7 @@ def prepare(plant: TimedAutomaton, spec: TimedAutomaton, net) -> tuple[TimedAuto
     assumptions = validate_timed_assumptions(plant, net.enforceable)
     if not assumptions.ok:
         raise ModelError(f"plant violates timed assumption {assumptions.condition}: {assumptions.message}")
+    defect = subautomaton_defect(spec, plant)
+    if defect is not None:
+        raise ModelError(f"{spec.name!r} is not a subautomaton of {plant.name!r}: {defect}")
     return plant, spec

@@ -29,22 +29,13 @@ from .modelio import (
 from .oracle import agreement_for_seed
 from .randgen import random_instance
 from .simulation import render_trace, simulate
-from .synthesis import (
-    SolveReport,
-    closed_loop,
-    solve_control_problem,
-    synthesize_supervisor,
-)
-from .verification import (
-    Verdict,
-    check_lm_closure,
-    check_network_controllability,
-    check_network_joint_observability,
-)
+from .synthesis import SolveReport, decide, solve_control_problem, synthesize_supervisor
+from .verification import Verdict
 
 SPEC_VERSION = 1
-# the three existence checks, in the order every command reports them
-_CHECK_NAMES = ("network controllability", "network joint observability", "marked-language closure")
+# the verdicts of ``synthesis.decide``, in the order every command reports
+# them; the last is listed only when it fails
+_CHECK_NAMES = ("network controllability", "network joint observability", "marked-language closure", "nonblocking")
 
 
 def _write(text: str, output: Optional[str]) -> None:
@@ -76,18 +67,22 @@ def _verdict_dict(verdict: Verdict) -> dict:
     }
 
 
-def _verdict_text(name: str, verdict: Verdict) -> str:
-    if verdict.holds:
-        return f"{name}: holds"
-    lines = [f"{name}: FAILS ({verdict.condition.value})"]
-    if verdict.detail:
-        lines.append(f"  {verdict.detail}")
-    witness = _witness_dict(verdict) or {}
-    for key in ("mu", "sigma", "nu", "supervisor"):
-        if key in witness:
-            value = witness[key]
-            lines.append(f"  {key} = {' '.join(value) if isinstance(value, list) else value}")
-    return "\n".join(lines)
+def _checks_text(checks: Sequence[Verdict]) -> list[str]:
+    """The text lines of the verdicts of ``synthesis.decide``."""
+    lines = []
+    for name, verdict in zip(_CHECK_NAMES, checks):
+        if verdict.holds:
+            lines.append(f"{name}: holds")
+            continue
+        lines.append(f"{name}: FAILS ({verdict.condition.value})")
+        if verdict.detail:
+            lines.append(f"  {verdict.detail}")
+        witness = _witness_dict(verdict) or {}
+        for key in ("mu", "sigma", "nu", "supervisor"):
+            if key in witness:
+                value = witness[key]
+                lines.append(f"  {key} = {' '.join(value) if isinstance(value, list) else value}")
+    return lines
 
 
 def _supervisor_dict(sup) -> dict:
@@ -111,11 +106,7 @@ def _report_dict(report: SolveReport) -> dict:
     out = {
         "spec_version": SPEC_VERSION,
         "solvable": report.solvable,
-        "checks": [
-            _verdict_dict(report.controllability),
-            _verdict_dict(report.observability),
-            _verdict_dict(report.closure),
-        ],
+        "checks": [_verdict_dict(v) for v in report.checks],
         "sizes": report.sizes,
         "diagnostic": report.diagnostic,
     }
@@ -186,28 +177,25 @@ def cmd_build_comm(args) -> int:
 
 def cmd_check(args) -> int:
     model = load_model(args.model)
-    comm = build_comm_automaton(model.plant, model.spec, model.network, max_states=args.max_states)
-    verdicts = list(zip(_CHECK_NAMES, [
-        check_network_controllability(comm),
-        check_network_joint_observability(comm, max_states=args.max_states),
-        check_lm_closure(comm),
-    ]))
-    all_hold = all(v.holds for _, v in verdicts)
+    _, checks = decide(model.plant, model.spec, model.network, max_states=args.max_states)
+    all_hold = all(v.holds for v in checks)
     if args.format == "json":
         payload = {
             "spec_version": SPEC_VERSION,
             "all_hold": all_hold,
-            "checks": [_verdict_dict(v) for _, v in verdicts],
+            "checks": [_verdict_dict(v) for v in checks],
         }
         _write(dump_json(payload), args.output)
     else:
-        _write("\n".join(_verdict_text(n, v) for n, v in verdicts) + "\n", args.output)
+        _write("\n".join(_checks_text(checks)) + "\n", args.output)
     return 0 if all_hold else 1
 
 
 def cmd_synthesize(args) -> int:
     model = load_model(args.model)
-    comm = build_comm_automaton(model.plant, model.spec, model.network, max_states=args.max_states)
+    comm, checks = decide(model.plant, model.spec, model.network, max_states=args.max_states)
+    if not all(v.holds for v in checks):
+        raise ModelError("problem unsolvable; `netsup solve --diagnostic --format json` lists diagnostic supervisors")
     sups = [synthesize_supervisor(comm, i, max_states=args.max_states) for i in range(model.network.n)]
     payload = {
         "spec_version": SPEC_VERSION,
@@ -225,8 +213,7 @@ def cmd_solve(args) -> int:
     if args.format == "json":
         _write(dump_json(_report_dict(report)), args.output)
     else:
-        checks = (report.controllability, report.observability, report.closure)
-        lines = [_verdict_text(name, v) for name, v in zip(_CHECK_NAMES, checks)]
+        lines = _checks_text(report.checks)
         lines.append(f"solvable: {'yes' if report.solvable else 'no'}")
         if report.supervisors is not None:
             lines.append(f"admissible: {'yes' if report.admissibility.holds else 'no'}")
@@ -237,7 +224,7 @@ def cmd_solve(args) -> int:
             lines.append(f"specification nonblocking: {'yes' if report.nonblocking else 'no'}")
         lines.append("sizes: " + ", ".join(f"{k}={v}" for k, v in report.sizes.items()))
         _write("\n".join(lines) + "\n", args.output)
-    return 0 if report.solvable else 1
+    return 0 if report.verified else 1
 
 
 def cmd_simulate(args) -> int:
@@ -270,17 +257,15 @@ def cmd_export_dot(args) -> int:
         text = dotmod.timed_automaton_dot(model.plant)
     elif target == "spec":
         text = dotmod.timed_automaton_dot(model.spec)
-    elif target == "comm" or target == "closed-loop" or target.startswith("observer:"):
-        if target.startswith("observer:"):
-            i = _supervisor_index(target.split(":", 1)[1], model.network.n)
+    elif target == "closed-loop":
+        report = solve_control_problem(model.plant, model.spec, model.network, diagnostic=True)
+        text = dotmod.closed_loop_dot(report.loop)
+    elif target == "comm":
+        text = dotmod.comm_automaton_dot(build_comm_automaton(model.plant, model.spec, model.network))
+    elif target.startswith("observer:"):
+        i = _supervisor_index(target.split(":", 1)[1], model.network.n)
         comm = build_comm_automaton(model.plant, model.spec, model.network)
-        if target == "comm":
-            text = dotmod.comm_automaton_dot(comm)
-        elif target == "closed-loop":
-            sups = [synthesize_supervisor(comm, i) for i in range(model.network.n)]
-            text = dotmod.closed_loop_dot(closed_loop(comm, sups))
-        else:
-            text = dotmod.observer_dot(comm.observer(i), comm)
+        text = dotmod.observer_dot(comm.observer(i), comm)
     else:
         raise ModelError(f"unknown export target {target!r}")
     _write(text, args.output)

@@ -27,9 +27,8 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
 from . import channels as ch
-from .automata import TICK, TimedAutomaton, follow, prepare, subautomaton_defect
+from .automata import TICK, TimedAutomaton, follow, prepare
 from .channels import ChannelQueue, ChannelState
-from .errors import ModelError
 from .explore import MAX_STATES, PathSpace, StateSpace, budget_error, closure
 from .network import ChannelLink, NetworkConfig
 
@@ -344,23 +343,17 @@ def build_comm_automaton(
 ) -> CommAutomaton:
     """Breadth-first construction of the channel-augmented automaton.
 
-    The one gate to a validated problem: the plant is first reduced to its
-    accessible part and the specification to the states it kept, and the
-    plant must pass ``validate_timed_assumptions`` (``automata.prepare``;
-    ModelError otherwise).  ``spec`` must then be a subautomaton of the plant
-    (same initial state; marking may be an explicit subset of the inherited
-    one).  With no cycle of non-tick events, at most L <= |plant states| - 1
-    plant events fire between two ticks, so no channel queue holds more than
-    (delay_bound + 1) * L entries and the construction is finite.
+    The problem first passes ``automata.prepare``, the one gate to a
+    validated problem (ModelError otherwise).  With no cycle of non-tick
+    events, at most L <= |plant states| - 1 plant events fire between two
+    ticks, so no channel queue holds more than (delay_bound + 1) * L entries
+    and the construction is finite.
 
     The queue calculus runs once per distinct queue of each channel (see
     ``_QueueMoves``), and each plant state's moves are read once, so a
     successor key rebuilds only the queues that change.
     """
     plant, spec = prepare(plant, spec, net)
-    defect = subautomaton_defect(spec, plant)
-    if defect is not None:
-        raise ModelError(f"{spec.name!r} is not a subautomaton of {plant.name!r}: {defect}")
     spec_states = set(spec.states)
     spec_marked_states = set(spec.marked)
 

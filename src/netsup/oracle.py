@@ -30,14 +30,7 @@ from .automata import TICK, TimedAutomaton, event_order
 from .comm import CommAutomaton, Plant, SpecView, observation_symbols
 from .randgen import random_instance
 from .synthesis import SupervisorMap, check_supervisor_list, closed_loop, synthesize_supervisor
-from .verification import (
-    Condition,
-    Verdict,
-    Witness,
-    check_lm_closure,
-    check_network_controllability,
-    check_network_joint_observability,
-)
+from .verification import Condition, Verdict, Witness, existence_checks
 
 
 @dataclass(frozen=True)
@@ -321,25 +314,13 @@ def agreement_for_seed(seed: int, bound: int) -> dict:
     # only the strings shorter than the bound
     levels = _spec_levels(comm, bound)
     shorter = levels[:-1]
-    oracle_ctrl = (
-        _brute_controllability_1(comm, shorter).holds
-        and _brute_controllability_2(comm, shorter).holds
+    oracle = (
+        _brute_controllability_1(comm, shorter).holds and _brute_controllability_2(comm, shorter).holds,
+        _brute_joint_observability(comm, shorter).holds,
+        _brute_lm_closure(comm, levels).holds,
     )
-    engine = [
-        ("NetworkControllability", check_network_controllability(comm).holds, oracle_ctrl),
-        (
-            "NetworkJointObservability",
-            check_network_joint_observability(comm).holds,
-            _brute_joint_observability(comm, shorter).holds,
-        ),
-        (
-            "LmClosure",
-            check_lm_closure(comm).holds,
-            _brute_lm_closure(comm, levels).holds,
-        ),
-    ]
-    disagreements = [name for name, engine_holds, oracle_holds in engine
-                     if engine_holds != oracle_holds]
+    names = ("NetworkControllability", "NetworkJointObservability", "LmClosure")
+    disagreements = [name for name, v, holds in zip(names, existence_checks(comm), oracle) if v.holds != holds]
     sups = [synthesize_supervisor(comm, i) for i in range(comm.net.n)]
     loop_language = enumerate_language(closed_loop(comm, sups), bound)
     brute_language = brute_closed_loop(comm, sups, bound)

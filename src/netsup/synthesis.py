@@ -15,7 +15,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .automata import TICK, TimedAutomaton, event_order, is_nonblocking
+from .automata import TICK, TimedAutomaton, coreachable, event_order, is_nonblocking, prepare, remove_states
 from .comm import (
     CommAutomaton,
     CommEvent,
@@ -35,9 +35,7 @@ from .verification import (
     Condition,
     Verdict,
     Witness,
-    check_lm_closure,
-    check_network_controllability,
-    check_network_joint_observability,
+    existence_checks,
 )
 
 @dataclass
@@ -433,17 +431,38 @@ def spec_nonblocking(comm: CommAutomaton) -> bool:
     return is_nonblocking(comm.spec_view())
 
 
+def decide(
+    plant: TimedAutomaton, spec: TimedAutomaton, net: NetworkConfig, *, max_states: int = MAX_STATES
+) -> tuple[CommAutomaton, tuple[Verdict, ...]]:
+    """Decide the nonblocking control problem: a closed loop that marks
+    exactly ``K``, the specification's marked language, and generates its
+    prefixes.  After ``automata.prepare`` the specification keeps only the
+    states that reach a marked one, which is exact in the channel-augmented
+    automaton too (deliveries and losses need no tick, so queues can always
+    be flushed first).  Returns that automaton and its ``existence_checks``
+    (``max_states`` bounds each construction).  An empty ``K`` leaves the
+    specification whole and adds a failed ``Condition.NONBLOCKING``, whose
+    witness is the empty string: it is in every closed loop's language."""
+    plant, spec = prepare(plant, spec, net)
+    useful = coreachable(spec)
+    if useful[spec.initial]:
+        spec = remove_states(spec, [q for q, ok in useful.items() if not ok])
+    comm = build_comm_automaton(plant, spec, net, max_states=max_states)
+    checks = existence_checks(comm, max_states=max_states)
+    if not useful[spec.initial]:
+        detail = "the specification marks no string reachable from its initial state"
+        checks += (Verdict(Condition.NONBLOCKING, False, Witness(mu=()), detail),)
+    return comm, checks
+
+
 @dataclass
 class SolveReport:
-    """Everything the full pipeline produced: the three existence verdicts,
-    and (when solvable, or on request for diagnosis) the synthesized
-    supervisors with their admissibility, exact closed-loop comparison and
-    nonblocking sanity check."""
+    """Everything the full pipeline produced: the existence verdicts of
+    ``decide``, and (when solvable, or on request for diagnosis) the
+    synthesized supervisors with their admissibility, exact closed-loop
+    comparison and nonblocking sanity check."""
 
-    solvable: bool
-    controllability: Verdict
-    observability: Verdict
-    closure: Verdict
+    checks: tuple[Verdict, ...]
     sizes: dict[str, int]
     comm: CommAutomaton
     supervisors: Optional[list[SupervisorMap]] = None
@@ -454,15 +473,14 @@ class SolveReport:
     diagnostic: bool = False
 
     @property
+    def solvable(self) -> bool:
+        """Every existence verdict holds."""
+        return all(v.holds for v in self.checks)
+
+    @property
     def verified(self) -> bool:
         """Solvable and every post-synthesis check confirmed."""
-        return bool(
-            self.solvable
-            and self.admissibility is not None
-            and self.admissibility.holds
-            and self.language is not None
-            and self.language.equal
-        )
+        return self.solvable and self.supervisors is not None and self.admissibility.holds and self.language.equal
 
 
 def solve_control_problem(
@@ -473,32 +491,17 @@ def solve_control_problem(
     diagnostic: bool = False,
     max_states: int = MAX_STATES,
 ) -> SolveReport:
-    """Full pipeline: validate, build the channel-augmented automaton, decide
-    the three existence conditions, and on success synthesize and verify the
-    supervisor set.
+    """Full pipeline: ``decide``, and on success synthesize and verify the
+    supervisor set on the automaton it built.
 
     With ``diagnostic`` the supervisors are synthesized and compared even when
     a condition fails (their enable-sets carry no guarantee then).
     """
-    comm = build_comm_automaton(plant, spec, net, max_states=max_states)
-    controllability = check_network_controllability(comm)
-    observability = check_network_joint_observability(comm, max_states=max_states)
-    closure = check_lm_closure(comm)
-    solvable = controllability.holds and observability.holds and closure.holds
-    sizes = {
-        "comm_states": comm.num_states,
-        "spec_states": len(comm.spec_tree.keys),
-    }
-    report = SolveReport(
-        solvable=solvable,
-        controllability=controllability,
-        observability=observability,
-        closure=closure,
-        sizes=sizes,
-        comm=comm,
-        diagnostic=diagnostic and not solvable,
-    )
-    if solvable or diagnostic:
+    comm, checks = decide(plant, spec, net, max_states=max_states)
+    sizes = {"comm_states": comm.num_states, "spec_states": len(comm.spec_tree.keys)}
+    report = SolveReport(checks, sizes, comm)
+    report.diagnostic = diagnostic and not report.solvable
+    if report.solvable or diagnostic:
         supervisors = [
             synthesize_supervisor(comm, i, max_states=max_states) for i in range(net.n)
         ]

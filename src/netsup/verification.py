@@ -24,6 +24,7 @@ class Condition(Enum):
     LM_CLOSURE = "LmClosure"
     ADM_UNCONTROLLABLE = "AdmUncontrollable"
     ADM_TICK = "AdmTick"
+    NONBLOCKING = "Nonblocking"
 
 
 @dataclass(frozen=True)
@@ -215,7 +216,7 @@ def check_lm_closure(comm: CommAutomaton) -> Verdict:
     """The specification's marked language must equal its language intersected
     with the full marked language.  With inherited marking this holds by
     construction; an explicit marking override can break it.  A marking
-    beyond the plant's never gets here: ``build_comm_automaton`` rejects it
+    beyond the plant's never gets here: ``automata.prepare`` rejects it
     (``subautomaton_defect``)."""
     for sid in sorted(comm.spec_tree.keys):
         if comm.marked[sid] and not comm.spec_marked[sid]:
@@ -227,3 +228,13 @@ def check_lm_closure(comm: CommAutomaton) -> Verdict:
                 " but not in the specification",
             )
     return Verdict(Condition.LM_CLOSURE, True)
+
+
+def existence_checks(comm: CommAutomaton, *, max_states: int = MAX_STATES) -> tuple[Verdict, ...]:
+    """The three existence verdicts, in the order every command reports
+    them; ``max_states`` bounds each observer and twin product."""
+    return (
+        check_network_controllability(comm),
+        check_network_joint_observability(comm, max_states=max_states),
+        check_lm_closure(comm),
+    )

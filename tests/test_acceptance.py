@@ -20,12 +20,7 @@ from netsup.synthesis import (
     solve_control_problem,
     synthesize_supervisor,
 )
-from netsup.verification import (
-    Condition,
-    check_lm_closure,
-    check_network_controllability,
-    check_network_joint_observability,
-)
+from netsup.verification import Condition, existence_checks
 
 
 def report_line(name, detail):
@@ -40,9 +35,7 @@ def test_c1_fixture_reproduction(line_model):
     start = time.monotonic()
     report = solve_control_problem(line_model.plant, line_model.spec, line_model.network)
     elapsed = time.monotonic() - start
-    assert report.controllability.holds
-    assert report.observability.holds
-    assert report.closure.holds
+    assert len(report.checks) == 3 and all(v.holds for v in report.checks)
     assert report.solvable
     assert report.admissibility.holds
     assert report.language.generated_equal and report.language.marked_equal
@@ -85,14 +78,6 @@ def test_c2_projection_property_100_instances():
     report_line("2 projection equivalence", f"100 instances in {elapsed:.2f}s")
 
 
-def _three_checks(comm):
-    return (
-        check_network_controllability(comm),
-        check_network_joint_observability(comm),
-        check_lm_closure(comm),
-    )
-
-
 def test_c3_conditions_sufficient():
     """On every seeded instance where the three checks hold (>= 50 by
     rejection sampling), the synthesized supervisors are admissible and both
@@ -104,7 +89,7 @@ def test_c3_conditions_sufficient():
         inst = random_instance(seed)
         seed += 1
         comm = inst.comm
-        if not all(v.holds for v in _three_checks(comm)):
+        if not all(v.holds for v in existence_checks(comm)):
             continue
         passing += 1
         sups = [synthesize_supervisor(comm, i) for i in range(inst.net.n)]
@@ -126,7 +111,7 @@ def test_c4_conditions_necessary():
         inst = random_instance(seed)
         seed += 1
         comm = inst.comm
-        if all(v.holds for v in _three_checks(comm)):
+        if all(v.holds for v in existence_checks(comm)):
             continue
         failing += 1
         sups = [synthesize_supervisor(comm, i) for i in range(inst.net.n)]
@@ -154,7 +139,7 @@ def _oracle_agreement(seed, inst):
     against the brute oracle at bound 8: the (seed, property) pairs they
     disagree on, and whether the engine found the instance solvable."""
     comm = inst.comm
-    ctrl, obs, clos = _three_checks(comm)
+    ctrl, obs, clos = existence_checks(comm)
     disagreements = []
     oracle_ctrl = (
         brute_check(Condition.NET_CTRL_1, comm, 8).holds

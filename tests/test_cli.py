@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, artifact shapes, determinism."""
 
 import concurrent.futures
+import dataclasses
 import hashlib
 import json
 import os
@@ -11,8 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from netsup import automata, build_comm_automaton, cli, load_model, synthesis
+from netsup import automata, build_comm_automaton, cli, load_model, synthesis, verification
 from netsup.cli import main
+from netsup.modelio import dump_json, model_to_dict
+from netsup.randgen import random_instance
 from netsup.errors import ModelError, ResourceLimitError
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -314,16 +317,24 @@ class TestExitCodes:
         ("check", "check_network_joint_observability"),
         ("synthesize", "synthesize_supervisor"),
         ("solve", "solve_control_problem"),
+        ("check", "build_comm_automaton"),
+        ("synthesize", "build_comm_automaton"),
+        ("synthesize", "check_network_joint_observability"),
+        ("solve", "build_comm_automaton"),
     ])
     def test_max_states_reaches_every_stage(self, capsys, models_dir, monkeypatch, command, stage):
+        # each stage is spied on where its caller looks it up: the commands
+        # call synthesis.decide, which builds the automaton and calls
+        # verification.existence_checks
+        owner = {"build_comm_automaton": synthesis, "check_network_joint_observability": verification}.get(stage, cli)
         budgets = []
-        real = getattr(cli, stage)
+        real = getattr(owner, stage)
 
         def spy(*args, **kwargs):
             budgets.append(kwargs["max_states"])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, stage, spy)
+        monkeypatch.setattr(owner, stage, spy)
         code, _, _ = run(capsys, command, fixture_path(models_dir), "--max-states", "1234")
         assert code == 0 and budgets and set(budgets) == {1234}
 
@@ -409,6 +420,74 @@ class TestExitCodes:
         with pytest.raises(ModelError) as excinfo:
             build_comm_automaton(model.plant, model.spec, model.network)
         assert printed == f"error: {excinfo.value}\n"
+
+
+def empty_k_file(models_dir, tmp_path):
+    """production_line.json with a specification that marks no state, so
+    its marked language ``K`` is empty."""
+    return str(edited_line_model(models_dir, tmp_path, set_field("spec", "marked", [])))
+
+
+class TestOneDecisionPath:
+    """``check``, ``solve`` and ``synthesize`` decide through
+    ``synthesis.decide``: one verdict tuple, trimmed specification and all."""
+
+    def decision_files(self, models_dir, tmp_path):
+        files = [fixture_path(models_dir, name) for name in (
+            "minimal.json", "production_line.json", "production_line_no_ch21.json")]
+        files.append(empty_k_file(models_dir, tmp_path))
+        for seed in range(20):
+            inst = random_instance(seed)
+            path = tmp_path / f"seed_{seed}.json"
+            path.write_text(dump_json(model_to_dict(inst.plant, inst.spec, inst.net)), encoding="utf-8")
+            files.append(str(path))
+        return files
+
+    def test_check_and_solve_report_the_same_verdicts(self, capsys, models_dir, tmp_path):
+        codes = set()
+        for path in self.decision_files(models_dir, tmp_path):
+            check_code, check_out, _ = run(capsys, "check", path, "--format", "json")
+            solve_code, solve_out, _ = run(capsys, "solve", path, "--format", "json")
+            assert json.loads(check_out)["checks"] == json.loads(solve_out)["checks"], path
+            assert check_code == solve_code, path
+            codes.add(check_code)
+        assert codes == {0, 1}
+
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    def test_empty_marked_language_fails_nonblocking(self, capsys, models_dir, tmp_path, command):
+        path = empty_k_file(models_dir, tmp_path)
+        code, out, _ = run(capsys, command, path, "--format", "json")
+        assert code == 1
+        assert json.loads(out)["checks"][-1] == {
+            "condition": "Nonblocking", "holds": False, "witness": {"mu": []}
+        }
+        code, out, _ = run(capsys, command, path)
+        assert code == 1 and "nonblocking: FAILS (Nonblocking)\n" in out
+
+    def test_synthesize_refuses_an_unsolvable_problem(self, capsys, models_dir):
+        assert run(capsys, "synthesize", fixture_path(models_dir, "production_line_no_ch21.json")) == (
+            2, "", "error: problem unsolvable; `netsup solve --diagnostic --format json`"
+            " lists diagnostic supervisors\n",
+        )
+
+    def test_subautomaton_defect_in_a_blocking_state_exits_two(self, capsys, models_dir, tmp_path, line_model):
+        """State 8 of the line plant reaches no marked state; a specification
+        that keeps it without its tick move is rejected before any trim."""
+
+        def edit(doc):
+            spec = {**line_automaton(doc), "name": "spec"}
+            spec["transitions"] = [m for m in spec["transitions"] if m["from"] != "8"]
+            doc["spec"] = spec
+
+        path = str(edited_line_model(models_dir, tmp_path, edit))
+        defect = "transitions at state '8' must be exactly the plant's, restricted to the retained states"
+        for command in ("check", "synthesize", "solve"):
+            assert run(capsys, command, path) == (2, "", f"error: spec: {defect}\n")
+        rows = {q: dict(line_model.plant.transitions[q]) for q in line_model.plant.states}
+        rows["8"] = {}
+        spec = dataclasses.replace(line_model.plant, name="spec", transitions=rows)
+        with pytest.raises(ModelError, match=re.escape(f"'spec' is not a subautomaton of 'LINE': {defect}")):
+            synthesis.decide(line_model.plant, spec, line_model.network)
 
 
 class TestJsonOutputs:

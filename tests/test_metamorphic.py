@@ -126,7 +126,7 @@ def summary(doc):
     sizes = report.sizes
     return {
         "verdicts": [(v.condition, v.holds)
-                     for v in (report.controllability, report.observability, report.closure)],
+                     for v in report.checks],
         "sizes": [sizes["comm_states"], sizes["spec_states"], sizes["closed_loop_states"]],
         "observers": sorted(sup.observer.num_states for sup in report.supervisors),
         "admissible": report.admissibility.holds,

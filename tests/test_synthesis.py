@@ -2,6 +2,7 @@
 pipeline, cross-checked against string-level evaluation."""
 
 import copy
+import dataclasses
 import gc
 import hashlib
 import json
@@ -12,7 +13,8 @@ import pytest
 
 from conftest import alternating, observer_elements
 from netsup import synthesis
-from netsup.automata import TICK
+from netsup.automata import TICK, TimedAutomaton, coreachable, is_nonblocking, remove_states
+from netsup.cli import _report_dict
 from netsup.comm import (
     InSpecRows, Lose, Plant, build_comm_automaton, build_observer, project_observation, render_event,
 )
@@ -236,8 +238,9 @@ class TestObservationTableOnDemand:
     def test_twin_product_witness_builds_one(self, models_dir, built):
         model = unsolvable_model(models_dir)
         report = solve_control_problem(model.plant, model.spec, model.network, diagnostic=True)
-        witness = report.observability.witness
-        assert not report.observability.holds and witness.nu is not None
+        observability = report.checks[1]
+        witness = observability.witness
+        assert not observability.holds and witness.nu is not None
         assert built and {i for i, _ in built} == {witness.supervisor}
         assert all(0 < len(rows) < report.comm.num_states for _, rows in built)
 
@@ -882,18 +885,20 @@ class TestBudgets:
 class TestSolvePipeline:
     def test_fixture_report(self, line_report):
         assert line_report.solvable
-        assert line_report.controllability.holds
-        assert line_report.observability.holds
-        assert line_report.closure.holds
+        assert len(line_report.checks) == 3 and all(v.holds for v in line_report.checks)
         assert line_report.admissibility.holds
         assert line_report.language.equal
         assert line_report.nonblocking
         assert line_report.verified
 
     def test_spec_equal_plant_trivially_solvable(self, line_model):
-        report = solve_control_problem(
-            line_model.plant, line_model.plant, line_model.network
-        )
+        # the line plant's state 8 reaches no marked state, so the trim
+        # would remove it from a specification equal to that plant; the
+        # line specification is the plant without state 8, a nonblocking
+        # plant that the trim leaves whole
+        plant = line_model.spec
+        assert is_nonblocking(plant) and set(line_model.plant.states) - set(plant.states) == {"8"}
+        report = solve_control_problem(plant, plant, line_model.network)
         assert report.solvable
         assert report.language.equal
         # nothing disabled anywhere
@@ -907,7 +912,7 @@ class TestSolvePipeline:
             diagnostic=True,
         )
         assert not report.solvable
-        assert not report.observability.holds
+        assert not report.checks[1].holds
         # the synthesized set over-restricts: the loop loses legal behavior
         assert not report.language.equal
 
@@ -972,6 +977,73 @@ class TestSolvePipeline:
             assert spec_nonblocking(comm) == expected, f"seed {seed}"
             verdicts.append(expected)
         assert True in verdicts and False in verdicts
+
+
+class TestNonblockingProblem:
+    """``decide`` trims the specification to the states that reach a
+    specification-marked state, so the problem decided is the nonblocking
+    one: the closed loop marks exactly ``K`` and generates its prefixes."""
+
+    @pytest.mark.parametrize("params,solvable", [
+        (GeneratorParams(), 65),
+        (GeneratorParams(n=3, max_comm_states=150), 64),
+    ])
+    def test_every_solvable_loop_is_nonblocking(self, params, solvable):
+        seen = 0
+        for seed in range(300):
+            inst = random_instance(seed, params)
+            report = solve_control_problem(inst.plant, inst.spec, inst.net)
+            if report.solvable:
+                seen += 1
+                assert report.verified and is_nonblocking(report.loop), f"seed {seed}"
+        assert seen == solvable
+
+    def test_empty_marked_language_fails_nonblocking(self, line_model):
+        spec = dataclasses.replace(line_model.spec, marked=frozenset())
+        report = solve_control_problem(line_model.plant, spec, line_model.network, diagnostic=True)
+        *three, nonblocking = report.checks
+        assert len(three) == 3 and nonblocking.condition is Condition.NONBLOCKING and not nonblocking.holds
+        assert nonblocking.witness.mu == () and not report.solvable and not report.verified
+        # the specification is kept as it is
+        assert report.sizes["spec_states"] == solve_control_problem(
+            line_model.plant, line_model.spec, line_model.network).sizes["spec_states"]
+
+    def test_planted_blocking_state_equals_its_removal_by_hand(self, line_model):
+        # the line plant as its own specification: its state 8 only ticks
+        # and is not marked
+        plant, net = line_model.plant, line_model.network
+        planted = solve_control_problem(plant, plant, net, diagnostic=True)
+        by_hand = solve_control_problem(plant, remove_states(plant, ["8"]), net, diagnostic=True)
+        assert _report_dict(planted) == _report_dict(by_hand)
+        assert planted.verified and len(planted.checks) == 3
+
+    @pytest.mark.parametrize("params", [GeneratorParams(), GeneratorParams(n=3, max_comm_states=150)])
+    def test_planted_trap_equals_its_removal_by_hand(self, params):
+        """A new unmarked state that only ticks, entered from the initial
+        state, planted in plant and specification alike."""
+        compared = 0
+        for seed in range(60):
+            inst = random_instance(seed, params)
+            plant, spec = inst.plant, inst.spec
+            free = sorted(plant.alphabet - set(plant.transitions[plant.initial]) - {TICK})
+            if not free or not coreachable(spec)[spec.initial]:
+                continue
+            moves = [(q, e, t) for q in plant.states for e, t in plant.moves(q)]
+            moves += [(plant.initial, free[0], "trap"), ("trap", TICK, "trap")]
+            trapped = TimedAutomaton.build(
+                plant.name, plant.states + ("trap",), plant.alphabet, moves, plant.initial, plant.marked
+            )
+            keep = set(spec.states) | {"trap"}
+            planted = TimedAutomaton.build(
+                spec.name, spec.states + ("trap",), spec.alphabet,
+                [(q, e, t) for q, e, t in moves if q in keep and t in keep], spec.initial, spec.marked,
+            )
+            by_hand = remove_states(planted, ["trap"])
+            a = solve_control_problem(trapped, planted, inst.net, diagnostic=True)
+            b = solve_control_problem(trapped, by_hand, inst.net, diagnostic=True)
+            assert _report_dict(a) == _report_dict(b), f"seed {seed}"
+            compared += 1
+        assert compared >= 20
 
 
 class TestThreeSupervisors:
