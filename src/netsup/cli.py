@@ -161,7 +161,7 @@ def cmd_compose(args) -> int:
 
 def cmd_build_comm(args) -> int:
     model = load_model(args.model)
-    comm = build_comm_automaton(model.plant, model.spec, model.network)
+    comm = build_comm_automaton(model.plant, model.spec, model.network, max_states=args.max_states)
     payload = {
         "spec_version": SPEC_VERSION,
         "states": comm.num_states,
@@ -230,7 +230,7 @@ def cmd_solve(args) -> int:
 def cmd_simulate(args) -> int:
     model = load_model(args.model)
     report = solve_control_problem(
-        model.plant, model.spec, model.network, diagnostic=args.diagnostic
+        model.plant, model.spec, model.network, diagnostic=args.diagnostic, max_states=args.max_states
     )
     if not report.solvable and not args.diagnostic:
         raise ModelError("problem unsolvable; pass --diagnostic to simulate anyway")
@@ -252,20 +252,21 @@ def _supervisor_index(text: str, n: int) -> int:
 
 def cmd_export_dot(args) -> int:
     model = load_model(args.model)
-    target = args.target
+    target, max_states = args.target, args.max_states
     if target == "plant":
         text = dotmod.timed_automaton_dot(model.plant)
     elif target == "spec":
         text = dotmod.timed_automaton_dot(model.spec)
     elif target == "closed-loop":
-        report = solve_control_problem(model.plant, model.spec, model.network, diagnostic=True)
+        report = solve_control_problem(model.plant, model.spec, model.network, diagnostic=True, max_states=max_states)
         text = dotmod.closed_loop_dot(report.loop)
     elif target == "comm":
-        text = dotmod.comm_automaton_dot(build_comm_automaton(model.plant, model.spec, model.network))
+        comm = build_comm_automaton(model.plant, model.spec, model.network, max_states=max_states)
+        text = dotmod.comm_automaton_dot(comm)
     elif target.startswith("observer:"):
         i = _supervisor_index(target.split(":", 1)[1], model.network.n)
-        comm = build_comm_automaton(model.plant, model.spec, model.network)
-        text = dotmod.observer_dot(comm.observer(i), comm)
+        comm = build_comm_automaton(model.plant, model.spec, model.network, max_states=max_states)
+        text = dotmod.observer_dot(comm.observer(i, max_states=max_states), comm)
     else:
         raise ModelError(f"unknown export target {target!r}")
     _write(text, args.output)
@@ -348,6 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("build-comm", cmd_build_comm, "build the channel-augmented automaton")
     p.add_argument("model")
     p.add_argument("--dot", default=None, help="also write a DOT rendering here")
+    budget(p)
 
     p = add("check", cmd_check, "decide the three existence conditions")
     p.add_argument("model")
@@ -370,11 +372,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--steps", type=_count, default=50)
     p.add_argument("--diagnostic", action="store_true")
+    budget(p)
 
     p = add("export-dot", cmd_export_dot, "DOT rendering of a structure")
     p.add_argument("model")
     p.add_argument("--target", default="comm",
                    help="plant | spec | comm | observer:<i> | closed-loop")
+    budget(p)
 
     p = add("oracle", cmd_oracle, "engine-versus-oracle agreement on random instances")
     p.add_argument("--seed", type=int, default=0)

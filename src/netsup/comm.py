@@ -354,6 +354,14 @@ def build_comm_automaton(
     successor key rebuilds only the queues that change.
     """
     plant, spec = prepare(plant, spec, net)
+    return _build_prepared(plant, spec, net, max_states=max_states)
+
+
+def _build_prepared(
+    plant: TimedAutomaton, spec: TimedAutomaton, net: NetworkConfig, *, max_states: int
+) -> CommAutomaton:
+    """``build_comm_automaton`` of a problem ``prepare`` returned: for
+    ``synthesis.decide``, which trims the specification in between."""
     spec_states = set(spec.states)
     spec_marked_states = set(spec.marked)
 

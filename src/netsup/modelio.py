@@ -252,5 +252,6 @@ def model_to_dict(plant: TimedAutomaton, spec: TimedAutomaton, net: NetworkConfi
 
 def dump_json(payload: dict) -> str:
     """Canonical JSON rendering: stable key order as constructed, UTF-8
-    verbatim, trailing newline."""
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    verbatim, trailing newline.  A payload is a tree of dicts and lists
+    built for the call, never a cycle, so the encoder skips that check."""
+    return json.dumps(payload, indent=2, ensure_ascii=False, check_circular=False) + "\n"

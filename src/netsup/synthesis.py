@@ -25,7 +25,7 @@ from .comm import (
     PackedRows,
     Plant,
     SpecView,
-    build_comm_automaton,
+    _build_prepared,
     observation_of,
     observation_symbols,
 )
@@ -88,7 +88,10 @@ class ClosedLoop:
     where no move is dropped, and its ``targets`` are ``PackedRows``, 4 B
     per move; ``moves`` reads one state's row as events.  ``closed_loop``
     builds this product; ``language_equal`` and ``check_admissibility``
-    build no other one unless a check fails.
+    build no other one unless a check fails.  Compared with its own
+    automaton's SpecView, the loop is read straight from ``table`` and the
+    automaton's markings (``_loop_language``), and a product pair that both
+    sides reach is keyed by its loop state alone.
     """
 
     comm: CommAutomaton
@@ -267,21 +270,97 @@ class LanguageVerdict:
         return self.generated_equal and self.marked_equal
 
 
-def _same_language(loop: ClosedLoop, b, rows: list[tuple[int, ...]]) -> bool:
-    """True when ``b`` is the SpecView of the loop's automaton and, at every
-    loop state, the loop's row and marking equal ``b``'s (``rows``, from
-    ``b``'s event table) at the automaton state the loop is in.  Every
-    string to a loop state leads ``b`` to that automaton state, so this
-    holds exactly when the languages are equal."""
+def _distinguishing(
+    events: Sequence[CommEvent], space: PathSpace, diff_generated: Optional[tuple[int, int]], diff_marked: Optional[int]
+) -> LanguageVerdict:
+    """The verdict of a product walk over ``space``: ``diff_generated`` is
+    the pair and event id of the first one-sided move, ``diff_marked`` the
+    first pair whose sides disagree on marking, None where there is none."""
+    return LanguageVerdict(
+        diff_generated is None,
+        diff_marked is None,
+        None if diff_generated is None
+        else tuple(events[e] for e in space.path(diff_generated[0]) + [diff_generated[1]]),
+        None if diff_marked is None else tuple(events[e] for e in space.path(diff_marked)),
+    )
+
+
+def _loop_language(loop: ClosedLoop, max_states: int) -> LanguageVerdict:
+    """``language_equal`` of ``loop`` and its own automaton's SpecView.
+
+    Every string to a loop state ``s`` leads the SpecView, if anywhere, to
+    the automaton state ``x`` the loop is in, so one pass decides equality:
+    at every loop state the loop's row and marking must equal the
+    SpecView's at ``x``.  Otherwise the product is walked as
+    ``language_equal`` walks it, in the same order under the same budget.
+    A pair defined on both sides is ``(s, x)``, so with ``L`` loop states
+    it is keyed ``s``; a pair defined on the loop's side alone is keyed
+    ``L + s``, and one on the SpecView's side alone ``2L + x``.  The loop's
+    targets are read from its packed rows, the markings from the
+    automaton's arrays."""
     comm = loop.comm
-    if not (isinstance(b, SpecView) and b.comm is comm):
-        return False
-    radix, spec_marked, marked = loop.radix, comm.spec_marked, comm.marked
-    for row, code in zip(loop.table.ids, loop.codes):
+    ids, targets, in_spec = comm.table.ids, comm.table.targets, comm.in_spec
+    marked, spec_marked = comm.marked, comm.spec_marked
+    # the SpecView's rows: the automaton's moves that stay in the specification
+    spec_ids = [tuple([e for e, t in zip(row, dsts) if in_spec[t]]) for row, dsts in zip(ids, targets)]
+    radix, loop_ids = loop.radix, loop.table.ids
+    for row, code in zip(loop_ids, loop.codes):
         x = code // radix
-        if row != rows[x] or spec_marked[x] != marked[x]:
-            return False
-    return True
+        if row != spec_ids[x] or spec_marked[x] != marked[x]:
+            break
+    else:
+        return LanguageVerdict(True, True)
+    flat, ends = loop.table.targets.flat, loop.table.targets.ends
+    comm_state = [code // radix for code in loop.codes]
+    loop_only = len(comm_state)  # the key offsets of the one-sided pairs
+    spec_only = 2 * loop_only
+    space = PathSpace("language comparison product", max_states)
+    space.add(0)
+    index, add = space.index, space.add
+    diff_generated: Optional[tuple[int, int]] = None  # (pair, event id)
+    diff_marked: Optional[int] = None  # pair
+    for k, key in enumerate(space.keys):  # space.keys grows: breadth-first
+        if key >= spec_only:
+            x = key - spec_only
+            if diff_marked is None and spec_marked[x]:
+                diff_marked = k
+            for e, t in zip(ids[x], targets[x]):
+                if in_spec[t] and spec_only + t not in index:
+                    add(spec_only + t, k, e)
+        elif key >= loop_only:
+            s = key - loop_only
+            if diff_marked is None and marked[comm_state[s]]:
+                diff_marked = k
+            for e, ta in zip(loop_ids[s], flat[ends[s]:ends[s + 1]]):
+                if loop_only + ta not in index:
+                    add(loop_only + ta, k, e)
+        else:
+            x = comm_state[key]
+            if diff_marked is None and marked[x] != spec_marked[x]:
+                diff_marked = k
+            row, dsts = loop_ids[key], flat[ends[key]:ends[key + 1]]
+            if row == spec_ids[x]:
+                moves: Iterable[tuple[int, int]] = zip(row, dsts)
+            else:
+                # both rows are parts of the automaton's row: walking it in
+                # id order merges them
+                to_loop = dict(zip(row, dsts))
+                moves = []
+                for e, t in zip(ids[x], targets[x]):
+                    ta = to_loop.get(e)
+                    if ta is not None:
+                        moves.append((e, ta if in_spec[t] else loop_only + ta))
+                    elif in_spec[t]:
+                        moves.append((e, spec_only + t))
+                if diff_generated is None:
+                    # one-sided definedness seen from a common prefix
+                    diff_generated = next((k, e) for e, pair in moves if pair >= loop_only)
+            for e, pair in moves:
+                if pair not in index:
+                    add(pair, k, e)
+        if diff_generated is not None and diff_marked is not None:
+            break
+    return _distinguishing(loop.table.events, space, diff_generated, diff_marked)
 
 
 def language_equal(a, b, *, max_states: int = MAX_STATES) -> LanguageVerdict:
@@ -290,20 +369,21 @@ def language_equal(a, b, *, max_states: int = MAX_STATES) -> LanguageVerdict:
     SpecView or a ClosedLoop (anything with ``event_table``, ``initial``
     and ``is_marked``).
 
-    A ClosedLoop ``a`` compared with its own automaton's SpecView is
-    decided in one pass over the loop (``_same_language``), which builds
-    nothing when the languages are equal.  Otherwise, and whenever they
-    differ, the synchronized product is walked, following one-sided
-    continuations so a generated-language difference cannot mask a
-    marked-language difference.  A pair with one side already outside its
-    language expands the other side's row as it is, which is that row
-    merged with an empty one.  Distinguishing strings are shortest (BFS,
-    ties broken by event id); ``max_states`` bounds the product.  Both
-    structures must share one event table's events (ValueError otherwise).
+    The synchronized product is walked, following one-sided continuations
+    so a generated-language difference cannot mask a marked-language
+    difference.  A pair with one side already outside its language expands
+    the other side's row as it is, which is that row merged with an empty
+    one.  Distinguishing strings are shortest (BFS, ties broken by event
+    id); ``max_states`` bounds the product.  Both structures must share one
+    event table's events (ValueError otherwise).  A ClosedLoop ``a``
+    compared with its own automaton's SpecView, the pair ``solve``
+    compares, goes to ``_loop_language``: one pass over the loop, which
+    builds nothing when the languages are equal, and otherwise the same
+    walk on the loop's packed rows.
     """
+    if isinstance(a, ClosedLoop) and isinstance(b, SpecView) and b.comm is a.comm:
+        return _loop_language(a, max_states)
     table_a, table_b = a.event_table(), b.event_table()
-    if isinstance(a, ClosedLoop) and _same_language(a, b, table_b.ids):
-        return LanguageVerdict(True, True)
     events = table_a.events
     if table_b.events != events:
         raise ValueError("language_equal compares structures over different event tables")
@@ -349,13 +429,7 @@ def language_equal(a, b, *, max_states: int = MAX_STATES) -> LanguageVerdict:
                     space.add(pair, k, e)
         if diff_generated is not None and diff_marked is not None:
             break
-    return LanguageVerdict(
-        diff_generated is None,
-        diff_marked is None,
-        None if diff_generated is None
-        else tuple(events[e] for e in space.path(diff_generated[0]) + [diff_generated[1]]),
-        None if diff_marked is None else tuple(events[e] for e in space.path(diff_marked)),
-    )
+    return _distinguishing(events, space, diff_generated, diff_marked)
 
 
 def check_admissibility(
@@ -439,7 +513,8 @@ def decide(
     prefixes.  After ``automata.prepare`` the specification keeps only the
     states that reach a marked one, which is exact in the channel-augmented
     automaton too (deliveries and losses need no tick, so queues can always
-    be flushed first).  Returns that automaton and its ``existence_checks``
+    be flushed first), and the automaton is built on that, with no second
+    ``prepare``.  Returns the automaton and its ``existence_checks``
     (``max_states`` bounds each construction).  An empty ``K`` leaves the
     specification whole and adds a failed ``Condition.NONBLOCKING``, whose
     witness is the empty string: it is in every closed loop's language."""
@@ -447,7 +522,7 @@ def decide(
     useful = coreachable(spec)
     if useful[spec.initial]:
         spec = remove_states(spec, [q for q, ok in useful.items() if not ok])
-    comm = build_comm_automaton(plant, spec, net, max_states=max_states)
+    comm = _build_prepared(plant, spec, net, max_states=max_states)
     checks = existence_checks(comm, max_states=max_states)
     if not useful[spec.initial]:
         detail = "the specification marks no string reachable from its initial state"

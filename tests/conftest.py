@@ -28,6 +28,14 @@ def alternating(comm, sups):
     ]
 
 
+def gagged(comm, sups):
+    """Every supervisor's enable-sets without any event it controls."""
+    return [
+        SupervisorMap(i, s.observer, tuple(e - comm.net.controllable[i] for e in s.enable))
+        for i, s in enumerate(sups)
+    ]
+
+
 @pytest.fixture(scope="session")
 def models_dir() -> Path:
     return MODELS

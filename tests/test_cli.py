@@ -14,6 +14,7 @@ import pytest
 
 from netsup import automata, build_comm_automaton, cli, load_model, synthesis, verification
 from netsup.cli import main
+from netsup.comm import CommAutomaton
 from netsup.modelio import dump_json, model_to_dict
 from netsup.randgen import random_instance
 from netsup.errors import ModelError, ResourceLimitError
@@ -31,6 +32,20 @@ def run(capsys, *argv):
 
 def fixture_path(models_dir, name="production_line.json"):
     return str(models_dir / name)
+
+
+def spy_budgets(monkeypatch, owner, name):
+    """Put a spy in place of ``owner.name``; the list it returns gets the
+    ``max_states`` keyword of every call."""
+    budgets = []
+    real = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        budgets.append(kwargs["max_states"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return budgets
 
 
 def dead_end_model(models_dir, tmp_path):
@@ -324,21 +339,41 @@ class TestExitCodes:
     ])
     def test_max_states_reaches_every_stage(self, capsys, models_dir, monkeypatch, command, stage):
         # each stage is spied on where its caller looks it up: the commands
-        # call synthesis.decide, which builds the automaton and calls
-        # verification.existence_checks
-        owner = {"build_comm_automaton": synthesis, "check_network_joint_observability": verification}.get(stage, cli)
-        budgets = []
-        real = getattr(owner, stage)
-
-        def spy(*args, **kwargs):
-            budgets.append(kwargs["max_states"])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(owner, stage, spy)
+        # call synthesis.decide, which builds the automaton on the problem
+        # it prepared (comm._build_prepared, imported into synthesis) and
+        # calls verification.existence_checks
+        owner, name = {
+            "build_comm_automaton": (synthesis, "_build_prepared"),
+            "check_network_joint_observability": (verification, stage),
+        }.get(stage, (cli, stage))
+        budgets = spy_budgets(monkeypatch, owner, name)
         code, _, _ = run(capsys, command, fixture_path(models_dir), "--max-states", "1234")
         assert code == 0 and budgets and set(budgets) == {1234}
 
-    @pytest.mark.parametrize("command", ["check", "synthesize", "solve"])
+    @pytest.mark.parametrize("argv,owner,name", [
+        (["build-comm"], cli, "build_comm_automaton"),
+        (["simulate"], cli, "solve_control_problem"),
+        (["export-dot", "--target", "closed-loop"], cli, "solve_control_problem"),
+        (["export-dot", "--target", "comm"], cli, "build_comm_automaton"),
+        (["export-dot", "--target", "observer:2"], cli, "build_comm_automaton"),
+        (["export-dot", "--target", "observer:2"], CommAutomaton, "observer"),
+    ], ids=["build-comm", "simulate", "closed-loop", "comm", "observer-automaton", "observer"])
+    def test_max_states_reaches_every_construction(self, capsys, models_dir, monkeypatch, argv, owner, name):
+        """``build-comm``, ``simulate`` and ``export-dot`` pass their budget
+        to each construction they run."""
+        budgets = spy_budgets(monkeypatch, owner, name)
+        code, _, _ = run(capsys, argv[0], fixture_path(models_dir), *argv[1:], "--max-states", "1234")
+        assert code == 0 and budgets and set(budgets) == {1234}
+
+    @pytest.mark.parametrize("argv", [
+        ["build-comm"], ["simulate"], ["export-dot"], ["export-dot", "--target", "closed-loop"],
+        ["export-dot", "--target", "observer:1"],
+    ], ids=["build-comm", "simulate", "comm", "closed-loop", "observer"])
+    def test_max_states_bounds_the_automaton_of_every_command(self, capsys, models_dir, argv):
+        code, out, err = run(capsys, argv[0], fixture_path(models_dir), *argv[1:], "--max-states", "10")
+        assert (code, out, err) == (2, "", "error: channel-augmented automaton exceeds 10 states\n")
+
+    @pytest.mark.parametrize("command", ["check", "synthesize", "solve", "build-comm", "simulate", "export-dot"])
     def test_default_max_states_changes_no_byte(self, capsys, models_dir, command):
         default = run(capsys, command, fixture_path(models_dir))
         assert run(capsys, command, fixture_path(models_dir), "--max-states", "500000") == default

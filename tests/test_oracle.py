@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import alternating
+from conftest import alternating, gagged
 from netsup.automata import TICK, TimedAutomaton
 from netsup.comm import build_comm_automaton, render_event
 from netsup.network import ChannelLink, NetworkConfig
@@ -219,14 +219,6 @@ class TestBruteClosedLoopQueries:
             assert brute.events == loop.events
             assert brute.strings == loop.strings
             assert brute.marked == loop.marked
-
-
-def gagged(comm, sups):
-    """Every supervisor's enable-sets without any event it controls."""
-    return [
-        SupervisorMap(i, s.observer, tuple(e - comm.net.controllable[i] for e in s.enable))
-        for i, s in enumerate(sups)
-    ]
 
 
 class TestBruteClosedLoopEditedSupervisors:

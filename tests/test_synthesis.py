@@ -11,14 +11,15 @@ import tracemalloc
 
 import pytest
 
-from conftest import alternating, observer_elements
-from netsup import synthesis
+from conftest import alternating, gagged, observer_elements
+from netsup import comm as comm_module, synthesis
 from netsup.automata import TICK, TimedAutomaton, coreachable, is_nonblocking, remove_states
 from netsup.cli import _report_dict
 from netsup.comm import (
     InSpecRows, Lose, Plant, build_comm_automaton, build_observer, project_observation, render_event,
 )
 from netsup.errors import ResourceLimitError, UnknownNameError
+from netsup.explore import PathSpace
 from netsup.modelio import parse_model
 from netsup.network import NetworkConfig
 from netsup.oracle import brute_closed_loop, enumerate_language
@@ -726,24 +727,87 @@ class Walked:
         return getattr(self.loop, name)
 
 
+def supervisor_sets(comm):
+    """Four supervisor sets on ``comm``'s observers: the synthesized one,
+    ``alternating``, ``gagged`` and one that enables every event of each
+    supervisor's alphabet everywhere."""
+    sups = [synthesize_supervisor(comm, i) for i in range(comm.net.n)]
+    everything = [
+        SupervisorMap(i, s.observer, tuple(comm.net.alphabets[i] for _ in s.enable)) for i, s in enumerate(sups)
+    ]
+    return {"synthesized": sups, "alternating": alternating(comm, sups), "gagged": gagged(comm, sups),
+            "everything": everything}
+
+
+def language_outcome(a, b, max_states):
+    """``language_equal(a, b)`` under ``max_states``, or the message of the
+    ResourceLimitError it raises."""
+    try:
+        return language_equal(a, b, max_states=max_states)
+    except ResourceLimitError as exc:
+        return str(exc)
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Every PathSpace that ``synthesis`` makes while the test runs."""
+    made = []
+
+    class Recorded(PathSpace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(synthesis, "PathSpace", Recorded)
+    return made
+
+
 class TestOnePassLanguage:
     """``language_equal`` of a closed loop and its automaton's SpecView
-    returns what the product walk returns."""
+    returns what the product walk returns (``Walked``): the same verdict
+    and distinguishing strings, and on unequal languages the same budget
+    error.  The walk of the loop against its SpecView keys a pair by its
+    kind, loop state ``s`` for one both sides reach, ``L + s`` for the
+    loop's side alone and ``2L + x`` for the SpecView's alone; every kind
+    is met."""
+
+    def agree(self, comm, walks, kinds):
+        """Check every supervisor set of ``comm``; add the pair kinds
+        (0, 1, 2) the walks met to ``kinds``, and return the number of
+        equal verdicts."""
+        spec, equal = comm.spec_view(), 0
+        for name, sups in supervisor_sets(comm).items():
+            loop = closed_loop(comm, sups)
+            walks.clear()
+            verdict = language_equal(loop, spec)
+            kinds.update(min(key // loop.num_states, 2) for space in walks for key in space.keys)
+            assert verdict == language_equal(Walked(loop), spec), name
+            equal += verdict.equal
+            if not verdict.equal:
+                for max_states in (1, 3, 10, 50):
+                    got = language_outcome(loop, spec, max_states)
+                    assert got == language_outcome(Walked(loop), spec, max_states), (name, max_states)
+        return equal
 
     @pytest.mark.parametrize("params,count", [
         (GeneratorParams(), 200),
         (GeneratorParams(n=3, max_comm_states=150), 100),
+        (GeneratorParams(max_delay=3, max_comm_states=2000), 30),
     ])
-    def test_agrees_with_the_product_walk(self, params, count):
-        verdicts = {True: 0, False: 0}
+    def test_agrees_with_the_product_walk(self, walks, params, count):
+        kinds, equal = set(), 0
         for seed in range(count):
-            comm = random_instance(seed, params).comm
-            loop = closed_loop(comm, [synthesize_supervisor(comm, i) for i in range(comm.net.n)])
-            spec = comm.spec_view()
-            verdict = language_equal(loop, spec)
-            assert verdict == language_equal(Walked(loop), spec), f"seed {seed}"
-            verdicts[verdict.equal] += 1
-        assert min(verdicts.values()) >= count // 4, verdicts  # 88 and 32 equal
+            equal += self.agree(random_instance(seed, params).comm, walks, kinds)
+        # of the 4 * count loops, 218, 73 and 26 have equal languages
+        assert count // 5 <= equal <= 3 * count, equal
+        assert kinds == {0, 1, 2}
+
+    @pytest.mark.parametrize("delays", [(1, 6), (6, 6)], ids=["1/6", "6/6"])
+    def test_line_model(self, models_dir, walks, delays):
+        model = line_with_delays(models_dir, *delays)
+        kinds = set()
+        self.agree(build_comm_automaton(model.plant, model.spec, model.network), walks, kinds)
+        assert kinds == {0, 1, 2}
 
     def test_only_the_markings_differ(self, models_dir):
         # the plant marks 0 and 4, the specification only 0
@@ -762,6 +826,18 @@ class TestOnePassLanguage:
         clone = copy.deepcopy(comm)
         assert language_equal(loop, clone) == language_equal(Walked(loop), comm)
         assert language_equal(loop, clone.spec_view()) == verdict
+
+    def test_the_plant_marks_more(self, walks):
+        """Specifications with one of their marked states unmarked, so a
+        pair on the SpecView's side alone can reach a state the plant marks
+        and the specification does not."""
+        kinds = set()
+        for seed in range(40):
+            inst = random_instance(seed)
+            if inst.spec.marked:
+                spec = dataclasses.replace(inst.spec, marked=inst.spec.marked - {min(inst.spec.marked)})
+                self.agree(build_comm_automaton(inst.plant, spec, inst.net), walks, kinds)
+        assert kinds == {0, 1, 2}
 
     def test_different_event_tables_are_rejected(self, line_comm, without_move):
         """A copy without its one ``g12(2)`` move has one event fewer, so its
@@ -1044,6 +1120,24 @@ class TestNonblockingProblem:
             assert _report_dict(a) == _report_dict(b), f"seed {seed}"
             compared += 1
         assert compared >= 20
+
+    def test_decide_prepares_once(self, line_model, monkeypatch):
+        """``decide`` runs ``automata.prepare`` once and builds on the
+        trimmed problem what ``build_comm_automaton`` builds on it."""
+        plant, net = line_model.plant, line_model.network
+        expected = build_comm_automaton(plant, remove_states(plant, ["8"]), net)
+        calls = []
+
+        def spy(*args, _real=synthesis.prepare):
+            calls.append(args)
+            return _real(*args)
+
+        monkeypatch.setattr(synthesis, "prepare", spy)
+        monkeypatch.setattr(comm_module, "prepare", spy)
+        comm, checks = synthesis.decide(plant, plant, net)
+        assert len(calls) == 1 and len(checks) == 3
+        assert (comm.keys, comm.table, comm.in_spec, comm.spec_marked) == (
+            expected.keys, expected.table, expected.in_spec, expected.spec_marked)
 
 
 class TestThreeSupervisors:
