@@ -22,9 +22,7 @@ from .comm import (
     Plant,
     build_comm_automaton,
     build_observer,
-    check_projection_equivalence,
     project_observation,
-    project_plant,
 )
 from .network import ChannelLink, NetworkConfig
 from .modelio import Model, load_model, parse_model

@@ -174,9 +174,6 @@ class CommAutomaton:
         suffix = ch.render_state(chans)
         return f"({plant},{suffix})" if suffix else f"({plant})"
 
-    def event_table(self) -> "EventTable":
-        return self.table
-
     def observer(self, i: int, max_states: int = MAX_STATES) -> "Observer":
         """Supervisor ``i``'s observer, built on first use and cached; every
         caller gets the same object, which must not change.  A cached
@@ -240,9 +237,10 @@ class SpecView:
     def is_marked(self, sid: int) -> bool:
         return self.comm.spec_marked[sid]
 
-    def event_table(self) -> "EventTable":
+    @cached_property
+    def table(self) -> "EventTable":
         """The automaton's event table without the moves that leave the
-        specification."""
+        specification, built on first use."""
         table = self.comm.table
         in_spec = self.comm.in_spec
         return EventTable(
@@ -462,11 +460,6 @@ def _build_prepared(
     )
 
 
-def project_plant(string: Iterable[CommEvent]) -> tuple[str, ...]:
-    """Keep plant events in order, drop deliveries and losses."""
-    return tuple(e.event for e in string if isinstance(e, Plant))
-
-
 def project_observation(string: Iterable[CommEvent], i: int, net: NetworkConfig) -> tuple[str, ...]:
     """What supervisor ``i`` observes of a run: its own observable plant
     events as they happen, plus each event delivered to it over a channel."""
@@ -492,7 +485,7 @@ def observation_symbols(comm: CommAutomaton, i: int) -> list[Optional[str]]:
     ``NetworkConfig.validate`` enforces (``automata.prepare`` runs it) make
     each the symbol of one event: alphabets share only tick, tick is never
     sent, and a channel carries only events its sender observes."""
-    return [observation_of(event, i, comm.net) for event in comm.event_table().events]
+    return [observation_of(event, i, comm.net) for event in comm.table.events]
 
 
 class InSpecRows(dict):
@@ -505,7 +498,7 @@ class InSpecRows(dict):
     __slots__ = ("events", "ids", "targets", "in_spec", "symbols", "rank")
 
     def __init__(self, comm: CommAutomaton, supervisor: int) -> None:
-        table = comm.event_table()
+        table = comm.table
         self.events, self.ids, self.targets, self.in_spec = table.events, table.ids, table.targets, comm.in_spec
         self.symbols = observation_symbols(comm, supervisor)
         self.rank = {symbol: k for k, symbol in enumerate(comm.net.observation_alphabet(supervisor))}
@@ -568,7 +561,7 @@ class _ElementRows(dict):
     __slots__ = ("ids", "targets", "flags", "symbols", "observed")
 
     def __init__(self, comm: CommAutomaton, supervisor: int) -> None:
-        table = comm.event_table()
+        table = comm.table
         self.ids, self.targets, self.flags = table.ids, table.targets, comm.in_spec
         self.symbols = observation_symbols(comm, supervisor)
         self.observed: dict[int, tuple[tuple[str, int], ...]] = {}
@@ -651,38 +644,3 @@ def build_observer(
         stays.append(unions.setdefault(inside, inside))
         tick_critical.append(critical)
     return Observer(obs_alphabet, space.keys, transitions, in_spec, exits, stays, tick_critical)
-
-
-@dataclass(frozen=True)
-class ProjectionVerdict:
-    equal: bool
-    distinguishing: Optional[tuple[str, ...]] = None
-    only_in: Optional[str] = None  # "projection" or "plant"
-
-
-def check_projection_equivalence(plant: TimedAutomaton, comm: CommAutomaton) -> ProjectionVerdict:
-    """Check that projecting away deliveries and losses recovers exactly the
-    plant's language.
-
-    Determinizes the channel-augmented automaton with deliveries/losses as
-    silent moves and walks it against the plant; a mismatch yields a shortest
-    distinguishing plant string.
-    """
-    rows = [comm.moves(sid) for sid in range(comm.num_states)]
-    silent = [tuple(dst for e, dst in row if not isinstance(e, Plant)) for row in rows]
-    alphabet = sorted(plant.alphabet)
-    space = PathSpace("projection check", MAX_STATES)
-    space.add((closure([comm.initial], silent), plant.initial))
-    for k, (subset, q) in enumerate(space.keys):  # space.keys grows: breadth-first
-        for event in alphabet:
-            move = {dst for sid in subset for e, dst in rows[sid] if e == Plant(event)}
-            plant_next = plant.target(q, event)
-            if move and plant_next is None:
-                return ProjectionVerdict(False, tuple(space.path(k)) + (event,), only_in="projection")
-            if not move and plant_next is not None:
-                return ProjectionVerdict(False, tuple(space.path(k)) + (event,), only_in="plant")
-            if move:
-                nxt = (closure(move, silent), plant_next)
-                if nxt not in space.index:
-                    space.add(nxt, k, event)
-    return ProjectionVerdict(True)

@@ -85,7 +85,7 @@ def closure(
     """The keys reachable from ``seeds`` in zero or more steps, where
     ``successors[k]`` holds the keys one step from ``k`` (a sequence for int
     keys, a mapping for any hashable ones): the one closure walk, which the
-    observers' and the projection check's unobservable closures and
+    observers' unobservable closures (and the tests' projection check) and
     ``automata.is_nonblocking``'s backward walk share."""
     out = set(seeds)
     stack = list(out)

@@ -46,13 +46,13 @@ class NetworkConfig:
         alpha = tuple(frozenset(a) for a in alphabets)
         ctrl = tuple(frozenset(c) for c in controllable)
         obs = tuple(frozenset(o) for o in observable)
-        if len(alpha) != n or len(ctrl) != n or len(obs) != n:
-            raise SchemaError("network: per-supervisor lists must have length n")
         net = cls(n, alpha, ctrl, obs, frozenset(enforceable), dict(channels))
         net.validate()
         return net
 
     def validate(self) -> None:
+        if not len(self.alphabets) == len(self.controllable) == len(self.observable) == self.n:
+            raise SchemaError("network: per-supervisor lists must have length n")
         for i, alpha in enumerate(self.alphabets):
             if TICK not in alpha:
                 raise SchemaError(f"supervisor {i + 1}: alphabet must contain {TICK!r}")

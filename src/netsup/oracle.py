@@ -61,9 +61,9 @@ def _alphabet(machine) -> tuple:
     which they share, so their languages compare directly."""
     if isinstance(machine, TimedAutomaton):
         return tuple(sorted(machine.alphabet, key=event_order))
-    if isinstance(machine, SpecView):
+    if isinstance(machine, SpecView):  # the same events, without building its table
         return machine.comm.table.events
-    return machine.event_table().events
+    return machine.table.events
 
 
 def _check_bound(bound: int) -> None:
@@ -303,13 +303,13 @@ def brute_closed_loop(
     return _walk_language(comm, bound, admit)
 
 
-def agreement_for_seed(seed: int, bound: int) -> dict:
-    """Compare the engine's verdicts and closed-loop language with the
-    oracle's at ``bound`` on the seeded random instance ``seed``; lists the
-    names of the properties they disagree on."""
+def agreement(comm: CommAutomaton, bound: int) -> list[str]:
+    """Compare the engine's verdicts and closed-loop language on ``comm``
+    with the oracle's at ``bound``; lists the names of the properties they
+    disagree on.  Agreement holds only up to the bound: a witness longer
+    than it goes unseen by the oracle."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    comm = random_instance(seed).comm
     # one enumeration serves every condition: an extending event may follow
     # only the strings shorter than the bound
     levels = _spec_levels(comm, bound)
@@ -329,4 +329,10 @@ def agreement_for_seed(seed: int, bound: int) -> dict:
         or loop_language.marked != brute_language.marked
     ):
         disagreements.append("ClosedLoopLanguage")
-    return {"seed": seed, "disagreements": disagreements, "comm_states": comm.num_states}
+    return disagreements
+
+
+def agreement_for_seed(seed: int, bound: int) -> dict:
+    """``agreement`` on the seeded random instance ``seed``."""
+    comm = random_instance(seed).comm
+    return {"seed": seed, "disagreements": agreement(comm, bound), "comm_states": comm.num_states}

@@ -105,9 +105,6 @@ class ClosedLoop:
     def num_states(self) -> int:
         return len(self.codes)
 
-    def event_table(self) -> EventTable:
-        return self.table
-
     def moves(self, sid: int) -> list[tuple[CommEvent, int]]:
         """The (event, target) pairs of ``sid``, in event id order."""
         return self.table.moves(sid)
@@ -161,7 +158,7 @@ def _step_tables(
     net = comm.net
     symbols = [observation_symbols(comm, i) for i in range(len(supervisors))]
     steps_of, guards_of = [], []
-    for e, event in enumerate(comm.event_table().events):
+    for e, event in enumerate(comm.table.events):
         entries, guards = [], []
         name = event.event if isinstance(event, Plant) and event.event in net.globally_controllable else None
         for i, (sup, w) in enumerate(zip(supervisors, weights)):
@@ -208,7 +205,7 @@ def closed_loop(
     there, whatever its index; otherwise ValueError names the lowest-index
     observer with no move for a symbol its supervisor observes."""
     check_supervisor_list(comm, supervisors)
-    table = comm.event_table()
+    table = comm.table
     ids, targets = table.ids, table.targets
     weights = []
     radix = 1
@@ -366,7 +363,7 @@ def _loop_language(loop: ClosedLoop, max_states: int) -> LanguageVerdict:
 def language_equal(a, b, *, max_states: int = MAX_STATES) -> LanguageVerdict:
     """Exact equality of generated and marked languages of two deterministic
     structures over channel-augmented events: a CommAutomaton, its
-    SpecView or a ClosedLoop (anything with ``event_table``, ``initial``
+    SpecView or a ClosedLoop (anything with ``table``, ``initial``
     and ``is_marked``).
 
     The synchronized product is walked, following one-sided continuations
@@ -383,7 +380,7 @@ def language_equal(a, b, *, max_states: int = MAX_STATES) -> LanguageVerdict:
     """
     if isinstance(a, ClosedLoop) and isinstance(b, SpecView) and b.comm is a.comm:
         return _loop_language(a, max_states)
-    table_a, table_b = a.event_table(), b.event_table()
+    table_a, table_b = a.table, b.table
     events = table_a.events
     if table_b.events != events:
         raise ValueError("language_equal compares structures over different event tables")
@@ -501,7 +498,8 @@ def check_admissibility(
 
 def spec_nonblocking(comm: CommAutomaton) -> bool:
     """True iff every state of the specification restriction can reach a
-    specification-marked state inside the restriction."""
+    specification-marked state inside the restriction: for perfbench's
+    traced runs; ``SolveReport.nonblocking`` reads the verdicts."""
     return is_nonblocking(comm.spec_view())
 
 
@@ -534,8 +532,8 @@ def decide(
 class SolveReport:
     """Everything the full pipeline produced: the existence verdicts of
     ``decide``, and (when solvable, or on request for diagnosis) the
-    synthesized supervisors with their admissibility, exact closed-loop
-    comparison and nonblocking sanity check."""
+    synthesized supervisors with their admissibility and exact closed-loop
+    comparison."""
 
     checks: tuple[Verdict, ...]
     sizes: dict[str, int]
@@ -544,8 +542,13 @@ class SolveReport:
     admissibility: Optional[Verdict] = None
     language: Optional[LanguageVerdict] = None
     loop: Optional[ClosedLoop] = None
-    nonblocking: Optional[bool] = None
     diagnostic: bool = False
+
+    @property
+    def nonblocking(self) -> bool:
+        """``K`` is not empty, so the trimmed specification is nonblocking:
+        no ``Condition.NONBLOCKING`` verdict in ``checks`` fails."""
+        return not any(v.condition is Condition.NONBLOCKING and not v.holds for v in self.checks)
 
     @property
     def solvable(self) -> bool:
@@ -585,7 +588,6 @@ def solve_control_problem(
         report.admissibility = check_admissibility(supervisors, comm, max_states=max_states)
         report.language = language_equal(loop, comm.spec_view(), max_states=max_states)
         report.loop = loop
-        report.nonblocking = spec_nonblocking(comm)
         for i, sup in enumerate(supervisors):
             sizes[f"observer_{i + 1}_states"] = sup.observer.num_states
         sizes["closed_loop_states"] = loop.num_states

@@ -2,11 +2,13 @@
 
 import dataclasses
 from pathlib import Path
+from typing import Iterable, Optional
 
 import pytest
 
 from netsup import build_comm_automaton, load_model, solve_control_problem
-from netsup.comm import build_event_table
+from netsup.comm import Plant, build_event_table
+from netsup.explore import MAX_STATES, PathSpace, closure
 from netsup.synthesis import SupervisorMap
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -34,6 +36,46 @@ def gagged(comm, sups):
         SupervisorMap(i, s.observer, tuple(e - comm.net.controllable[i] for e in s.enable))
         for i, s in enumerate(sups)
     ]
+
+
+def project_plant(string: Iterable) -> tuple[str, ...]:
+    """Keep plant events in order, drop deliveries and losses."""
+    return tuple(e.event for e in string if isinstance(e, Plant))
+
+
+@dataclasses.dataclass(frozen=True)
+class ProjectionVerdict:
+    equal: bool
+    distinguishing: Optional[tuple[str, ...]] = None
+    only_in: Optional[str] = None  # "projection" or "plant"
+
+
+def check_projection_equivalence(plant, comm) -> ProjectionVerdict:
+    """Check that projecting away deliveries and losses recovers exactly the
+    plant's language.
+
+    Determinizes the channel-augmented automaton with deliveries/losses as
+    silent moves and walks it against the plant; a mismatch yields a shortest
+    distinguishing plant string.
+    """
+    rows = [comm.moves(sid) for sid in range(comm.num_states)]
+    silent = [tuple(dst for e, dst in row if not isinstance(e, Plant)) for row in rows]
+    alphabet = sorted(plant.alphabet)
+    space = PathSpace("projection check", MAX_STATES)
+    space.add((closure([comm.initial], silent), plant.initial))
+    for k, (subset, q) in enumerate(space.keys):  # space.keys grows: breadth-first
+        for event in alphabet:
+            move = {dst for sid in subset for e, dst in rows[sid] if e == Plant(event)}
+            plant_next = plant.target(q, event)
+            if move and plant_next is None:
+                return ProjectionVerdict(False, tuple(space.path(k)) + (event,), only_in="projection")
+            if not move and plant_next is not None:
+                return ProjectionVerdict(False, tuple(space.path(k)) + (event,), only_in="plant")
+            if move:
+                nxt = (closure(move, silent), plant_next)
+                if nxt not in space.index:
+                    space.add(nxt, k, event)
+    return ProjectionVerdict(True)
 
 
 @pytest.fixture(scope="session")

@@ -7,9 +7,8 @@ budget is stated.
 import random
 import time
 
-from conftest import observer_elements
+from conftest import check_projection_equivalence, observer_elements
 from netsup.channels import age, drops, enqueue, pop
-from netsup.comm import check_projection_equivalence
 from netsup.oracle import brute_check, brute_closed_loop, enumerate_language
 from netsup.randgen import GeneratorParams, random_instance
 from netsup.simulation import Termination, simulate

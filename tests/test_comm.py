@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import observer_elements
+from conftest import ProjectionVerdict, check_projection_equivalence, observer_elements, project_plant
 from netsup import dot, solve_control_problem
 from netsup.automata import TICK, TimedAutomaton, prepare
 from netsup.channels import age, drops, enqueue, pop
@@ -20,14 +20,11 @@ from netsup.comm import (
     Deliver,
     Lose,
     Plant,
-    ProjectionVerdict,
     build_comm_automaton,
     build_observer,
-    check_projection_equivalence,
     event_key,
     observation_symbols,
     project_observation,
-    project_plant,
     render_event,
 )
 from netsup.errors import ModelError, SchemaError
@@ -459,7 +456,7 @@ def event_table_digest(comms):
     targets."""
     digest = hashlib.sha256()
     for comm in comms:
-        for table in (comm.event_table(), comm.spec_view().event_table()):
+        for table in (comm.table, comm.spec_view().table):
             digest.update(repr([render_event(e) for e in table.events]).encode() + b"\n")
             for row, dsts in zip(table.ids, table.targets):
                 digest.update(repr((row, dsts)).encode() + b"\n")
@@ -557,11 +554,15 @@ def broken_channel(*events):
 
 
 # edits of the line model's network, made without NetworkConfig.build, that
-# would let one observed symbol name two events
+# would let one observed symbol name two events, or whose per-supervisor
+# lists do not have one entry per supervisor
 BROKEN_NETWORKS = {
     "shared event": lambda net: dataclasses.replace(net, alphabets=(net.alphabets[0], net.alphabets[1] | {"a1"})),
     "unobserved channel event": broken_channel("a2"),
     "tick on a channel": broken_channel(TICK),
+    "more supervisors than lists": lambda net: dataclasses.replace(net, n=3),
+    "short controllable list": lambda net: dataclasses.replace(net, controllable=net.controllable[:1]),
+    "short observable list": lambda net: dataclasses.replace(net, observable=net.observable[:1]),
 }
 
 
@@ -695,7 +696,7 @@ class TestEventOrderAndRendering:
         """Ids follow event_key, and each state's moves by id are its
         transitions in exploration order."""
         for comm in [line_comm] + [random_instance(seed).comm for seed in range(20)]:
-            table = comm.event_table()
+            table = comm.table
             assert list(table.events) == sorted(set(table.events), key=event_key)
             for sid, moves in enumerate(comm.transitions):
                 by_id = [(table.events[e], t) for e, t in zip(table.ids[sid], table.targets[sid])]
@@ -703,15 +704,15 @@ class TestEventOrderAndRendering:
 
     def test_copies_rebuild_derived_tables(self, line_model, without_move):
         comm = build_comm_automaton(line_model.plant, line_model.spec, line_model.network)
-        table = comm.event_table()
+        table = comm.table
         observer = comm.observer(0)
         clone = copy.deepcopy(comm)
-        assert clone.event_table() == table and clone.event_table() is not table
+        assert clone.table == table and clone.table is not table
         assert clone.observer(0) is not observer
         edited = without_move(comm, 0, comm.moves(0)[0][0])
-        assert len(edited.event_table().ids[0]) == len(table.ids[0]) - 1
+        assert len(edited.table.ids[0]) == len(table.ids[0]) - 1
         assert edited.observer(0) is not observer
-        assert comm.event_table() is table and comm.observer(0) is observer
+        assert comm.table is table and comm.observer(0) is observer
 
 
 class TestTransitionsView:

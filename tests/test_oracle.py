@@ -10,7 +10,7 @@ from conftest import alternating, gagged
 from netsup.automata import TICK, TimedAutomaton
 from netsup.comm import build_comm_automaton, render_event
 from netsup.network import ChannelLink, NetworkConfig
-from netsup.oracle import agreement_for_seed, brute_check, brute_closed_loop, enumerate_language
+from netsup.oracle import agreement, agreement_for_seed, brute_check, brute_closed_loop, enumerate_language
 from netsup.randgen import GeneratorParams, random_instance
 from netsup.synthesis import SupervisorMap, closed_loop, synthesize_supervisor
 from netsup.verification import (
@@ -19,7 +19,9 @@ from netsup.verification import (
     check_lm_closure,
     check_network_controllability,
     check_network_joint_observability,
+    existence_checks,
 )
+from test_comm import line_with_delays
 
 CONDITIONS = (Condition.NET_CTRL_1, Condition.NET_CTRL_2, Condition.NET_JOINT_OBS, Condition.LM_CLOSURE)
 
@@ -340,6 +342,33 @@ class TestAgreementSharedEnumeration:
     def test_matches_one_brute_check_per_condition(self, bound):
         for seed in range(60):
             assert agreement_for_seed(seed, bound)["disagreements"] == public_disagreements(seed, bound), seed
+
+
+class TestAgreementAtWitnessLength:
+    """Engine and oracle agree where the channels make witnesses long.  A
+    bounded oracle confirms a negative verdict only when the bound exceeds
+    its witness, and a positive cell proves agreement only up to its bound."""
+
+    def test_line_model_delay_grid(self, line_model):
+        """Every pair of delays 0-6 on the 1->2 and 2->1 channels, each cell
+        at one past its longest witness string, at least 8 and at most 11: a
+        negative cell is confirmed, a positive one agrees up to its bound."""
+        negative = 0
+        for delays in [(out, back) for out in range(7) for back in range(7)]:
+            comm = line_with_delays(line_model, delays)
+            failed = [v.witness for v in existence_checks(comm) if not v.holds]
+            longest = max((len(string) for w in failed for string in (w.mu, w.nu or ())), default=0)
+            bound = min(11, max(8, longest + 1))
+            assert agreement(comm, bound) == [], delays
+            negative += bool(failed)
+        assert negative == 35
+
+    def test_three_supervisors_at_bound_10(self):
+        """Seeds 0-99 of three supervisors; a positive instance agrees up to
+        bound 10 only."""
+        params = GeneratorParams(n=3, max_comm_states=150)
+        for seed in range(100):
+            assert agreement(random_instance(seed, params).comm, 10) == [], seed
 
 
 class TestGenerator:

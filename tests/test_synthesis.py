@@ -847,7 +847,7 @@ class TestOnePassLanguage:
         lost = [sid for sid in range(line_comm.num_states) if g12 in dict(line_comm.moves(sid))]
         assert len(lost) == 1
         clone = without_move(line_comm, lost[0], g12)
-        assert len(clone.event_table().events) == len(line_comm.event_table().events) - 1
+        assert len(clone.table.events) == len(line_comm.table.events) - 1
         for a, b in ((line_comm, clone), (clone, line_comm), (clone, line_comm.spec_view())):
             with pytest.raises(ValueError, match="different event tables"):
                 language_equal(a, b)
@@ -1065,10 +1065,13 @@ class TestNonblockingProblem:
         (GeneratorParams(n=3, max_comm_states=150), 64),
     ])
     def test_every_solvable_loop_is_nonblocking(self, params, solvable):
+        """``SolveReport.nonblocking``, read off the verdicts, is the
+        specification walk's answer on every report, solvable or not."""
         seen = 0
         for seed in range(300):
             inst = random_instance(seed, params)
-            report = solve_control_problem(inst.plant, inst.spec, inst.net)
+            report = solve_control_problem(inst.plant, inst.spec, inst.net, diagnostic=True)
+            assert report.nonblocking == spec_nonblocking(report.comm), f"seed {seed}"
             if report.solvable:
                 seen += 1
                 assert report.verified and is_nonblocking(report.loop), f"seed {seed}"
