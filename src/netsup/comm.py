@@ -237,18 +237,6 @@ class SpecView:
     def is_marked(self, sid: int) -> bool:
         return self.comm.spec_marked[sid]
 
-    @cached_property
-    def table(self) -> "EventTable":
-        """The automaton's event table without the moves that leave the
-        specification, built on first use."""
-        table = self.comm.table
-        in_spec = self.comm.in_spec
-        return EventTable(
-            table.events,
-            [tuple(e for e, t in zip(row, dsts) if in_spec[t]) for row, dsts in zip(table.ids, table.targets)],
-            [tuple(t for t in dsts if in_spec[t]) for dsts in table.targets],
-        )
-
 
 @dataclass(frozen=True)
 class PackedRows(Sequence):
@@ -274,16 +262,16 @@ class PackedRows(Sequence):
 @dataclass(frozen=True)
 class EventTable:
     """Moves over dense event ids: the one move store of a
-    ``CommAutomaton``, and the moves of a closed loop and of a
-    specification restriction, which share their automaton's ``events``.
+    ``CommAutomaton``, and the moves of a closed loop, which shares its
+    automaton's ``events``.
 
     ``events[k]`` is the event with id ``k``.  Ids follow ``event_key``, the
     order in which ``build_comm_automaton`` writes each state's moves, so
     ``ids[s]`` and ``targets[s]`` list the moves of state ``s`` in id order,
     which is exploration order: a walk by id breaks BFS ties as the build
-    does.  The automaton and its restriction keep one tuple per row; a
-    closed loop, far larger, packs its targets into ``PackedRows``, 4 B per
-    move, and shares its ``ids`` rows with its automaton's.
+    does.  The automaton keeps one tuple per row; a closed loop, far
+    larger, packs its targets into ``PackedRows``, 4 B per move, and shares
+    its ``ids`` rows with its automaton's.
     """
 
     events: tuple[CommEvent, ...]

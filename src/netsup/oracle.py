@@ -61,7 +61,7 @@ def _alphabet(machine) -> tuple:
     which they share, so their languages compare directly."""
     if isinstance(machine, TimedAutomaton):
         return tuple(sorted(machine.alphabet, key=event_order))
-    if isinstance(machine, SpecView):  # the same events, without building its table
+    if isinstance(machine, SpecView):  # it has no table: its automaton's events
         return machine.comm.table.events
     return machine.table.events
 

@@ -26,6 +26,7 @@ from .comm import (
     Plant,
     SpecView,
     _build_prepared,
+    event_key,
     observation_of,
     observation_symbols,
 )
@@ -267,21 +268,6 @@ class LanguageVerdict:
         return self.generated_equal and self.marked_equal
 
 
-def _distinguishing(
-    events: Sequence[CommEvent], space: PathSpace, diff_generated: Optional[tuple[int, int]], diff_marked: Optional[int]
-) -> LanguageVerdict:
-    """The verdict of a product walk over ``space``: ``diff_generated`` is
-    the pair and event id of the first one-sided move, ``diff_marked`` the
-    first pair whose sides disagree on marking, None where there is none."""
-    return LanguageVerdict(
-        diff_generated is None,
-        diff_marked is None,
-        None if diff_generated is None
-        else tuple(events[e] for e in space.path(diff_generated[0]) + [diff_generated[1]]),
-        None if diff_marked is None else tuple(events[e] for e in space.path(diff_marked)),
-    )
-
-
 def _loop_language(loop: ClosedLoop, max_states: int) -> LanguageVerdict:
     """``language_equal`` of ``loop`` and its own automaton's SpecView.
 
@@ -357,22 +343,29 @@ def _loop_language(loop: ClosedLoop, max_states: int) -> LanguageVerdict:
                     add(pair, k, e)
         if diff_generated is not None and diff_marked is not None:
             break
-    return _distinguishing(loop.table.events, space, diff_generated, diff_marked)
+    events = loop.table.events
+    return LanguageVerdict(
+        diff_generated is None,
+        diff_marked is None,
+        None if diff_generated is None
+        else tuple(events[e] for e in space.path(diff_generated[0]) + [diff_generated[1]]),
+        None if diff_marked is None else tuple(events[e] for e in space.path(diff_marked)),
+    )
 
 
 def language_equal(a, b, *, max_states: int = MAX_STATES) -> LanguageVerdict:
     """Exact equality of generated and marked languages of two deterministic
-    structures over channel-augmented events: a CommAutomaton, its
-    SpecView or a ClosedLoop (anything with ``table``, ``initial``
-    and ``is_marked``).
+    structures over channel-augmented events, each read through
+    ``initial``, ``moves`` and ``is_marked``: a CommAutomaton, its SpecView
+    or a ClosedLoop.
 
     The synchronized product is walked, following one-sided continuations
     so a generated-language difference cannot mask a marked-language
-    difference.  A pair with one side already outside its language expands
-    the other side's row as it is, which is that row merged with an empty
-    one.  Distinguishing strings are shortest (BFS, ties broken by event
-    id); ``max_states`` bounds the product.  Both structures must share one
-    event table's events (ValueError otherwise).  A ClosedLoop ``a``
+    difference.  A pair is ``(sa, sb)``, with None for a side that has left
+    its language, and its two rows are merged in ``event_key`` order, the
+    id order of an event table, so an empty row merges as the other one.
+    Distinguishing strings are shortest (BFS, ties broken by
+    ``event_key``); ``max_states`` bounds the product.  A ClosedLoop ``a``
     compared with its own automaton's SpecView, the pair ``solve``
     compares, goes to ``_loop_language``: one pass over the loop, which
     builds nothing when the languages are equal, and otherwise the same
@@ -380,53 +373,27 @@ def language_equal(a, b, *, max_states: int = MAX_STATES) -> LanguageVerdict:
     """
     if isinstance(a, ClosedLoop) and isinstance(b, SpecView) and b.comm is a.comm:
         return _loop_language(a, max_states)
-    table_a, table_b = a.table, b.table
-    events = table_a.events
-    if table_b.events != events:
-        raise ValueError("language_equal compares structures over different event tables")
-    ids_a, targets_a, ids_b, targets_b = table_a.ids, table_a.targets, table_b.ids, table_b.targets
-    # a pair (sa, sb), -1 for a side that has left its language, has the key
-    # (sa + 1) * width + sb + 1 and is labelled with the event id it was
-    # discovered on
-    width = len(ids_b) + 1
     space = PathSpace("language comparison product", max_states)
-    space.add((a.initial + 1) * width + b.initial + 1)
+    space.add((a.initial, b.initial))
     index = space.index
-    diff_generated: Optional[tuple[int, int]] = None  # (pair, event id)
-    diff_marked: Optional[int] = None  # pair
-    for k, key in enumerate(space.keys):  # space.keys grows: breadth-first
-        sa, sb = key // width - 1, key % width - 1
-        if diff_marked is None and (sa >= 0 and a.is_marked(sa)) != (sb >= 0 and b.is_marked(sb)):
-            diff_marked = k
-        # a side outside its language has an empty row: the other side's
-        # row, in id order, is the merge
-        if sa < 0:
-            for e, tb in zip(ids_b[sb], targets_b[sb]):
-                pair = tb + 1
-                if pair not in index:
-                    space.add(pair, k, e)
-        elif sb < 0:
-            for e, ta in zip(ids_a[sa], targets_a[sa]):
-                pair = (ta + 1) * width
-                if pair not in index:
-                    space.add(pair, k, e)
-        else:
-            row_a, dsts_a, row_b, dsts_b = ids_a[sa], targets_a[sa], ids_b[sb], targets_b[sb]
-            if row_a == row_b:
-                moves: Iterable[tuple[int, int, int]] = zip(row_a, dsts_a, dsts_b)
-            else:
-                to_a, to_b = dict(zip(row_a, dsts_a)), dict(zip(row_b, dsts_b))
-                moves = [(e, to_a.get(e, -1), to_b.get(e, -1)) for e in sorted(to_a.keys() | to_b.keys())]
-                if diff_generated is None:
-                    # one-sided definedness seen from a common prefix
-                    diff_generated = next((k, e) for e, ta, tb in moves if ta < 0 or tb < 0)
-            for e, ta, tb in moves:
-                pair = (ta + 1) * width + tb + 1
-                if pair not in index:
-                    space.add(pair, k, e)
+    diff_generated: Optional[tuple[CommEvent, ...]] = None
+    diff_marked: Optional[tuple[CommEvent, ...]] = None
+    for k, (sa, sb) in enumerate(space.keys):  # space.keys grows: breadth-first
+        if diff_marked is None and (sa is not None and a.is_marked(sa)) != (sb is not None and b.is_marked(sb)):
+            diff_marked = tuple(space.path(k))
+        to_a = {} if sa is None else dict(a.moves(sa))
+        to_b = {} if sb is None else dict(b.moves(sb))
+        if diff_generated is None and to_a.keys() != to_b.keys():
+            # one-sided definedness seen from a common prefix (a pair with
+            # a None side comes after the first one)
+            diff_generated = (*space.path(k), min(to_a.keys() ^ to_b.keys(), key=event_key))
+        for e in sorted(to_a.keys() | to_b.keys(), key=event_key):
+            pair = (to_a.get(e), to_b.get(e))
+            if pair not in index:
+                space.add(pair, k, e)
         if diff_generated is not None and diff_marked is not None:
             break
-    return _distinguishing(events, space, diff_generated, diff_marked)
+    return LanguageVerdict(diff_generated is None, diff_marked is None, diff_generated, diff_marked)
 
 
 def check_admissibility(

@@ -451,15 +451,21 @@ class TestObserverIdentity:
 
 
 def event_table_digest(comms):
-    """sha256 over the event table of each of ``comms`` and over its
-    specification view's: the rendered events, then each state's ids and
-    targets."""
+    """sha256 over the event table of each of ``comms`` and over its rows
+    restricted to the specification (the moves into ``in_spec`` states):
+    the rendered events, then each state's ids and targets."""
     digest = hashlib.sha256()
     for comm in comms:
-        for table in (comm.table, comm.spec_view().table):
+        table, in_spec = comm.table, comm.in_spec
+        rows = list(zip(table.ids, table.targets))
+        spec_rows = [
+            (tuple(e for e, t in zip(row, dsts) if in_spec[t]), tuple(t for t in dsts if in_spec[t]))
+            for row, dsts in rows
+        ]
+        for part in (rows, spec_rows):
             digest.update(repr([render_event(e) for e in table.events]).encode() + b"\n")
-            for row, dsts in zip(table.ids, table.targets):
-                digest.update(repr((row, dsts)).encode() + b"\n")
+            for row in part:
+                digest.update(repr(row).encode() + b"\n")
             digest.update(b"--\n")
     return digest.hexdigest()
 

@@ -839,18 +839,51 @@ class TestOnePassLanguage:
                 self.agree(build_comm_automaton(inst.plant, spec, inst.net), walks, kinds)
         assert kinds == {0, 1, 2}
 
-    def test_different_event_tables_are_rejected(self, line_comm, without_move):
+    def test_different_event_tables_are_compared(self, line_comm, without_move):
         """A copy without its one ``g12(2)`` move has one event fewer, so its
-        event ids mean other events: the comparison raises rather than mix
-        them."""
+        event ids mean other events; the walk reads events, not ids, and
+        finds the lost move both ways round."""
         g12 = Lose(0, 1, 2)  # losing the second entry of channel 1 -> 2
         lost = [sid for sid in range(line_comm.num_states) if g12 in dict(line_comm.moves(sid))]
         assert len(lost) == 1
         clone = without_move(line_comm, lost[0], g12)
         assert len(clone.table.events) == len(line_comm.table.events) - 1
-        for a, b in ((line_comm, clone), (clone, line_comm), (clone, line_comm.spec_view())):
-            with pytest.raises(ValueError, match="different event tables"):
-                language_equal(a, b)
+        for a, b in ((line_comm, clone), (clone, line_comm)):
+            verdict = language_equal(a, b)
+            assert not verdict.generated_equal
+            assert verdict.diff_generated[-1] == g12
+            assert line_comm.run(verdict.diff_generated) is not None
+            assert clone.run(verdict.diff_generated) is None
+
+
+class ReadOnly:
+    """Only the read protocol of ``inner``: ``initial``, ``moves`` and
+    ``is_marked``, and no event table."""
+
+    __slots__ = ("initial", "moves", "is_marked")
+
+    def __init__(self, inner):
+        self.initial, self.moves, self.is_marked = inner.initial, inner.moves, inner.is_marked
+
+
+def test_language_equal_reads_only_the_read_protocol(models_dir):
+    """A structure seen through ``initial``, ``moves`` and ``is_marked``
+    alone gets the verdict of the closed loop, automaton or SpecView it
+    wraps, on either side of the comparison."""
+    model = line_with_delays(models_dir, 1, 6)
+    comms = [build_comm_automaton(model.plant, model.spec, model.network)]
+    comms += [random_instance(seed).comm for seed in range(20)]
+    unequal = 0
+    for comm in comms:
+        loop = closed_loop(comm, [synthesize_supervisor(comm, i) for i in range(comm.net.n)])
+        structures = (loop, comm, comm.spec_view())
+        for a in structures:
+            for b in structures:
+                verdict = language_equal(a, b)
+                assert language_equal(ReadOnly(a), b) == verdict
+                assert language_equal(a, ReadOnly(b)) == verdict
+                unequal += not verdict.equal
+    assert unequal > 0
 
 
 def language_digest(pairs):
