@@ -21,6 +21,7 @@ from .comm import (
     Observer,
     Plant,
     build_comm_automaton,
+    build_problem_automaton,
     build_observer,
     project_observation,
 )

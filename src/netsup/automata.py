@@ -8,6 +8,7 @@ advances only on ticks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Mapping, Optional, Sequence, TypeVar, Union
 
 from .errors import CompositionError, DeterminismError, ModelError, SchemaError, UnknownNameError
@@ -289,35 +290,25 @@ class AssumptionVerdict:
 
 
 def _find_nontick_cycle(auto: TimedAutomaton) -> Optional[list[tuple[str, str]]]:
-    """A cycle using only non-tick events, or None.  Iterative DFS, roots in
-    declaration order; ``path[k]`` is the move taken from the state at
-    ``stack[k]``, and ``depth`` maps each state on the stack to its ``k``."""
-
-    def nontick(q: str):
-        return ((e, t) for e, t in auto.transitions[q].items() if e != TICK)
-
-    done: set[str] = set()
-    for root in auto.states:
-        if root in done:
-            continue
-        stack = [(root, nontick(root))]
-        path: list[tuple[str, str]] = []
-        depth = {root: 0}
-        while stack:
-            state, edges = stack[-1]
-            for event, target in edges:
-                if target in depth:
-                    return path[depth[target]:] + [(state, event)]
-                if target not in done:
-                    depth[target] = len(stack)
-                    path.append((state, event))
-                    stack.append((target, nontick(target)))
-                    break
-            else:
-                stack.pop()
-                del path[-1:]
-                del depth[state]
-                done.add(state)
+    """A cycle using only non-tick events, as (state, event) steps, or None.
+    ``graphlib``'s depth-first cycle search starts from the states in
+    declaration order and tries each state's targets in canonical event
+    order; a step takes the first non-tick event between its two states."""
+    graph = TopologicalSorter()
+    for q in auto.states:
+        graph.add(q)
+    for q in auto.states:
+        for e, t in auto.transitions[q].items():
+            if e != TICK:
+                graph.add(t, q)  # t after q: q's successors list t
+    try:
+        graph.prepare()
+    except CycleError as exc:
+        cycle = exc.args[1]
+        return [
+            (q, next(e for e, t in auto.transitions[q].items() if t == nxt and e != TICK))
+            for q, nxt in zip(cycle, cycle[1:])
+        ]
     return None
 
 
@@ -372,8 +363,8 @@ def prepare(plant: TimedAutomaton, spec: TimedAutomaton, net) -> tuple[TimedAuto
     ``require_supervised``, ``net`` passed ``validate`` (SchemaError),
     even one not made by ``NetworkConfig.build``, and the specification
     proved a subautomaton of the plant (``subautomaton_defect``; ModelError
-    otherwise).  ``comm.build_comm_automaton`` runs it first, so no caller
-    has to."""
+    otherwise).  Both ``comm`` builders run it first, so no caller has
+    to."""
     net.validate()
     require_supervised(plant, net)
     reachable = accessible(plant)

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from . import dot as dotmod
 from .automata import accessible, validate_timed_assumptions
-from .comm import build_comm_automaton, render_event
+from .comm import build_problem_automaton, render_event
 from .errors import ModelError, ResourceLimitError
 from .explore import MAX_STATES
 from .modelio import (
@@ -161,7 +161,7 @@ def cmd_compose(args) -> int:
 
 def cmd_build_comm(args) -> int:
     model = load_model(args.model)
-    comm = build_comm_automaton(model.plant, model.spec, model.network, max_states=args.max_states)
+    comm = build_problem_automaton(model.plant, model.spec, model.network, max_states=args.max_states)
     payload = {
         "spec_version": SPEC_VERSION,
         "states": comm.num_states,
@@ -261,11 +261,11 @@ def cmd_export_dot(args) -> int:
         report = solve_control_problem(model.plant, model.spec, model.network, diagnostic=True, max_states=max_states)
         text = dotmod.closed_loop_dot(report.loop)
     elif target == "comm":
-        comm = build_comm_automaton(model.plant, model.spec, model.network, max_states=max_states)
+        comm = build_problem_automaton(model.plant, model.spec, model.network, max_states=max_states)
         text = dotmod.comm_automaton_dot(comm)
     elif target.startswith("observer:"):
         i = _supervisor_index(target.split(":", 1)[1], model.network.n)
-        comm = build_comm_automaton(model.plant, model.spec, model.network, max_states=max_states)
+        comm = build_problem_automaton(model.plant, model.spec, model.network, max_states=max_states)
         text = dotmod.observer_dot(comm.observer(i, max_states=max_states), comm)
     else:
         raise ModelError(f"unknown export target {target!r}")

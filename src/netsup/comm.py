@@ -27,7 +27,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
 from . import channels as ch
-from .automata import TICK, TimedAutomaton, follow, prepare
+from .automata import TICK, TimedAutomaton, coreachable, follow, prepare, remove_states
 from .channels import ChannelQueue, ChannelState
 from .explore import MAX_STATES, PathSpace, StateSpace, budget_error, closure
 from .network import ChannelLink, NetworkConfig
@@ -327,7 +327,8 @@ def build_comm_automaton(
     *,
     max_states: int = MAX_STATES,
 ) -> CommAutomaton:
-    """Breadth-first construction of the channel-augmented automaton.
+    """Breadth-first construction of the channel-augmented automaton of the
+    model as written; the commands decide on ``build_problem_automaton``'s.
 
     The problem first passes ``automata.prepare``, the one gate to a
     validated problem (ModelError otherwise).  With no cycle of non-tick
@@ -343,11 +344,28 @@ def build_comm_automaton(
     return _build_prepared(plant, spec, net, max_states=max_states)
 
 
+def build_problem_automaton(
+    plant: TimedAutomaton, spec: TimedAutomaton, net: NetworkConfig, *, max_states: int = MAX_STATES
+) -> CommAutomaton:
+    """The automaton of the nonblocking problem, which every command decides
+    and prints: ``build_comm_automaton`` with the prepared specification
+    kept to the states that reach a marked one, so that it generates the
+    prefixes of ``K``, its marked language.  The trim is exact in the
+    channel-augmented automaton too: deliveries and losses need no tick, so
+    the queues can always be flushed first.  An empty ``K`` leaves the
+    specification whole; then no ``spec_tree`` state is ``spec_marked``."""
+    plant, spec = prepare(plant, spec, net)
+    useful = coreachable(spec)
+    if useful[spec.initial]:
+        spec = remove_states(spec, [q for q, ok in useful.items() if not ok])
+    return _build_prepared(plant, spec, net, max_states=max_states)
+
+
 def _build_prepared(
     plant: TimedAutomaton, spec: TimedAutomaton, net: NetworkConfig, *, max_states: int
 ) -> CommAutomaton:
-    """``build_comm_automaton`` of a problem ``prepare`` returned: for
-    ``synthesis.decide``, which trims the specification in between."""
+    """The construction both builders share, on a problem ``prepare``
+    returned."""
     spec_states = set(spec.states)
     spec_marked_states = set(spec.marked)
 

@@ -6,6 +6,8 @@ order and edges in each state's canonical event order.
 
 from __future__ import annotations
 
+from typing import Callable, Hashable, Sequence
+
 from .automata import TimedAutomaton
 from .comm import CommAutomaton, Observer, render_event
 from .synthesis import ClosedLoop
@@ -16,68 +18,57 @@ def _quote(label: str) -> str:
     return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def timed_automaton_dot(auto: TimedAutomaton) -> str:
+def _shape(marked: bool) -> str:
+    return "shape=doublecircle" if marked else "shape=circle"
+
+
+def _frame(states: Sequence, initial: Hashable, node: Callable, moves: Callable, name: Callable = str) -> str:
+    """The one DOT frame: ``states`` numbered n0, n1, ... in their order,
+    each drawn with the (label, attributes) pair ``node`` gives it, an
+    ``init`` arrow to ``initial``, then each state's ``moves``, (event,
+    target) pairs, labelled ``name(event)``."""
+    number = {state: k for k, state in enumerate(states)}
     lines = ["digraph {", "  rankdir=LR;"]
-    number = {q: i for i, q in enumerate(auto.states)}
-    for q in auto.states:
-        shape = "doublecircle" if q in auto.marked else "circle"
-        lines.append(f"  n{number[q]} [label={_quote(q)} shape={shape}];")
-    lines.append(f"  init [shape=point]; init -> n{number[auto.initial]};")
-    for q in auto.states:
-        for event, target in auto.moves(q):
-            lines.append(f"  n{number[q]} -> n{number[target]} [label={_quote(event)}];")
+    for state in states:
+        label, attributes = node(state)
+        lines.append(f"  n{number[state]} [label={_quote(label)} {attributes}];")
+    lines.append(f"  init [shape=point]; init -> n{number[initial]};")
+    for state in states:
+        for event, target in moves(state):
+            lines.append(f"  n{number[state]} -> n{number[target]} [label={_quote(name(event))}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def timed_automaton_dot(auto: TimedAutomaton) -> str:
+    return _frame(auto.states, auto.initial, lambda q: (q, _shape(auto.is_marked(q))), auto.moves)
 
 
 def comm_automaton_dot(comm: CommAutomaton) -> str:
     """States outside the specification are drawn dashed; marked states are
     double-circled."""
-    lines = ["digraph {", "  rankdir=LR;"]
-    for sid in range(comm.num_states):
-        shape = "doublecircle" if comm.marked[sid] else "circle"
-        style = "" if comm.in_spec[sid] else " style=dashed"
-        lines.append(
-            f"  n{sid} [label={_quote(comm.render_state(sid))} shape={shape}{style}];"
-        )
-    lines.append(f"  init [shape=point]; init -> n{comm.initial};")
-    for sid in range(comm.num_states):
-        for event, target in comm.moves(sid):
-            lines.append(
-                f"  n{sid} -> n{target} [label={_quote(render_event(event))}];"
-            )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    def node(sid: int) -> tuple[str, str]:
+        return comm.render_state(sid), _shape(comm.marked[sid]) + ("" if comm.in_spec[sid] else " style=dashed")
+
+    return _frame(range(comm.num_states), comm.initial, node, comm.moves, render_event)
 
 
 def observer_dot(observer: Observer, comm: CommAutomaton) -> str:
-    lines = ["digraph {", "  rankdir=LR;"]
-    for t, codes in enumerate(observer.codes):
+    def node(t: int) -> tuple[str, str]:
         # a code is 2 * state + flag, so sorting codes sorts (state, flag) pairs
-        label = "{" + ",".join(
-            comm.render_state(code >> 1) + ("" if code & 1 else "!") for code in sorted(codes)
-        ) + "}"
-        lines.append(f"  n{t} [label={_quote(label)} shape=box];")
-    lines.append(f"  init [shape=point]; init -> n{observer.initial};")
-    for t in range(observer.num_states):
-        for symbol, target in sorted(observer.transitions[t].items()):
-            lines.append(f"  n{t} -> n{target} [label={_quote(symbol)}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        elements = (
+            comm.render_state(code >> 1) + ("" if code & 1 else "!") for code in sorted(observer.codes[t])
+        )
+        return "{" + ",".join(elements) + "}", "shape=box"
+
+    return _frame(
+        range(observer.num_states), observer.initial, node, lambda t: sorted(observer.transitions[t].items())
+    )
 
 
 def closed_loop_dot(loop: ClosedLoop) -> str:
-    lines = ["digraph {", "  rankdir=LR;"]
-    for sid in range(loop.num_states):
+    def node(sid: int) -> tuple[str, str]:
         x, obs = loop.state(sid)
-        label = loop.comm.render_state(x) + "/" + ",".join(str(t) for t in obs)
-        shape = "doublecircle" if loop.is_marked(sid) else "circle"
-        lines.append(f"  n{sid} [label={_quote(label)} shape={shape}];")
-    lines.append(f"  init [shape=point]; init -> n{loop.initial};")
-    for sid in range(loop.num_states):
-        for event, target in loop.moves(sid):
-            lines.append(
-                f"  n{sid} -> n{target} [label={_quote(render_event(event))}];"
-            )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        return loop.comm.render_state(x) + "/" + ",".join(str(t) for t in obs), _shape(loop.is_marked(sid))
+
+    return _frame(range(loop.num_states), loop.initial, node, loop.moves, render_event)

@@ -60,11 +60,7 @@ class PathSpace(StateSpace):
         self.label: list = []
 
     def add(self, key: Hashable, parent: int = -1, label=None) -> int:
-        sid = len(self.keys)  # StateSpace.add inlined: one frame per state
-        if sid >= self.max_states:
-            raise budget_error(self.stage, self.max_states)
-        self.index[key] = sid
-        self.keys.append(key)
+        sid = StateSpace.add(self, key)
         self.parent.append(parent)
         self.label.append(label)
         return sid

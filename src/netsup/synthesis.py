@@ -15,7 +15,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .automata import TICK, TimedAutomaton, coreachable, event_order, is_nonblocking, prepare, remove_states
+from .automata import TICK, TimedAutomaton, event_order, is_nonblocking
 from .comm import (
     CommAutomaton,
     CommEvent,
@@ -25,7 +25,7 @@ from .comm import (
     PackedRows,
     Plant,
     SpecView,
-    _build_prepared,
+    build_problem_automaton,
     event_key,
     observation_of,
     observation_symbols,
@@ -475,21 +475,14 @@ def decide(
 ) -> tuple[CommAutomaton, tuple[Verdict, ...]]:
     """Decide the nonblocking control problem: a closed loop that marks
     exactly ``K``, the specification's marked language, and generates its
-    prefixes.  After ``automata.prepare`` the specification keeps only the
-    states that reach a marked one, which is exact in the channel-augmented
-    automaton too (deliveries and losses need no tick, so queues can always
-    be flushed first), and the automaton is built on that, with no second
-    ``prepare``.  Returns the automaton and its ``existence_checks``
-    (``max_states`` bounds each construction).  An empty ``K`` leaves the
-    specification whole and adds a failed ``Condition.NONBLOCKING``, whose
-    witness is the empty string: it is in every closed loop's language."""
-    plant, spec = prepare(plant, spec, net)
-    useful = coreachable(spec)
-    if useful[spec.initial]:
-        spec = remove_states(spec, [q for q, ok in useful.items() if not ok])
-    comm = _build_prepared(plant, spec, net, max_states=max_states)
+    prefixes.  Returns the automaton ``comm.build_problem_automaton`` builds
+    and its ``existence_checks`` (``max_states`` bounds each construction).
+    An empty ``K``, where no ``spec_tree`` state is ``spec_marked``, adds a
+    failed ``Condition.NONBLOCKING``, whose witness is the empty string: it
+    is in every closed loop's language."""
+    comm = build_problem_automaton(plant, spec, net, max_states=max_states)
     checks = existence_checks(comm, max_states=max_states)
-    if not useful[spec.initial]:
+    if not any(comm.spec_marked[sid] for sid in comm.spec_tree.keys):
         detail = "the specification marks no string reachable from its initial state"
         checks += (Verdict(Condition.NONBLOCKING, False, Witness(mu=()), detail),)
     return comm, checks

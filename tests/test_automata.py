@@ -47,6 +47,40 @@ def bounded_strings(alphabet, k):
         yield from frontier
 
 
+def reference_nontick_cycle(auto):
+    """A cycle of non-tick moves as (state, event) steps, or None: an
+    iterative DFS with roots in declaration order and each state's moves in
+    canonical order.  ``path[k]`` is the move taken from the state at
+    ``stack[k]``, and ``depth`` maps each state on the stack to its ``k``."""
+
+    def nontick(q):
+        return ((e, t) for e, t in auto.transitions[q].items() if e != TICK)
+
+    done = set()
+    for root in auto.states:
+        if root in done:
+            continue
+        stack = [(root, nontick(root))]
+        path = []
+        depth = {root: 0}
+        while stack:
+            state, edges = stack[-1]
+            for event, target in edges:
+                if target in depth:
+                    return path[depth[target]:] + [(state, event)]
+                if target not in done:
+                    depth[target] = len(stack)
+                    path.append((state, event))
+                    stack.append((target, nontick(target)))
+                    break
+            else:
+                stack.pop()
+                del path[-1:]
+                del depth[state]
+                done.add(state)
+    return None
+
+
 class TestBuild:
     def test_duplicate_transition_is_determinism_error(self):
         with pytest.raises(DeterminismError):
@@ -316,6 +350,25 @@ class TestTimedAssumptions:
                 for (q, e), (nxt, _) in zip(cycle, cycle[1:] + cycle[:1]):
                     assert e != TICK and auto.transitions[q][e] == nxt
         assert 100 <= cyclic <= 350, cyclic
+
+    def test_witness_matches_the_reference_dfs(self):
+        """The cycle search gives the witness of a hand-written iterative
+        DFS (``reference_nontick_cycle``) on 10,000 seeded random plants."""
+        rng = random.Random(35)
+        events = [TICK, "a", "b", "c"]
+        cyclic = 0
+        for _ in range(10_000):
+            states = [str(i) for i in range(rng.randint(1, 8))]
+            transitions = [
+                (q, e, rng.choice(states)) for q in states for e in events if rng.random() < 0.3
+            ]
+            auto = ta("R", states, events, transitions, states[0], [])
+            expected = reference_nontick_cycle(auto)
+            v = validate_timed_assumptions(auto, frozenset(events[1:]))
+            assert (v.condition == 1) == (expected is not None)
+            assert v.witness_cycle == tuple(expected or ())
+            cyclic += expected is not None
+        assert 3_000 <= cyclic <= 8_000, cyclic
 
     def test_dead_state_violates_condition_2(self):
         auto = TimedAutomaton(

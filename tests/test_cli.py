@@ -22,6 +22,7 @@ from netsup.errors import ModelError, ResourceLimitError
 DATA = Path(__file__).resolve().parent / "data"
 SRC = Path(cli.__file__).resolve().parent.parent
 QUOTED = re.compile(r'"((?:[^"\\]|\\.)*)"')  # a DOT quoted string, escapes kept
+NODE = re.compile(r"^  n\d+ \[", re.MULTILINE)  # a DOT node line
 
 
 def run(capsys, *argv):
@@ -339,11 +340,11 @@ class TestExitCodes:
     ])
     def test_max_states_reaches_every_stage(self, capsys, models_dir, monkeypatch, command, stage):
         # each stage is spied on where its caller looks it up: the commands
-        # call synthesis.decide, which builds the automaton on the problem
-        # it prepared (comm._build_prepared, imported into synthesis) and
-        # calls verification.existence_checks
+        # call synthesis.decide, which builds the automaton with
+        # comm.build_problem_automaton, imported into synthesis, and calls
+        # verification.existence_checks
         owner, name = {
-            "build_comm_automaton": (synthesis, "_build_prepared"),
+            "build_comm_automaton": (synthesis, "build_problem_automaton"),
             "check_network_joint_observability": (verification, stage),
         }.get(stage, (cli, stage))
         budgets = spy_budgets(monkeypatch, owner, name)
@@ -351,11 +352,11 @@ class TestExitCodes:
         assert code == 0 and budgets and set(budgets) == {1234}
 
     @pytest.mark.parametrize("argv,owner,name", [
-        (["build-comm"], cli, "build_comm_automaton"),
+        (["build-comm"], cli, "build_problem_automaton"),
         (["simulate"], cli, "solve_control_problem"),
         (["export-dot", "--target", "closed-loop"], cli, "solve_control_problem"),
-        (["export-dot", "--target", "comm"], cli, "build_comm_automaton"),
-        (["export-dot", "--target", "observer:2"], cli, "build_comm_automaton"),
+        (["export-dot", "--target", "comm"], cli, "build_problem_automaton"),
+        (["export-dot", "--target", "observer:2"], cli, "build_problem_automaton"),
         (["export-dot", "--target", "observer:2"], CommAutomaton, "observer"),
     ], ids=["build-comm", "simulate", "closed-loop", "comm", "observer-automaton", "observer"])
     def test_max_states_reaches_every_construction(self, capsys, models_dir, monkeypatch, argv, owner, name):
@@ -504,6 +505,31 @@ class TestOneDecisionPath:
             2, "", "error: problem unsolvable; `netsup solve --diagnostic --format json`"
             " lists diagnostic supervisors\n",
         )
+
+    def test_build_comm_and_export_dot_draw_what_solve_decides(self, capsys, tmp_path):
+        """``build-comm`` and ``export-dot`` build the automaton ``solve``
+        decides on, over seeds 0-99: the untrimmed build counted 19
+        specification states for seed 12's 9, and drew 9 nodes for seed
+        17's 6-state observer 1."""
+        for seed in range(100):
+            inst = random_instance(seed)
+            path = tmp_path / f"seed_{seed}.json"
+            path.write_text(dump_json(model_to_dict(inst.plant, inst.spec, inst.net)), encoding="utf-8")
+            sizes = json.loads(run(capsys, "solve", str(path), "--diagnostic", "--format", "json")[1])["sizes"]
+            built = json.loads(run(capsys, "build-comm", str(path))[1])
+            assert (built["states"], built["spec_states"]) == (sizes["comm_states"], sizes["spec_states"]), seed
+            for i in range(1, inst.net.n + 1):
+                code, dot, _ = run(capsys, "export-dot", str(path), "--target", f"observer:{i}")
+                assert code == 0 and len(NODE.findall(dot)) == sizes[f"observer_{i}_states"], (seed, i)
+            if seed in {12, 17}:
+                assert sizes["spec_states"] == {12: 9, 17: 1}[seed]
+        assert len(NODE.findall(run(capsys, "export-dot", str(DATA / "random_seed_17.json"),
+                                    "--target", "observer:1")[1])) == 6
+
+    def test_seed_17_model_file_is_the_generated_instance(self):
+        inst = random_instance(17)
+        expected = dump_json(model_to_dict(inst.plant, inst.spec, inst.net))
+        assert (DATA / "random_seed_17.json").read_text(encoding="utf-8") == expected
 
     def test_subautomaton_defect_in_a_blocking_state_exits_two(self, capsys, models_dir, tmp_path, line_model):
         """State 8 of the line plant reaches no marked state; a specification
@@ -767,7 +793,7 @@ class TestExports:
     def test_export_observer_rejects_bad_index(self, capsys, models_dir, monkeypatch, index):
         """The fixture has two supervisors: any other index is a model error,
         reported before the channel-augmented automaton is built."""
-        monkeypatch.setattr(cli, "build_comm_automaton", lambda *a, **k: pytest.fail("built the automaton"))
+        monkeypatch.setattr(cli, "build_problem_automaton", lambda *a, **k: pytest.fail("built the automaton"))
         code, out, err = run(
             capsys, "export-dot", fixture_path(models_dir), "--target", f"observer:{index}"
         )

@@ -12,7 +12,7 @@ from netsup.comm import build_comm_automaton, render_event
 from netsup.network import ChannelLink, NetworkConfig
 from netsup.oracle import agreement, agreement_for_seed, brute_check, brute_closed_loop, enumerate_language
 from netsup.randgen import GeneratorParams, random_instance
-from netsup.synthesis import SupervisorMap, closed_loop, synthesize_supervisor
+from netsup.synthesis import SupervisorMap, closed_loop, decide, synthesize_supervisor
 from netsup.verification import (
     Condition,
     Verdict,
@@ -367,6 +367,24 @@ class TestAgreementAtWitnessLength:
         """Seeds 0-99 of three supervisors; a positive instance agrees up to
         bound 10 only."""
         params = GeneratorParams(n=3, max_comm_states=150)
+        for seed in range(100):
+            assert agreement(random_instance(seed, params).comm, 10) == [], seed
+
+    def test_decided_automaton_at_bound_8(self):
+        """Seeds 0-99 on the automaton ``decide`` builds, whose
+        specification keeps only the states that reach a marked one."""
+        trimmed = 0
+        for seed in range(100):
+            inst = random_instance(seed)
+            comm, _ = decide(inst.plant, inst.spec, inst.net)
+            assert agreement(comm, 8) == [], seed
+            trimmed += comm.in_spec != inst.comm.in_spec
+        assert trimmed == 11
+
+    def test_delays_up_to_3_at_bound_10(self):
+        """Seeds 0-99 with delay bounds up to 3 and automata up to 2,000
+        states; a positive instance agrees up to bound 10 only."""
+        params = GeneratorParams(max_delay=3, max_comm_states=2000)
         for seed in range(100):
             assert agreement(random_instance(seed, params).comm, 10) == [], seed
 
