@@ -208,7 +208,8 @@ def cmd_synthesize(args) -> int:
 def cmd_solve(args) -> int:
     model = load_model(args.model)
     report = solve_control_problem(
-        model.plant, model.spec, model.network, diagnostic=args.diagnostic, max_states=args.max_states
+        model.plant, model.spec, model.network, diagnostic=args.diagnostic, max_states=args.max_states,
+        build_loop=False,
     )
     if args.format == "json":
         _write(dump_json(_report_dict(report)), args.output)

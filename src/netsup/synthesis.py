@@ -194,6 +194,26 @@ def _first_uncovered(
     return _uncovered(i, symbol, t)
 
 
+def _loop_start(
+    comm: CommAutomaton, supervisors: Sequence[SupervisorMap], max_states: int
+) -> tuple[int, list[tuple[tuple, ...]], list[tuple[tuple, ...]], StateSpace]:
+    """The set-up of a walk over the closed loop's packed codes (see
+    ``ClosedLoop``): its ``radix``, the step tables and guards of
+    ``_step_tables``, and a ``"closed loop"`` StateSpace under
+    ``max_states`` that holds the initial code.  Raises ValueError unless
+    the supervisor list is one per ``comm.net.n``."""
+    check_supervisor_list(comm, supervisors)
+    weights = []
+    radix = 1
+    for sup in supervisors:
+        weights.append(radix)
+        radix *= sup.observer.num_states
+    steps_of, guards_of = _step_tables(comm, supervisors, weights)
+    space = StateSpace("closed loop", max_states)
+    space.add(comm.initial * radix + sum(sup.observer.initial * w for sup, w in zip(supervisors, weights)))
+    return radix, steps_of, guards_of, space
+
+
 def closed_loop(
     comm: CommAutomaton, supervisors: Sequence[SupervisorMap], *, max_states: int = MAX_STATES
 ) -> ClosedLoop:
@@ -205,20 +225,12 @@ def closed_loop(
     event's guards: it is dropped when some supervisor disables the event
     there, whatever its index; otherwise ValueError names the lowest-index
     observer with no move for a symbol its supervisor observes."""
-    check_supervisor_list(comm, supervisors)
     table = comm.table
     ids, targets = table.ids, table.targets
-    weights = []
-    radix = 1
-    for sup in supervisors:
-        weights.append(radix)
-        radix *= sup.observer.num_states
-    steps_of, guards_of = _step_tables(comm, supervisors, weights)
+    radix, steps_of, guards_of, space = _loop_start(comm, supervisors, max_states)
     # per automaton state, built on first visit: (event id, target code
     # with every observer at 0, step tables) for each of its moves
     moves: list[Optional[tuple]] = [None] * comm.num_states
-    space = StateSpace("closed loop", max_states)
-    space.add(comm.initial * radix + sum(sup.observer.initial * w for sup, w in zip(supervisors, weights)))
     lookup, add, codes = space.index.get, space.add, space.keys
     loop_ids: list[tuple[int, ...]] = []
     # each move's target appended straight to one array, so no id int
@@ -396,6 +408,59 @@ def language_equal(a, b, *, max_states: int = MAX_STATES) -> LanguageVerdict:
     return LanguageVerdict(diff_generated is None, diff_marked is None, diff_generated, diff_marked)
 
 
+def exact_loop_states(
+    comm: CommAutomaton, supervisors: Sequence[SupervisorMap], *, max_states: int = MAX_STATES
+) -> Optional[int]:
+    """The closed loop's number of states if it generates and marks exactly
+    the languages of ``comm``'s SpecView, else None; no move is stored.
+
+    One breadth-first pass over the loop's packed codes, the states
+    ``closed_loop`` builds in the same order under the same budget, runs
+    ``_loop_language``'s one-pass test at each loop state over automaton
+    state ``x``: the moves it drops must be exactly ``x``'s moves that leave
+    the specification, and ``marked[x]`` must equal ``spec_marked[x]``.
+    Every string to a loop state leads the SpecView, if anywhere, to ``x``,
+    so the test holds at every loop state exactly when the languages are
+    equal.  The pass stops with None at the first state that differs; up
+    to there it raises what ``closed_loop`` raises."""
+    table = comm.table
+    ids, targets, in_spec = table.ids, table.targets, comm.in_spec
+    marked, spec_marked = comm.marked, comm.spec_marked
+    radix, steps_of, guards_of, space = _loop_start(comm, supervisors, max_states)
+    # per automaton state, built on first visit: (event id, target code
+    # with every observer at 0, step tables, whether the move stays in the
+    # specification) for each of its moves
+    moves: list[Optional[tuple]] = [None] * comm.num_states
+    index, add, codes = space.index, space.add, space.keys
+    for code in codes:  # codes grows while it is walked: breadth-first
+        x, obs = divmod(code, radix)
+        here = moves[x]
+        if here is None:
+            if marked[x] != spec_marked[x]:
+                return None
+            here = moves[x] = tuple(
+                (e, dst * radix, steps_of[e], in_spec[dst]) for e, dst in zip(ids[x], targets[x])
+            )
+        for e, key, entries, stays in here:
+            key += obs
+            for w, size, steps in entries:
+                step = steps[obs // w % size]
+                if step is None:
+                    break
+                key += step
+            else:
+                if not stays:
+                    return None
+                if key not in index:
+                    add(key)
+                continue
+            if stays:
+                return None
+            if not any(name not in enable[obs // w % size] for w, size, enable, name in guards_of[e]):
+                raise _first_uncovered(comm, supervisors, table.events[e], obs)
+    return len(codes)
+
+
 def check_admissibility(
     supervisors: Sequence[SupervisorMap], comm: CommAutomaton, *, max_states: int = MAX_STATES
 ) -> Verdict:
@@ -493,7 +558,8 @@ class SolveReport:
     """Everything the full pipeline produced: the existence verdicts of
     ``decide``, and (when solvable, or on request for diagnosis) the
     synthesized supervisors with their admissibility and exact closed-loop
-    comparison."""
+    comparison.  ``loop`` is None when the caller did not ask for the loop
+    and the comparison needed none (``solve_control_problem``)."""
 
     checks: tuple[Verdict, ...]
     sizes: dict[str, int]
@@ -528,12 +594,24 @@ def solve_control_problem(
     *,
     diagnostic: bool = False,
     max_states: int = MAX_STATES,
+    build_loop: bool = True,
 ) -> SolveReport:
     """Full pipeline: ``decide``, and on success synthesize and verify the
     supervisor set on the automaton it built.
 
     With ``diagnostic`` the supervisors are synthesized and compared even when
     a condition fails (their enable-sets carry no guarantee then).
+
+    By default the closed loop is built, kept as ``report.loop`` and
+    compared with ``language_equal``; ``simulate`` and the closed-loop DOT
+    export walk it.  With ``build_loop=False`` (``netsup solve``) a
+    positive comparison is made by ``exact_loop_states``, one pass that
+    stores no moves, and ``report.loop`` stays None.  Its test is
+    ``_loop_language``'s one-pass test, which holds exactly when the
+    languages are equal, and it visits the loop's states in order under the
+    same budget, so it gives the same verdict, ``closed_loop_states`` and
+    budget error.  When it finds a state that differs, the loop is built
+    and compared as by default, for the distinguishing strings.
     """
     comm, checks = decide(plant, spec, net, max_states=max_states)
     sizes = {"comm_states": comm.num_states, "spec_states": len(comm.spec_tree.keys)}
@@ -543,12 +621,16 @@ def solve_control_problem(
         supervisors = [
             synthesize_supervisor(comm, i, max_states=max_states) for i in range(net.n)
         ]
-        loop = closed_loop(comm, supervisors, max_states=max_states)
+        states = None if build_loop else exact_loop_states(comm, supervisors, max_states=max_states)
+        loop = None if states is not None else closed_loop(comm, supervisors, max_states=max_states)
         report.supervisors = supervisors
         report.admissibility = check_admissibility(supervisors, comm, max_states=max_states)
-        report.language = language_equal(loop, comm.spec_view(), max_states=max_states)
+        report.language = (
+            LanguageVerdict(True, True) if loop is None
+            else language_equal(loop, comm.spec_view(), max_states=max_states)
+        )
         report.loop = loop
         for i, sup in enumerate(supervisors):
             sizes[f"observer_{i + 1}_states"] = sup.observer.num_states
-        sizes["closed_loop_states"] = loop.num_states
+        sizes["closed_loop_states"] = states if loop is None else loop.num_states
     return report

@@ -299,12 +299,13 @@ class TestExitCodes:
 
 
     def test_synthesis_budget_overflow_exits_two(self, capsys, models_dir, monkeypatch):
-        real = synthesis.closed_loop
+        # `solve` walks the loop with exact_loop_states, and builds it with
+        # closed_loop only where the languages differ
+        for name in ("closed_loop", "exact_loop_states"):
+            def small_budget(*args, _real=getattr(synthesis, name), **kwargs):
+                return _real(*args, **{**kwargs, "max_states": 5})
 
-        def small_budget(*args, **kwargs):
-            return real(*args, **{**kwargs, "max_states": 5})
-
-        monkeypatch.setattr(synthesis, "closed_loop", small_budget)
+            monkeypatch.setattr(synthesis, name, small_budget)
         code, out, err = run(capsys, "solve", fixture_path(models_dir))
         assert code == 2
         assert out == ""

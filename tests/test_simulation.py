@@ -1,7 +1,5 @@
 """Closed-loop simulation: determinism, safety, deadlock classification."""
 
-import pytest
-
 from netsup.automata import TICK, TimedAutomaton
 from netsup.comm import Deliver, Plant, build_comm_automaton
 from netsup.network import NetworkConfig
@@ -98,13 +96,9 @@ class TestRendering:
         comm = line_report.comm
         trace = simulate(line_report.loop, 3, 50)
         text = render_trace(trace, comm)
-        for idx, step in enumerate(trace.steps):
-            if step.event == Plant("a1"):
-                line = text.splitlines()[1 + idx]
-                assert "(a1,0)" in line
-                break
-        else:
-            pytest.skip("no a1 step in this trace")
+        pushes = [idx for idx, step in enumerate(trace.steps) if step.event == Plant("a1")]
+        assert pushes, "the trace has no a1 step"
+        assert "(a1,0)" in text.splitlines()[1 + pushes[0]]
 
     def test_tick_clock_counts_ticks(self, line_report):
         comm = line_report.comm

@@ -12,7 +12,7 @@ import tracemalloc
 import pytest
 
 from conftest import alternating, gagged, observer_elements
-from netsup import comm as comm_module, synthesis
+from netsup import cli, comm as comm_module, synthesis
 from netsup.automata import TICK, TimedAutomaton, coreachable, is_nonblocking, remove_states
 from netsup.cli import _report_dict
 from netsup.comm import (
@@ -28,6 +28,7 @@ from netsup.synthesis import (
     SupervisorMap,
     check_admissibility,
     closed_loop,
+    exact_loop_states,
     language_equal,
     solve_control_problem,
     spec_nonblocking,
@@ -945,6 +946,15 @@ class TestBudgets:
             closed_loop(comm, sups, max_states=size - 1)
         assert closed_loop(comm, sups, max_states=size).num_states == size
 
+    def test_solve_without_the_loop_budget(self, line_model, line_report):
+        """``exact_loop_states`` grows the loop's states under the loop's
+        budget and name."""
+        size = line_report.sizes["closed_loop_states"]
+        args = (line_model.plant, line_model.spec, line_model.network)
+        with pytest.raises(ResourceLimitError, match=f"closed loop exceeds {size - 1} states"):
+            solve_control_problem(*args, max_states=size - 1, build_loop=False)
+        assert solve_control_problem(*args, max_states=size, build_loop=False).verified
+
     def test_admissibility_budget(self, line_model, line_report):
         """A passing supervisor builds no product; the budget binds on the
         walk that finds a violation."""
@@ -989,6 +999,92 @@ class TestBudgets:
             name: {1234}
             for name in ("synthesize_supervisor", "closed_loop", "check_admissibility", "language_equal")
         }
+
+
+class TestExactLoopStates:
+    """``exact_loop_states`` counts the loop's states exactly when the
+    loop's languages equal its automaton's SpecView's, and says None
+    otherwise."""
+
+    @staticmethod
+    def agree(comm, sups):
+        """The pass agrees with ``closed_loop`` and ``language_equal`` on
+        ``sups``; returns whether the languages are equal."""
+        loop = closed_loop(comm, sups)
+        equal = language_equal(loop, comm.spec_view()).equal
+        assert exact_loop_states(comm, sups) == (loop.num_states if equal else None)
+        return equal
+
+    @pytest.mark.parametrize("params,count", [
+        (GeneratorParams(), 200),
+        (GeneratorParams(n=3, max_comm_states=150), 100),
+    ])
+    def test_random_instances(self, params, count):
+        verdicts = []
+        for seed in range(count):
+            comm = random_instance(seed, params).comm
+            sups = [synthesize_supervisor(comm, i) for i in range(comm.net.n)]
+            for each in (sups, gagged(comm, sups), alternating(comm, sups)):
+                verdicts.append(self.agree(comm, each))
+        assert True in verdicts and False in verdicts
+
+    @pytest.mark.parametrize("params", [GeneratorParams(), GeneratorParams(n=3, max_comm_states=150)])
+    def test_diagnostic_reports(self, params):
+        """``solve_control_problem`` with and without the loop gives the
+        same report, synthesis forced on unsolvable instances too."""
+        for seed in range(40):
+            inst = random_instance(seed, params)
+            args = (inst.plant, inst.spec, inst.net)
+            built = solve_control_problem(*args, diagnostic=True)
+            passed = solve_control_problem(*args, diagnostic=True, build_loop=False)
+            assert _report_dict(passed) == _report_dict(built), f"seed {seed}"
+            assert passed.language == built.language
+            assert (passed.loop is None) == built.language.equal
+
+    @pytest.mark.parametrize("delays", [(6, 1), (1, 6), (10, 1)], ids=["6/1", "1/6", "10/1"])
+    def test_line_model(self, models_dir, delays):
+        model = line_with_delays(models_dir, *delays)
+        comm = build_comm_automaton(model.plant, model.spec, model.network)
+        sups = [synthesize_supervisor(comm, i) for i in range(comm.net.n)]
+        assert self.agree(comm, sups) == (delays != (1, 6))
+
+    def test_only_the_markings_differ(self, models_dir):
+        """With no marked state the rows of loop and SpecView agree
+        everywhere, so only the marking test tells the languages apart."""
+        doc = json.loads((models_dir / "production_line.json").read_text(encoding="utf-8"))
+        doc["spec"] = {"remove_states": ["8"], "marked": []}
+        model = parse_model(doc)
+        report = solve_control_problem(model.plant, model.spec, model.network, diagnostic=True)
+        assert report.language.generated_equal and not report.language.marked_equal
+        assert exact_loop_states(report.comm, report.supervisors) is None
+
+
+class TestSolveWithoutTheLoop:
+    """``netsup solve`` asks for no loop: a positive verdict builds neither
+    the loop nor a language product, and reports what the default does."""
+
+    def test_solve_command(self, line_report, models_dir, monkeypatch, capsys):
+        called, reports = [], []
+        for name in ("closed_loop", "language_equal", "PathSpace"):
+            def spy(*args, _real=getattr(synthesis, name), _name=name, **kwargs):
+                called.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(synthesis, name, spy)
+
+        def solve(*args, _real=cli.solve_control_problem, **kwargs):
+            reports.append(_real(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "solve_control_problem", solve)
+        assert cli.main(["solve", str(models_dir / "production_line.json"), "--format", "json"]) == 0
+        capsys.readouterr()
+        (report,) = reports
+        assert called == [] and report.loop is None and line_report.loop is not None
+        for field in dataclasses.fields(report):
+            if field.name not in ("loop", "comm", "supervisors"):
+                assert getattr(report, field.name) == getattr(line_report, field.name), field.name
+        assert _report_dict(report) == _report_dict(line_report)
 
 
 class TestSolvePipeline:
