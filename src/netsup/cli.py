@@ -17,10 +17,11 @@ from typing import Optional, Sequence
 
 from . import dot as dotmod
 from .automata import accessible, validate_timed_assumptions
-from .comm import build_problem_automaton, render_event
+from .comm import CommAutomaton, build_problem_automaton, render_event
 from .errors import ModelError, ResourceLimitError
 from .explore import MAX_STATES
 from .modelio import (
+    Model,
     automaton_to_dict,
     dump_json,
     load_model,
@@ -29,7 +30,7 @@ from .modelio import (
 from .oracle import agreement_for_seed
 from .randgen import random_instance
 from .simulation import render_trace, simulate
-from .synthesis import SolveReport, decide, solve_control_problem, synthesize_supervisor
+from .synthesis import SolveReport, SupervisorMap, closed_loop, decide, solve_control_problem, synthesize_supervisor
 from .verification import Verdict
 
 SPEC_VERSION = 1
@@ -191,12 +192,22 @@ def cmd_check(args) -> int:
     return 0 if all_hold else 1
 
 
+def _synthesized(
+    model: Model, max_states: int, refusal: Optional[str] = None
+) -> tuple[CommAutomaton, list[SupervisorMap]]:
+    """``decide`` and synthesize every supervisor under ``max_states``; with
+    a ``refusal``, an unsolvable problem raises ModelError with it instead."""
+    comm, checks = decide(model.plant, model.spec, model.network, max_states=max_states)
+    if refusal is not None and not all(v.holds for v in checks):
+        raise ModelError(refusal)
+    return comm, [synthesize_supervisor(comm, i, max_states=max_states) for i in range(model.network.n)]
+
+
 def cmd_synthesize(args) -> int:
-    model = load_model(args.model)
-    comm, checks = decide(model.plant, model.spec, model.network, max_states=args.max_states)
-    if not all(v.holds for v in checks):
-        raise ModelError("problem unsolvable; `netsup solve --diagnostic --format json` lists diagnostic supervisors")
-    sups = [synthesize_supervisor(comm, i, max_states=args.max_states) for i in range(model.network.n)]
+    _, sups = _synthesized(
+        load_model(args.model), args.max_states,
+        "problem unsolvable; `netsup solve --diagnostic --format json` lists diagnostic supervisors",
+    )
     payload = {
         "spec_version": SPEC_VERSION,
         "supervisors": [_supervisor_dict(s) for s in sups],
@@ -208,8 +219,7 @@ def cmd_synthesize(args) -> int:
 def cmd_solve(args) -> int:
     model = load_model(args.model)
     report = solve_control_problem(
-        model.plant, model.spec, model.network, diagnostic=args.diagnostic, max_states=args.max_states,
-        build_loop=False,
+        model.plant, model.spec, model.network, diagnostic=args.diagnostic, max_states=args.max_states
     )
     if args.format == "json":
         _write(dump_json(_report_dict(report)), args.output)
@@ -229,14 +239,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    model = load_model(args.model)
-    report = solve_control_problem(
-        model.plant, model.spec, model.network, diagnostic=args.diagnostic, max_states=args.max_states
-    )
-    if not report.solvable and not args.diagnostic:
-        raise ModelError("problem unsolvable; pass --diagnostic to simulate anyway")
-    trace = simulate(report.loop, args.seed, args.steps)
-    _write(render_trace(trace, report.comm) + "\n", args.output)
+    refusal = None if args.diagnostic else "problem unsolvable; pass --diagnostic to simulate anyway"
+    comm, sups = _synthesized(load_model(args.model), args.max_states, refusal)
+    trace = simulate(closed_loop(comm, sups, max_states=args.max_states), args.seed, args.steps)
+    _write(render_trace(trace, comm) + "\n", args.output)
     return 0
 
 
@@ -259,8 +265,8 @@ def cmd_export_dot(args) -> int:
     elif target == "spec":
         text = dotmod.timed_automaton_dot(model.spec)
     elif target == "closed-loop":
-        report = solve_control_problem(model.plant, model.spec, model.network, diagnostic=True, max_states=max_states)
-        text = dotmod.closed_loop_dot(report.loop)
+        comm, sups = _synthesized(model, max_states)
+        text = dotmod.closed_loop_dot(closed_loop(comm, sups, max_states=max_states))
     elif target == "comm":
         comm = build_problem_automaton(model.plant, model.spec, model.network, max_states=max_states)
         text = dotmod.comm_automaton_dot(comm)

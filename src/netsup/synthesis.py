@@ -558,8 +558,8 @@ class SolveReport:
     """Everything the full pipeline produced: the existence verdicts of
     ``decide``, and (when solvable, or on request for diagnosis) the
     synthesized supervisors with their admissibility and exact closed-loop
-    comparison.  ``loop`` is None when the caller did not ask for the loop
-    and the comparison needed none (``solve_control_problem``)."""
+    comparison.  The loop is not kept: ``closed_loop(report.comm,
+    report.supervisors)`` builds it for a caller that walks it."""
 
     checks: tuple[Verdict, ...]
     sizes: dict[str, int]
@@ -567,8 +567,11 @@ class SolveReport:
     supervisors: Optional[list[SupervisorMap]] = None
     admissibility: Optional[Verdict] = None
     language: Optional[LanguageVerdict] = None
-    loop: Optional[ClosedLoop] = None
-    diagnostic: bool = False
+
+    @property
+    def diagnostic(self) -> bool:
+        """Synthesized although a verdict fails: the enable-sets carry no guarantee."""
+        return self.supervisors is not None and not self.solvable
 
     @property
     def nonblocking(self) -> bool:
@@ -594,7 +597,6 @@ def solve_control_problem(
     *,
     diagnostic: bool = False,
     max_states: int = MAX_STATES,
-    build_loop: bool = True,
 ) -> SolveReport:
     """Full pipeline: ``decide``, and on success synthesize and verify the
     supervisor set on the automaton it built.
@@ -602,26 +604,21 @@ def solve_control_problem(
     With ``diagnostic`` the supervisors are synthesized and compared even when
     a condition fails (their enable-sets carry no guarantee then).
 
-    By default the closed loop is built, kept as ``report.loop`` and
-    compared with ``language_equal``; ``simulate`` and the closed-loop DOT
-    export walk it.  With ``build_loop=False`` (``netsup solve``) a
-    positive comparison is made by ``exact_loop_states``, one pass that
-    stores no moves, and ``report.loop`` stays None.  Its test is
-    ``_loop_language``'s one-pass test, which holds exactly when the
-    languages are equal, and it visits the loop's states in order under the
-    same budget, so it gives the same verdict, ``closed_loop_states`` and
-    budget error.  When it finds a state that differs, the loop is built
-    and compared as by default, for the distinguishing strings.
+    A solvable problem's set is verified by ``exact_loop_states``, one pass
+    over the closed loop that stores no moves and gives the verdict,
+    ``closed_loop_states`` and budget error that building the loop would.
+    Where it finds a state that differs, and for an unsolvable problem's
+    set, which it would not pass, the loop is built, compared with
+    ``language_equal`` for the distinguishing strings, and dropped.
     """
     comm, checks = decide(plant, spec, net, max_states=max_states)
     sizes = {"comm_states": comm.num_states, "spec_states": len(comm.spec_tree.keys)}
     report = SolveReport(checks, sizes, comm)
-    report.diagnostic = diagnostic and not report.solvable
     if report.solvable or diagnostic:
         supervisors = [
             synthesize_supervisor(comm, i, max_states=max_states) for i in range(net.n)
         ]
-        states = None if build_loop else exact_loop_states(comm, supervisors, max_states=max_states)
+        states = exact_loop_states(comm, supervisors, max_states=max_states) if report.solvable else None
         loop = None if states is not None else closed_loop(comm, supervisors, max_states=max_states)
         report.supervisors = supervisors
         report.admissibility = check_admissibility(supervisors, comm, max_states=max_states)
@@ -629,7 +626,6 @@ def solve_control_problem(
             LanguageVerdict(True, True) if loop is None
             else language_equal(loop, comm.spec_view(), max_states=max_states)
         )
-        report.loop = loop
         for i, sup in enumerate(supervisors):
             sizes[f"observer_{i + 1}_states"] = sup.observer.num_states
         sizes["closed_loop_states"] = states if loop is None else loop.num_states

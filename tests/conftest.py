@@ -9,7 +9,7 @@ import pytest
 from netsup import build_comm_automaton, load_model, solve_control_problem
 from netsup.comm import Plant, build_event_table
 from netsup.explore import MAX_STATES, PathSpace, closure
-from netsup.synthesis import SupervisorMap
+from netsup.synthesis import SupervisorMap, closed_loop
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -109,6 +109,12 @@ def without_move():
 @pytest.fixture(scope="session")
 def line_report(line_model):
     return solve_control_problem(line_model.plant, line_model.spec, line_model.network)
+
+
+@pytest.fixture(scope="session")
+def line_loop(line_report):
+    """The closed loop under ``line_report``'s supervisors."""
+    return closed_loop(line_report.comm, line_report.supervisors)
 
 
 @pytest.fixture(scope="session")

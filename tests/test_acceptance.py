@@ -237,13 +237,13 @@ def test_c6_channel_calculus():
     report_line("6 channel calculus", f"rows exact, {checked_states} queues checked")
 
 
-def test_c7_simulation_safety(line_report):
+def test_c7_simulation_safety(line_report, line_loop):
     """1000 seeded runs of 1000 steps each under the synthesized supervisors
     never visit an out-of-spec state."""
     comm = line_report.comm
     out_of_spec = 0
     for seed in range(1000):
-        trace = simulate(line_report.loop, seed, 1000)
+        trace = simulate(line_loop, seed, 1000)
         assert trace.terminated is Termination.STEP_LIMIT
         out_of_spec += sum(1 for s in trace.steps if not comm.in_spec[s.comm_state])
     assert out_of_spec == 0

@@ -354,18 +354,41 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv,owner,name", [
         (["build-comm"], cli, "build_problem_automaton"),
-        (["simulate"], cli, "solve_control_problem"),
-        (["export-dot", "--target", "closed-loop"], cli, "solve_control_problem"),
+        (["simulate"], cli, "closed_loop"),
+        (["simulate"], cli, "decide"),
+        (["simulate"], cli, "synthesize_supervisor"),
+        (["export-dot", "--target", "closed-loop"], cli, "closed_loop"),
+        (["export-dot", "--target", "closed-loop"], cli, "decide"),
+        (["export-dot", "--target", "closed-loop"], cli, "synthesize_supervisor"),
         (["export-dot", "--target", "comm"], cli, "build_problem_automaton"),
         (["export-dot", "--target", "observer:2"], cli, "build_problem_automaton"),
         (["export-dot", "--target", "observer:2"], CommAutomaton, "observer"),
-    ], ids=["build-comm", "simulate", "closed-loop", "comm", "observer-automaton", "observer"])
+    ], ids=[
+        "build-comm", "simulate", "simulate-decide", "simulate-synthesis", "closed-loop", "closed-loop-decide",
+        "closed-loop-synthesis", "comm", "observer-automaton", "observer",
+    ])
     def test_max_states_reaches_every_construction(self, capsys, models_dir, monkeypatch, argv, owner, name):
         """``build-comm``, ``simulate`` and ``export-dot`` pass their budget
         to each construction they run."""
         budgets = spy_budgets(monkeypatch, owner, name)
         code, _, _ = run(capsys, argv[0], fixture_path(models_dir), *argv[1:], "--max-states", "1234")
         assert code == 0 and budgets and set(budgets) == {1234}
+
+    @pytest.mark.parametrize("argv", [["simulate"], ["export-dot", "--target", "closed-loop"]],
+                             ids=["simulate", "closed-loop"])
+    def test_a_printed_loop_is_not_verified(self, capsys, models_dir, monkeypatch, argv):
+        """``simulate`` and the closed-loop drawing build the loop they
+        print, and run neither the pass, the admissibility check nor the
+        language comparison."""
+        called = []
+        for name in ("exact_loop_states", "check_admissibility", "language_equal"):
+            def spy(*args, _real=getattr(synthesis, name), _name=name, **kwargs):
+                called.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(synthesis, name, spy)
+        code, out, _ = run(capsys, argv[0], fixture_path(models_dir), *argv[1:])
+        assert code == 0 and out and called == []
 
     @pytest.mark.parametrize("argv", [
         ["build-comm"], ["simulate"], ["export-dot"], ["export-dot", "--target", "closed-loop"],

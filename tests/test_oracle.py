@@ -162,12 +162,12 @@ class TestBruteClosedLoop:
         assert lang.strings == {""}
 
 
-    def test_negative_bound_is_refused(self, line_report):
+    def test_negative_bound_is_refused(self, line_report, line_loop):
         assert brute_closed_loop(line_report.comm, line_report.supervisors, 0).strings == {""}
         with pytest.raises(ValueError, match="bound must be >= 0"):
             brute_closed_loop(line_report.comm, line_report.supervisors, -1)
         with pytest.raises(ValueError, match="bound must be >= 0"):
-            enumerate_language(line_report.loop, -1)
+            enumerate_language(line_loop, -1)
 
     @pytest.mark.parametrize("order,message", [
         ((0,), "expected 2 supervisors, got 1"),

@@ -8,40 +8,40 @@ from netsup.synthesis import SupervisorMap, closed_loop, synthesize_supervisor
 
 
 class TestDeterminism:
-    def test_equal_seeds_equal_traces(self, line_report):
-        a = simulate(line_report.loop, 42, 200)
-        b = simulate(line_report.loop, 42, 200)
+    def test_equal_seeds_equal_traces(self, line_loop):
+        a = simulate(line_loop, 42, 200)
+        b = simulate(line_loop, 42, 200)
         assert a == b
 
-    def test_different_seeds_differ(self, line_report):
-        a = simulate(line_report.loop, 1, 200)
-        b = simulate(line_report.loop, 2, 200)
+    def test_different_seeds_differ(self, line_loop):
+        a = simulate(line_loop, 1, 200)
+        b = simulate(line_loop, 2, 200)
         assert a.steps != b.steps
 
 
 class TestSafety:
-    def test_runs_stay_in_specification(self, line_report):
+    def test_runs_stay_in_specification(self, line_report, line_loop):
         comm = line_report.comm
         for seed in range(50):
-            trace = simulate(line_report.loop, seed, 500)
+            trace = simulate(line_loop, seed, 500)
             assert trace.terminated is Termination.STEP_LIMIT
             for step in trace.steps:
                 assert comm.in_spec[step.comm_state]
                 for key, queue in zip(comm.net.channel_keys, comm.channels_of(step.comm_state)):
                     assert all(age <= comm.net.channels[key].delay_bound for _event, age in queue)
 
-    def test_replay_reproduces_states(self, line_report):
+    def test_replay_reproduces_states(self, line_report, line_loop):
         comm = line_report.comm
-        trace = simulate(line_report.loop, 7, 300)
+        trace = simulate(line_loop, 7, 300)
         sid = comm.initial
         for step in trace.steps:
             sid = comm.target(sid, step.event)
             assert sid == step.comm_state
 
-    def test_marked_state_visited_regularly(self, line_report):
+    def test_marked_state_visited_regularly(self, line_report, line_loop):
         comm = line_report.comm
         for seed in range(20):
-            trace = simulate(line_report.loop, seed, 200)
+            trace = simulate(line_loop, seed, 200)
             assert any(comm.marked[s.comm_state] for s in trace.steps)
 
 
@@ -63,11 +63,11 @@ class TestDeadlocks:
 
 
 class TestObservations:
-    def test_deliveries_show_in_observation_column(self, line_report):
+    def test_deliveries_show_in_observation_column(self, line_report, line_loop):
         comm = line_report.comm
         found = False
         for seed in range(30):
-            trace = simulate(line_report.loop, seed, 300)
+            trace = simulate(line_loop, seed, 300)
             for step in trace.steps:
                 if isinstance(step.event, Deliver):
                     # the receiving supervisor observes the carried event
@@ -92,17 +92,17 @@ class TestRendering:
         assert "terminated" in lines[-1]
         assert len(lines) == 2
 
-    def test_push_shows_in_channel_column(self, line_report):
+    def test_push_shows_in_channel_column(self, line_report, line_loop):
         comm = line_report.comm
-        trace = simulate(line_report.loop, 3, 50)
+        trace = simulate(line_loop, 3, 50)
         text = render_trace(trace, comm)
         pushes = [idx for idx, step in enumerate(trace.steps) if step.event == Plant("a1")]
         assert pushes, "the trace has no a1 step"
         assert "(a1,0)" in text.splitlines()[1 + pushes[0]]
 
-    def test_tick_clock_counts_ticks(self, line_report):
+    def test_tick_clock_counts_ticks(self, line_report, line_loop):
         comm = line_report.comm
-        trace = simulate(line_report.loop, 11, 40)
+        trace = simulate(line_loop, 11, 40)
         text = render_trace(trace, comm).splitlines()
         ticks = 0
         for idx, step in enumerate(trace.steps):

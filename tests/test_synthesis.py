@@ -194,12 +194,18 @@ def with_uncontrollable(line_model, uncontrollable=("a1",)):
     return build_comm_automaton(line_model.plant, line_model.spec, hacked_net)
 
 
-def line_with_delays(models_dir, out, back):
-    """The fixture with delay bounds 1->2 = ``out`` and 2->1 = ``back``."""
+def line_doc(models_dir, out, back):
+    """The fixture's model document with delay bounds 1->2 = ``out`` and
+    2->1 = ``back``."""
     doc = json.loads((models_dir / "production_line.json").read_text(encoding="utf-8"))
     for channel in doc["network"]["channels"]:
         channel["delay_bound"] = {(1, 2): out, (2, 1): back}[(channel["from"], channel["to"])]
-    return parse_model(doc)
+    return doc
+
+
+def line_with_delays(models_dir, out, back):
+    """The fixture with delay bounds 1->2 = ``out`` and 2->1 = ``back``."""
+    return parse_model(line_doc(models_dir, out, back))
 
 
 def unsolvable_model(models_dir):
@@ -213,6 +219,12 @@ def unsolvable_report(models_dir):
     closed loop's language is not the specification's."""
     model = unsolvable_model(models_dir)
     return solve_control_problem(model.plant, model.spec, model.network, diagnostic=True)
+
+
+@pytest.fixture(scope="module")
+def unsolvable_loop(unsolvable_report):
+    """The closed loop under ``unsolvable_report``'s supervisors."""
+    return closed_loop(unsolvable_report.comm, unsolvable_report.supervisors)
 
 
 class TestObservationTableOnDemand:
@@ -539,7 +551,7 @@ class TestClosedLoopIdentity:
         ]
         assert loop_digest([closed_loop(comm, sups)]) == expected
 
-    def test_a_disabled_move_needs_no_observer_move(self, line_report):
+    def test_a_disabled_move_needs_no_observer_move(self, line_report, line_loop):
         """A missing observer move on an event its own supervisor disables
         there is never followed, so the loop builds as before."""
         sups = copy.deepcopy(line_report.supervisors)
@@ -550,14 +562,14 @@ class TestClosedLoopIdentity:
             for symbol in step if symbol in controllable - enable[t]
         )
         del observer.transitions[t][symbol]
-        assert loop_digest([closed_loop(line_report.comm, sups)]) == loop_digest([line_report.loop])
+        assert loop_digest([closed_loop(line_report.comm, sups)]) == loop_digest([line_loop])
 
-    def test_blocked_beats_uncovered_across_supervisors(self, line_report):
+    def test_blocked_beats_uncovered_across_supervisors(self, line_report, line_loop):
         """Both supervisors control tick.  Without observer 1's tick move at
         its state ``t``, a tick move that supervisor 2 disables is dropped
         and the loop builds as before; where nobody disables it, the loop
         names supervisor 1."""
-        comm, loop = line_report.comm, line_report.loop
+        comm, loop = line_report.comm, line_loop
         sup1, sup2 = line_report.supervisors
         assert comm.net.controllers(TICK) == (0, 1)
         tick = Plant(TICK)
@@ -939,9 +951,9 @@ class TestBudgets:
             synthesize_supervisor(comm, 0, max_states=size - 1)
         assert synthesize_supervisor(comm, 0, max_states=size).observer.num_states == size
 
-    def test_closed_loop_budget(self, line_report):
+    def test_closed_loop_budget(self, line_report, line_loop):
         comm, sups = line_report.comm, line_report.supervisors
-        size = line_report.loop.num_states
+        size = line_loop.num_states
         with pytest.raises(ResourceLimitError, match=f"closed loop exceeds {size - 1} states"):
             closed_loop(comm, sups, max_states=size - 1)
         assert closed_loop(comm, sups, max_states=size).num_states == size
@@ -952,10 +964,10 @@ class TestBudgets:
         size = line_report.sizes["closed_loop_states"]
         args = (line_model.plant, line_model.spec, line_model.network)
         with pytest.raises(ResourceLimitError, match=f"closed loop exceeds {size - 1} states"):
-            solve_control_problem(*args, max_states=size - 1, build_loop=False)
-        assert solve_control_problem(*args, max_states=size, build_loop=False).verified
+            solve_control_problem(*args, max_states=size - 1)
+        assert solve_control_problem(*args, max_states=size).verified
 
-    def test_admissibility_budget(self, line_model, line_report):
+    def test_admissibility_budget(self, line_model, line_report, line_loop):
         """A passing supervisor builds no product; the budget binds on the
         walk that finds a violation."""
         # a1 is uncontrollable, but supervisor 1 still disables it wherever
@@ -969,34 +981,54 @@ class TestBudgets:
         )), sups[1]]
         with pytest.raises(ResourceLimitError, match="admissibility product exceeds 5 states"):
             check_admissibility(gagged, comm_u, max_states=5)
-        verdict = check_admissibility(gagged, comm_u, max_states=line_report.loop.num_states)
+        verdict = check_admissibility(gagged, comm_u, max_states=line_loop.num_states)
         assert not verdict.holds and verdict.witness.sigma == "a1"
         assert check_admissibility(line_report.supervisors, line_report.comm, max_states=5).holds
 
-    def test_language_budget(self, line_report, unsolvable_report):
+    def test_language_budget(self, line_report, line_loop, unsolvable_report, unsolvable_loop):
         """Equal languages are decided without a product; the budget binds
         on the walk that finds the distinguishing strings."""
-        loop, spec = unsolvable_report.loop, unsolvable_report.comm.spec_view()
+        loop, spec = unsolvable_loop, unsolvable_report.comm.spec_view()
         with pytest.raises(ResourceLimitError, match="language comparison product exceeds 5 states"):
             language_equal(loop, spec, max_states=5)
         assert language_equal(loop, spec, max_states=loop.num_states) == unsolvable_report.language
         assert not unsolvable_report.language.equal
-        assert language_equal(line_report.loop, line_report.comm.spec_view(), max_states=5).equal
+        assert language_equal(line_loop, line_report.comm.spec_view(), max_states=5).equal
 
-    def test_solve_passes_its_budget_to_every_stage(self, line_model, monkeypatch):
+    @staticmethod
+    def stage_budgets(monkeypatch):
+        """Per stage of ``solve_control_problem`` that runs, the budgets it
+        is called with."""
         budgets = {}
-        for name in ("synthesize_supervisor", "closed_loop", "check_admissibility", "language_equal"):
+        for name in (
+            "synthesize_supervisor", "exact_loop_states", "closed_loop", "check_admissibility", "language_equal"
+        ):
             def spy(*args, _real=getattr(synthesis, name), _name=name, **kwargs):
                 budgets.setdefault(_name, set()).add(kwargs.get("max_states"))
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(synthesis, name, spy)
+        return budgets
+
+    def test_solve_passes_its_budget_to_every_stage(self, line_model, monkeypatch):
+        """A solvable problem's set is verified by the pass alone."""
+        budgets = self.stage_budgets(monkeypatch)
         report = solve_control_problem(
             line_model.plant, line_model.spec, line_model.network, max_states=1234
         )
         assert report.verified
         assert budgets == {
-            name: {1234}
+            name: {1234} for name in ("synthesize_supervisor", "exact_loop_states", "check_admissibility")
+        }
+
+    def test_diagnostic_solve_passes_its_budget_to_every_stage(self, models_dir, monkeypatch):
+        """An unsolvable problem's set is compared on the loop, with no pass."""
+        budgets = self.stage_budgets(monkeypatch)
+        model = unsolvable_model(models_dir)
+        report = solve_control_problem(model.plant, model.spec, model.network, diagnostic=True, max_states=5000)
+        assert report.diagnostic and not report.language.equal
+        assert budgets == {
+            name: {5000}
             for name in ("synthesize_supervisor", "closed_loop", "check_admissibility", "language_equal")
         }
 
@@ -1030,16 +1062,19 @@ class TestExactLoopStates:
 
     @pytest.mark.parametrize("params", [GeneratorParams(), GeneratorParams(n=3, max_comm_states=150)])
     def test_diagnostic_reports(self, params):
-        """``solve_control_problem`` with and without the loop gives the
-        same report, synthesis forced on unsolvable instances too."""
+        """``solve_control_problem`` reports what the loop of its own
+        supervisors gives, synthesis forced on unsolvable instances too."""
+        solvable = set()
         for seed in range(40):
             inst = random_instance(seed, params)
-            args = (inst.plant, inst.spec, inst.net)
-            built = solve_control_problem(*args, diagnostic=True)
-            passed = solve_control_problem(*args, diagnostic=True, build_loop=False)
-            assert _report_dict(passed) == _report_dict(built), f"seed {seed}"
-            assert passed.language == built.language
-            assert (passed.loop is None) == built.language.equal
+            report = solve_control_problem(inst.plant, inst.spec, inst.net, diagnostic=True)
+            comm, sups = report.comm, report.supervisors
+            loop = closed_loop(comm, sups)
+            assert report.admissibility == check_admissibility(sups, comm), f"seed {seed}"
+            assert report.language == language_equal(loop, comm.spec_view()), f"seed {seed}"
+            assert report.sizes["closed_loop_states"] == loop.num_states, f"seed {seed}"
+            solvable.add(report.solvable)
+        assert solvable == {True, False}
 
     @pytest.mark.parametrize("delays", [(6, 1), (1, 6), (10, 1)], ids=["6/1", "1/6", "10/1"])
     def test_line_model(self, models_dir, delays):
@@ -1060,8 +1095,9 @@ class TestExactLoopStates:
 
 
 class TestSolveWithoutTheLoop:
-    """``netsup solve`` asks for no loop: a positive verdict builds neither
-    the loop nor a language product, and reports what the default does."""
+    """A solvable problem's set is verified in one pass: ``netsup solve``
+    builds neither the loop nor a language product, and every solve sets
+    up the loop's walk once."""
 
     def test_solve_command(self, line_report, models_dir, monkeypatch, capsys):
         called, reports = [], []
@@ -1080,11 +1116,31 @@ class TestSolveWithoutTheLoop:
         assert cli.main(["solve", str(models_dir / "production_line.json"), "--format", "json"]) == 0
         capsys.readouterr()
         (report,) = reports
-        assert called == [] and report.loop is None and line_report.loop is not None
+        assert called == []
         for field in dataclasses.fields(report):
-            if field.name not in ("loop", "comm", "supervisors"):
+            if field.name not in ("comm", "supervisors"):
                 assert getattr(report, field.name) == getattr(line_report, field.name), field.name
         assert _report_dict(report) == _report_dict(line_report)
+
+    @pytest.mark.parametrize("delays,flags,code", [((6, 1), [], 0), ((1, 6), ["--diagnostic"], 1)],
+                             ids=["6/1", "1/6-diagnostic"])
+    def test_one_loop_set_up_per_solve(self, models_dir, tmp_path, monkeypatch, capsys, delays, flags, code):
+        """The pass runs only on a solvable problem, so ``netsup solve``
+        on an unsolvable one builds the step tables once, for
+        ``closed_loop``, and not first for a pass that would stop at a
+        state that differs."""
+        calls = []
+
+        def spy(*args, _real=synthesis._step_tables):
+            calls.append(args)
+            return _real(*args)
+
+        monkeypatch.setattr(synthesis, "_step_tables", spy)
+        path = tmp_path / "line.json"
+        path.write_text(json.dumps(line_doc(models_dir, *delays)), encoding="utf-8")
+        assert cli.main(["solve", str(path), "--format", "json", *flags]) == code
+        assert '"supervisors"' in capsys.readouterr().out
+        assert len(calls) == 1
 
 
 class TestSolvePipeline:
@@ -1203,7 +1259,8 @@ class TestNonblockingProblem:
             assert report.nonblocking == spec_nonblocking(report.comm), f"seed {seed}"
             if report.solvable:
                 seen += 1
-                assert report.verified and is_nonblocking(report.loop), f"seed {seed}"
+                loop = closed_loop(report.comm, report.supervisors)
+                assert report.verified and is_nonblocking(loop), f"seed {seed}"
         assert seen == solvable
 
     def test_empty_marked_language_fails_nonblocking(self, line_model):
