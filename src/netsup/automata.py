@@ -273,20 +273,23 @@ def is_nonblocking(machine) -> bool:
     return all(coreachable(machine).values())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class AssumptionVerdict:
     """Outcome of the three timed-model well-formedness checks.
 
     ``condition`` is 1, 2 or 3 for the first violated check (None when all
-    hold); the witness is a cycle of (state, event) pairs for condition 1 and
-    a single state name for the others.
+    hold, so the model is ``ok``); the witness is a cycle of (state, event)
+    pairs for condition 1 and a single state name for the others.
     """
 
-    ok: bool
     condition: Optional[int] = None
     witness_cycle: tuple[tuple[str, str], ...] = field(default=())
     witness_state: Optional[str] = None
     message: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return self.condition is None
 
 
 def _find_nontick_cycle(auto: TimedAutomaton) -> Optional[list[tuple[str, str]]]:
@@ -325,27 +328,23 @@ def validate_timed_assumptions(auto: TimedAutomaton, enforceable: frozenset[str]
     cycle = _find_nontick_cycle(auto)
     if cycle is not None:
         return AssumptionVerdict(
-            False,
-            1,
+            condition=1,
             witness_cycle=tuple(cycle),
             message="cycle of non-tick events: " + " ".join(f"{q} -{e}->" for q, e in cycle),
         )
     for q in auto.states:
         if not auto.transitions[q]:
-            return AssumptionVerdict(
-                False, 2, witness_state=q, message=f"state {q!r} has no active event"
-            )
+            return AssumptionVerdict(condition=2, witness_state=q, message=f"state {q!r} has no active event")
     for q in auto.states:
         if TICK in auto.transitions[q]:
             continue
         if not any(e in enforceable for e in auto.transitions[q]):
             return AssumptionVerdict(
-                False,
-                3,
+                condition=3,
                 witness_state=q,
                 message=f"state {q!r} disables tick but activates no enforceable event",
             )
-    return AssumptionVerdict(True)
+    return AssumptionVerdict()
 
 
 def require_supervised(plant: TimedAutomaton, net) -> None:

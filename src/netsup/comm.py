@@ -24,7 +24,7 @@ from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional
+from typing import ClassVar, Iterable, NamedTuple, Optional
 
 from . import channels as ch
 from .automata import TICK, TimedAutomaton, coreachable, follow, prepare, remove_states
@@ -127,7 +127,7 @@ class CommAutomaton:
     stays: list[frozenset[str]]
     tick_critical: list[bool]
     spec_tree: PathSpace = field(repr=False, compare=False)
-    initial: int = 0
+    initial: ClassVar[int] = 0  # the breadth-first build numbers its start state 0
     _observers: dict[int, "Observer"] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -544,7 +544,7 @@ class Observer:
     exits: list[frozenset[str]]
     stays: list[frozenset[str]]
     tick_critical: list[bool]
-    initial: int = 0
+    initial: ClassVar[int] = 0  # the breadth-first build numbers its start state 0
 
     @property
     def num_states(self) -> int:

@@ -180,10 +180,8 @@ def _brute_controllability_1(comm: CommAutomaton, levels: SpecLevels) -> Verdict
         for event, plant_event in uncontrollable:
             dst = comm.target(sid, plant_event)
             if dst is not None and not comm.in_spec[dst]:
-                return Verdict(
-                    Condition.NET_CTRL_1, False, Witness(mu=_decode(comm.table.events, mu), sigma=event)
-                )
-    return Verdict(Condition.NET_CTRL_1, True)
+                return Verdict(Condition.NET_CTRL_1, witness=Witness(mu=_decode(comm.table.events, mu), sigma=event))
+    return Verdict(Condition.NET_CTRL_1)
 
 
 def _brute_controllability_2(comm: CommAutomaton, levels: SpecLevels) -> Verdict:
@@ -198,8 +196,8 @@ def _brute_controllability_2(comm: CommAutomaton, levels: SpecLevels) -> Verdict
             for ev, t in comm.transitions[sid].items()
         )
         if not preemptable:
-            return Verdict(Condition.NET_CTRL_2, False, Witness(mu=_decode(comm.table.events, mu), sigma=TICK))
-    return Verdict(Condition.NET_CTRL_2, True)
+            return Verdict(Condition.NET_CTRL_2, witness=Witness(mu=_decode(comm.table.events, mu), sigma=TICK))
+    return Verdict(Condition.NET_CTRL_2)
 
 
 def _brute_joint_observability(comm: CommAutomaton, levels: SpecLevels) -> Verdict:
@@ -239,19 +237,17 @@ def _brute_joint_observability(comm: CommAutomaton, levels: SpecLevels) -> Verdi
             for mu in must_disable:
                 nu = enabled_obs.get(mu.translate(projection))
                 if nu is not None:
-                    return Verdict(
-                        Condition.NET_JOINT_OBS,
-                        False,
-                        Witness(mu=_decode(events, mu), sigma=event, nu=_decode(events, nu), supervisor=supervisor),
-                    )
-    return Verdict(Condition.NET_JOINT_OBS, True)
+                    return Verdict(Condition.NET_JOINT_OBS, witness=Witness(
+                        mu=_decode(events, mu), sigma=event, nu=_decode(events, nu), supervisor=supervisor
+                    ))
+    return Verdict(Condition.NET_JOINT_OBS)
 
 
 def _brute_lm_closure(comm: CommAutomaton, levels: SpecLevels) -> Verdict:
     for mu, sid in _first_strings(levels):
         if comm.marked[sid] and not comm.spec_marked[sid]:
-            return Verdict(Condition.LM_CLOSURE, False, Witness(mu=_decode(comm.table.events, mu)))
-    return Verdict(Condition.LM_CLOSURE, True)
+            return Verdict(Condition.LM_CLOSURE, witness=Witness(mu=_decode(comm.table.events, mu)))
+    return Verdict(Condition.LM_CLOSURE)
 
 
 def brute_closed_loop(

@@ -3,7 +3,8 @@
 Each step picks uniformly among the events the supervisor set currently
 permits; delays and losses are nondeterministic in the model, so uniform
 sampling is the simplest faithful exploration.  Runs are deterministic given
-the seed.
+the seed.  A trace stores each step's event and state alone: what each
+supervisor observed is read off the event when the trace is rendered.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 from .comm import CommAutomaton, CommEvent, Plant, observation_of, render_event
 from .automata import TICK
@@ -29,7 +29,6 @@ class Termination(Enum):
 class TraceStep:
     event: CommEvent
     comm_state: int
-    observations: tuple[Optional[str], ...]  # one slot per supervisor
 
 
 @dataclass(frozen=True)
@@ -41,7 +40,6 @@ class Trace:
 
 def simulate(loop: ClosedLoop, seed: int, max_steps: int) -> Trace:
     """Random run of ``loop`` of at most ``max_steps`` events."""
-    net = loop.comm.net
     rng = random.Random(seed)
     state = loop.initial
     steps: list[TraceStep] = []
@@ -55,16 +53,13 @@ def simulate(loop: ClosedLoop, seed: int, max_steps: int) -> Trace:
             )
             return Trace(seed, tuple(steps), reason)
         event, state = rng.choice(enabled)
-        observations = tuple(
-            observation_of(event, i, net) for i in range(net.n)
-        )
-        steps.append(TraceStep(event, loop.comm_state(state), observations))
+        steps.append(TraceStep(event, loop.comm_state(state)))
     return Trace(seed, tuple(steps), Termination.STEP_LIMIT)
 
 
 def render_trace(trace: Trace, comm: CommAutomaton) -> str:
     """One line per step: index, event, tick count so far, channel queues,
-    and what each supervisor observed."""
+    and what each supervisor observed of the event (``observation_of``)."""
     net = comm.net
     header = "step  event        ticks  channels"
     for i in range(net.n):
@@ -80,7 +75,8 @@ def render_trace(trace: Trace, comm: CommAutomaton) -> str:
             f"{ticks:<6d}",
             render_state(comm.channels_of(step.comm_state)) or "-",
         ]
-        for obs in step.observations:
+        for i in range(net.n):
+            obs = observation_of(step.event, i, net)
             cells.append(obs if obs is not None else "-")
         lines.append(" ".join(cells))
     lines.append(f"terminated: {trace.terminated.value} after {len(trace.steps)} steps")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import ClassVar, Iterable, Optional, Sequence
 
 from .automata import TICK, TimedAutomaton, event_order, is_nonblocking
 from .comm import (
@@ -100,7 +100,7 @@ class ClosedLoop:
     codes: list[int]
     radix: int
     table: EventTable
-    initial: int = 0
+    initial: ClassVar[int] = 0  # the breadth-first build numbers its start state 0
 
     @property
     def num_states(self) -> int:
@@ -266,14 +266,21 @@ def closed_loop(
     return ClosedLoop(comm, list(supervisors), codes, radix, EventTable(table.events, loop_ids, PackedRows(flat, ends)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class LanguageVerdict:
-    """Outcome of an exact two-automaton language comparison."""
+    """Outcome of an exact two-automaton language comparison: a language is
+    equal on both sides exactly when no string distinguishes it."""
 
-    generated_equal: bool
-    marked_equal: bool
     diff_generated: Optional[tuple[CommEvent, ...]] = None
     diff_marked: Optional[tuple[CommEvent, ...]] = None
+
+    @property
+    def generated_equal(self) -> bool:
+        return self.diff_generated is None
+
+    @property
+    def marked_equal(self) -> bool:
+        return self.diff_marked is None
 
     @property
     def equal(self) -> bool:
@@ -304,7 +311,7 @@ def _loop_language(loop: ClosedLoop, max_states: int) -> LanguageVerdict:
         if row != spec_ids[x] or spec_marked[x] != marked[x]:
             break
     else:
-        return LanguageVerdict(True, True)
+        return LanguageVerdict()
     flat, ends = loop.table.targets.flat, loop.table.targets.ends
     comm_state = [code // radix for code in loop.codes]
     loop_only = len(comm_state)  # the key offsets of the one-sided pairs
@@ -357,11 +364,9 @@ def _loop_language(loop: ClosedLoop, max_states: int) -> LanguageVerdict:
             break
     events = loop.table.events
     return LanguageVerdict(
-        diff_generated is None,
-        diff_marked is None,
-        None if diff_generated is None
+        diff_generated=None if diff_generated is None
         else tuple(events[e] for e in space.path(diff_generated[0]) + [diff_generated[1]]),
-        None if diff_marked is None else tuple(events[e] for e in space.path(diff_marked)),
+        diff_marked=None if diff_marked is None else tuple(events[e] for e in space.path(diff_marked)),
     )
 
 
@@ -405,7 +410,7 @@ def language_equal(a, b, *, max_states: int = MAX_STATES) -> LanguageVerdict:
                 space.add(pair, k, e)
         if diff_generated is not None and diff_marked is not None:
             break
-    return LanguageVerdict(diff_generated is None, diff_marked is None, diff_generated, diff_marked)
+    return LanguageVerdict(diff_generated=diff_generated, diff_marked=diff_marked)
 
 
 def exact_loop_states(
@@ -508,11 +513,11 @@ def check_admissibility(
             if disabled[t] is not None:
                 witness = Witness(tuple(space.path(k)), disabled[t], supervisor=i)
                 detail = f"supervisor {i + 1} disables uncontrollable {disabled[t]!r}"
-                return Verdict(Condition.ADM_UNCONTROLLABLE, False, witness, detail)
+                return Verdict(Condition.ADM_UNCONTROLLABLE, witness=witness, detail=detail)
             if TICK not in enable[t] and tick_critical[x]:
                 witness = Witness(tuple(space.path(k)), TICK, supervisor=i)
                 detail = f"supervisor {i + 1} disables tick with no enforceable event available"
-                return Verdict(Condition.ADM_TICK, False, witness, detail)
+                return Verdict(Condition.ADM_TICK, witness=witness, detail=detail)
             silent, observed = rows[x]
             for event, dst in silent:
                 pair = dst * width + t
@@ -525,7 +530,7 @@ def check_admissibility(
                 pair = dst * width + nxt
                 if pair not in index:
                     add(pair, k, event)
-    return Verdict(Condition.ADM_UNCONTROLLABLE, True)
+    return Verdict(Condition.ADM_UNCONTROLLABLE)
 
 
 def spec_nonblocking(comm: CommAutomaton) -> bool:
@@ -549,7 +554,7 @@ def decide(
     checks = existence_checks(comm, max_states=max_states)
     if not any(comm.spec_marked[sid] for sid in comm.spec_tree.keys):
         detail = "the specification marks no string reachable from its initial state"
-        checks += (Verdict(Condition.NONBLOCKING, False, Witness(mu=()), detail),)
+        checks += (Verdict(Condition.NONBLOCKING, witness=Witness(mu=()), detail=detail),)
     return comm, checks
 
 
@@ -623,7 +628,7 @@ def solve_control_problem(
         report.supervisors = supervisors
         report.admissibility = check_admissibility(supervisors, comm, max_states=max_states)
         report.language = (
-            LanguageVerdict(True, True) if loop is None
+            LanguageVerdict() if loop is None
             else language_equal(loop, comm.spec_view(), max_states=max_states)
         )
         for i, sup in enumerate(supervisors):

@@ -7,10 +7,10 @@ states reachable through in_spec states only (the keys of ``spec_tree``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from enum import Enum
 from functools import cached_property
-from typing import AbstractSet, Optional
+from typing import Optional
 
 from .automata import TICK, event_order
 from .comm import CommAutomaton, CommEvent, InSpecRows
@@ -42,10 +42,16 @@ class Witness:
 
 @dataclass(frozen=True)
 class Verdict:
+    """A condition's outcome: it fails exactly when it carries a witness."""
+
     condition: Condition
-    holds: bool
+    _: KW_ONLY
     witness: Optional[Witness] = None
     detail: str = ""
+
+    @property
+    def holds(self) -> bool:
+        return self.witness is None
 
 
 def check_network_controllability(comm: CommAutomaton) -> Verdict:
@@ -69,20 +75,18 @@ def check_network_controllability(comm: CommAutomaton) -> Verdict:
             event = min(escaping, key=event_order)
             return Verdict(
                 Condition.NET_CTRL_1,
-                False,
-                Witness(mu=comm.spec_path(sid), sigma=event),
+                witness=Witness(mu=comm.spec_path(sid), sigma=event),
                 detail=f"uncontrollable {event!r} exits the specification at {comm.render_state(sid)}",
             )
     for sid in reachable:
         if TICK in comm.exits[sid] and comm.tick_critical[sid]:
             return Verdict(
                 Condition.NET_CTRL_2,
-                False,
-                Witness(mu=comm.spec_path(sid), sigma=TICK),
+                witness=Witness(mu=comm.spec_path(sid), sigma=TICK),
                 detail=f"tick exits the specification at {comm.render_state(sid)}"
                 " and no enforceable event can preempt it",
             )
-    return Verdict(Condition.NET_CTRL_1, True)
+    return Verdict(Condition.NET_CTRL_1)
 
 
 @dataclass
@@ -119,7 +123,7 @@ def build_twin_product(
     supervisor: int,
     *,
     max_states: int = MAX_STATES,
-    until: tuple[AbstractSet[int], AbstractSet[int]] = ((), ()),
+    until: Optional[str] = None,
 ) -> TwinProduct:
     """Breadth-first twin product of ``comm`` with itself for one supervisor,
     over specification states only: it reads the supervisor's
@@ -127,13 +131,14 @@ def build_twin_product(
     moves first and then observed symbols in alphabet order, one move per
     symbol, so a symbol both copies observe makes one pair.
 
-    With ``until=(exits, stays)`` the walk stops as soon as it discovers a
-    pair (x, y) with x in ``exits`` and y in ``stays``, which is then the
-    product's last pair; ids follow discovery order, so it is the lowest-id
-    such pair of the full product, with the same runs to it.  Raises
-    ResourceLimitError when it would exceed ``max_states`` pairs.
+    With ``until`` a plant event name, the walk stops as soon as it
+    discovers a pair (x, y) where ``until`` leaves the specification from x
+    (``comm.exits``) and stays inside it from y (``comm.stays``), which is
+    then the product's last pair; ids follow discovery order, so it is the
+    lowest-id such pair of the full product, with the same runs to it.
+    Raises ResourceLimitError when it would exceed ``max_states`` pairs.
     """
-    exits, stays = until
+    exits, stays = comm.exits, comm.stays
     rows = InSpecRows(comm, supervisor)
     n = comm.num_states
     space = PathSpace(f"twin product for supervisor {supervisor + 1}", max_states)
@@ -146,13 +151,13 @@ def build_twin_product(
             pair = dst * n + y
             if pair not in index:
                 add(pair, tid, (event, None))
-                if dst in exits and y in stays:
+                if until in exits[dst] and until in stays[y]:
                     return TwinProduct(n, space)
         for event, dst in silent_y:
             pair = x * n + dst
             if pair not in index:
                 add(pair, tid, (None, event))
-                if x in exits and dst in stays:
+                if until in exits[x] and until in stays[dst]:
                     return TwinProduct(n, space)
         for symbol, (ev_x, dst_x) in observed_x.items():
             if symbol not in observed_y:
@@ -161,7 +166,7 @@ def build_twin_product(
             pair = dst_x * n + dst_y
             if pair not in index:
                 add(pair, tid, (ev_x, ev_y))
-                if dst_x in exits and dst_y in stays:
+                if until in exits[dst_x] and until in stays[dst_y]:
                     return TwinProduct(n, space)
     return TwinProduct(n, space)
 
@@ -182,34 +187,31 @@ def check_network_joint_observability(
     in ``stays``: when the event is in both that state's ``exits`` and
     ``stays`` summaries, which the check reads off the observers ``comm``
     caches, as synthesis does.  Only for a confused (event, supervisor) is a
-    twin product built, and only up to its first violating pair, which gives
-    the BFS-shortest witness.  Events that exit nowhere, or stay inside
-    nowhere, are skipped; ``max_states`` bounds each observer and twin
-    product (ResourceLimitError).  Verdicts aggregate deterministically in
-    (event, supervisor) order.
+    twin product built, and only up to its first violating pair (its
+    ``until`` is the event), which gives the BFS-shortest witness.  Events
+    that exit nowhere, or stay inside nowhere, are skipped; ``max_states``
+    bounds each observer and twin product (ResourceLimitError).  Verdicts
+    aggregate deterministically in (event, supervisor) order.
     """
-    net, reachable = comm.net, comm.spec_tree.keys
+    net, reachable, exits, stays = comm.net, comm.spec_tree.keys, comm.exits, comm.stays
     for event in sorted(net.globally_controllable, key=event_order):
-        exits = {sid for sid in reachable if event in comm.exits[sid]}
-        stays = {sid for sid in reachable if event in comm.stays[sid]}
-        if not (exits and stays):
+        if not (any(event in exits[sid] for sid in reachable) and any(event in stays[sid] for sid in reachable)):
             continue
         for supervisor in net.controllers(event):
             observer = comm.observer(supervisor, max_states)
             if not any(event in out and event in inside for out, inside in zip(observer.exits, observer.stays)):
                 continue
-            twin = build_twin_product(comm, supervisor, max_states=max_states, until=(exits, stays))
+            twin = build_twin_product(comm, supervisor, max_states=max_states, until=event)
             mu, nu = twin.strings_to(len(twin.space.keys) - 1)
             return Verdict(
                 Condition.NET_JOINT_OBS,
-                False,
-                Witness(mu=mu, sigma=event, nu=nu, supervisor=supervisor),
+                witness=Witness(mu=mu, sigma=event, nu=nu, supervisor=supervisor),
                 detail=(
                     f"supervisor {supervisor + 1} cannot distinguish a run where"
                     f" {event!r} must be disabled from one where it must stay enabled"
                 ),
             )
-    return Verdict(Condition.NET_JOINT_OBS, True)
+    return Verdict(Condition.NET_JOINT_OBS)
 
 
 def check_lm_closure(comm: CommAutomaton) -> Verdict:
@@ -222,12 +224,11 @@ def check_lm_closure(comm: CommAutomaton) -> Verdict:
         if comm.marked[sid] and not comm.spec_marked[sid]:
             return Verdict(
                 Condition.LM_CLOSURE,
-                False,
-                Witness(mu=comm.spec_path(sid)),
+                witness=Witness(mu=comm.spec_path(sid)),
                 detail=f"state {comm.render_state(sid)} is marked in the full automaton"
                 " but not in the specification",
             )
-    return Verdict(Condition.LM_CLOSURE, True)
+    return Verdict(Condition.LM_CLOSURE)
 
 
 def existence_checks(comm: CommAutomaton, *, max_states: int = MAX_STATES) -> tuple[Verdict, ...]:

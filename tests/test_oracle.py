@@ -121,7 +121,7 @@ class TestBruteCheck:
         conditions that extend a string hold vacuously, and Lm-closure reads
         the empty string alone; a negative bound is refused."""
         comm = planted_defect_model()
-        assert brute_check(condition, comm, 0) == Verdict(condition, True)
+        assert brute_check(condition, comm, 0) == Verdict(condition)
         with pytest.raises(ValueError, match="bound must be >= 0"):
             brute_check(condition, comm, -1)
 

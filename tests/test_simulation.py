@@ -65,19 +65,23 @@ class TestDeadlocks:
 class TestObservations:
     def test_deliveries_show_in_observation_column(self, line_report, line_loop):
         comm = line_report.comm
+        n = comm.net.n
         found = False
         for seed in range(30):
             trace = simulate(line_loop, seed, 300)
-            for step in trace.steps:
+            rows = render_trace(trace, comm).splitlines()[1:-1]
+            assert len(rows) == len(trace.steps)
+            for step, row in zip(trace.steps, rows):
+                observations = row.split()[-n:]  # the obs1 ... obsn columns
                 if isinstance(step.event, Deliver):
                     # the receiving supervisor observes the carried event
-                    assert step.observations[step.event.receiver] == step.event.event
-                    others = [o for k, o in enumerate(step.observations)
+                    assert observations[step.event.receiver] == step.event.event
+                    others = [o for k, o in enumerate(observations)
                               if k != step.event.receiver]
-                    assert all(o is None for o in others)
+                    assert all(o == "-" for o in others)
                     found = True
                 if step.event == Plant(TICK):
-                    assert all(o == TICK for o in step.observations)
+                    assert all(o == TICK for o in observations)
         assert found
 
 

@@ -10,8 +10,10 @@ import re
 import pytest
 
 from conftest import observer_elements
-from netsup.automata import TICK
+from netsup.automata import TICK, AssumptionVerdict
 from netsup.comm import (
+    CommAutomaton,
+    Observer,
     Plant,
     build_comm_automaton,
     observation_of,
@@ -22,9 +24,12 @@ from netsup.errors import ModelError, ResourceLimitError
 from netsup.modelio import parse_model
 from netsup.oracle import brute_check
 from netsup.randgen import GeneratorParams, random_instance
-from netsup.synthesis import solve_control_problem, synthesize_supervisor
+from netsup.simulation import TraceStep
+from netsup.synthesis import ClosedLoop, LanguageVerdict, solve_control_problem, synthesize_supervisor
 from netsup.verification import (
     Condition,
+    Verdict,
+    Witness,
     build_twin_product,
     check_lm_closure,
     check_network_controllability,
@@ -635,3 +640,32 @@ class TestOracleAgreement:
                     project_observation(w.nu, w.supervisor, comm.net)
             else:
                 assert comm.marked[end] and not comm.spec_marked[end]
+
+
+class TestOneStorePerFact:
+    """A result stores each fact once: a verdict's flag is read off its
+    witness, a trace step's observations off its event, and a start state
+    is the constant 0, so no result can contradict itself."""
+
+    @pytest.mark.parametrize("build_old", [
+        lambda: Verdict(Condition.NET_CTRL_1, True),
+        lambda: LanguageVerdict(True, True),
+        lambda: AssumptionVerdict(True),
+    ], ids=["Verdict", "LanguageVerdict", "AssumptionVerdict"])
+    def test_a_stored_flag_is_refused(self, build_old):
+        with pytest.raises(TypeError):
+            build_old()
+
+    def test_no_flag_is_a_field(self):
+        derived = {"holds", "generated_equal", "marked_equal", "ok", "observations", "initial"}
+        for cls in (Verdict, LanguageVerdict, AssumptionVerdict, TraceStep, CommAutomaton, Observer, ClosedLoop):
+            assert derived.isdisjoint(f.name for f in dataclasses.fields(cls)), cls
+        assert CommAutomaton.initial == Observer.initial == ClosedLoop.initial == 0
+
+    def test_each_flag_reads_its_witness(self):
+        assert Verdict(Condition.LM_CLOSURE).holds
+        assert not Verdict(Condition.LM_CLOSURE, witness=Witness(mu=())).holds
+        language = LanguageVerdict(diff_marked=())
+        assert (language.generated_equal, language.marked_equal, language.equal) == (True, False, False)
+        assert LanguageVerdict().equal
+        assert AssumptionVerdict().ok and not AssumptionVerdict(condition=2).ok
